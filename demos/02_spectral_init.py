@@ -26,7 +26,7 @@ rng = make_rng(7)
 n, m, r = 24, 18, 4
 w = rng.normal(size=(n, m))
 
-# --- the one-sided Jacobi SVD underneath -----------------------------------
+# --- the LAPACK SVD in canonical form underneath ---------------------------
 fac = svd(w)
 print(f"svd of a {n}x{m} matrix:")
 print(f"  singular values (top 6): {np.round(fac.s[:6], 3)}")

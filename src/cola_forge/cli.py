@@ -12,7 +12,7 @@ Subcommands:
 Run configuration is a single strictly validated JSON file; row outputs are
 written atomically as CSV plus a JSON mirror with identical fields.
 Diagnostics go to stderr and the exit code is nonzero exactly when an error
-was emitted. ``COLA_FORGE_THREADS`` caps sweep parallelism.
+was emitted.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Provides the synthetic tasks (matrix recovery and cluster classification),
 the grid / scarcity sweeps over adapter shapes, the analytic cost report,
 and parameter accounting against published model geometries. All runs are
 pure functions of (spec, seeds): cells derive disjoint RNG streams from
-their coordinates, so execution order and parallelism never change results.
+their coordinates, so execution order never changes results.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -57,8 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
-
-THREADS_ENV = "COLA_FORGE_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -406,28 +403,6 @@ def sweep_cell_seed(seed: int, size: int, init_kind: str, config: CoLAConfig) ->
                        _STRATEGY_CODE[config.strategy], config.rank)
 
 
-def _max_workers(jobs: int) -> int:
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        try:
-            cap_val = int(cap)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {cap!r}") from exc
-        if cap_val < 1:
-            raise ValueError(f"{THREADS_ENV} must be >= 1, got {cap_val}")
-        return max(1, min(jobs, cap_val))
-    return max(1, min(jobs, os.cpu_count() or 1))
-
-
-def _run_cells(jobs: list) -> list:
-    """Execute thunks, possibly in parallel; output order matches input."""
-    workers = _max_workers(len(jobs))
-    if workers <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: job(), jobs))
-
-
 @dataclass
 class GridResult:
     rows: list[SweepRow]
@@ -455,7 +430,7 @@ def run_grid(
     """
     strategy = Strategy(strategy)
     skipped: list[tuple[int, int]] = []
-    jobs = []
+    rows = []
     for a_count in m_range:
         for b_count in n_range:
             if strategy is Strategy.HEURISTIC and a_count > b_count:
@@ -465,14 +440,11 @@ def run_grid(
                                 rank=rank, a_count=a_count, b_count=b_count,
                                 strategy=strategy)
             for seed in seeds:
-                jobs.append(
-                    lambda cfg=config, s=seed: run_single(
-                        task, cfg, init_kind, grid_cell_seed(s, cfg.a_count, cfg.b_count),
-                        steps, batch=batch, optimizer=optimizer, lr=lr, std=std,
-                        echo_seed=s,
-                    )[0]
-                )
-    rows = _run_cells(jobs)
+                rows.append(run_single(
+                    task, config, init_kind, grid_cell_seed(seed, a_count, b_count),
+                    steps, batch=batch, optimizer=optimizer, lr=lr, std=std,
+                    echo_seed=seed,
+                )[0])
     rows.sort(key=lambda r: (r.M, r.N, r.seed))
     return GridResult(rows=rows, skipped=skipped)
 
@@ -500,19 +472,16 @@ def scarcity_sweep(
     for kind in init_kinds:
         if kind not in INIT_KINDS:
             raise ValueError(f"unknown init kind {kind!r}")
-    jobs = []
+    rows = []
     for size in sizes:
         for kind in init_kinds:
             for config in configs:
                 for seed in seeds:
-                    jobs.append(
-                        lambda sz=size, kd=kind, cfg=config, s=seed: run_single(
-                            task, cfg, kd, sweep_cell_seed(s, sz, kd, cfg),
-                            steps, batch=batch, optimizer=optimizer, lr=lr,
-                            std=std, sample_size=sz, echo_seed=s,
-                        )[0]
-                    )
-    rows = _run_cells(jobs)
+                    rows.append(run_single(
+                        task, config, kind, sweep_cell_seed(seed, size, kind, config),
+                        steps, batch=batch, optimizer=optimizer, lr=lr,
+                        std=std, sample_size=size, echo_seed=seed,
+                    )[0])
     rows.sort(key=lambda r: (r.sample_size, r.init, r.M, r.N, r.seed))
     return rows
 

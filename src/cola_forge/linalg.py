@@ -1,14 +1,14 @@
 """Dense linear algebra kernels shared by every other module.
 
 Matrices are plain 2-D float64 numpy arrays in C (row-major) order; there is
-no wrapper class. The one non-trivial routine here is :func:`svd`, a
-one-sided Jacobi decomposition chosen for determinism and high relative
-accuracy at the matrix sizes this package works at (up to ~1024 x 1024).
+no wrapper class. :func:`svd` is the LAPACK SVD put into a canonical form
+(descending values, roundoff-level values set to 0, fixed signs); a one-sided
+Jacobi SVD is kept in the tests as the independent oracle it is checked
+against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,20 +26,13 @@ __all__ = [
     "derive_seed",
 ]
 
-# One-sided Jacobi parameters: a column pair is rotated while its off-diagonal
-# Gram entry exceeds JACOBI_REL_TOL relative to the two column norms; a clean
-# pass over all pairs means convergence. 60 sweeps is far beyond what any
-# non-pathological double-precision input needs (typical: 6-12).
-JACOBI_MAX_SWEEPS = 60
-JACOBI_REL_TOL = 1e-12
-
 
 class ShapeError(ValueError):
     """Operands have incompatible dimensions."""
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine hit its sweep cap without converging."""
+    """An iterative routine failed to converge."""
 
 
 def as_matrix(w) -> np.ndarray:
@@ -91,98 +84,32 @@ class SvdResult:
         return SvdResult(self.u[:, :r], self.s[:r], self.v[:, :r])
 
 
-def svd(w: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS,
-        rel_tol: float = JACOBI_REL_TOL) -> SvdResult:
-    """One-sided Jacobi SVD.
+def svd(w: np.ndarray) -> SvdResult:
+    """Thin SVD through LAPACK, returned in canonical form.
 
-    Repeatedly applies plane rotations to column pairs of the (tall) working
-    matrix until all columns are mutually orthogonal; the column norms are
-    then the singular values. Deterministic: a fixed cyclic pair order, and a
-    sign convention that makes the largest-magnitude entry of every left
-    singular vector positive, so equal inputs always produce identical
-    factors, including under repeated singular values.
+    Singular values at or below ``max(n, m) * eps * s[0]`` are set to exactly
+    0, and each (u, v) column pair is sign-fixed so that the largest-magnitude
+    entry of the left singular vector is positive. ``u`` and ``v`` keep
+    orthonormal columns for rank-deficient and zero inputs.
 
-    Raises ConvergenceError if the sweep cap is exhausted, which for finite
-    float64 input indicates a bug rather than a hard matrix.
+    Deterministic for a given BLAS/LAPACK build and thread count: equal inputs
+    then produce identical factors. Across builds or thread counts the factors
+    may differ at roundoff level, within eps * ||w|| / gap for the singular
+    vectors.
+
+    Raises ConvergenceError if LAPACK reports non-convergence.
     """
     a = as_matrix(w)
-    n, m = a.shape
-    # Work on a tall matrix so the rotation count is driven by min(n, m).
-    transposed = n < m
-    g = a.T.copy() if transposed else a.copy()
-    p, q = g.shape
-
-    v = np.eye(q)
-    converged = False
-    for _ in range(max_sweeps):
-        rotated = False
-        for i in range(q - 1):
-            for j in range(i + 1, q):
-                gi = g[:, i]
-                gj = g[:, j]
-                aii = float(gi @ gi)
-                ajj = float(gj @ gj)
-                aij = float(gi @ gj)
-                if abs(aij) <= rel_tol * math.sqrt(aii * ajj):
-                    continue
-                rotated = True
-                # Rutishauser rotation zeroing the (i, j) Gram entry.
-                zeta = (ajj - aii) / (2.0 * aij)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                g_new_i = c * gi - s * gj
-                g_new_j = s * gi + c * gj
-                g[:, i] = g_new_i
-                g[:, j] = g_new_j
-                v_new_i = c * v[:, i] - s * v[:, j]
-                v_new_j = s * v[:, i] + c * v[:, j]
-                v[:, i] = v_new_i
-                v[:, j] = v_new_j
-        if not rotated:
-            converged = True
-            break
-    if not converged:
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
-            f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps "
-            f"for a {n}x{m} matrix"
-        )
-
-    norms = np.sqrt(np.sum(g * g, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    g = g[:, order]
-    v = v[:, order]
-
-    # Columns whose norm is negligible relative to the spectrum belong to the
-    # null space; their left vectors are completed to an orthonormal basis.
-    tiny = max(p, q) * np.finfo(np.float64).eps * (norms[0] if norms[0] > 0 else 1.0)
-    u = np.zeros((p, q))
-    rank = int(np.sum(norms > tiny))
-    if rank:
-        u[:, :rank] = g[:, :rank] / norms[:rank]
-    norms[rank:] = 0.0
-    for col in range(rank, q):
-        u[:, col] = _orthonormal_completion(u[:, :col], p)
-
-    if transposed:
-        u, v = v, u
+            f"LAPACK SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
+        ) from exc
+    s[s <= max(a.shape) * np.finfo(np.float64).eps * s[0]] = 0.0
+    v = np.ascontiguousarray(vt.T)
     _fix_signs(u, v)
-    return SvdResult(u=u, s=norms, v=v)
-
-
-def _orthonormal_completion(basis: np.ndarray, dim: int) -> np.ndarray:
-    """Deterministically extend ``basis`` (orthonormal columns) by one column."""
-    for k in range(dim):
-        cand = np.zeros(dim)
-        cand[k] = 1.0
-        if basis.shape[1]:
-            cand -= basis @ (basis.T @ cand)
-            cand -= basis @ (basis.T @ cand)  # second pass for orthogonality
-        norm = np.linalg.norm(cand)
-        if norm > 0.5:  # e_k was not (numerically) inside span(basis)
-            return cand / norm
-    raise ConvergenceError("failed to complete an orthonormal basis")
+    return SvdResult(u=u, s=s, v=v)
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:

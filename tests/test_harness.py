@@ -366,19 +366,3 @@ class TestRowWriters:
         write_rows_csv(self.rows(), str(path))
         assert os.listdir(tmp_path) == ["rows.csv"]
 
-
-class TestThreadCap:
-    def test_thread_cap_does_not_change_rows(self, monkeypatch):
-        task = grid_task()
-        monkeypatch.delenv("COLA_FORGE_THREADS", raising=False)
-        parallel = run_grid(task, 4, Strategy.FULL, [1, 2], [1, 2],
-                            seeds=(42, 43), steps=5)
-        monkeypatch.setenv("COLA_FORGE_THREADS", "1")
-        serial = run_grid(task, 4, Strategy.FULL, [1, 2], [1, 2],
-                          seeds=(42, 43), steps=5)
-        assert parallel.rows == serial.rows
-
-    def test_invalid_cap_rejected(self, monkeypatch):
-        monkeypatch.setenv("COLA_FORGE_THREADS", "zero")
-        with pytest.raises(ValueError, match="COLA_FORGE_THREADS"):
-            run_grid(grid_task(), 4, Strategy.FULL, [1], [1], seeds=(42,), steps=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cola_forge.linalg import (
     ConvergenceError,
@@ -11,6 +13,34 @@ from cola_forge.linalg import (
     matmul,
     svd,
 )
+from jacobi_oracle import jacobi_svd
+
+# Exactly rank 1; the relative-only Jacobi rotation test never settled on it.
+RANK_ONE_40X30 = np.outer(np.arange(1.0, 41.0), np.arange(1.0, 31.0))
+
+
+def assert_sign_convention(fac):
+    for col in range(fac.u.shape[1]):
+        pivot = np.argmax(np.abs(fac.u[:, col]))
+        assert fac.u[pivot, col] > 0.0
+
+
+def rank_r_product(fac, r):
+    return (fac.u[:, :r] * fac.s[:r]) @ fac.v[:, :r].T
+
+
+def assert_matches_oracle(w):
+    """Values to 1e-12 s[0], sign convention on both sides, and every rank-r
+    product to 1e-10 relative. Raw factors are not compared: singular vectors
+    are only determined to about eps * ||w|| / gap."""
+    fac, ref = svd(w), jacobi_svd(w)
+    assert np.abs(fac.s - ref.s).max() <= 1e-12 * ref.s[0]
+    assert_sign_convention(fac)
+    assert_sign_convention(ref)
+    scale = frobenius_norm(w)
+    for r in range(1, len(ref.s) + 1):
+        diff = frobenius_norm(rank_r_product(fac, r) - rank_r_product(ref, r))
+        assert diff <= 1e-10 * scale, r
 
 
 class TestMatmul:
@@ -113,22 +143,80 @@ class TestSvd:
         assert np.abs(svd(w).s - np.linalg.svd(w, compute_uv=False)).max() <= 1e-12
 
     def test_sign_convention(self):
-        w = make_rng(13).normal(size=(8, 6))
-        fac = svd(w)
-        for col in range(fac.u.shape[1]):
-            pivot = np.argmax(np.abs(fac.u[:, col]))
-            assert fac.u[pivot, col] > 0.0
+        assert_sign_convention(svd(make_rng(13).normal(size=(8, 6))))
 
-    def test_nonconvergence_raises(self):
-        w = make_rng(3).normal(size=(6, 6))
-        with pytest.raises(ConvergenceError, match="sweeps"):
-            svd(w, max_sweeps=0)
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(ConvergenceError, match="6x4"):
+            svd(np.ones((6, 4)))
+
+    def test_rank_one_outer_product(self):
+        fac = svd(RANK_ONE_40X30)
+        assert fac.s[0] > 0.0
+        assert np.all(fac.s[1:] == 0.0)
+        scale = frobenius_norm(RANK_ONE_40X30)
+        assert frobenius_norm(fac.reconstruct() - RANK_ONE_40X30) <= 1e-12 * scale
+        assert frobenius_norm(fac.u.T @ fac.u - np.eye(30)) <= 1e-10
+        assert frobenius_norm(fac.v.T @ fac.v - np.eye(30)) <= 1e-10
 
     def test_rejects_nonfinite(self):
         w = np.ones((2, 2))
         w[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             svd(w)
+
+
+class TestJacobiOracle:
+    def test_rank_one_outer_product(self):
+        for w in (RANK_ONE_40X30, RANK_ONE_40X30.T):
+            ref = jacobi_svd(w)
+            assert np.all(ref.s[1:] == 0.0)
+            assert frobenius_norm(ref.reconstruct() - w) <= 1e-12 * frobenius_norm(w)
+
+    def test_nonconvergence_raises(self):
+        w = make_rng(3).normal(size=(6, 6))
+        with pytest.raises(ConvergenceError, match="sweeps"):
+            jacobi_svd(w, max_sweeps=0)
+
+
+class TestSvdAgainstOracle:
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (16, 16), (40, 25),
+                                       (64, 48), (128, 128)])
+    def test_random(self, shape):
+        assert_matches_oracle(make_rng(17).normal(size=shape))
+
+    def test_rank_one(self):
+        assert_matches_oracle(RANK_ONE_40X30)
+
+    def test_zero(self):
+        assert_matches_oracle(np.zeros((6, 4)))
+
+
+@st.composite
+def planted_rank_matrices(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40))
+    rank = draw(st.integers(0, min(n, m)))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(n, rank)) @ rng.normal(size=(rank, m))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(planted_rank_matrices())
+def test_svd_properties(w):
+    fac = svd(w)
+    k = min(w.shape)
+    scale = frobenius_norm(w)
+    assert frobenius_norm(fac.reconstruct() - w) <= 1e-10 * scale
+    assert frobenius_norm(fac.u.T @ fac.u - np.eye(k)) <= 1e-10
+    assert frobenius_norm(fac.v.T @ fac.v - np.eye(k)) <= 1e-10
+    assert np.all(np.diff(fac.s) <= 0.0)
+    assert np.all(fac.s >= 0.0)
+    ref = jacobi_svd(w)
+    assert np.abs(fac.s - ref.s).max() <= 1e-12 * ref.s[0]
 
 
 class TestFrobeniusNorm:
