@@ -55,7 +55,7 @@ for step in (0, 99, 199, 299, 399, 499):
     print(f"  step {step + 1:>3}: batch loss {report.losses[step]:.5f}")
 print(f"final loss:  {report.final_loss:.5f}  "
       f"({report.final_loss / report.initial_loss:.1%} of start)")
-print(f"train-step cost: {report.mac_per_step} MACs, "
+print(f"train-step cost: {report.mac_per_step} MACs per batch of 8, "
       f"{report.mac_total} total over {report.steps} steps")
 
 eval_pred = (layer.w0 + layer.config.scale

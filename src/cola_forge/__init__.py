@@ -67,7 +67,6 @@ from .linalg import (
     frobenius_norm,
     gaussian_matrix,
     make_rng,
-    matmul,
     svd,
 )
 from .training import (

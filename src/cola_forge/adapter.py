@@ -18,9 +18,16 @@ Setting (M, N, strategy) recovers the familiar adapter families: (1, 1) is a
 vanilla single-pair adapter, (1, N, FULL) the shared-down multi-head layout,
 and (N, N, HEURISTIC) the per-expert paired layout.
 
-The forward path always stays factored (down-projections first); DeltaW is
-only materialized by :func:`delta_weight`, which exists as a test oracle and
-for merging.
+Each rule is stated once, by ``_composition``, as a list of terms
+``(b_idx, a_idx)`` and a scale: DeltaW = scale * sum over the terms of
+(sum_{j in b_idx} B_j)(sum_{i in a_idx} A_i). FULL is one term over both
+whole pools, HEURISTIC is M - 1 singleton pairs plus the tail, the random
+strategies are one term per pairing edge, and the eval-time mean pairing is
+FULL scaled by 1/N (AB) or 1/M (BA). The factored forward, the materialized
+:func:`delta_weight` and ``training.backward`` are each one loop over that
+list, so none of them knows the strategies. The forward path always stays
+factored (down-projections first); DeltaW is only materialized for merging
+and as a test oracle.
 """
 
 from __future__ import annotations
@@ -82,7 +89,6 @@ class CoLAConfig:
     b_count: int = 1
     strategy: Strategy = Strategy.FULL
     alpha: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
@@ -226,58 +232,86 @@ def _check_pairing(layer: CoLALayer, pairing: Pairing | None) -> Pairing | None:
     limit = cfg.b_count if kind == "ab" else cfg.a_count
     if len(pairing.map) != expect:
         raise ConfigError(f"pairing length {len(pairing.map)} != {expect}")
-    if any(not 0 <= t < limit for t in pairing.map):
+    if min(pairing.map) < 0 or max(pairing.map) >= limit:
         raise ConfigError(f"pairing entry out of range [0, {limit})")
     return pairing
 
 
-def _delta_apply(layer: CoLALayer, x: np.ndarray, pairing: Pairing | None,
-                 mean_pairing: bool) -> np.ndarray:
-    """Unscaled DeltaW @ x, computed factored (never materializing DeltaW)."""
+_Term = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _composition(layer: CoLALayer, pairing: Pairing | None,
+                 mean_pairing: bool = False) -> tuple[list[_Term], float]:
+    """The layer's DeltaW as ``(terms, scale)``, the one statement of the rules.
+
+    Each term is a ``(b_idx, a_idx)`` pair and
+    DeltaW = scale * sum_terms (sum_{j in b_idx} B_j)(sum_{i in a_idx} A_i).
+    ``mean_pairing`` asks for the expectation over uniform pairings, which for
+    the random strategies replaces every sampled partner by its pool mean.
+    """
     cfg = layer.config
-    a_list, b_list = layer.a_list, layer.b_list
+    m_count, n_count = cfg.a_count, cfg.b_count
+    every = (tuple(range(n_count)), tuple(range(m_count)))
+    if mean_pairing and cfg.strategy in RANDOM_STRATEGIES:
+        return [every], 1.0 / (n_count if cfg.strategy is Strategy.RANDOM_AB else m_count)
+    pairing = _check_pairing(layer, pairing)
     if cfg.strategy is Strategy.FULL:
-        t = a_list[0] @ x
-        for a in a_list[1:]:
-            t += a @ x
-        out = b_list[0] @ t
-        for b in b_list[1:]:
-            out += b @ t
-        return out
+        return [every], 1.0
     if cfg.strategy is Strategy.HEURISTIC:
-        m_count = cfg.a_count
-        out = None
-        for i in range(m_count - 1):
-            term = b_list[i] @ (a_list[i] @ x)
-            out = term if out is None else out + term
-        t_tail = a_list[m_count - 1] @ x
-        for b in b_list[m_count - 1:]:
-            term = b @ t_tail
-            out = term if out is None else out + term
-        return out
-    if mean_pairing:
-        # Expectation over uniform pairings: every sampled partner is replaced
-        # by the pool mean, collapsing both random strategies to a scaled FULL.
-        t = a_list[0] @ x
-        for a in a_list[1:]:
-            t += a @ x
-        out = b_list[0] @ t
-        for b in b_list[1:]:
-            out += b @ t
-        scale = 1.0 / (cfg.b_count if cfg.strategy is Strategy.RANDOM_AB else cfg.a_count)
-        return scale * out
-    assert pairing is not None
+        # one-to-one pairs, then B_M..B_N all fed by A_M
+        tail = (tuple(range(m_count - 1, n_count)), (m_count - 1,))
+        return [((i,), (i,)) for i in range(m_count - 1)] + [tail], 1.0
     if cfg.strategy is Strategy.RANDOM_AB:
-        out = None
-        for i, target in enumerate(pairing.map):
-            term = b_list[target] @ (a_list[i] @ x)
-            out = term if out is None else out + term
-        return out
+        return [((j,), (i,)) for i, j in enumerate(pairing.map)], 1.0
+    return [((j,), (i,)) for j, i in enumerate(pairing.map)], 1.0
+
+
+def _pool_sum(pool: list[np.ndarray], idx: tuple[int, ...]) -> np.ndarray:
+    total = pool[idx[0]]
+    for k in idx[1:]:
+        total = total + pool[k]
+    return total
+
+
+def _train_pairing(layer: CoLALayer, pairing: Pairing | None,
+                   rng: np.random.Generator | None) -> Pairing | None:
+    """The pairing one training step composes (None for deterministic strategies).
+
+    An explicit pairing wins, then the layer's frozen pairing, then a fresh
+    draw from ``rng``; with none of them a random strategy cannot compose.
+    ``_composition`` validates whatever is returned.
+    """
+    kind = _pairing_kind(layer.config.strategy)
+    if kind is None or pairing is not None:
+        return pairing
+    if layer.pairing is not None and layer.pairing.frozen:
+        return layer.pairing
+    if rng is None:
+        raise ConfigError(
+            f"train-mode forward under {layer.config.strategy.value} needs a "
+            "pairing, a frozen layer pairing, or an rng to resample"
+        )
+    return sample_pairing(layer.config.a_count, layer.config.b_count, kind, rng)
+
+
+def _delta_apply(layer: CoLALayer, x: np.ndarray, terms: list[_Term],
+                 scale: float) -> np.ndarray:
+    """DeltaW @ x for a composition, factored (DeltaW is never materialized).
+
+    Each term's hidden state sums A_i @ x left to right, every B_j @ t is added
+    into the output in index order, and the composition scale comes last.
+    """
     out = None
-    for j, target in enumerate(pairing.map):
-        term = b_list[j] @ (a_list[target] @ x)
-        out = term if out is None else out + term
-    return out
+    for b_idx, a_idx in terms:
+        t = layer.a_list[a_idx[0]] @ x
+        for i in a_idx[1:]:
+            t += layer.a_list[i] @ x
+        for j in b_idx:
+            if out is None:
+                out = layer.b_list[j] @ t
+            else:
+                out += layer.b_list[j] @ t
+    return scale * out
 
 
 def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
@@ -297,27 +331,18 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
         raise ShapeError(
             f"input has leading dim {x.shape[0]}, layer expects {layer.config.in_dim}"
         )
-    kind = _pairing_kind(layer.config.strategy)
-    if kind is None and pairing is not None:
-        raise ConfigError(
-            f"strategy {layer.config.strategy.value} is deterministic; no pairing applies"
-        )
-    use_mean = kind is None or mode == "eval"
-    active = None
-    if kind is not None and mode == "train":
-        if pairing is not None:
-            active = _check_pairing(layer, pairing)
-        elif layer.pairing is not None and layer.pairing.frozen:
-            active = layer.pairing
-        elif rng is not None:
-            active = sample_pairing(layer.config.a_count, layer.config.b_count, kind, rng)
-        else:
-            raise ConfigError(
-                f"train-mode forward under {layer.config.strategy.value} needs a "
-                "pairing, a frozen layer pairing, or an rng to resample"
-            )
-    delta = _delta_apply(layer, x, active, mean_pairing=use_mean)
-    return layer.w0 @ x + layer.config.scale * delta
+    if mode == "train":
+        pairing = _train_pairing(layer, pairing, rng)
+    terms, scale = _composition(layer, pairing, mean_pairing=mode == "eval")
+    return layer.w0 @ x + layer.config.scale * _delta_apply(layer, x, terms, scale)
+
+
+def _materialize(layer: CoLALayer, terms: list[_Term], scale: float) -> np.ndarray:
+    out = None
+    for b_idx, a_idx in terms:
+        term = _pool_sum(layer.b_list, b_idx) @ _pool_sum(layer.a_list, a_idx)
+        out = term if out is None else out + term
+    return scale * out
 
 
 def delta_weight(layer: CoLALayer, pairing: Pairing | None = None) -> np.ndarray:
@@ -326,27 +351,7 @@ def delta_weight(layer: CoLALayer, pairing: Pairing | None = None) -> np.ndarray
     Random strategies require the pairing that fixes the composition;
     deterministic strategies reject one.
     """
-    cfg = layer.config
-    active = _check_pairing(layer, pairing)
-    a_list, b_list = layer.a_list, layer.b_list
-    if cfg.strategy is Strategy.FULL:
-        return sum(b_list) @ sum(a_list)
-    if cfg.strategy is Strategy.HEURISTIC:
-        m_count = cfg.a_count
-        delta = np.zeros((cfg.out_dim, cfg.in_dim))
-        for i in range(m_count - 1):
-            delta += b_list[i] @ a_list[i]
-        delta += sum(b_list[m_count - 1:]) @ a_list[m_count - 1]
-        return delta
-    assert active is not None
-    delta = np.zeros((cfg.out_dim, cfg.in_dim))
-    if cfg.strategy is Strategy.RANDOM_AB:
-        for i, target in enumerate(active.map):
-            delta += b_list[target] @ a_list[i]
-    else:
-        for j, target in enumerate(active.map):
-            delta += b_list[j] @ a_list[target]
-    return delta
+    return _materialize(layer, *_composition(layer, pairing))
 
 
 def delta_weight_eval(layer: CoLALayer) -> np.ndarray:
@@ -356,11 +361,7 @@ def delta_weight_eval(layer: CoLALayer) -> np.ndarray:
     distribution, i.e. every sampled partner replaced by its pool mean:
     (sum B)(sum A) / N for the AB direction, / M for BA.
     """
-    cfg = layer.config
-    if cfg.strategy in RANDOM_STRATEGIES:
-        scale = 1.0 / (cfg.b_count if cfg.strategy is Strategy.RANDOM_AB else cfg.a_count)
-        return scale * (sum(layer.b_list) @ sum(layer.a_list))
-    return delta_weight(layer)
+    return _materialize(layer, *_composition(layer, None, mean_pairing=True))
 
 
 def merge(layer: CoLALayer) -> np.ndarray:

@@ -189,8 +189,7 @@ def _parse_adapter(raw: dict, task) -> CoLAConfig:
     try:
         return _build(CoLAConfig, body, "adapter.",
                       {"in_dim": int, "out_dim": int, "rank": int, "a_count": int,
-                       "b_count": int, "alpha": float, "seed": int,
-                       "strategy": Strategy})
+                       "b_count": int, "alpha": float, "strategy": Strategy})
     except ConfigError as exc:
         raise ConfigFileError(f"block 'adapter': {exc}") from exc
 

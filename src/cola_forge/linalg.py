@@ -18,7 +18,6 @@ __all__ = [
     "ConvergenceError",
     "SvdResult",
     "as_matrix",
-    "matmul",
     "svd",
     "frobenius_norm",
     "gaussian_matrix",
@@ -43,19 +42,6 @@ def as_matrix(w) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN or Inf entries")
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check naming both operands."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 def frobenius_norm(w: np.ndarray) -> float:

@@ -1,7 +1,12 @@
 """Gradients, optimizers and the training loop.
 
-Gradients are hand-derived from the factored forward pass of each strategy.
-The conventions:
+Gradients are hand-derived from the factored forward pass. ``backward`` reads
+the same term list as ``adapter.forward`` (see the ``adapter`` module), so it
+is one generic loop: a term's B_j receive g (sum_i A_i x)^T and its A_i
+receive ((sum_j B_j)^T g) x^T, and each pool member sums over the terms it
+appears in. :func:`finite_diff_check` keeps its own, deliberately
+independent, extended-precision statement of the rules: it is the oracle the
+term list is tested against. The conventions:
 
 * The base w0 is frozen: it never receives a gradient and training never
   writes to it.
@@ -29,11 +34,12 @@ from .adapter import (
     CoLALayer,
     Pairing,
     Strategy,
-    _check_pairing,
+    _composition,
+    _pool_sum,
+    _train_pairing,
     delta_weight_eval,
     flop_count,
     forward,
-    sample_pairing,
 )
 from .linalg import ShapeError, frobenius_norm
 
@@ -79,45 +85,21 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     g2 = _as_columns(g_out, cfg.out_dim, "g_out")
     if x2.shape[1] != g2.shape[1]:
         raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
-    active = _check_pairing(layer, pairing)
-    c = cfg.scale
-    a_list, b_list = layer.a_list, layer.b_list
-    da = [np.zeros_like(a) for a in a_list]
-    db = [np.zeros_like(b) for b in b_list]
-
-    if cfg.strategy is Strategy.FULL:
-        # y_delta = c * sum_j B_j (sum_i A_i x): every B_j sees the summed
-        # hidden state and every A_i sees the summed reverse product.
-        t_sum = sum(a @ x2 for a in a_list)
-        db_shared = c * (g2 @ t_sum.T)
-        gt = c * (sum(b_list).T @ g2)
-        da_shared = gt @ x2.T
-        for i in range(cfg.a_count):
-            da[i] = da_shared.copy()
-        for j in range(cfg.b_count):
-            db[j] = db_shared.copy()
-    elif cfg.strategy is Strategy.HEURISTIC:
-        m_count = cfg.a_count
-        for i in range(m_count - 1):
-            t_i = a_list[i] @ x2
-            db[i] = c * (g2 @ t_i.T)
-            da[i] = c * ((b_list[i].T @ g2) @ x2.T)
-        t_tail = a_list[m_count - 1] @ x2
-        gt_tail = np.zeros((cfg.rank, x2.shape[1]))
-        for j in range(m_count - 1, cfg.b_count):
-            db[j] = c * (g2 @ t_tail.T)
-            gt_tail += b_list[j].T @ g2
-        da[m_count - 1] = c * (gt_tail @ x2.T)
-    elif cfg.strategy is Strategy.RANDOM_AB:
-        for i, target in enumerate(active.map):
-            t_i = a_list[i] @ x2
-            db[target] += c * (g2 @ t_i.T)
-            da[i] = c * ((b_list[target].T @ g2) @ x2.T)
-    else:  # RANDOM_BA
-        for j, target in enumerate(active.map):
-            t = a_list[target] @ x2
-            db[j] = c * (g2 @ t.T)
-            da[target] += c * ((b_list[j].T @ g2) @ x2.T)
+    terms, scale = _composition(layer, pairing)
+    # Both scales multiply every term, so they are folded into g_out once.
+    g2 = (cfg.scale * scale) * g2
+    da = [np.zeros_like(a) for a in layer.a_list]
+    db = [np.zeros_like(b) for b in layer.b_list]
+    for b_idx, a_idx in terms:
+        t = layer.a_list[a_idx[0]] @ x2
+        for i in a_idx[1:]:
+            t += layer.a_list[i] @ x2
+        db_term = g2 @ t.T
+        da_term = (_pool_sum(layer.b_list, b_idx).T @ g2) @ x2.T
+        for j in b_idx:
+            db[j] += db_term
+        for i in a_idx:
+            da[i] += da_term
     return Grads(da_list=da, db_list=db)
 
 
@@ -163,11 +145,11 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
             for i in range(m_count - 1):
                 delta = delta + b_pools[i] @ (a_pools[i] @ x_ld)
         elif cfg.strategy is Strategy.RANDOM_AB:
-            delta = np.zeros(cfg.out_dim, dtype=ld)
+            delta = np.zeros_like(w0x)
             for i, target_j in enumerate(pairing.map):
                 delta = delta + b_pools[target_j] @ (a_pools[i] @ x_ld)
         else:
-            delta = np.zeros(cfg.out_dim, dtype=ld)
+            delta = np.zeros_like(w0x)
             for j, target_i in enumerate(pairing.map):
                 delta = delta + b_pools[j] @ (a_pools[target_i] @ x_ld)
         diff = w0x + scale * delta - t_ld
@@ -276,6 +258,8 @@ class TrainReport:
     ``losses`` holds the minibatch loss at each executed step (length equals
     the step count); ``initial_loss`` / ``final_loss`` are full-training-set
     losses under the deterministic eval composition, before and after.
+    ``mac_per_step`` is the analytic train-step model times the batch size,
+    so ``mac_total`` counts every sample the run pushed through the layer.
     """
 
     seed: int
@@ -312,20 +296,13 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     cfg = layer.config
     params = layer.a_list + layer.b_list
     n_train = task.x_train.shape[1]
-    random_strategy = cfg.strategy in (Strategy.RANDOM_AB, Strategy.RANDOM_BA)
-    kind = "ab" if cfg.strategy is Strategy.RANDOM_AB else "ba"
 
     initial_loss = _dataset_loss(layer, task)
     losses: list[float] = []
     for _ in range(steps):
         idx = rng.integers(0, n_train, size=batch)
         xb = task.x_train[:, idx]
-        pairing = None
-        if random_strategy:
-            if layer.pairing is not None and layer.pairing.frozen:
-                pairing = layer.pairing
-            else:
-                pairing = sample_pairing(cfg.a_count, cfg.b_count, kind, rng)
+        pairing = _train_pairing(layer, None, rng)
         y = forward(layer, xb, mode="train", pairing=pairing)
         if task.kind == "recovery":
             loss, g = squared_error_grad(y, task.y_train[:, idx])
@@ -336,7 +313,7 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
         losses.append(loss)
 
     final_loss = _dataset_loss(layer, task)
-    mac_per_step = flop_count(cfg, "train_step")
+    mac_per_step = flop_count(cfg, "train_step") * batch
     return TrainReport(
         seed=seed,
         steps=steps,

@@ -86,6 +86,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigFileError, match="adapter.dropout"):
             load_config(path)
 
+    def test_adapter_seed_rejected(self, tmp_path):
+        # the adapter has no seed of its own: every stream comes from run.seeds
+        path = write_config(tmp_path, {
+            "command": "train",
+            "task": {"kind": "recovery", "n": 8, "m": 8, "base_seed": 1},
+            "adapter": {"rank": 2, "seed": 7},
+        })
+        with pytest.raises(ConfigFileError, match="unknown key 'adapter.seed'"):
+            load_config(path)
+
     def test_bad_json_reports_path(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

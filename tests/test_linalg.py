@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from cola_forge.linalg import (
     ConvergenceError,
-    ShapeError,
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
     make_rng,
-    matmul,
     svd,
 )
 from jacobi_oracle import jacobi_svd
@@ -41,40 +39,6 @@ def assert_matches_oracle(w):
     for r in range(1, len(ref.s) + 1):
         diff = frobenius_norm(rank_r_product(fac, r) - rank_r_product(ref, r))
         assert diff <= 1e-10 * scale, r
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[5.0, 7.0], [6.0, 8.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_hand_oracle(self):
-        # hand multiply-accumulate: [[1,2],[3,4]] @ [[5,6],[7,8]]
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        expected = np.array([[1 * 5 + 2 * 7, 1 * 6 + 2 * 8],
-                             [3 * 5 + 4 * 7, 3 * 6 + 4 * 8]], dtype=float)
-        assert np.array_equal(matmul(a, b), expected)
-        assert np.array_equal(expected, np.array([[19.0, 22.0], [43.0, 50.0]]))
-
-    def test_zero_annihilator(self):
-        out = matmul(np.zeros((2, 3)), make_rng(0).normal(size=(3, 4)))
-        assert out.shape == (2, 4)
-        assert np.all(out == 0.0)
-
-    def test_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match="2x3 @ 4x2"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_associativity_random_triples(self):
-        rng = make_rng(7)
-        for _ in range(10):
-            a = rng.normal(size=(6, 4))
-            b = rng.normal(size=(4, 5))
-            c = rng.normal(size=(5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert frobenius_norm(left - right) <= 1e-10 * frobenius_norm(left)
 
 
 class TestSvd:

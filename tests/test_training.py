@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from cola_forge.adapter import CoLAConfig, Pairing, Strategy, lora_preset, make_layer
+from cola_forge.adapter import (
+    CoLAConfig,
+    Pairing,
+    Strategy,
+    flop_count,
+    lora_preset,
+    make_layer,
+)
 from cola_forge.harness import RecoveryTaskSpec, make_recovery_task, run_single
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
 from cola_forge.linalg import make_rng
@@ -179,6 +186,11 @@ class TestTrainLoop:
         assert report.losses == []
         assert report.initial_loss == report.final_loss
         assert report.mac_total == 0
+
+    def test_row_mac_count_includes_batch(self):
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3)
+        row, report = run_single(small_task(), cfg, GAUSSIAN_ZERO, 42, steps=10, batch=8)
+        assert row.mac_count == report.mac_total == flop_count(cfg, "train_step") * 8 * 10
 
     def test_recovery_halves_loss(self):
         # pilot-calibrated: 500 Adam steps cut the loss far below half
