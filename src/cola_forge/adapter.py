@@ -25,9 +25,10 @@ whole pools, HEURISTIC is M - 1 singleton pairs plus the tail, the random
 strategies are one term per pairing edge, and the eval-time mean pairing is
 FULL scaled by 1/N (AB) or 1/M (BA). The factored forward, the materialized
 :func:`delta_weight` and ``training.backward`` are each one loop over that
-list, so none of them knows the strategies. The forward path always stays
-factored (down-projections first); DeltaW is only materialized for merging
-and as a test oracle.
+list, so none of them knows the strategies, and the MAC model counts the
+applications off the same list. The forward path always stays factored
+(down-projections first); DeltaW is only materialized for merging and as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -213,9 +214,8 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
 # Composition
 # ---------------------------------------------------------------------------
 
-def _check_pairing(layer: CoLALayer, pairing: Pairing | None) -> Pairing | None:
-    """Validate that pairing presence/kind/size fit the layer's strategy."""
-    cfg = layer.config
+def _check_pairing(cfg: CoLAConfig, pairing: Pairing | None) -> Pairing | None:
+    """Validate that pairing presence/kind/size fit the strategy."""
     kind = _pairing_kind(cfg.strategy)
     if kind is None:
         if pairing is not None:
@@ -240,21 +240,20 @@ def _check_pairing(layer: CoLALayer, pairing: Pairing | None) -> Pairing | None:
 _Term = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _composition(layer: CoLALayer, pairing: Pairing | None,
+def _composition(cfg: CoLAConfig, pairing: Pairing | None,
                  mean_pairing: bool = False) -> tuple[list[_Term], float]:
-    """The layer's DeltaW as ``(terms, scale)``, the one statement of the rules.
+    """A layer's DeltaW as ``(terms, scale)``, the one statement of the rules.
 
     Each term is a ``(b_idx, a_idx)`` pair and
     DeltaW = scale * sum_terms (sum_{j in b_idx} B_j)(sum_{i in a_idx} A_i).
     ``mean_pairing`` asks for the expectation over uniform pairings, which for
     the random strategies replaces every sampled partner by its pool mean.
     """
-    cfg = layer.config
     m_count, n_count = cfg.a_count, cfg.b_count
     every = (tuple(range(n_count)), tuple(range(m_count)))
     if mean_pairing and cfg.strategy in RANDOM_STRATEGIES:
         return [every], 1.0 / (n_count if cfg.strategy is Strategy.RANDOM_AB else m_count)
-    pairing = _check_pairing(layer, pairing)
+    pairing = _check_pairing(cfg, pairing)
     if cfg.strategy is Strategy.FULL:
         return [every], 1.0
     if cfg.strategy is Strategy.HEURISTIC:
@@ -322,7 +321,8 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     ``train`` mode composes the sampled pairing for random strategies,
     resampling it from ``rng`` unless one is passed explicitly or the layer's
     own pairing is frozen. ``eval`` mode uses the deterministic mean-pairing
-    composition. Deterministic strategies behave identically in both modes.
+    composition and rejects an explicit pairing. Deterministic strategies
+    behave identically in both modes.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -333,7 +333,9 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
         )
     if mode == "train":
         pairing = _train_pairing(layer, pairing, rng)
-    terms, scale = _composition(layer, pairing, mean_pairing=mode == "eval")
+    elif pairing is not None:
+        raise ConfigError("eval-mode forward composes the mean pairing; pass no pairing")
+    terms, scale = _composition(layer.config, pairing, mean_pairing=mode == "eval")
     return layer.w0 @ x + layer.config.scale * _delta_apply(layer, x, terms, scale)
 
 
@@ -351,7 +353,7 @@ def delta_weight(layer: CoLALayer, pairing: Pairing | None = None) -> np.ndarray
     Random strategies require the pairing that fixes the composition;
     deterministic strategies reject one.
     """
-    return _materialize(layer, *_composition(layer, pairing))
+    return _materialize(layer, *_composition(layer.config, pairing))
 
 
 def delta_weight_eval(layer: CoLALayer) -> np.ndarray:
@@ -361,7 +363,7 @@ def delta_weight_eval(layer: CoLALayer) -> np.ndarray:
     distribution, i.e. every sampled partner replaced by its pool mean:
     (sum B)(sum A) / N for the AB direction, / M for BA.
     """
-    return _materialize(layer, *_composition(layer, None, mean_pairing=True))
+    return _materialize(layer, *_composition(layer.config, None, mean_pairing=True))
 
 
 def merge(layer: CoLALayer) -> np.ndarray:
@@ -402,41 +404,28 @@ def trainable_params(config: CoLAConfig) -> int:
 # Cost model
 # ---------------------------------------------------------------------------
 
-def _application_counts(config: CoLAConfig) -> tuple[int, int]:
-    """(down, up) matrix applications in one factored forward pass.
-
-    Every A_i @ (vector) costs r*m MACs, every B_j @ (vector) costs n*r. The
-    random strategies only apply the matrices their pairing touches: AB makes
-    M up-applications (one per down branch), BA makes N down-applications.
-    The counts are pairing-independent, so the model is deterministic.
-    """
-    m_count, n_count = config.a_count, config.b_count
-    if config.strategy is Strategy.RANDOM_AB:
-        return m_count, m_count
-    if config.strategy is Strategy.RANDOM_BA:
-        return n_count, n_count
-    return m_count, n_count  # FULL and HEURISTIC apply every pool member
-
-
 def flop_breakdown(config: CoLAConfig, pass_kind: str = "forward") -> dict[str, int]:
     """Per-component MAC counts for one sample through one layer.
 
-    forward: the frozen base map (n*m) plus the factored adapter
-    applications. train_step: forward plus reverse-mode products (one B^T g
-    per up-application) and parameter-gradient outer products (one n x r
-    outer per up-application, one r x m outer per down-application). The
-    frozen base contributes no backward cost: it has no gradient and the
-    input needs none.
+    forward: the frozen base map (n*m) plus one application of every A_i
+    (r*m MACs) and B_j (n*r) in each train-mode term of ``_composition``.
+    The counts do not depend on the pairing, so an all-zeros one stands in
+    for any. train_step: forward plus reverse-mode products (one B^T g per
+    up-application) and parameter-gradient outer products (one n x r outer
+    per up-application, one r x m outer per down-application). The frozen
+    base contributes no backward cost: it has no gradient and the input
+    needs none.
     """
     if pass_kind not in ("forward", "train_step"):
         raise ValueError(f"pass kind must be 'forward' or 'train_step', got {pass_kind!r}")
     n, m, r = config.out_dim, config.in_dim, config.rank
-    down_apps, up_apps = _application_counts(config)
-    parts = {
-        "base": n * m,
-        "down": down_apps * r * m,
-        "up": up_apps * n * r,
-    }
+    kind = _pairing_kind(config.strategy)
+    pairing = None if kind is None else Pairing(
+        kind, (0,) * (config.a_count if kind == "ab" else config.b_count))
+    terms, _ = _composition(config, pairing)
+    down_apps = sum(len(a_idx) for _, a_idx in terms)
+    up_apps = sum(len(b_idx) for b_idx, _ in terms)
+    parts = {"base": n * m, "down": down_apps * r * m, "up": up_apps * n * r}
     if pass_kind == "train_step":
         parts["reverse"] = up_apps * n * r
         parts["grad_outer"] = up_apps * n * r + down_apps * r * m

@@ -9,10 +9,12 @@ Subcommands:
 * ``flops``     per-strategy train-step MAC totals at a given shape
 * ``selfcheck`` run the built-in invariant suite
 
-Run configuration is a single strictly validated JSON file; row outputs are
-written atomically as CSV plus a JSON mirror with identical fields.
-Diagnostics go to stderr and the exit code is nonzero exactly when an error
-was emitted.
+``train``, ``grid`` and ``sweep`` share one body and read a single strictly
+validated JSON run config, whose blocks check their own fields. The
+subcommand names the command; the file's ``command`` key is optional and
+must agree with it. Row outputs are written atomically as CSV plus a JSON
+mirror with identical fields. Diagnostics go to stderr and the
+exit code is nonzero exactly when an error was emitted.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from .adapter import CoLAConfig, ConfigError, Strategy
 from .checks import run_selfcheck
 from .harness import (
     ClassifyTaskSpec,
-    GridResult,
     RecoveryTaskSpec,
-    SweepRow,
     Task,
+    _atomic_write,
     bundled_geometry,
     load_geometry,
     make_classification_task,
@@ -63,11 +64,25 @@ class OptimizerBlock:
     kind: str = "adam"
     lr: float = 5e-5
 
+    def __post_init__(self):
+        if self.kind not in ("sgd", "adam"):
+            raise ConfigFileError(f"key 'optimizer.kind' must be 'sgd' or 'adam', "
+                                  f"got {self.kind!r}")
+        if self.lr <= 0:
+            raise ConfigFileError(f"key 'optimizer.lr' must be positive, got {self.lr}")
+
 
 @dataclass(frozen=True)
 class InitBlock:
     kind: str = GAUSSIAN_ZERO
     std: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in INIT_KINDS:
+            raise ConfigFileError(f"key 'init.kind' must be one of {INIT_KINDS}, "
+                                  f"got {self.kind!r}")
+        if self.std is not None and self.std <= 0:
+            raise ConfigFileError(f"key 'init.std' must be positive, got {self.std}")
 
 
 @dataclass(frozen=True)
@@ -76,20 +91,44 @@ class RunBlock:
     batch: int = 8
     seeds: tuple[int, ...] = (42,)
 
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ConfigFileError(f"key 'run.steps' must be >= 0, got {self.steps}")
+        if self.batch < 1:
+            raise ConfigFileError(f"key 'run.batch' must be >= 1, got {self.batch}")
+        if not self.seeds:
+            raise ConfigFileError("key 'run.seeds' must be a nonempty list")
+
 
 @dataclass(frozen=True)
 class GridBlock:
     rank: int
-    strategy: str
+    strategy: Strategy
     a_counts: tuple[int, ...]
     b_counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.a_counts or not self.b_counts:
+            raise ConfigFileError("keys 'grid.a_counts'/'grid.b_counts' must be nonempty")
 
 
 @dataclass(frozen=True)
 class SweepBlock:
-    sizes: tuple[int, ...]
-    init_kinds: tuple[str, ...]
-    configs: tuple[CoLAConfig, ...]
+    sizes: tuple[int, ...] = ()
+    init_kinds: tuple[str, ...] = ()
+    configs: tuple[CoLAConfig, ...] = ()
+
+    def __post_init__(self):
+        if not self.configs:
+            raise ConfigFileError("key 'sweep.configs' must be a nonempty list")
+        for kind in self.init_kinds:
+            if kind not in INIT_KINDS:
+                raise ConfigFileError(f"key 'sweep.init_kinds' contains unknown "
+                                      f"kind {kind!r}")
+        if not self.sizes:
+            raise ConfigFileError("key 'sweep.sizes' must be nonempty")
+        if not self.init_kinds:
+            raise ConfigFileError("key 'sweep.init_kinds' must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -105,8 +144,6 @@ class RunConfig:
     output: str | None = None
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-
         def clean(value):
             if isinstance(value, dict):
                 return {k: clean(v) for k, v in value.items() if v is not None}
@@ -116,25 +153,17 @@ class RunConfig:
                 return value.value
             return value
 
-        payload = clean(out)
-        payload["task_kind"] = "recovery" if isinstance(self.task, RecoveryTaskSpec) \
-            else "classify"
+        payload = clean(dataclasses.asdict(self))
+        kind = "recovery" if isinstance(self.task, RecoveryTaskSpec) else "classify"
+        payload["task"] = {"kind": kind, **payload["task"]}
         return payload
 
     def dump(self, path: str) -> None:
-        import tempfile
+        _atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-config-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.to_dict(), fh, indent=2)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+
+# The block each run command reads; a config run under it must have one.
+_COMMAND_BLOCKS = {"train": "adapter", "grid": "grid", "sweep": "sweep"}
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -143,8 +172,16 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
 def _build(cls, mapping: dict, context: str, casts: dict):
-    """Construct a dataclass from a dict with per-key casting and naming."""
+    """Construct a dataclass from a dict with per-key casting and naming.
+
+    A cast or constructor that raises ConfigFileError has already named the
+    key; any other TypeError/ValueError is re-raised naming the key or block.
+    """
     if not isinstance(mapping, dict):
         raise ConfigFileError(f"key '{context.rstrip('.')}' must be an object")
     kwargs = {}
@@ -156,10 +193,14 @@ def _build(cls, mapping: dict, context: str, casts: dict):
         cast = casts.get(key)
         try:
             kwargs[key] = cast(value) if cast else value
+        except ConfigFileError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigFileError(f"key '{context}{key}': {exc}") from exc
     try:
         return cls(**kwargs)
+    except ConfigFileError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigFileError(f"block '{context.rstrip('.')}': {exc}") from exc
 
@@ -181,21 +222,20 @@ def _parse_task(raw: dict) -> RecoveryTaskSpec | ClassifyTaskSpec:
     raise ConfigFileError(f"key 'task.kind' must be 'recovery' or 'classify', got {kind!r}")
 
 
-def _parse_adapter(raw: dict, task) -> CoLAConfig:
-    body = dict(raw)
+def _parse_adapter(raw: dict, dims: dict) -> CoLAConfig:
     # dims default to the task's shape so configs stay minimal
-    body.setdefault("in_dim", task.m if isinstance(task, RecoveryTaskSpec) else task.input_dim)
-    body.setdefault("out_dim", task.n if isinstance(task, RecoveryTaskSpec) else task.clusters)
-    try:
-        return _build(CoLAConfig, body, "adapter.",
-                      {"in_dim": int, "out_dim": int, "rank": int, "a_count": int,
-                       "b_count": int, "alpha": float, "strategy": Strategy})
-    except ConfigError as exc:
-        raise ConfigFileError(f"block 'adapter': {exc}") from exc
+    return _build(CoLAConfig, {**dims, **raw} if isinstance(raw, dict) else raw, "adapter.",
+                  {"in_dim": int, "out_dim": int, "rank": int, "a_count": int,
+                   "b_count": int, "alpha": float, "strategy": Strategy})
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and fully validate a run-config JSON file."""
+def load_config(path: str, command: str | None = None) -> RunConfig:
+    """Parse and fully validate a run-config JSON file.
+
+    ``command`` is the subcommand the file runs under. The file's own
+    ``command`` key is optional and must agree with it when both are given;
+    with neither, the command is ``train``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -206,98 +246,46 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigFileError("config root must be a JSON object")
 
-    known = {"command", "task", "adapter", "init", "optimizer", "run",
-             "grid", "sweep", "output", "task_kind"}
+    known = {f.name for f in dataclasses.fields(RunConfig)}
     for key in raw:
         if key not in known:
             raise ConfigFileError(f"unknown key '{key}'")
 
-    command = str(raw.get("command", "train"))
-    if command not in ("train", "grid", "sweep"):
+    stated = str(raw.get("command", command or "train"))
+    if stated not in _COMMAND_BLOCKS:
         raise ConfigFileError(
-            f"key 'command' must be 'train', 'grid' or 'sweep', got {command!r}")
+            f"key 'command' must be 'train', 'grid' or 'sweep', got {stated!r}")
+    if command is not None and stated != command:
+        raise ConfigFileError(
+            f"key 'command' is {stated!r} but the subcommand is {command!r}")
 
-    task_raw = _require(raw, "task", "")
-    if "task_kind" in raw and "kind" not in task_raw:
-        task_raw = {"kind": raw["task_kind"], **task_raw}
-    task = _parse_task(task_raw)
-
-    init = _build(InitBlock, raw.get("init", {}), "init.", {"std": float})
-    if init.kind not in INIT_KINDS:
-        raise ConfigFileError(f"key 'init.kind' must be one of {INIT_KINDS}, "
-                              f"got {init.kind!r}")
-    if init.std is not None and init.std <= 0:
-        raise ConfigFileError(f"key 'init.std' must be positive, got {init.std}")
-
-    optimizer = _build(OptimizerBlock, raw.get("optimizer", {}), "optimizer.",
-                       {"lr": float})
-    if optimizer.kind not in ("sgd", "adam"):
-        raise ConfigFileError(f"key 'optimizer.kind' must be 'sgd' or 'adam', "
-                              f"got {optimizer.kind!r}")
-    if optimizer.lr <= 0:
-        raise ConfigFileError(f"key 'optimizer.lr' must be positive, got {optimizer.lr}")
-
-    run = _build(RunBlock, raw.get("run", {}), "run.",
-                 {"steps": int, "batch": int, "seeds": lambda v: tuple(int(s) for s in v)})
-    if run.steps < 0:
-        raise ConfigFileError(f"key 'run.steps' must be >= 0, got {run.steps}")
-    if run.batch < 1:
-        raise ConfigFileError(f"key 'run.batch' must be >= 1, got {run.batch}")
-    if not run.seeds:
-        raise ConfigFileError("key 'run.seeds' must be a nonempty list")
-
-    adapter_cfg = None
-    if "adapter" in raw:
-        adapter_cfg = _parse_adapter(raw["adapter"], task)
-
-    grid = None
-    if "grid" in raw:
-        grid = _build(GridBlock, raw["grid"], "grid.",
-                      {"rank": int, "strategy": lambda s: Strategy(s).value,
-                       "a_counts": lambda v: tuple(int(x) for x in v),
-                       "b_counts": lambda v: tuple(int(x) for x in v)})
-        if not grid.a_counts or not grid.b_counts:
-            raise ConfigFileError("keys 'grid.a_counts'/'grid.b_counts' must be nonempty")
-
-    sweep = None
-    if "sweep" in raw:
-        body = dict(raw["sweep"])
-        for key in body:
-            if key not in ("sizes", "init_kinds", "configs"):
-                raise ConfigFileError(f"unknown key 'sweep.{key}'")
-        configs_raw = body.get("configs")
-        if not configs_raw:
-            raise ConfigFileError("key 'sweep.configs' must be a nonempty list")
-        configs = tuple(_parse_adapter(c, task) for c in configs_raw)
-        try:
-            sizes = tuple(int(x) for x in body.get("sizes", ()))
-            init_kinds = tuple(str(x) for x in body.get("init_kinds", ()))
-        except (TypeError, ValueError) as exc:
-            raise ConfigFileError(f"block 'sweep': {exc}") from exc
-        for kind in init_kinds:
-            if kind not in INIT_KINDS:
-                raise ConfigFileError(f"key 'sweep.init_kinds' contains unknown "
-                                      f"kind {kind!r}")
-        if not sizes:
-            raise ConfigFileError("key 'sweep.sizes' must be nonempty")
-        if not init_kinds:
-            raise ConfigFileError("key 'sweep.init_kinds' must be nonempty")
-        sweep = SweepBlock(sizes=sizes, init_kinds=init_kinds, configs=configs)
-
-    output = raw.get("output")
-    if output is not None:
-        output = str(output)
-
-    if command == "train" and adapter_cfg is None:
-        raise ConfigFileError("command 'train' requires an 'adapter' block")
-    if command == "grid" and grid is None:
-        raise ConfigFileError("command 'grid' requires a 'grid' block")
-    if command == "sweep" and sweep is None:
-        raise ConfigFileError("command 'sweep' requires a 'sweep' block")
-
-    return RunConfig(command=command, task=task, adapter=adapter_cfg, init=init,
-                     optimizer=optimizer, run=run, grid=grid, sweep=sweep,
-                     output=output)
+    task = _parse_task(_require(raw, "task", ""))
+    dims = ({"in_dim": task.m, "out_dim": task.n} if isinstance(task, RecoveryTaskSpec)
+            else {"in_dim": task.input_dim, "out_dim": task.clusters})
+    cfg = RunConfig(
+        command=stated,
+        task=task,
+        init=_build(InitBlock, raw.get("init", {}), "init.", {"std": float}),
+        optimizer=_build(OptimizerBlock, raw.get("optimizer", {}), "optimizer.",
+                         {"lr": float}),
+        run=_build(RunBlock, raw.get("run", {}), "run.",
+                   {"steps": int, "batch": int, "seeds": _ints}),
+        adapter=_parse_adapter(raw["adapter"], dims) if "adapter" in raw else None,
+        grid=_build(GridBlock, raw["grid"], "grid.",
+                    {"rank": int, "strategy": Strategy,
+                     "a_counts": _ints, "b_counts": _ints})
+        if "grid" in raw else None,
+        sweep=_build(SweepBlock, raw["sweep"], "sweep.",
+                     {"sizes": _ints, "init_kinds": lambda v: tuple(str(x) for x in v),
+                      "configs": lambda v: tuple(_parse_adapter(c, dims) for c in v)})
+        if "sweep" in raw else None,
+        output=None if raw.get("output") is None else str(raw["output"]),
+    )
+    block = _COMMAND_BLOCKS[stated]
+    if getattr(cfg, block) is None:
+        article = "an" if block == "adapter" else "a"
+        raise ConfigFileError(f"command '{stated}' requires {article} '{block}' block")
+    return cfg
 
 
 def _materialize_task(cfg: RunConfig) -> Task:
@@ -307,71 +295,49 @@ def _materialize_task(cfg: RunConfig) -> Task:
     return make_classification_task(spec, make_rng(spec.backbone_seed))
 
 
-def _emit_rows(rows: list[SweepRow], out: str | None) -> None:
+def _emit_rows(rows, out: str | None) -> None:
     if out is None:
         return
     write_rows_csv(rows, out)
-    stem, _ = os.path.splitext(out)
-    write_rows_json(rows, stem + ".json")
+    write_rows_json(rows, os.path.splitext(out)[0] + ".json")
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.adapter is None:
-        raise ConfigFileError("command 'train' requires an 'adapter' block")
-    task = _materialize_task(cfg)
-    rows = []
-    for seed in cfg.run.seeds:
-        row, report = run_single(
-            task, cfg.adapter, cfg.init.kind, seed, cfg.run.steps,
-            batch=cfg.run.batch, optimizer=cfg.optimizer.kind,
-            lr=cfg.optimizer.lr, std=cfg.init.std,
-        )
-        rows.append(row)
-        print(f"seed {seed}: step0_loss={row.step0_loss:.6g} "
-              f"final_loss={row.final_loss:.6g} eval_metric={row.eval_metric:.6g} "
-              f"macs={row.mac_count}")
+def _run_train(cfg: RunConfig, task: Task, **loop):
+    rows = [run_single(task, cfg.adapter, cfg.init.kind, seed, **loop)[0]
+            for seed in cfg.run.seeds]
+    return rows, "\n".join(
+        f"seed {row.seed}: step0_loss={row.step0_loss:.6g} "
+        f"final_loss={row.final_loss:.6g} eval_metric={row.eval_metric:.6g} "
+        f"macs={row.mac_count}" for row in rows)
+
+
+def _run_grid(cfg: RunConfig, task: Task, **loop):
+    result = run_grid(task, cfg.grid.rank, cfg.grid.strategy, cfg.grid.a_counts,
+                      cfg.grid.b_counts, seeds=cfg.run.seeds, init_kind=cfg.init.kind,
+                      **loop)
+    skipped = (f"; skipped undefined heuristic cells: {result.skipped}"
+               if result.skipped else "")
+    return result.rows, f"{len(result.rows)} rows{skipped}"
+
+
+def _run_sweep(cfg: RunConfig, task: Task, **loop):
+    rows = scarcity_sweep(task, cfg.sweep.sizes, list(cfg.sweep.init_kinds),
+                          list(cfg.sweep.configs), seeds=cfg.run.seeds, **loop)
+    return rows, f"{len(rows)} rows"
+
+
+def _cmd_run(args) -> int:
+    """``train``, ``grid`` and ``sweep``: the subcommand picks the harness call."""
+    cfg = load_config(args.config, args.command)
+    rows, summary = args.run(cfg, _materialize_task(cfg), steps=cfg.run.steps,
+                             batch=cfg.run.batch, optimizer=cfg.optimizer.kind,
+                             lr=cfg.optimizer.lr, std=cfg.init.std)
     _emit_rows(rows, args.out or cfg.output)
-    return 0
-
-
-def _cmd_grid(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.grid is None:
-        raise ConfigFileError("command 'grid' requires a 'grid' block")
-    task = _materialize_task(cfg)
-    result: GridResult = run_grid(
-        task, cfg.grid.rank, Strategy(cfg.grid.strategy),
-        cfg.grid.a_counts, cfg.grid.b_counts, seeds=cfg.run.seeds,
-        steps=cfg.run.steps, batch=cfg.run.batch,
-        optimizer=cfg.optimizer.kind, lr=cfg.optimizer.lr,
-        init_kind=cfg.init.kind, std=cfg.init.std,
-    )
-    _emit_rows(result.rows, args.out or cfg.output)
-    print(f"{len(result.rows)} rows", end="")
-    if result.skipped:
-        print(f"; skipped undefined heuristic cells: {result.skipped}", end="")
-    print()
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.sweep is None:
-        raise ConfigFileError("command 'sweep' requires a 'sweep' block")
-    task = _materialize_task(cfg)
-    rows = scarcity_sweep(
-        task, cfg.sweep.sizes, list(cfg.sweep.init_kinds),
-        list(cfg.sweep.configs), seeds=cfg.run.seeds, steps=cfg.run.steps,
-        batch=cfg.run.batch, optimizer=cfg.optimizer.kind, lr=cfg.optimizer.lr,
-        std=cfg.init.std,
-    )
-    _emit_rows(rows, args.out or cfg.output)
-    print(f"{len(rows)} rows")
+    print(summary)
     return 0
 
 
@@ -423,21 +389,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train one configuration per seed")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out", default=None, help="row CSV path (JSON mirror "
-                         "written alongside)")
-    p_train.set_defaults(fn=_cmd_train)
-
-    p_grid = sub.add_parser("grid", help="pool-count grid sweep")
-    p_grid.add_argument("--config", required=True)
-    p_grid.add_argument("--out", default=None)
-    p_grid.set_defaults(fn=_cmd_grid)
-
-    p_sweep = sub.add_parser("sweep", help="sample-scarcity / init sweep")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(fn=_cmd_sweep)
+    for name, run, text in (
+            ("train", _run_train, "train one configuration per seed"),
+            ("grid", _run_grid, "pool-count grid sweep"),
+            ("sweep", _run_sweep, "sample-scarcity / init sweep")):
+        p_run = sub.add_parser(name, help=text)
+        p_run.add_argument("--config", required=True)
+        p_run.add_argument("--out", default=None, help="row CSV path (JSON mirror "
+                           "written alongside)")
+        p_run.set_defaults(fn=_cmd_run, run=run)
 
     p_params = sub.add_parser("params", help="trainable-parameter percentage")
     p_params.add_argument("--geometry", required=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np

@@ -85,7 +85,7 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     g2 = _as_columns(g_out, cfg.out_dim, "g_out")
     if x2.shape[1] != g2.shape[1]:
         raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
-    terms, scale = _composition(layer, pairing)
+    terms, scale = _composition(cfg, pairing)
     # Both scales multiply every term, so they are folded into g_out once.
     g2 = (cfg.scale * scale) * g2
     da = [np.zeros_like(a) for a in layer.a_list]

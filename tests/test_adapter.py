@@ -108,6 +108,16 @@ class TestForward:
         with pytest.raises(ConfigError, match="pairing"):
             forward(layer, np.zeros(4), mode="train")
 
+    @pytest.mark.parametrize("pairing", [Pairing("ab", (9, 9, 9)), Pairing("ab", (0, 1))])
+    def test_eval_mode_rejects_explicit_pairing(self, pairing):
+        # eval mode composes the mean pairing, so a pairing passed to it,
+        # valid or not, would be accepted and ignored
+        cfg = CoLAConfig(in_dim=4, out_dim=4, rank=2, a_count=2, b_count=3,
+                         strategy=Strategy.RANDOM_AB, alpha=2.0)
+        layer = random_layer(cfg, seed=5)
+        with pytest.raises(ConfigError, match="eval-mode"):
+            forward(layer, np.zeros(4), mode="eval", pairing=pairing)
+
     def test_scale_linearity(self):
         cfg = CoLAConfig(in_dim=6, out_dim=5, rank=2, a_count=2, b_count=3, alpha=2.0)
         layer = random_layer(cfg, seed=6)
@@ -275,12 +285,17 @@ class TestFlopModel:
         diffs = np.diff(counts)
         assert np.all(diffs == 64 * 8)
 
-    def test_graph_count_oracle(self):
-        # enumerate the factored graph's applications for RANDOM_AB directly
-        cfg = self.cfg(Strategy.RANDOM_AB)
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_graph_count_oracle(self, strategy):
+        # closed-form (down, up) applications of the factored graph: FULL and
+        # HEURISTIC apply every pool member once, RANDOM_AB one B per down
+        # branch, RANDOM_BA one A per up branch
+        cfg = self.cfg(strategy)
         n, m, r = 64, 64, 8
-        down_apps = cfg.a_count          # each A_i applied once
-        up_apps = cfg.a_count            # one B application per down branch
+        M, N = cfg.a_count, cfg.b_count
+        down_apps, up_apps = {Strategy.FULL: (M, N), Strategy.RANDOM_AB: (M, M),
+                              Strategy.RANDOM_BA: (N, N),
+                              Strategy.HEURISTIC: (M, N)}[strategy]
         fwd = n * m + down_apps * r * m + up_apps * n * r
         back = up_apps * n * r * 2 + down_apps * r * m
         assert flop_count(cfg, "forward") == fwd

@@ -122,6 +122,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigFileError, match="'grid' block"):
             load_config(path)
 
+    def test_top_level_task_kind_rejected(self, tmp_path):
+        # the task kind lives inside the task block only
+        payload = {**TRAIN_CONFIG, "task_kind": "recovery"}
+        with pytest.raises(ConfigFileError, match="unknown key 'task_kind'"):
+            load_config(write_config(tmp_path, payload))
+
 
 class TestParamsCommand:
     def test_prints_published_percentage(self, capsys):
@@ -218,6 +224,27 @@ class TestRunCommands:
         assert code == 1
         assert "error:" in captured.err
         assert "rank" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("payload", [GRID_CONFIG, SWEEP_CONFIG])
+    def test_subcommand_names_the_command(self, tmp_path, capsys, payload):
+        command = payload["command"]
+        body = {k: v for k, v in payload.items() if k != "command"}
+        with_key, without_key = tmp_path / "with.csv", tmp_path / "without.csv"
+        assert cmd_dispatch([command, "--config", write_config(tmp_path, payload),
+                             "--out", str(with_key)]) == 0
+        assert cmd_dispatch([command, "--config",
+                             write_config(tmp_path, body, name="bare.json"),
+                             "--out", str(without_key)]) == 0
+        assert with_key.read_bytes() == without_key.read_bytes()
+
+    def test_command_key_must_match_subcommand(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**TRAIN_CONFIG, "command": "grid",
+                                         "grid": GRID_CONFIG["grid"]})
+        code = cmd_dispatch(["train", "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: key 'command'" in captured.err
         assert captured.out == ""
 
     def test_unknown_command_nonzero(self, capsys):
