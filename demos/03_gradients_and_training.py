@@ -46,7 +46,7 @@ cfg = CoLAConfig(in_dim=20, out_dim=24, rank=8, a_count=1, b_count=2,
                  strategy=Strategy.FULL)
 layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(42),
                     base_w0=task.w_base)
-optimizer = make_optimizer("adam", 1e-2, layer.a_list + layer.b_list)
+optimizer = make_optimizer("adam", 1e-2)
 report = train_loop(task, layer, optimizer, steps=500, batch=8,
                     rng=make_rng(42), seed=42)
 

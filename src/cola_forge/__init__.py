@@ -70,6 +70,7 @@ from .linalg import (
     svd,
 )
 from .training import (
+    DivergenceError,
     Grads,
     OptimizerState,
     TrainReport,

@@ -27,8 +27,9 @@ FULL scaled by 1/N (AB) or 1/M (BA). The factored forward, the materialized
 :func:`delta_weight` and ``training.backward`` are each one loop over that
 list, so none of them knows the strategies, and the MAC model counts the
 applications off the same list. The forward path always stays factored
-(down-projections first); DeltaW is only materialized for merging and as a
-test oracle.
+(down-projections first) and returns each term's hidden state for the
+backward pass; DeltaW is only materialized for merging and as a test oracle.
+A layer's pools are views into one flat buffer, so one update steps them all.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class Strategy(str, enum.Enum):
     HEURISTIC = "heuristic"
 
 
-RANDOM_STRATEGIES = (Strategy.RANDOM_AB, Strategy.RANDOM_BA)
+# The pairing kind each random strategy samples; deterministic ones have none.
+_PAIRING_KIND = {Strategy.RANDOM_AB: "ab", Strategy.RANDOM_BA: "ba"}
 
 
 class ConfigError(ValueError):
@@ -134,7 +136,7 @@ class Pairing:
     def __post_init__(self):
         if self.kind not in ("ab", "ba"):
             raise ConfigError(f"pairing kind must be 'ab' or 'ba', got {self.kind!r}")
-        object.__setattr__(self, "map", tuple(int(i) for i in self.map))
+        object.__setattr__(self, "map", tuple(map(int, self.map)))
 
 
 def sample_pairing(a_count: int, b_count: int, kind: str,
@@ -148,61 +150,67 @@ def sample_pairing(a_count: int, b_count: int, kind: str,
         draws = rng.integers(0, a_count, size=b_count)
     else:
         raise ConfigError(f"pairing kind must be 'ab' or 'ba', got {kind!r}")
-    return Pairing(kind=kind, map=tuple(int(d) for d in draws), frozen=frozen)
-
-
-def _pairing_kind(strategy: Strategy) -> str | None:
-    if strategy is Strategy.RANDOM_AB:
-        return "ab"
-    if strategy is Strategy.RANDOM_BA:
-        return "ba"
-    return None
+    return Pairing(kind, draws.tolist(), frozen)
 
 
 @dataclass
 class CoLALayer:
     """One adapted linear map: frozen base plus trainable pools.
 
-    ``a_list`` and ``b_list`` are mutated in place by training; ``w0`` never
-    is. ``pairing`` holds the layer's current pairing for random strategies
-    (None for deterministic ones).
+    ``a_list`` and ``b_list`` are views into one flat buffer, ``params``, which
+    training updates in place; :meth:`validate` rejects a rebound pool, as it
+    would no longer train. ``w0`` is never written. ``pairing`` holds the
+    layer's current pairing for random strategies (None for deterministic ones).
     """
 
     w0: np.ndarray
     a_list: list[np.ndarray]
     b_list: list[np.ndarray]
     config: CoLAConfig
+    params: np.ndarray
     pairing: Pairing | None = field(default=None)
 
     def validate(self) -> None:
+        """Check w0's shape and that every pool is still its view into
+        ``params``: a rebound pool would silently stop training."""
         cfg = self.config
-        n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
-        if self.w0.shape != (n, m):
-            raise ShapeError(f"w0 must be {n}x{m}, got {self.w0.shape}")
-        if len(self.a_list) != cfg.a_count or len(self.b_list) != cfg.b_count:
-            raise ShapeError(
-                f"pool sizes {len(self.a_list)}/{len(self.b_list)} do not match "
-                f"config M={cfg.a_count}, N={cfg.b_count}"
-            )
-        for a in self.a_list:
-            if a.shape != (r, m):
-                raise ShapeError(f"every A must be {r}x{m}, got {a.shape}")
-        for b in self.b_list:
-            if b.shape != (n, r):
-                raise ShapeError(f"every B must be {n}x{r}, got {b.shape}")
+        if self.w0.shape != (cfg.out_dim, cfg.in_dim):
+            raise ShapeError(f"w0 must be {cfg.out_dim}x{cfg.in_dim}, got {self.w0.shape}")
+        a_views, b_views = _pool_views(self.params, cfg)
+        pools, views = self.a_list + self.b_list, a_views + b_views
+        if len(pools) != len(views) or not all(
+                p.base is self.params and p.shape == v.shape and np.shares_memory(p, v)
+                for p, v in zip(pools, views)):
+            raise ConfigError("a pool is not its view into the layer's parameter "
+                              "buffer; update pools in place, never rebind them")
+
+
+def _pool_views(flat: np.ndarray, cfg: CoLAConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Row-major views of A_1..A_M, B_1..B_N into a flat buffer (params or grads)."""
+    n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
+    split = cfg.a_count * r * m
+    return (list(flat[:split].reshape(cfg.a_count, r, m)),
+            list(flat[split:].reshape(cfg.b_count, n, r)))
 
 
 def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray],
                config: CoLAConfig, rng: np.random.Generator | None = None) -> CoLALayer:
-    """Assemble and validate a layer; random strategies get an initial pairing."""
-    layer = CoLALayer(
-        w0=as_matrix(w0),
-        a_list=[as_matrix(a) for a in a_list],
-        b_list=[as_matrix(b) for b in b_list],
-        config=config,
-    )
+    """Pack the pools into one flat buffer; random strategies get an initial pairing."""
+    n, m, r = config.out_dim, config.in_dim, config.rank
+    if len(a_list) != config.a_count or len(b_list) != config.b_count:
+        raise ShapeError(
+            f"pool sizes {len(a_list)}/{len(b_list)} do not match "
+            f"config M={config.a_count}, N={config.b_count}"
+        )
+    pools = [as_matrix(p) for p in (*a_list, *b_list)]
+    for k, pool in enumerate(pools):
+        name, shape = ("A", (r, m)) if k < config.a_count else ("B", (n, r))
+        if pool.shape != shape:
+            raise ShapeError(f"every {name} must be {shape[0]}x{shape[1]}, got {pool.shape}")
+    params = np.concatenate([p.ravel() for p in pools])
+    layer = CoLALayer(as_matrix(w0), *_pool_views(params, config), config, params)
     layer.validate()
-    kind = _pairing_kind(config.strategy)
+    kind = _PAIRING_KIND.get(config.strategy)
     if kind is not None:
         if rng is None:
             raise ConfigError("random strategies need an rng to sample the initial pairing")
@@ -216,7 +224,7 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
 
 def _check_pairing(cfg: CoLAConfig, pairing: Pairing | None) -> Pairing | None:
     """Validate that pairing presence/kind/size fit the strategy."""
-    kind = _pairing_kind(cfg.strategy)
+    kind = _PAIRING_KIND.get(cfg.strategy)
     if kind is None:
         if pairing is not None:
             raise ConfigError(
@@ -251,7 +259,7 @@ def _composition(cfg: CoLAConfig, pairing: Pairing | None,
     """
     m_count, n_count = cfg.a_count, cfg.b_count
     every = (tuple(range(n_count)), tuple(range(m_count)))
-    if mean_pairing and cfg.strategy in RANDOM_STRATEGIES:
+    if mean_pairing and cfg.strategy in _PAIRING_KIND:
         return [every], 1.0 / (n_count if cfg.strategy is Strategy.RANDOM_AB else m_count)
     pairing = _check_pairing(cfg, pairing)
     if cfg.strategy is Strategy.FULL:
@@ -280,7 +288,7 @@ def _train_pairing(layer: CoLALayer, pairing: Pairing | None,
     draw from ``rng``; with none of them a random strategy cannot compose.
     ``_composition`` validates whatever is returned.
     """
-    kind = _pairing_kind(layer.config.strategy)
+    kind = _PAIRING_KIND.get(layer.config.strategy)
     if kind is None or pairing is not None:
         return pairing
     if layer.pairing is not None and layer.pairing.frozen:
@@ -293,24 +301,30 @@ def _train_pairing(layer: CoLALayer, pairing: Pairing | None,
     return sample_pairing(layer.config.a_count, layer.config.b_count, kind, rng)
 
 
-def _delta_apply(layer: CoLALayer, x: np.ndarray, terms: list[_Term],
-                 scale: float) -> np.ndarray:
-    """DeltaW @ x for a composition, factored (DeltaW is never materialized).
+def _apply(layer: CoLALayer, x: np.ndarray, terms: list[_Term],
+           scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """W0 x + (alpha/r) DeltaW x for a composition, factored (DeltaW is never
+    materialized), and the hidden state sum_{i in a_idx} A_i x of each term.
 
-    Each term's hidden state sums A_i @ x left to right, every B_j @ t is added
-    into the output in index order, and the composition scale comes last.
+    Each hidden state sums A_i @ x left to right, every B_j @ t is added into
+    DeltaW x in index order, and the composition scale comes last.
     """
     out = None
+    hidden = []
     for b_idx, a_idx in terms:
         t = layer.a_list[a_idx[0]] @ x
         for i in a_idx[1:]:
             t += layer.a_list[i] @ x
+        hidden.append(t)
         for j in b_idx:
             if out is None:
                 out = layer.b_list[j] @ t
             else:
                 out += layer.b_list[j] @ t
-    return scale * out
+    # w0 @ x + alpha/r * (scale * out), rounded alike, into out's own storage
+    out *= scale
+    out *= layer.config.scale
+    return np.add(layer.w0 @ x, out, out=out), hidden
 
 
 def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
@@ -336,7 +350,7 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     elif pairing is not None:
         raise ConfigError("eval-mode forward composes the mean pairing; pass no pairing")
     terms, scale = _composition(layer.config, pairing, mean_pairing=mode == "eval")
-    return layer.w0 @ x + layer.config.scale * _delta_apply(layer, x, terms, scale)
+    return _apply(layer, x, terms, scale)[0]
 
 
 def _materialize(layer: CoLALayer, terms: list[_Term], scale: float) -> np.ndarray:
@@ -419,7 +433,7 @@ def flop_breakdown(config: CoLAConfig, pass_kind: str = "forward") -> dict[str, 
     if pass_kind not in ("forward", "train_step"):
         raise ValueError(f"pass kind must be 'forward' or 'train_step', got {pass_kind!r}")
     n, m, r = config.out_dim, config.in_dim, config.rank
-    kind = _pairing_kind(config.strategy)
+    kind = _PAIRING_KIND.get(config.strategy)
     pairing = None if kind is None else Pairing(
         kind, (0,) * (config.a_count if kind == "ab" else config.b_count))
     terms, _ = _composition(config, pairing)

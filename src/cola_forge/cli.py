@@ -47,6 +47,7 @@ from .harness import (
 )
 from .initializers import GAUSSIAN_ZERO, INIT_KINDS
 from .linalg import make_rng
+from .training import DivergenceError
 
 __all__ = ["RunConfig", "load_config", "cmd_dispatch", "main"]
 
@@ -172,8 +173,21 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _int(value) -> int:
+    """A JSON integer; a boolean, a string or a non-integral number fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(_int(v) for v in values)
 
 
 def _build(cls, mapping: dict, context: str, casts: dict):
@@ -210,14 +224,14 @@ def _parse_task(raw: dict) -> RecoveryTaskSpec | ClassifyTaskSpec:
     body = {k: v for k, v in raw.items() if k != "kind"}
     if kind == "recovery":
         return _build(RecoveryTaskSpec, body, "task.",
-                      {"n": int, "m": int, "base_seed": int, "components": int,
-                       "noise_std": float, "train_samples": int,
-                       "eval_samples": int, "source_noise_std": float,
-                       "shared_downspace": bool})
+                      {"n": _int, "m": _int, "base_seed": _int, "components": _int,
+                       "noise_std": float, "train_samples": _int,
+                       "eval_samples": _int, "source_noise_std": float,
+                       "shared_downspace": _bool})
     if kind == "classify":
         return _build(ClassifyTaskSpec, body, "task.",
-                      {"clusters": int, "input_dim": int,
-                       "samples_per_cluster": int, "backbone_seed": int,
+                      {"clusters": _int, "input_dim": _int,
+                       "samples_per_cluster": _int, "backbone_seed": _int,
                        "label_noise": float, "separation": float})
     raise ConfigFileError(f"key 'task.kind' must be 'recovery' or 'classify', got {kind!r}")
 
@@ -225,8 +239,8 @@ def _parse_task(raw: dict) -> RecoveryTaskSpec | ClassifyTaskSpec:
 def _parse_adapter(raw: dict, dims: dict) -> CoLAConfig:
     # dims default to the task's shape so configs stay minimal
     return _build(CoLAConfig, {**dims, **raw} if isinstance(raw, dict) else raw, "adapter.",
-                  {"in_dim": int, "out_dim": int, "rank": int, "a_count": int,
-                   "b_count": int, "alpha": float, "strategy": Strategy})
+                  {"in_dim": _int, "out_dim": _int, "rank": _int, "a_count": _int,
+                   "b_count": _int, "alpha": float, "strategy": Strategy})
 
 
 def load_config(path: str, command: str | None = None) -> RunConfig:
@@ -269,10 +283,10 @@ def load_config(path: str, command: str | None = None) -> RunConfig:
         optimizer=_build(OptimizerBlock, raw.get("optimizer", {}), "optimizer.",
                          {"lr": float}),
         run=_build(RunBlock, raw.get("run", {}), "run.",
-                   {"steps": int, "batch": int, "seeds": _ints}),
+                   {"steps": _int, "batch": _int, "seeds": _ints}),
         adapter=_parse_adapter(raw["adapter"], dims) if "adapter" in raw else None,
         grid=_build(GridBlock, raw["grid"], "grid.",
-                    {"rank": int, "strategy": Strategy,
+                    {"rank": _int, "strategy": Strategy,
                      "a_counts": _ints, "b_counts": _ints})
         if "grid" in raw else None,
         sweep=_build(SweepBlock, raw["sweep"], "sweep.",
@@ -431,7 +445,7 @@ def cmd_dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigFileError, ConfigError, ValueError, OSError) as exc:
+    except (ConfigFileError, ConfigError, DivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -368,7 +368,7 @@ def run_single(
                             base_w0=task.w_base)
     else:
         layer = build_layer(config, InitSpec(PISSA, source_w=task.pissa_source), rng)
-    opt = make_optimizer(optimizer, lr, layer.a_list + layer.b_list)
+    opt = make_optimizer(optimizer, lr)
     report = train_loop(view, layer, opt, steps, batch, rng, seed=run_seed)
     row = SweepRow(
         strategy=config.strategy.value,

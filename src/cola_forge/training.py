@@ -22,10 +22,17 @@ Everything accepts a single sample (x of length m, g_out of length n) or a
 batch as columns (m x B and n x B), in which case gradients sum over the
 batch, matching a loss that is itself summed (or averaged, if g_out already
 carries the 1/B factor).
+
+One :func:`train_loop` step draws the batch indices, then the pairing (random
+strategies whose pairing is not frozen), and builds the composition once. The
+forward pass keeps each term's hidden state sum_i A_i x, the backward pass
+reuses it and adds every pool gradient into one zeroed flat buffer laid out
+like the layer's ``params``, and the optimizer updates that buffer at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +41,10 @@ from .adapter import (
     CoLALayer,
     Pairing,
     Strategy,
+    _apply,
     _composition,
     _pool_sum,
+    _pool_views,
     _train_pairing,
     delta_weight_eval,
     flop_count,
@@ -44,6 +53,7 @@ from .adapter import (
 from .linalg import ShapeError, frobenius_norm
 
 __all__ = [
+    "DivergenceError",
     "Grads",
     "backward",
     "finite_diff_check",
@@ -55,6 +65,10 @@ __all__ = [
     "cross_entropy_grad",
     "train_loop",
 ]
+
+
+class DivergenceError(ArithmeticError):
+    """Training produced a non-finite loss."""
 
 
 @dataclass
@@ -86,21 +100,24 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     if x2.shape[1] != g2.shape[1]:
         raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
     terms, scale = _composition(cfg, pairing)
+    grads = Grads(*_pool_views(np.zeros_like(layer.params), cfg))
+    _backward(layer, x2, g2, terms, scale, _apply(layer, x2, terms, scale)[1], grads)
+    return grads
+
+
+def _backward(layer: CoLALayer, x2: np.ndarray, g2: np.ndarray, terms, scale: float,
+              hidden: list[np.ndarray], grads: Grads) -> None:
+    """Add the pool gradients into the zeroed ``grads``, given each term's
+    hidden state from the forward pass."""
     # Both scales multiply every term, so they are folded into g_out once.
-    g2 = (cfg.scale * scale) * g2
-    da = [np.zeros_like(a) for a in layer.a_list]
-    db = [np.zeros_like(b) for b in layer.b_list]
-    for b_idx, a_idx in terms:
-        t = layer.a_list[a_idx[0]] @ x2
-        for i in a_idx[1:]:
-            t += layer.a_list[i] @ x2
+    g2 = (layer.config.scale * scale) * g2
+    for (b_idx, a_idx), t in zip(terms, hidden):
         db_term = g2 @ t.T
         da_term = (_pool_sum(layer.b_list, b_idx).T @ g2) @ x2.T
         for j in b_idx:
-            db[j] += db_term
+            grads.db_list[j] += db_term
         for i in a_idx:
-            da[i] += da_term
-    return Grads(da_list=da, db_list=db)
+            grads.da_list[i] += da_term
 
 
 def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
@@ -181,7 +198,8 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam (decoupled weight decay fixed at 0) over a parameter list."""
+    """SGD or Adam (decoupled weight decay fixed at 0) over a parameter list;
+    the first Adam step allocates ``m`` and ``v`` shaped like that list."""
 
     kind: str
     lr: float
@@ -192,16 +210,12 @@ class OptimizerState:
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def make_optimizer(kind: str, lr: float, params: list[np.ndarray]) -> OptimizerState:
+def make_optimizer(kind: str, lr: float) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {kind!r}")
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    state = OptimizerState(kind=kind, lr=lr)
-    if kind == "adam":
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    return state
+    return OptimizerState(kind=kind, lr=lr)
 
 
 def optimizer_step(state: OptimizerState, params: list[np.ndarray],
@@ -214,15 +228,20 @@ def optimizer_step(state: OptimizerState, params: list[np.ndarray],
         for p, g in zip(params, grads):
             p -= state.lr * g
         return params
+    if not state.m:
+        state.m = [np.zeros_like(p) for p in params]
+        state.v = [np.zeros_like(p) for p in params]
+    if [m.shape for m in state.m] != [p.shape for p in params]:
+        raise ShapeError("Adam state was allocated for other parameters")
     b1, b2 = state.betas
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return params
 
 
@@ -234,7 +253,7 @@ def squared_error_grad(y: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     """L = mean over batch of 0.5 ||y_b - t_b||^2; returns (L, dL/dy)."""
     diff = y - targets
     batch = y.shape[1] if y.ndim == 2 else 1
-    loss = 0.5 * float(np.sum(diff * diff)) / batch
+    loss = 0.5 * float((diff * diff).sum()) / batch
     return loss, diff / batch
 
 
@@ -272,13 +291,15 @@ class TrainReport:
     param_summary: dict[str, float]
 
 
-def _dataset_loss(layer: CoLALayer, task) -> float:
-    y = forward(layer, task.x_train, mode="eval")
+def _task_loss(task, y: np.ndarray, idx=slice(None)) -> tuple[float, np.ndarray]:
+    """Loss and dL/dy of outputs y on the training samples ``idx``."""
     if task.kind == "recovery":
-        loss, _ = squared_error_grad(y, task.y_train)
-    else:
-        loss, _ = cross_entropy_grad(y, task.labels_train)
-    return loss
+        return squared_error_grad(y, task.y_train[:, idx])
+    return cross_entropy_grad(y, task.labels_train[idx])
+
+
+def _dataset_loss(layer: CoLALayer, task) -> float:
+    return _task_loss(task, forward(layer, task.x_train, mode="eval"))[0]
 
 
 def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
@@ -287,32 +308,39 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
 
     Deterministic per rng stream: each step first draws the batch indices,
     then (for random strategies with an unfrozen pairing) the fresh pairing.
-    The frozen base is never written.
+    The frozen base is never written. Raises :class:`DivergenceError` at the
+    first non-finite minibatch loss, or if the final loss is not finite.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
+    layer.validate()
     cfg = layer.config
-    params = layer.a_list + layer.b_list
+    flat_grad = np.zeros_like(layer.params)
+    grads = Grads(*_pool_views(flat_grad, cfg))
     n_train = task.x_train.shape[1]
 
     initial_loss = _dataset_loss(layer, task)
     losses: list[float] = []
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         idx = rng.integers(0, n_train, size=batch)
         xb = task.x_train[:, idx]
-        pairing = _train_pairing(layer, None, rng)
-        y = forward(layer, xb, mode="train", pairing=pairing)
-        if task.kind == "recovery":
-            loss, g = squared_error_grad(y, task.y_train[:, idx])
-        else:
-            loss, g = cross_entropy_grad(y, task.labels_train[idx])
-        grads = backward(layer, xb, g, pairing)
-        optimizer_step(optimizer, params, grads.flat())
+        terms, scale = _composition(cfg, _train_pairing(layer, None, rng))
+        y, hidden = _apply(layer, xb, terms, scale)
+        loss, g = _task_loss(task, y, idx)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"training diverged: minibatch loss {loss} at step "
+                                  f"{step} of {steps} (seed {seed})")
+        flat_grad.fill(0.0)
+        _backward(layer, xb, g, terms, scale, hidden, grads)
+        optimizer_step(optimizer, [layer.params], [flat_grad])
         losses.append(loss)
 
     final_loss = _dataset_loss(layer, task)
+    if not math.isfinite(final_loss):
+        raise DivergenceError(f"training diverged: final loss {final_loss} after "
+                              f"{steps} steps (seed {seed})")
     mac_per_step = flop_count(cfg, "train_step") * batch
     return TrainReport(
         seed=seed,

@@ -122,6 +122,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigFileError, match="'grid' block"):
             load_config(path)
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("task", "shared_downspace", "false"),  # a truthy string, not a JSON boolean
+        ("adapter", "rank", 2.9),
+        ("adapter", "a_count", True),
+        ("run", "steps", 2.5),
+    ])
+    def test_casts_are_strict(self, tmp_path, block, key, value):
+        payload = {**TRAIN_CONFIG, block: {**TRAIN_CONFIG[block], key: value}}
+        with pytest.raises(ConfigFileError, match=f"key '{block}.{key}'"):
+            load_config(write_config(tmp_path, payload))
+
+    def test_integral_numbers_load_as_ints(self, tmp_path):
+        payload = {**TRAIN_CONFIG, "adapter": {**TRAIN_CONFIG["adapter"], "rank": 4.0}}
+        cfg = load_config(write_config(tmp_path, payload))
+        assert cfg.adapter.rank == 4 and type(cfg.adapter.rank) is int
+
     def test_top_level_task_kind_rejected(self, tmp_path):
         # the task kind lives inside the task block only
         payload = {**TRAIN_CONFIG, "task_kind": "recovery"}
@@ -246,6 +262,17 @@ class TestRunCommands:
         assert code == 1
         assert "error: key 'command'" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
+    def test_divergence_is_an_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**TRAIN_CONFIG,
+                                         "optimizer": {"kind": "sgd", "lr": 50.0},
+                                         "run": {"steps": 50, "batch": 8, "seeds": [42]}})
+        code = cmd_dispatch(["train", "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: training diverged" in captured.err
+        assert "(seed " in captured.err
 
     def test_unknown_command_nonzero(self, capsys):
         assert cmd_dispatch(["frobnicate"]) != 0

@@ -3,16 +3,20 @@ import pytest
 
 from cola_forge.adapter import (
     CoLAConfig,
+    ConfigError,
     Pairing,
     Strategy,
     flop_count,
+    forward,
     lora_preset,
     make_layer,
+    sample_pairing,
 )
 from cola_forge.harness import RecoveryTaskSpec, make_recovery_task, run_single
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
 from cola_forge.linalg import make_rng
 from cola_forge.training import (
+    DivergenceError,
     backward,
     cross_entropy_grad,
     finite_diff_check,
@@ -121,28 +125,28 @@ class TestFiniteDiffCheck:
 class TestOptimizers:
     def test_sgd_arithmetic(self):
         p = [np.array([[1.0]])]
-        state = make_optimizer("sgd", 0.1, p)
+        state = make_optimizer("sgd", 0.1)
         optimizer_step(state, p, [np.array([[2.0]])])
         assert p[0][0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_zero_gradient_fixed_point(self):
         for kind in ("sgd", "adam"):
             p = [np.full((2, 2), 3.0)]
-            state = make_optimizer(kind, 0.1, p)
+            state = make_optimizer(kind, 0.1)
             optimizer_step(state, p, [np.zeros((2, 2))])
             assert np.array_equal(p[0], np.full((2, 2), 3.0))
 
     def test_adam_first_step_magnitude(self):
         # bias correction makes the first step ~ lr * sign(g)
         p = [np.zeros((1, 1))]
-        state = make_optimizer("adam", 1e-3, p)
+        state = make_optimizer("adam", 1e-3)
         optimizer_step(state, p, [np.full((1, 1), 0.5)])
         assert abs(abs(p[0][0, 0]) - 1e-3) <= 1e-6
         assert p[0][0, 0] < 0.0
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            make_optimizer("rmsprop", 0.1, [])
+            make_optimizer("rmsprop", 0.1)
 
 
 class TestLosses:
@@ -181,7 +185,7 @@ class TestTrainLoop:
         task = small_task()
         layer = build_layer(lora_preset(20, 24, 4), InitSpec(GAUSSIAN_ZERO),
                             make_rng(42), base_w0=task.w_base)
-        opt = make_optimizer("sgd", 1e-2, layer.a_list + layer.b_list)
+        opt = make_optimizer("sgd", 1e-2)
         report = train_loop(task, layer, opt, steps=0, batch=8, rng=make_rng(42))
         assert report.losses == []
         assert report.initial_loss == report.final_loss
@@ -208,7 +212,7 @@ class TestTrainLoop:
         for _ in range(2):
             layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(42),
                                 base_w0=task.w_base)
-            opt = make_optimizer("adam", 1e-2, layer.a_list + layer.b_list)
+            opt = make_optimizer("adam", 1e-2)
             runs.append(train_loop(task, layer, opt, steps=50, batch=8,
                                    rng=make_rng(42)))
         assert runs[0].losses == runs[1].losses
@@ -222,7 +226,7 @@ class TestTrainLoop:
             layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(42),
                                 base_w0=task.w_base)
             before = layer.w0.tobytes()
-            opt = make_optimizer("adam", 1e-2, layer.a_list + layer.b_list)
+            opt = make_optimizer("adam", 1e-2)
             train_loop(task, layer, opt, steps=60, batch=8, rng=make_rng(42))
             assert layer.w0.tobytes() == before
 
@@ -235,7 +239,7 @@ class TestTrainLoop:
         for seed in (42, 43, 44, 45, 46):
             layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(seed),
                                 base_w0=task.w_base)
-            opt = make_optimizer("sgd", 1e-2, layer.a_list + layer.b_list)
+            opt = make_optimizer("sgd", 1e-2)
             report = train_loop(task, layer, opt, steps=100, batch=8,
                                 rng=make_rng(seed))
             assert report.final_loss < report.initial_loss
@@ -247,7 +251,7 @@ class TestTrainLoop:
         layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(42),
                             base_w0=task.w_base)
         layer.pairing = Pairing(kind="ab", map=(1, 1), frozen=True)
-        opt = make_optimizer("adam", 1e-2, layer.a_list + layer.b_list)
+        opt = make_optimizer("adam", 1e-2)
         train_loop(task, layer, opt, steps=40, batch=8, rng=make_rng(42))
         # up members 0 and 2 were never selected, so they never moved from 0
         assert np.all(layer.b_list[0] == 0.0)
@@ -272,3 +276,94 @@ class TestGradientSuiteAcrossInits:
                                 rng)
         err = finite_diff_check(layer, rng.normal(size=12), rng.normal(size=16))
         assert err <= 1e-6
+
+
+class TestFusedStep:
+    """``train_loop`` fuses each step; a hand loop over the public forward,
+    backward and per-pool optimizer_step, making the same rng draws, is the
+    reference it must match bit for bit."""
+
+    @staticmethod
+    def hand_loop(task, layer, kind, steps, batch, rng):
+        state = make_optimizer(kind, 1e-2)
+        pools = layer.a_list + layer.b_list
+        random_kind = {Strategy.RANDOM_AB: "ab", Strategy.RANDOM_BA: "ba"}.get(
+            layer.config.strategy)
+        losses = []
+        for _ in range(steps):
+            idx = rng.integers(0, task.x_train.shape[1], size=batch)
+            xb = task.x_train[:, idx]
+            pairing = None
+            if random_kind is not None:
+                pairing = layer.pairing if layer.pairing.frozen else sample_pairing(
+                    layer.config.a_count, layer.config.b_count, random_kind, rng)
+            y = forward(layer, xb, mode="train", pairing=pairing)
+            loss, g = squared_error_grad(y, task.y_train[:, idx])
+            optimizer_step(state, pools, backward(layer, xb, g, pairing).flat())
+            losses.append(loss)
+        return losses
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("strategy, frozen", [
+        (Strategy.FULL, False), (Strategy.HEURISTIC, False),
+        (Strategy.RANDOM_AB, False), (Strategy.RANDOM_AB, True),
+        (Strategy.RANDOM_BA, False), (Strategy.RANDOM_BA, True),
+    ])
+    def test_matches_hand_loop_bitwise(self, strategy, frozen, kind, batch):
+        task = small_task(noise=0.05)
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
+                         strategy=strategy)
+        fused, hand = (build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(5),
+                                   base_w0=task.w_base) for _ in range(2))
+        if frozen:
+            for layer in (fused, hand):
+                layer.pairing = Pairing(layer.pairing.kind, layer.pairing.map, frozen=True)
+        report = train_loop(task, fused, make_optimizer(kind, 1e-2), steps=30,
+                            batch=batch, rng=make_rng(9))
+        losses = self.hand_loop(task, hand, kind, 30, batch, make_rng(9))
+        assert report.losses == losses
+        assert fused.params.tobytes() == hand.params.tobytes()
+        assert np.any(np.hstack(fused.b_list) != 0.0)  # training moved the pools
+
+    def test_pools_are_views_of_one_buffer(self):
+        layer = random_layer(CoLAConfig(in_dim=6, out_dim=5, rank=2, a_count=2, b_count=3))
+        layer.params[:] = 0.0
+        assert all(np.all(p == 0.0) for p in layer.a_list + layer.b_list)
+        assert layer.params.size == 2 * 2 * 6 + 3 * 5 * 2
+
+    @pytest.mark.parametrize("side", ["a_list", "b_list"])
+    @pytest.mark.parametrize("source", ["copy", "other pool"])
+    def test_rebound_pool_is_rejected(self, side, source):
+        task = small_task()
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3)
+        layer = random_layer(cfg, seed=5)
+        pools = getattr(layer, side)
+        # a copy would never train; an alias of pool 0 would train twice
+        pools[1] = pools[1].copy() if source == "copy" else pools[0]
+        with pytest.raises(ConfigError, match="not its view"):
+            train_loop(task, layer, make_optimizer("adam", 1e-2), steps=5, batch=8,
+                       rng=make_rng(9))
+
+    def test_adam_state_is_tied_to_its_parameters(self):
+        state = make_optimizer("adam", 1e-2)
+        optimizer_step(state, [np.zeros(3)], [np.ones(3)])
+        with pytest.raises(ValueError, match="other parameters"):
+            optimizer_step(state, [np.zeros(4)], [np.ones(4)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
+class TestDivergence:
+    DIVERGENT = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3)
+
+    def test_first_non_finite_minibatch_loss_is_named(self):
+        # SGD at lr=50 overflows the minibatch loss at step 6
+        with pytest.raises(DivergenceError, match=r"minibatch loss .* step 6 of 50 \(seed 42\)"):
+            run_single(small_task(), self.DIVERGENT, GAUSSIAN_ZERO, 42, steps=50,
+                       optimizer="sgd", lr=50.0)
+
+    def test_non_finite_final_loss_is_named(self):
+        # five finite minibatch losses, then the last update overflows
+        with pytest.raises(DivergenceError, match=r"final loss .* after 5 steps \(seed 42\)"):
+            run_single(small_task(), self.DIVERGENT, GAUSSIAN_ZERO, 42, steps=5,
+                       optimizer="sgd", lr=50.0)
