@@ -199,7 +199,8 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
 @dataclass
 class OptimizerState:
     """SGD or Adam (decoupled weight decay fixed at 0) over a parameter list;
-    the first Adam step allocates ``m`` and ``v`` shaped like that list."""
+    the first Adam step allocates ``m``, ``v`` and a two-slot ``scratch``
+    shaped like that list, so later steps allocate no temporaries."""
 
     kind: str
     lr: float
@@ -208,6 +209,7 @@ class OptimizerState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    scratch: list[np.ndarray] = field(default_factory=list)
 
 
 def make_optimizer(kind: str, lr: float) -> OptimizerState:
@@ -231,17 +233,23 @@ def optimizer_step(state: OptimizerState, params: list[np.ndarray],
     if not state.m:
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
+        state.scratch = [np.empty((2,) + p.shape, p.dtype) for p in params]
     if [m.shape for m in state.m] != [p.shape for p in params]:
         raise ShapeError("Adam state was allocated for other parameters")
     b1, b2 = state.betas
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+    # into the scratch buffers t and u
+    for p, g, m, v, (t, u) in zip(params, grads, state.m, state.v, state.scratch):
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=t)
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=t), g, out=t)
+        np.sqrt(np.divide(v, bc2, out=t), out=t)
+        t += state.eps
+        np.multiply(np.divide(m, bc1, out=u), state.lr, out=u)
+        p -= np.divide(u, t, out=u)
     return params
 
 

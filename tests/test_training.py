@@ -144,6 +144,29 @@ class TestOptimizers:
         assert abs(abs(p[0][0, 0]) - 1e-3) <= 1e-6
         assert p[0][0, 0] < 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_adam_matches_the_textbook_expressions_bitwise(self, dtype):
+        # the scratch-buffer update must round exactly like the plain formula
+        rng = make_rng(5)
+        params = [rng.normal(size=(3, 4)).astype(dtype), rng.normal(size=7).astype(dtype)]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        state = make_optimizer("adam", 1e-2)
+        b1, b2 = state.betas
+        for step in range(1, 6):
+            grads = [rng.normal(size=p.shape).astype(dtype) for p in params]
+            optimizer_step(state, params, grads)
+            for p, g, mk, vk in zip(ref, grads, m, v):
+                mk *= b1
+                mk += (1.0 - b1) * g
+                vk *= b2
+                vk += (1.0 - b2) * g * g
+                p -= state.lr * (mk / (1.0 - b1 ** step)) / (
+                    np.sqrt(vk / (1.0 - b2 ** step)) + state.eps)
+            for p, r in zip(params, ref):
+                assert p.dtype == dtype and np.array_equal(p, r)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             make_optimizer("rmsprop", 0.1)
