@@ -53,6 +53,7 @@ from .initializers import (
     GAUSSIAN_ZERO,
     PISSA,
     InitSpec,
+    RankDeficientSourceError,
     build_layer,
     default_alpha,
     eckart_young_error,

@@ -29,7 +29,8 @@ list, so none of them knows the strategies, and the MAC model counts the
 applications off the same list. The forward path always stays factored
 (down-projections first) and returns each term's hidden state for the
 backward pass; DeltaW is only materialized for merging and as a test oracle.
-A layer's pools are views into one flat buffer, so one update steps them all.
+A layer's pools are views into one flat buffer, so one update steps them all;
+each index set is a run, so several products are one stacked matmul over it.
 """
 
 from __future__ import annotations
@@ -144,13 +145,13 @@ def sample_pairing(a_count: int, b_count: int, kind: str,
     """Uniform i.i.d. pairing: 'ab' draws M targets in [0, N), 'ba' the mirror."""
     if a_count < 1 or b_count < 1:
         raise ConfigError(f"pool counts must be >= 1, got M={a_count}, N={b_count}")
-    if kind == "ab":
-        draws = rng.integers(0, b_count, size=a_count)
-    elif kind == "ba":
-        draws = rng.integers(0, a_count, size=b_count)
-    else:
-        raise ConfigError(f"pairing kind must be 'ab' or 'ba', got {kind!r}")
-    return Pairing(kind, draws.tolist(), frozen)
+    high, size = _pairing_range(kind, a_count, b_count)
+    return Pairing(kind, rng.integers(0, high, size=size).tolist(), frozen)
+
+
+def _pairing_range(kind: str, a_count: int, b_count: int) -> tuple[int, int]:
+    """(high, length) of a pairing map: 'ab' maps M indices into [0, N), 'ba' the mirror."""
+    return (b_count, a_count) if kind == "ab" else (a_count, b_count)
 
 
 @dataclass
@@ -176,8 +177,8 @@ class CoLALayer:
         cfg = self.config
         if self.w0.shape != (cfg.out_dim, cfg.in_dim):
             raise ShapeError(f"w0 must be {cfg.out_dim}x{cfg.in_dim}, got {self.w0.shape}")
-        a_views, b_views = _pool_views(self.params, cfg)
-        pools, views = self.a_list + self.b_list, a_views + b_views
+        views = [view for stack in _pool_views(self.params, cfg) for view in stack]
+        pools = self.a_list + self.b_list
         if len(pools) != len(views) or not all(
                 p.base is self.params and p.shape == v.shape and np.shares_memory(p, v)
                 for p, v in zip(pools, views)):
@@ -185,12 +186,12 @@ class CoLALayer:
                               "buffer; update pools in place, never rebind them")
 
 
-def _pool_views(flat: np.ndarray, cfg: CoLAConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Row-major views of A_1..A_M, B_1..B_N into a flat buffer (params or grads)."""
+def _pool_views(flat: np.ndarray, cfg: CoLAConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(M, r, m) and (N, n, r) stacks of A_i and B_j: views into a flat buffer."""
     n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
     split = cfg.a_count * r * m
-    return (list(flat[:split].reshape(cfg.a_count, r, m)),
-            list(flat[split:].reshape(cfg.b_count, n, r)))
+    return (flat[:split].reshape(cfg.a_count, r, m),
+            flat[split:].reshape(cfg.b_count, n, r))
 
 
 def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray],
@@ -208,7 +209,7 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
         if pool.shape != shape:
             raise ShapeError(f"every {name} must be {shape[0]}x{shape[1]}, got {pool.shape}")
     params = np.concatenate([p.ravel() for p in pools])
-    layer = CoLALayer(as_matrix(w0), *_pool_views(params, config), config, params)
+    layer = CoLALayer(as_matrix(w0), *map(list, _pool_views(params, config)), config, params)
     layer.validate()
     kind = _PAIRING_KIND.get(config.strategy)
     if kind is not None:
@@ -222,8 +223,8 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
 # Composition
 # ---------------------------------------------------------------------------
 
-def _check_pairing(cfg: CoLAConfig, pairing: Pairing | None) -> Pairing | None:
-    """Validate that pairing presence/kind/size fit the strategy."""
+def _check_pairing(cfg: CoLAConfig, pairing: Pairing | None) -> tuple[int, ...] | None:
+    """The pairing's map, once its presence, kind and size fit the strategy."""
     kind = _PAIRING_KIND.get(cfg.strategy)
     if kind is None:
         if pairing is not None:
@@ -236,24 +237,24 @@ def _check_pairing(cfg: CoLAConfig, pairing: Pairing | None) -> Pairing | None:
     if pairing.kind != kind:
         raise ConfigError(f"pairing kind {pairing.kind!r} does not match strategy "
                           f"{cfg.strategy.value}")
-    expect = cfg.a_count if kind == "ab" else cfg.b_count
-    limit = cfg.b_count if kind == "ab" else cfg.a_count
+    limit, expect = _pairing_range(kind, cfg.a_count, cfg.b_count)
     if len(pairing.map) != expect:
         raise ConfigError(f"pairing length {len(pairing.map)} != {expect}")
     if min(pairing.map) < 0 or max(pairing.map) >= limit:
         raise ConfigError(f"pairing entry out of range [0, {limit})")
-    return pairing
+    return pairing.map
 
 
 _Term = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _composition(cfg: CoLAConfig, pairing: Pairing | None,
+def _composition(cfg: CoLAConfig, pairing_map: tuple[int, ...] | None,
                  mean_pairing: bool = False) -> tuple[list[_Term], float]:
     """A layer's DeltaW as ``(terms, scale)``, the one statement of the rules.
 
     Each term is a ``(b_idx, a_idx)`` pair and
     DeltaW = scale * sum_terms (sum_{j in b_idx} B_j)(sum_{i in a_idx} A_i).
+    ``pairing_map`` is the checked map of a random strategy's pairing.
     ``mean_pairing`` asks for the expectation over uniform pairings, which for
     the random strategies replaces every sampled partner by its pool mean.
     """
@@ -261,7 +262,6 @@ def _composition(cfg: CoLAConfig, pairing: Pairing | None,
     every = (tuple(range(n_count)), tuple(range(m_count)))
     if mean_pairing and cfg.strategy in _PAIRING_KIND:
         return [every], 1.0 / (n_count if cfg.strategy is Strategy.RANDOM_AB else m_count)
-    pairing = _check_pairing(cfg, pairing)
     if cfg.strategy is Strategy.FULL:
         return [every], 1.0
     if cfg.strategy is Strategy.HEURISTIC:
@@ -269,14 +269,29 @@ def _composition(cfg: CoLAConfig, pairing: Pairing | None,
         tail = (tuple(range(m_count - 1, n_count)), (m_count - 1,))
         return [((i,), (i,)) for i in range(m_count - 1)] + [tail], 1.0
     if cfg.strategy is Strategy.RANDOM_AB:
-        return [((j,), (i,)) for i, j in enumerate(pairing.map)], 1.0
-    return [((j,), (i,)) for j, i in enumerate(pairing.map)], 1.0
+        return [((j,), (i,)) for i, j in enumerate(pairing_map)], 1.0
+    return [((j,), (i,)) for j, i in enumerate(pairing_map)], 1.0
 
 
-def _pool_sum(pool: list[np.ndarray], idx: tuple[int, ...]) -> np.ndarray:
-    total = pool[idx[0]]
-    for k in idx[1:]:
-        total = total + pool[k]
+_STACK_LIMIT = 4096  # product elements a stacked matmul may hold; more are BLAS-bound
+
+
+def _pool_sum(stack, idx: tuple[int, ...], v: np.ndarray | None = None) -> np.ndarray:
+    """sum_{k in idx} stack[k], or of stack[k] @ v, added left to right; for a
+    plain sum ``stack`` may be a list of members. Small products are one stacked
+    matmul, which saves call overhead; large ones go one at a time, as a loop."""
+    lo, hi = idx[0], idx[-1] + 1
+    if hi == lo + 1:
+        return stack[lo] if v is None else stack[lo] @ v
+    if v is not None and (hi - lo) * stack.shape[1] * (v.size // v.shape[0]) > _STACK_LIMIT:
+        total = stack[lo] @ v
+        for k in range(lo + 1, hi):
+            total += stack[k] @ v
+        return total
+    parts = stack[lo:hi] if v is None else stack[lo:hi] @ v  # its slices equal 2-D products
+    total = parts[0] + parts[1]
+    for part in parts[2:]:
+        total += part
     return total
 
 
@@ -285,46 +300,42 @@ def _train_pairing(layer: CoLALayer, pairing: Pairing | None,
     """The pairing one training step composes (None for deterministic strategies).
 
     An explicit pairing wins, then the layer's frozen pairing, then a fresh
-    draw from ``rng``; with none of them a random strategy cannot compose.
-    ``_composition`` validates whatever is returned.
+    draw from ``rng``; None from a random strategy means it must draw one.
     """
     kind = _PAIRING_KIND.get(layer.config.strategy)
     if kind is None or pairing is not None:
         return pairing
     if layer.pairing is not None and layer.pairing.frozen:
         return layer.pairing
-    if rng is None:
-        raise ConfigError(
-            f"train-mode forward under {layer.config.strategy.value} needs a "
-            "pairing, a frozen layer pairing, or an rng to resample"
-        )
-    return sample_pairing(layer.config.a_count, layer.config.b_count, kind, rng)
+    return None if rng is None else sample_pairing(
+        layer.config.a_count, layer.config.b_count, kind, rng)
 
 
-def _apply(layer: CoLALayer, x: np.ndarray, terms: list[_Term],
-           scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _apply(layer: CoLALayer, stacks: tuple[np.ndarray, np.ndarray], x: np.ndarray,
+           terms: list[_Term], scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """W0 x + (alpha/r) DeltaW x for a composition, factored (DeltaW is never
     materialized), and the hidden state sum_{i in a_idx} A_i x of each term.
 
-    Each hidden state sums A_i @ x left to right, every B_j @ t is added into
-    DeltaW x in index order, and the composition scale comes last.
+    ``stacks`` are the layer's pool stacks. Each hidden state sums A_i @ x left
+    to right, every B_j @ t is added into DeltaW x in index order, and the
+    scales come last; a scale of exactly 1.0 is skipped.
     """
+    a_stack, b_stack = stacks
     out = None
     hidden = []
     for b_idx, a_idx in terms:
-        t = layer.a_list[a_idx[0]] @ x
-        for i in a_idx[1:]:
-            t += layer.a_list[i] @ x
+        t = _pool_sum(a_stack, a_idx, x)
         hidden.append(t)
-        for j in b_idx:
-            if out is None:
-                out = layer.b_list[j] @ t
-            else:
-                out += layer.b_list[j] @ t
+        if out is None:
+            out = _pool_sum(b_stack, b_idx, t)
+        else:
+            for j in b_idx:
+                out += b_stack[j] @ t
     # w0 @ x + alpha/r * (scale * out), rounded alike, into out's own storage
-    out *= scale
-    out *= layer.config.scale
-    return np.add(layer.w0 @ x, out, out=out), hidden
+    for factor in (scale, layer.config.scale):
+        if factor != 1.0:
+            out *= factor
+    return np.add(layer.w0 @ x, out, out), hidden
 
 
 def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
@@ -342,15 +353,15 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != layer.config.in_dim:
-        raise ShapeError(
-            f"input has leading dim {x.shape[0]}, layer expects {layer.config.in_dim}"
-        )
+        raise ShapeError(f"input has leading dim {x.shape[0]}, "
+                         f"layer expects {layer.config.in_dim}")
     if mode == "train":
         pairing = _train_pairing(layer, pairing, rng)
     elif pairing is not None:
         raise ConfigError("eval-mode forward composes the mean pairing; pass no pairing")
-    terms, scale = _composition(layer.config, pairing, mean_pairing=mode == "eval")
-    return _apply(layer, x, terms, scale)[0]
+    pairing_map = _check_pairing(layer.config, pairing) if mode == "train" else None
+    terms, scale = _composition(layer.config, pairing_map, mean_pairing=mode == "eval")
+    return _apply(layer, _pool_views(layer.params, layer.config), x, terms, scale)[0]
 
 
 def _materialize(layer: CoLALayer, terms: list[_Term], scale: float) -> np.ndarray:
@@ -367,7 +378,7 @@ def delta_weight(layer: CoLALayer, pairing: Pairing | None = None) -> np.ndarray
     Random strategies require the pairing that fixes the composition;
     deterministic strategies reject one.
     """
-    return _materialize(layer, *_composition(layer.config, pairing))
+    return _materialize(layer, *_composition(layer.config, _check_pairing(layer.config, pairing)))
 
 
 def delta_weight_eval(layer: CoLALayer) -> np.ndarray:
@@ -433,10 +444,8 @@ def flop_breakdown(config: CoLAConfig, pass_kind: str = "forward") -> dict[str, 
     if pass_kind not in ("forward", "train_step"):
         raise ValueError(f"pass kind must be 'forward' or 'train_step', got {pass_kind!r}")
     n, m, r = config.out_dim, config.in_dim, config.rank
-    kind = _PAIRING_KIND.get(config.strategy)
-    pairing = None if kind is None else Pairing(
-        kind, (0,) * (config.a_count if kind == "ab" else config.b_count))
-    terms, _ = _composition(config, pairing)
+    length = config.b_count if config.strategy is Strategy.RANDOM_BA else config.a_count
+    terms, _ = _composition(config, (0,) * length)
     down_apps = sum(len(a_idx) for _, a_idx in terms)
     up_apps = sum(len(b_idx) for b_idx, _ in terms)
     parts = {"base": n * m, "down": down_apps * r * m, "up": up_apps * n * r}

@@ -180,6 +180,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A JSON number; a boolean or a string fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
@@ -225,14 +232,14 @@ def _parse_task(raw: dict) -> RecoveryTaskSpec | ClassifyTaskSpec:
     if kind == "recovery":
         return _build(RecoveryTaskSpec, body, "task.",
                       {"n": _int, "m": _int, "base_seed": _int, "components": _int,
-                       "noise_std": float, "train_samples": _int,
-                       "eval_samples": _int, "source_noise_std": float,
+                       "noise_std": _float, "train_samples": _int,
+                       "eval_samples": _int, "source_noise_std": _float,
                        "shared_downspace": _bool})
     if kind == "classify":
         return _build(ClassifyTaskSpec, body, "task.",
                       {"clusters": _int, "input_dim": _int,
                        "samples_per_cluster": _int, "backbone_seed": _int,
-                       "label_noise": float, "separation": float})
+                       "label_noise": _float, "separation": _float})
     raise ConfigFileError(f"key 'task.kind' must be 'recovery' or 'classify', got {kind!r}")
 
 
@@ -240,7 +247,7 @@ def _parse_adapter(raw: dict, dims: dict) -> CoLAConfig:
     # dims default to the task's shape so configs stay minimal
     return _build(CoLAConfig, {**dims, **raw} if isinstance(raw, dict) else raw, "adapter.",
                   {"in_dim": _int, "out_dim": _int, "rank": _int, "a_count": _int,
-                   "b_count": _int, "alpha": float, "strategy": Strategy})
+                   "b_count": _int, "alpha": _float, "strategy": Strategy})
 
 
 def load_config(path: str, command: str | None = None) -> RunConfig:
@@ -279,9 +286,9 @@ def load_config(path: str, command: str | None = None) -> RunConfig:
     cfg = RunConfig(
         command=stated,
         task=task,
-        init=_build(InitBlock, raw.get("init", {}), "init.", {"std": float}),
+        init=_build(InitBlock, raw.get("init", {}), "init.", {"std": _float}),
         optimizer=_build(OptimizerBlock, raw.get("optimizer", {}), "optimizer.",
-                         {"lr": float}),
+                         {"lr": _float}),
         run=_build(RunBlock, raw.get("run", {}), "run.",
                    {"steps": _int, "batch": _int, "seeds": _ints}),
         adapter=_parse_adapter(raw["adapter"], dims) if "adapter" in raw else None,

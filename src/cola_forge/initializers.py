@@ -29,6 +29,7 @@ from .adapter import CoLAConfig, CoLALayer
 from .linalg import as_matrix, frobenius_norm, gaussian_matrix, svd
 
 __all__ = [
+    "RankDeficientSourceError",
     "InitSpec",
     "default_alpha",
     "init_gaussian_zero",
@@ -40,6 +41,10 @@ __all__ = [
 GAUSSIAN_ZERO = "gaussian_zero"
 PISSA = "pissa"
 INIT_KINDS = (GAUSSIAN_ZERO, PISSA)
+
+
+class RankDeficientSourceError(ValueError):
+    """The spectral source has fewer nonzero singular values than the rank."""
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,10 @@ def pissa_extended(
 
     so sum(B_j) @ sum(A_i) = up @ down recovers the optimal rank-r
     approximation of w regardless of M and N.
+
+    Raises :class:`RankDeficientSourceError` when ``s[r-1]`` is 0 after the
+    SVD's roundoff cutoff: both factors would be zero in the missing
+    directions, so their gradients would be zero and they would never train.
     """
     w = as_matrix(w)
     n, m = w.shape
@@ -112,6 +121,10 @@ def pissa_extended(
     if r > min(n, m):
         raise ValueError(f"rank {r} exceeds min(n, m) = {min(n, m)}")
     fac = svd(w)
+    if fac.s[r - 1] == 0.0:
+        raise RankDeficientSourceError(
+            f"spectral init at rank r={r} needs a source of numerical rank >= {r}, "
+            f"got rank {int(np.count_nonzero(fac.s))}")
     root = np.sqrt(fac.s[:r])
     up = fac.u[:, :r] * root
     down = (fac.v[:, :r] * root).T

@@ -23,11 +23,11 @@ batch as columns (m x B and n x B), in which case gradients sum over the
 batch, matching a loss that is itself summed (or averaged, if g_out already
 carries the 1/B factor).
 
-One :func:`train_loop` step draws the batch indices, then the pairing (random
-strategies whose pairing is not frozen), and builds the composition once. The
-forward pass keeps each term's hidden state sum_i A_i x, the backward pass
-reuses it and adds every pool gradient into one zeroed flat buffer laid out
-like the layer's ``params``, and the optimizer updates that buffer at once.
+A :func:`train_loop` run whose pairing cannot change composes once and draws
+the batch indices of 64 steps per rng call; one that resamples its pairing
+draws them, then the pairing, each step. The stacked forward pass keeps each
+term's hidden state sum_i A_i x; the backward pass reuses it, adding every pool
+gradient into one zeroed buffer laid out like ``params``, updated at once.
 """
 
 from __future__ import annotations
@@ -41,8 +41,11 @@ from .adapter import (
     CoLALayer,
     Pairing,
     Strategy,
+    _PAIRING_KIND,
     _apply,
+    _check_pairing,
     _composition,
+    _pairing_range,
     _pool_sum,
     _pool_views,
     _train_pairing,
@@ -99,9 +102,10 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     g2 = _as_columns(g_out, cfg.out_dim, "g_out")
     if x2.shape[1] != g2.shape[1]:
         raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
-    terms, scale = _composition(cfg, pairing)
-    grads = Grads(*_pool_views(np.zeros_like(layer.params), cfg))
-    _backward(layer, x2, g2, terms, scale, _apply(layer, x2, terms, scale)[1], grads)
+    terms, scale = _composition(cfg, _check_pairing(cfg, pairing))
+    grads = Grads(*map(list, _pool_views(np.zeros_like(layer.params), cfg)))
+    hidden = _apply(layer, _pool_views(layer.params, cfg), x2, terms, scale)[1]
+    _backward(layer, x2, g2, terms, scale, hidden, grads)
     return grads
 
 
@@ -110,7 +114,8 @@ def _backward(layer: CoLALayer, x2: np.ndarray, g2: np.ndarray, terms, scale: fl
     """Add the pool gradients into the zeroed ``grads``, given each term's
     hidden state from the forward pass."""
     # Both scales multiply every term, so they are folded into g_out once.
-    g2 = (layer.config.scale * scale) * g2
+    if (total := layer.config.scale * scale) != 1.0:
+        g2 = total * g2
     for (b_idx, a_idx), t in zip(terms, hidden):
         db_term = g2 @ t.T
         da_term = (_pool_sum(layer.b_list, b_idx).T @ g2) @ x2.T
@@ -138,8 +143,7 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     cfg = layer.config
-    pairing = layer.pairing if cfg.strategy in (
-        Strategy.RANDOM_AB, Strategy.RANDOM_BA) else None
+    pairing = layer.pairing if cfg.strategy in _PAIRING_KIND else None
 
     y0 = forward(layer, x, mode="train", pairing=pairing)
     analytic = backward(layer, x, y0 - np.asarray(target, dtype=np.float64), pairing)
@@ -240,16 +244,16 @@ def optimizer_step(state: OptimizerState, params: list[np.ndarray],
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
-    # into the scratch buffers t and u
+    # into the scratch buffers t and u, passed by position (parsed faster)
     for p, g, m, v, (t, u) in zip(params, grads, state.m, state.v, state.scratch):
         m *= b1
-        m += np.multiply(g, 1.0 - b1, out=t)
+        m += np.multiply(g, 1.0 - b1, t)
         v *= b2
-        v += np.multiply(np.multiply(g, 1.0 - b2, out=t), g, out=t)
-        np.sqrt(np.divide(v, bc2, out=t), out=t)
+        v += np.multiply(np.multiply(g, 1.0 - b2, t), g, t)
+        np.sqrt(np.divide(v, bc2, t), t)
         t += state.eps
-        np.multiply(np.divide(m, bc1, out=u), state.lr, out=u)
-        p -= np.divide(u, t, out=u)
+        np.multiply(np.divide(m, bc1, u), state.lr, u)
+        p -= np.divide(u, t, u)
     return params
 
 
@@ -273,9 +277,8 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, n
     batch = logits.shape[1]
     picked = probs[labels, np.arange(batch)]
     loss = -float(np.mean(np.log(np.maximum(picked, 1e-300))))
-    grad = probs.copy()
-    grad[labels, np.arange(batch)] -= 1.0
-    return loss, grad / batch
+    probs[labels, np.arange(batch)] -= 1.0
+    return loss, np.divide(probs, batch, probs)
 
 
 @dataclass
@@ -325,17 +328,24 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
         raise ValueError(f"batch must be >= 1, got {batch}")
     layer.validate()
     cfg = layer.config
+    stacks = _pool_views(layer.params, cfg)
     flat_grad = np.zeros_like(layer.params)
-    grads = Grads(*_pool_views(flat_grad, cfg))
-    n_train = task.x_train.shape[1]
+    grads = Grads(*map(list, _pool_views(flat_grad, cfg)))
+    kind, fixed = _PAIRING_KIND.get(cfg.strategy), _train_pairing(layer, None, None)
+    draw = None if kind is None or fixed else _pairing_range(kind, cfg.a_count, cfg.b_count)
+    if draw is None:  # no pairing is drawn per step
+        terms, scale = _composition(cfg, _check_pairing(cfg, fixed))
+    block = 64 if draw is None else 1  # steps whose batch indices one rng call draws
+    indices = (idx for start in range(0, steps, block) for idx in rng.integers(
+        0, task.x_train.shape[1], size=(min(block, steps - start), batch)))
 
     initial_loss = _dataset_loss(layer, task)
     losses: list[float] = []
-    for step in range(1, steps + 1):
-        idx = rng.integers(0, n_train, size=batch)
+    for step, idx in enumerate(indices, 1):
+        if draw is not None:
+            terms, scale = _composition(cfg, rng.integers(0, draw[0], size=draw[1]).tolist())
         xb = task.x_train[:, idx]
-        terms, scale = _composition(cfg, _train_pairing(layer, None, rng))
-        y, hidden = _apply(layer, xb, terms, scale)
+        y, hidden = _apply(layer, stacks, xb, terms, scale)
         loss, g = _task_loss(task, y, idx)
         if not math.isfinite(loss):
             raise DivergenceError(f"training diverged: minibatch loss {loss} at step "

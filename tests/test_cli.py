@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+from cola_forge import cli
 from cola_forge.adapter import Strategy
 from cola_forge.cli import ConfigFileError, cmd_dispatch, load_config
-from cola_forge.harness import CSV_HEADER
+from cola_forge.harness import CSV_HEADER, make_recovery_task
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -132,6 +133,21 @@ class TestLoadConfig:
         payload = {**TRAIN_CONFIG, block: {**TRAIN_CONFIG[block], key: value}}
         with pytest.raises(ConfigFileError, match=f"key '{block}.{key}'"):
             load_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("optimizer", "lr", True),
+        ("adapter", "alpha", True),
+        ("task", "noise_std", "0.1"),  # a numeric string, not a JSON number
+    ])
+    def test_float_keys_take_numbers_only(self, tmp_path, block, key, value):
+        payload = {**TRAIN_CONFIG, block: {**TRAIN_CONFIG[block], key: value}}
+        with pytest.raises(ConfigFileError, match=f"key '{block}.{key}': expected a number"):
+            load_config(write_config(tmp_path, payload))
+
+    def test_integers_load_as_floats(self, tmp_path):
+        payload = {**TRAIN_CONFIG, "optimizer": {"kind": "adam", "lr": 1}}
+        cfg = load_config(write_config(tmp_path, payload))
+        assert cfg.optimizer.lr == 1.0 and type(cfg.optimizer.lr) is float
 
     def test_integral_numbers_load_as_ints(self, tmp_path):
         payload = {**TRAIN_CONFIG, "adapter": {**TRAIN_CONFIG["adapter"], "rank": 4.0}}
@@ -273,6 +289,21 @@ class TestRunCommands:
         assert code == 1
         assert "error: training diverged" in captured.err
         assert "(seed " in captured.err
+
+    def test_rank_deficient_spectral_source_is_an_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def rank_two_source(spec, rng):
+            task = make_recovery_task(spec, rng)
+            task.pissa_source = rng.normal(size=(spec.n, 2)) @ rng.normal(size=(2, spec.m))
+            return task
+
+        monkeypatch.setattr(cli, "make_recovery_task", rank_two_source)
+        config = write_config(tmp_path, {**TRAIN_CONFIG, "init": {"kind": "pissa"}})
+        code = cmd_dispatch(["train", "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: spectral init at rank r=4" in captured.err
+        assert "got rank 2" in captured.err
 
     def test_unknown_command_nonzero(self, capsys):
         assert cmd_dispatch(["frobnicate"]) != 0

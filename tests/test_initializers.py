@@ -13,6 +13,7 @@ from cola_forge.initializers import (
     GAUSSIAN_ZERO,
     PISSA,
     InitSpec,
+    RankDeficientSourceError,
     build_layer,
     default_alpha,
     eckart_young_error,
@@ -128,6 +129,19 @@ class TestPissaExtended:
         principal = b_list[0] @ a_list[0]
         inner = float(np.sum(principal * w0))
         assert abs(inner) <= 1e-8 * frobenius_norm(w) ** 2
+
+    def test_rank_deficient_source_is_a_named_error(self):
+        # a rank-2 source leaves 6 of 8 principal directions at exactly zero,
+        # where both factors vanish and would never receive a gradient
+        rng = make_rng(31)
+        w = rng.normal(size=(32, 2)) @ rng.normal(size=(2, 32))
+        cfg = CoLAConfig(in_dim=32, out_dim=32, rank=8, a_count=2, b_count=3)
+        with pytest.raises(RankDeficientSourceError, match=r"rank r=8 .* got rank 2"):
+            pissa_extended(w, cfg)
+        with pytest.raises(ValueError, match="got rank 2"):
+            build_layer(cfg, InitSpec(PISSA, source_w=w), rng)
+        _, a_list, _ = pissa_extended(w, CoLAConfig(in_dim=32, out_dim=32, rank=2))
+        assert np.all(np.linalg.svd(a_list[0], compute_uv=False) > 0.0)
 
     def test_rank_too_large(self):
         cfg = CoLAConfig(in_dim=4, out_dim=6, rank=4, alpha=4.0)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cola_forge.linalg import (
     ConvergenceError,
+    _fix_signs,
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
@@ -15,6 +16,15 @@ from jacobi_oracle import jacobi_svd
 
 # Exactly rank 1; the relative-only Jacobi rotation test never settled on it.
 RANK_ONE_40X30 = np.outer(np.arange(1.0, 41.0), np.arange(1.0, 31.0))
+
+
+def fix_signs_loop(u, v):
+    """The per-column sign fix that ``_fix_signs`` vectorizes, kept as its oracle."""
+    for col in range(u.shape[1]):
+        pivot = np.argmax(np.abs(u[:, col]))
+        if u[pivot, col] < 0.0:
+            u[:, col] = -u[:, col]
+            v[:, col] = -v[:, col]
 
 
 def assert_sign_convention(fac):
@@ -231,3 +241,26 @@ class TestDeriveSeed:
 
     def test_distinct_per_base_seed(self):
         assert derive_seed(42, 1, 1) != derive_seed(43, 1, 1)
+
+
+class TestFixSigns:
+    @pytest.mark.parametrize("case", ["random", "tied magnitudes", "zero columns",
+                                      "fortran order"])
+    def test_matches_the_column_loop_bitwise(self, case):
+        rng = make_rng(21)
+        for _ in range(25):
+            u = rng.normal(size=(9, 6))
+            v = rng.normal(size=(7, 6))
+            if case == "tied magnitudes":  # first of equal |entries| is the pivot
+                u = rng.choice([-2.0, -1.0, 1.0, 2.0], size=u.shape)
+            elif case == "zero columns":
+                u[:, 0] = -0.0
+                u[:, 3] = 0.0
+                u[4, 3] = -0.0
+            elif case == "fortran order":  # LAPACK's factor layout
+                u, v = np.asfortranarray(u), np.asfortranarray(v)
+            fast, slow = (u.copy(order="A"), v.copy(order="A")), (u.copy(), v.copy())
+            _fix_signs(*fast)
+            fix_signs_loop(*slow)
+            for got, want in zip(fast, slow):
+                assert got.tobytes() == want.tobytes()

@@ -12,7 +12,14 @@ from cola_forge.adapter import (
     make_layer,
     sample_pairing,
 )
-from cola_forge.harness import RecoveryTaskSpec, make_recovery_task, run_single
+from cola_forge.adapter import _STACK_LIMIT, _pool_sum
+from cola_forge.harness import (
+    ClassifyTaskSpec,
+    RecoveryTaskSpec,
+    make_classification_task,
+    make_recovery_task,
+    run_single,
+)
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
 from cola_forge.linalg import make_rng
 from cola_forge.training import (
@@ -306,9 +313,16 @@ class TestFusedStep:
     backward and per-pool optimizer_step, making the same rng draws, is the
     reference it must match bit for bit."""
 
+    STRATEGIES = [
+        (Strategy.FULL, False), (Strategy.HEURISTIC, False),
+        (Strategy.RANDOM_AB, False), (Strategy.RANDOM_AB, True),
+        (Strategy.RANDOM_BA, False), (Strategy.RANDOM_BA, True),
+    ]
+
     @staticmethod
-    def hand_loop(task, layer, kind, steps, batch, rng):
-        state = make_optimizer(kind, 1e-2)
+    def hand_loop(task, layer, kind, steps, batch, rng, lr=1e-2):
+        """One rng draw of batch indices per step, then the pairing draw."""
+        state = make_optimizer(kind, lr)
         pools = layer.a_list + layer.b_list
         random_kind = {Strategy.RANDOM_AB: "ab", Strategy.RANDOM_BA: "ba"}.get(
             layer.config.strategy)
@@ -321,33 +335,110 @@ class TestFusedStep:
                 pairing = layer.pairing if layer.pairing.frozen else sample_pairing(
                     layer.config.a_count, layer.config.b_count, random_kind, rng)
             y = forward(layer, xb, mode="train", pairing=pairing)
-            loss, g = squared_error_grad(y, task.y_train[:, idx])
+            if task.kind == "recovery":
+                loss, g = squared_error_grad(y, task.y_train[:, idx])
+            else:
+                loss, g = cross_entropy_grad(y, task.labels_train[idx])
             optimizer_step(state, pools, backward(layer, xb, g, pairing).flat())
             losses.append(loss)
         return losses
 
-    @pytest.mark.parametrize("batch", [1, 8])
-    @pytest.mark.parametrize("kind", ["sgd", "adam"])
-    @pytest.mark.parametrize("strategy, frozen", [
-        (Strategy.FULL, False), (Strategy.HEURISTIC, False),
-        (Strategy.RANDOM_AB, False), (Strategy.RANDOM_AB, True),
-        (Strategy.RANDOM_BA, False), (Strategy.RANDOM_BA, True),
-    ])
-    def test_matches_hand_loop_bitwise(self, strategy, frozen, kind, batch):
-        task = small_task(noise=0.05)
-        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
-                         strategy=strategy)
+    def check_against_hand_loop(self, task, cfg, frozen, kind, batch, steps=30, lr=1e-2):
         fused, hand = (build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(5),
                                    base_w0=task.w_base) for _ in range(2))
         if frozen:
             for layer in (fused, hand):
                 layer.pairing = Pairing(layer.pairing.kind, layer.pairing.map, frozen=True)
-        report = train_loop(task, fused, make_optimizer(kind, 1e-2), steps=30,
+        report = train_loop(task, fused, make_optimizer(kind, lr), steps=steps,
                             batch=batch, rng=make_rng(9))
-        losses = self.hand_loop(task, hand, kind, 30, batch, make_rng(9))
+        losses = self.hand_loop(task, hand, kind, steps, batch, make_rng(9), lr)
         assert report.losses == losses
         assert fused.params.tobytes() == hand.params.tobytes()
         assert np.any(np.hstack(fused.b_list) != 0.0)  # training moved the pools
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("strategy, frozen", STRATEGIES)
+    def test_matches_hand_loop_bitwise(self, strategy, frozen, kind, batch):
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
+                         strategy=strategy)
+        self.check_against_hand_loop(small_task(noise=0.05), cfg, frozen, kind, batch)
+
+    # rank 1, batch 1 and 8 members make every stacked product one element,
+    # where numpy's own reductions would sum pairwise; 150 steps span three
+    # blocks of batch indices, the last one short
+    EDGES = {
+        "rank1-batch1-8x8": (dict(rank=1, a_count=8, b_count=8), 1, 30),
+        "out-dim-1": (dict(rank=1, a_count=8, b_count=9), 1, 30),
+        "three-index-blocks": (dict(rank=4, a_count=2, b_count=3), 8, 150),
+        "classification": (dict(rank=2, a_count=2, b_count=3), 8, 30),
+    }
+
+    @pytest.mark.parametrize("edge", list(EDGES))
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("strategy, frozen", STRATEGIES)
+    def test_matches_hand_loop_bitwise_at_edges(self, strategy, frozen, kind, edge):
+        shape, batch, steps = self.EDGES[edge]
+        if edge == "out-dim-1":
+            task = make_recovery_task(RecoveryTaskSpec(
+                n=1, m=20, base_seed=3, components=1, noise_std=0.05,
+                train_samples=200, eval_samples=50), make_rng(3))
+        elif edge == "classification":
+            task = make_classification_task(ClassifyTaskSpec(
+                clusters=4, input_dim=16, samples_per_cluster=30, backbone_seed=3,
+                label_noise=0.1), make_rng(3))
+        else:
+            task = small_task(noise=0.05)
+        cfg = CoLAConfig(in_dim=task.in_dim, out_dim=task.out_dim, strategy=strategy,
+                         **shape)
+        self.check_against_hand_loop(task, cfg, frozen, kind, batch, steps, lr=2e-3)
+
+    @pytest.mark.parametrize("high", [1, 2, 7, 400, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 1,
+                                      2 ** 40])
+    def test_block_draw_equals_per_step_draws(self, high):
+        # train_loop draws the batch indices of a block of steps in one call
+        for seed in range(12):
+            for batch in (1, 3, 8, 32):
+                for steps in (1, 7):
+                    block, single = make_rng(seed), make_rng(seed)
+                    drawn = block.integers(0, high, size=(steps, batch))
+                    for row in drawn:
+                        assert np.array_equal(row, single.integers(0, high, size=batch))
+                    assert block.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize("count, rows, inner, cols", [
+        (3, 24, 4, 8), (8, 1, 1, 1), (8, 8, 32, 1), (2, 128, 16, 32), (3, 32, 8, 400),
+        (4, 16, 20, None),  # a vector input
+    ])
+    def test_stacked_matmul_slices_equal_2d_products(self, count, rows, inner, cols):
+        rng = make_rng(rows + inner)
+        stack = rng.normal(size=count * rows * inner).reshape(count, rows, inner)
+        v = rng.normal(size=inner if cols is None else (inner, cols))
+        for part, member in zip(stack @ v, stack):
+            assert part.tobytes() == (member @ v).tobytes()
+
+    @pytest.mark.parametrize("count, rows, cols", [
+        (1, 24, 8), (2, 24, 8), (3, 32, 8), (8, 1, 1), (9, 1, 1), (16, 1, 1),
+        (3, 128, 32), (4, 16, None),
+    ])
+    def test_pool_sum_adds_left_to_right(self, count, rows, cols):
+        # one stacked matmul below the limit, one product at a time above it;
+        # both must round as a plain loop (numpy's reductions sum pairwise
+        # over 8 or more one-element slices)
+        idx = tuple(range(1, count + 1))
+        for seed in range(10):
+            rng = make_rng(seed)
+            stack = rng.normal(size=(count + 2, rows, 5)) * 10.0 ** rng.integers(
+                -6, 6, size=(count + 2, rows, 5))
+            v = rng.normal(size=5 if cols is None else (5, cols))
+            product_sum, plain_sum = stack[1] @ v, stack[1].copy()
+            for k in idx[1:]:
+                product_sum += stack[k] @ v
+                plain_sum += stack[k]
+            assert _pool_sum(stack, idx, v).tobytes() == product_sum.tobytes()
+            assert _pool_sum(stack, idx).tobytes() == plain_sum.tobytes()
+            assert _pool_sum(list(stack), idx).tobytes() == plain_sum.tobytes()
+        assert (count * rows * (cols or 1) > _STACK_LIMIT) == (count == 3 and rows == 128)
 
     def test_pools_are_views_of_one_buffer(self):
         layer = random_layer(CoLAConfig(in_dim=6, out_dim=5, rank=2, a_count=2, b_count=3))
