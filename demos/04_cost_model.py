@@ -8,7 +8,7 @@ application. The random AB strategy touches only the pool members its
 pairing selects, which is where its savings come from.
 """
 
-from cola_forge import CoLAConfig, Strategy, flop_breakdown, flop_count, strategy_cost_report
+from cola_forge import CoLAConfig, Strategy, flop_breakdown, flop_count
 
 n = m = 64
 r, M, N = 8, 2, 3
@@ -28,8 +28,8 @@ for strategy in Strategy:
           f"{parts['up']:6d} {sum(parts.values()):7d}")
 
 print("\nper-sample train-step totals:")
-for strategy, total in strategy_cost_report([cfg(s) for s in Strategy], steps=1):
-    print(f"  {strategy:12s} {total}")
+for strategy in Strategy:
+    print(f"  {strategy.value:12s} {flop_count(cfg(strategy), 'train_step')}")
 
 ab = flop_count(cfg(Strategy.RANDOM_AB), "train_step")
 heur = flop_count(cfg(Strategy.HEURISTIC), "train_step")

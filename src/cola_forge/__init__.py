@@ -45,7 +45,6 @@ from .harness import (
     run_single,
     scarcity_experiment,
     scarcity_sweep,
-    strategy_cost_report,
     write_rows_csv,
     write_rows_json,
 )

@@ -7,14 +7,17 @@ Subcommands:
 * ``sweep``     sample-scarcity x initialization sweep
 * ``params``    trainable-parameter percentage for a model geometry
 * ``flops``     per-strategy train-step MAC totals at a given shape
-* ``selfcheck`` run the built-in invariant suite
+* ``selfcheck`` measure acceptance criteria 1, 2, 4, 5 and 6 (``checks``)
 
 ``train``, ``grid`` and ``sweep`` share one body and read a single strictly
 validated JSON run config, whose blocks check their own fields. The
 subcommand names the command; the file's ``command`` key is optional and
-must agree with it. Row outputs are written atomically as CSV plus a JSON
-mirror with identical fields. Diagnostics go to stderr and the
-exit code is nonzero exactly when an error was emitted.
+must agree with it. A file holds only what its command reads: ``adapter``
+for ``train``, ``grid`` for ``grid`` and ``sweep`` for ``sweep``, and a
+sweep takes its init kinds from ``sweep.init_kinds``, not ``init.kind``.
+Row outputs are written atomically as CSV plus a JSON mirror with identical
+fields. Diagnostics go to stderr and the exit code is nonzero exactly when
+an error was emitted.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .adapter import CoLAConfig, ConfigError, Strategy
+from .adapter import CoLAConfig, ConfigError, Strategy, flop_count
 from .checks import run_selfcheck
 from .harness import (
     ClassifyTaskSpec,
@@ -41,7 +44,6 @@ from .harness import (
     run_grid,
     run_single,
     scarcity_sweep,
-    strategy_cost_report,
     write_rows_csv,
     write_rows_json,
 )
@@ -157,13 +159,16 @@ class RunConfig:
         payload = clean(dataclasses.asdict(self))
         kind = "recovery" if isinstance(self.task, RecoveryTaskSpec) else "classify"
         payload["task"] = {"kind": kind, **payload["task"]}
+        if self.command == "sweep":
+            del payload["init"]["kind"]  # a sweep's kinds are sweep.init_kinds
         return payload
 
     def dump(self, path: str) -> None:
         _atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-# The block each run command reads; a config run under it must have one.
+# The block each run command reads; a config run under it must have that
+# block and none of the others.
 _COMMAND_BLOCKS = {"train": "adapter", "grid": "grid", "sweep": "sweep"}
 
 
@@ -279,11 +284,21 @@ def load_config(path: str, command: str | None = None) -> RunConfig:
     if command is not None and stated != command:
         raise ConfigFileError(
             f"key 'command' is {stated!r} but the subcommand is {command!r}")
+    block = _COMMAND_BLOCKS[stated]
+    if block not in raw:
+        article = "an" if block == "adapter" else "a"
+        raise ConfigFileError(f"command '{stated}' requires {article} '{block}' block")
+    for other in _COMMAND_BLOCKS.values():
+        if other != block and other in raw:
+            raise ConfigFileError(f"key '{other}' is not read by command '{stated}'")
+    if stated == "sweep" and isinstance(raw.get("init"), dict) and "kind" in raw["init"]:
+        raise ConfigFileError("key 'init.kind' is not read by command 'sweep' "
+                              "(its kinds come from 'sweep.init_kinds')")
 
     task = _parse_task(_require(raw, "task", ""))
     dims = ({"in_dim": task.m, "out_dim": task.n} if isinstance(task, RecoveryTaskSpec)
             else {"in_dim": task.input_dim, "out_dim": task.clusters})
-    cfg = RunConfig(
+    return RunConfig(
         command=stated,
         task=task,
         init=_build(InitBlock, raw.get("init", {}), "init.", {"std": _float}),
@@ -302,11 +317,6 @@ def load_config(path: str, command: str | None = None) -> RunConfig:
         if "sweep" in raw else None,
         output=None if raw.get("output") is None else str(raw["output"]),
     )
-    block = _COMMAND_BLOCKS[stated]
-    if getattr(cfg, block) is None:
-        article = "an" if block == "adapter" else "a"
-        raise ConfigFileError(f"command '{stated}' requires {article} '{block}' block")
-    return cfg
 
 
 def _materialize_task(cfg: RunConfig) -> Task:
@@ -384,6 +394,8 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_flops(args) -> int:
+    if args.steps < 0:
+        raise ValueError(f"steps must be >= 0, got {args.steps}")
     for strategy in (Strategy.FULL, Strategy.RANDOM_AB, Strategy.RANDOM_BA,
                      Strategy.HEURISTIC):
         if strategy is Strategy.HEURISTIC and args.M > args.N:
@@ -391,8 +403,7 @@ def _cmd_flops(args) -> int:
         config = CoLAConfig(in_dim=args.in_dim, out_dim=args.out_dim, rank=args.r,
                             a_count=args.M, b_count=args.N, strategy=strategy,
                             alpha=float(args.r))
-        (name, macs), = strategy_cost_report([config], args.steps)
-        print(f"{name} {macs}")
+        print(f"{strategy.value} {flop_count(config, 'train_step') * args.steps}")
     return 0
 
 
@@ -437,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flops.add_argument("--steps", type=int, default=1)
     p_flops.set_defaults(fn=_cmd_flops)
 
-    p_check = sub.add_parser("selfcheck", help="run the built-in invariant suite")
+    p_check = sub.add_parser("selfcheck", help="measure acceptance criteria 1, 2, 4, 5, 6")
     p_check.set_defaults(fn=_cmd_selfcheck)
 
     return parser

@@ -1,10 +1,10 @@
 """Desk-scale experiment harness.
 
 Provides the synthetic tasks (matrix recovery and cluster classification),
-the grid / scarcity sweeps over adapter shapes, the analytic cost report,
-and parameter accounting against published model geometries. All runs are
-pure functions of (spec, seeds): cells derive disjoint RNG streams from
-their coordinates, so execution order never changes results.
+the grid / scarcity sweeps over adapter shapes, and parameter accounting
+against published model geometries. All runs are pure functions of
+(spec, seeds): cells derive disjoint RNG streams from their coordinates, so
+execution order never changes results.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 from .adapter import (
     CoLAConfig,
     Strategy,
-    flop_count,
     forward,
     trainable_params,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "GridResult",
     "run_grid",
     "scarcity_sweep",
-    "strategy_cost_report",
     "write_rows_csv",
     "write_rows_json",
     "observation3_experiment",
@@ -484,14 +482,6 @@ def scarcity_sweep(
                     )[0])
     rows.sort(key=lambda r: (r.sample_size, r.init, r.M, r.N, r.seed))
     return rows
-
-
-def strategy_cost_report(configs, steps: int) -> list[tuple[str, int]]:
-    """Total train-step MACs per configuration over ``steps`` steps."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    return [(cfg.strategy.value, flop_count(cfg, "train_step") * steps)
-            for cfg in configs]
 
 
 # ---------------------------------------------------------------------------

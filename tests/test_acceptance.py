@@ -6,18 +6,13 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
-from cola_forge.adapter import (
-    CoLAConfig,
-    Strategy,
-    delta_weight,
-    forward,
-    hydra_preset,
-    lora_preset,
-    make_layer,
-    merge,
-    moe_preset,
+from cola_forge.checks import (
+    criterion_1_param_percent,
+    criterion_2_spectral_split,
+    criterion_4_gradients,
+    criterion_5_preset_forms,
+    criterion_6_train_costs,
 )
 from cola_forge.cli import cmd_dispatch
 from cola_forge.harness import (
@@ -25,17 +20,9 @@ from cola_forge.harness import (
     observation3_experiment,
     param_count,
     scarcity_experiment,
-    strategy_cost_report,
 )
-from cola_forge.initializers import (
-    GAUSSIAN_ZERO,
-    PISSA,
-    InitSpec,
-    build_layer,
-    eckart_young_error,
-)
+from cola_forge.initializers import eckart_young_error
 from cola_forge.linalg import frobenius_norm, make_rng, svd
-from cola_forge.training import finite_diff_check
 
 
 @contextmanager
@@ -54,43 +41,16 @@ def criterion(name: str, budget_s: float):
 
 def test_criterion_1_param_percent_reproduction():
     with criterion("criterion 1: %Param reproduction", budget_s=1.0):
-        geo8 = bundled_geometry("llama31_8b")
-        geo3 = bundled_geometry("llama32_3b")
-        cases = [
-            (geo8, 1, 1, 8, 0.2605),
-            (geo8, 1, 3, 8, 0.5325),
-            (geo8, 2, 3, 8, 0.6551),
-            (geo8, 1, 1, 64, 2.0465),
-            (geo3, 1, 1, 8, 0.3770),
-        ]
-        for geo, a_count, b_count, rank, published in cases:
-            _, percent = param_count(geo, a_count, b_count, rank)
-            assert abs(percent - published) <= 0.005, \
-                f"{geo.name} M={a_count} N={b_count} r={rank}: {percent:.4f} " \
-                f"vs {published}"
-        trainable, _ = param_count(geo8, 1, 1, 8)
+        worst, case = criterion_1_param_percent()
+        assert worst <= 0.005, case
+        trainable, _ = param_count(bundled_geometry("llama31_8b"), 1, 1, 8)
         assert trainable == 20_971_520
 
 
 def test_criterion_2_spectral_split_reconstruction():
     with criterion("criterion 2: principal-split reconstruction", budget_s=10.0):
-        rng = make_rng(321)
-        worst = 0.0
-        for _ in range(20):
-            n = int(rng.integers(8, 129))
-            m = int(rng.integers(8, 97))
-            rank = int(rng.choice([4, 8]))
-            rank = min(rank, min(n, m))
-            a_count = int(rng.choice([1, 2, 3]))
-            b_count = int(rng.choice([1, 2, 3]))
-            w = rng.normal(size=(n, m))
-            config = CoLAConfig(in_dim=m, out_dim=n, rank=rank, a_count=a_count,
-                                b_count=b_count, strategy=Strategy.FULL,
-                                alpha=float(rank))
-            layer = build_layer(config, InitSpec(PISSA, source_w=w), make_rng(0))
-            err = frobenius_norm(merge(layer) - w) / frobenius_norm(w)
-            worst = max(worst, err)
-            assert err <= 1e-10, f"{n}x{m} r={rank} M={a_count} N={b_count}: {err:.2e}"
+        worst, case = criterion_2_spectral_split()
+        assert worst <= 1e-10, f"{case}: {worst:.2e}"
         print(f"  worst relative reconstruction error: {worst:.2e}")
 
 
@@ -112,70 +72,20 @@ def test_criterion_3_optimal_rank_r_error():
 
 def test_criterion_4_gradient_suite():
     with criterion("criterion 4: gradient suite", budget_s=30.0):
-        worst = 0.0
-        for strategy in Strategy:
-            for a_count, b_count in [(2, 3), (3, 3)]:
-                for init_kind in (GAUSSIAN_ZERO, PISSA):
-                    for seed in (42, 43, 44, 45, 46):
-                        rng = make_rng(seed)
-                        config = CoLAConfig(in_dim=12, out_dim=16, rank=4,
-                                            a_count=a_count, b_count=b_count,
-                                            strategy=strategy)
-                        if init_kind == GAUSSIAN_ZERO:
-                            layer = build_layer(
-                                config, InitSpec(GAUSSIAN_ZERO, std=0.3), rng,
-                                base_w0=rng.normal(size=(16, 12)))
-                            for b in layer.b_list:  # move off the zero point
-                                b += rng.normal(0.0, 0.3, size=b.shape)
-                        else:
-                            layer = build_layer(
-                                config, InitSpec(PISSA, source_w=rng.normal(size=(16, 12))),
-                                rng)
-                        err = finite_diff_check(layer, rng.normal(size=12),
-                                                rng.normal(size=16))
-                        worst = max(worst, err)
-                        assert err <= 1e-6, \
-                            f"{strategy.value} M={a_count} N={b_count} " \
-                            f"{init_kind} seed {seed}: {err:.2e}"
+        worst, case = criterion_4_gradients()
+        assert worst <= 1e-6, f"{case}: {worst:.2e}"
         print(f"  worst relative gradient error: {worst:.2e}")
 
 
 def test_criterion_5_preset_equivalences():
     with criterion("criterion 5: preset closed forms", budget_s=10.0):
-        rng = make_rng(987)
-        n, m, rank = 20, 14, 4
-
-        def pools(config):
-            w0 = rng.normal(size=(n, m))
-            a_list = [rng.normal(size=(rank, m)) for _ in range(config.a_count)]
-            b_list = [rng.normal(size=(n, rank)) for _ in range(config.b_count)]
-            return make_layer(w0, a_list, b_list, config, rng=rng)
-
-        layer = pools(lora_preset(m, n, rank, alpha=float(rank)))
-        vanilla = layer.b_list[0] @ layer.a_list[0]
-        assert np.abs(delta_weight(layer) - vanilla).max() <= 1e-12
-        x = rng.normal(size=m)
-        reference = layer.w0 @ x + layer.b_list[0] @ (layer.a_list[0] @ x)
-        assert np.abs(forward(layer, x) - reference).max() <= 1e-12
-
-        layer = pools(hydra_preset(m, n, rank, b_count=3, alpha=float(rank)))
-        assert np.abs(delta_weight(layer)
-                      - sum(layer.b_list) @ layer.a_list[0]).max() <= 1e-12
-
-        layer = pools(moe_preset(m, n, rank, experts=4, alpha=float(rank)))
-        experts = sum(b @ a for a, b in zip(layer.a_list, layer.b_list))
-        assert np.abs(delta_weight(layer) - experts).max() <= 1e-12
+        worst, case = criterion_5_preset_forms()
+        assert worst <= 1e-12, f"{case}: {worst:.2e}"
 
 
 def test_criterion_6_cost_ordering():
     with criterion("criterion 6: train-step cost ordering", budget_s=5.0):
-        def cfg(strategy):
-            return CoLAConfig(in_dim=64, out_dim=64, rank=8, a_count=2, b_count=3,
-                              strategy=strategy, alpha=16.0)
-
-        report = dict(strategy_cost_report(
-            [cfg(Strategy.RANDOM_AB), cfg(Strategy.HEURISTIC), cfg(Strategy.FULL)],
-            steps=1))
+        report = criterion_6_train_costs()
         for name, total in report.items():
             print(f"  {name}: {total} MACs per train step")
         assert report["random_ab"] < report["full"]

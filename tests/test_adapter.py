@@ -262,11 +262,14 @@ class TestFlopModel:
                           b_count=b_count, strategy=strategy, alpha=float(r))
 
     def test_single_pair_adapter_forward(self):
+        train_steps = set()
         for strategy in (Strategy.FULL, Strategy.RANDOM_AB, Strategy.RANDOM_BA,
                          Strategy.HEURISTIC):
             cfg = self.cfg(strategy, a_count=1, b_count=1)
             parts = flop_breakdown(cfg, "forward")
             assert parts["down"] + parts["up"] == 8 * 64 + 64 * 8
+            train_steps.add(flop_count(cfg, "train_step"))
+        assert len(train_steps) == 1  # at M = N = 1 every strategy is one graph
 
     def test_random_ab_cheaper_than_full_train_step(self):
         assert flop_count(self.cfg(Strategy.RANDOM_AB), "train_step") < \

@@ -1,13 +1,17 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cola_forge import cli
+from cola_forge import checks, cli
 from cola_forge.adapter import Strategy
 from cola_forge.cli import ConfigFileError, cmd_dispatch, load_config
 from cola_forge.harness import CSV_HEADER, make_recovery_task
+from cola_forge.initializers import INIT_KINDS
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -160,6 +164,121 @@ class TestLoadConfig:
         with pytest.raises(ConfigFileError, match="unknown key 'task_kind'"):
             load_config(write_config(tmp_path, payload))
 
+    @pytest.mark.parametrize("key, block", [
+        ("adapter", TRAIN_CONFIG["adapter"]),
+        ("grid", GRID_CONFIG["grid"]),
+        ("init.kind", {"kind": "pissa"}),  # a sweep's kinds are sweep.init_kinds
+    ])
+    def test_sweep_rejects_blocks_it_does_not_read(self, tmp_path, key, block):
+        payload = {**SWEEP_CONFIG, key.split(".")[0]: block}
+        with pytest.raises(ConfigFileError, match=f"key '{key}' is not read by command 'sweep'"):
+            load_config(write_config(tmp_path, payload), "sweep")
+
+
+CONFIG_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+POSITIVE = st.floats(0.01, 10.0)
+
+
+def optional(**keys):
+    """A dict holding any subset of ``keys``, each value drawn from its strategy."""
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+@st.composite
+def adapter_blocks(draw, dims):
+    strategy = draw(st.sampled_from(list(Strategy)))
+    a_count = draw(st.integers(1, 3))
+    b_count = draw(st.integers(a_count if strategy is Strategy.HEURISTIC else 1, 3))
+    return {"rank": draw(st.integers(1, min(dims))), "a_count": a_count,
+            "b_count": b_count, "strategy": strategy.value, **draw(optional(alpha=POSITIVE))}
+
+
+def command_blocks(dims):
+    """The block each command reads, as a strategy per block name."""
+    counts = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    return {
+        "adapter": adapter_blocks(dims),
+        "grid": st.fixed_dictionaries({
+            "rank": st.integers(1, min(dims)), "a_counts": counts, "b_counts": counts,
+            "strategy": st.sampled_from([s.value for s in Strategy])}),
+        "sweep": st.fixed_dictionaries({
+            "sizes": st.lists(st.integers(1, 50), min_size=1, max_size=3),
+            "init_kinds": st.lists(st.sampled_from(INIT_KINDS), min_size=1, unique=True),
+            "configs": st.lists(adapter_blocks(dims), min_size=1, max_size=2)}),
+    }
+
+
+@st.composite
+def run_configs(draw):
+    """(command, payload, block strategies): a config its command accepts."""
+    command = draw(st.sampled_from(sorted(cli._COMMAND_BLOCKS)))
+    if draw(st.booleans()):
+        n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        task = {"kind": "recovery", "n": n, "m": m, "base_seed": draw(st.integers(0, 99)),
+                **draw(optional(components=st.integers(1, 3), shared_downspace=st.booleans(),
+                                noise_std=st.floats(0.0, 1.0),
+                                source_noise_std=st.floats(0.0, 1.0),
+                                train_samples=st.integers(1, 50),
+                                eval_samples=st.integers(1, 50)))}
+        dims = (n, m)
+    else:
+        clusters = draw(st.integers(2, 4))
+        input_dim = draw(st.integers(clusters, 6))
+        task = {"kind": "classify", "clusters": clusters, "input_dim": input_dim,
+                "samples_per_cluster": draw(st.integers(1, 20)),
+                "backbone_seed": draw(st.integers(0, 99)),
+                **draw(optional(label_noise=st.floats(0.0, 1.0), separation=POSITIVE))}
+        dims = (clusters, input_dim)
+    init = {"std": POSITIVE} if command == "sweep" else {
+        "kind": st.sampled_from(INIT_KINDS), "std": POSITIVE}
+    blocks = command_blocks(dims)
+    block = cli._COMMAND_BLOCKS[command]
+    payload = {"task": task, block: draw(blocks[block]), **draw(optional(
+        command=st.just(command),
+        init=optional(**init),
+        optimizer=optional(kind=st.sampled_from(["sgd", "adam"]), lr=POSITIVE),
+        run=optional(steps=st.integers(0, 50), batch=st.integers(1, 16),
+                     seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3)),
+        output=st.just("rows.csv")))}
+    return command, payload, blocks
+
+
+class TestConfigProperties:
+    """Every accepted config round-trips, and holds only what its command reads."""
+
+    @CONFIG_SETTINGS
+    @given(case=run_configs())
+    def test_accepted_configs_round_trip(self, tmp_path_factory, case):
+        command, payload, _ = case
+        tmp_path = tmp_path_factory.mktemp("round-trip")
+        first = load_config(write_config(tmp_path, payload), command)
+        dumped = tmp_path / "dumped.json"
+        first.dump(str(dumped))
+        assert load_config(str(dumped), command) == first
+
+    @CONFIG_SETTINGS
+    @given(case=run_configs(), data=st.data())
+    def test_keys_the_command_does_not_read_are_rejected(self, tmp_path_factory, case,
+                                                         data):
+        command, payload, blocks = case
+        block = cli._COMMAND_BLOCKS[command]
+        unread = [other for other in blocks if other != block]
+        unread += ["extra"] + [f"{name}.extra" for name in
+                               ("task", block, "init", "optimizer", "run")]
+        if command == "sweep":
+            unread.append("init.kind")
+        key = data.draw(st.sampled_from(unread))
+        if key in blocks:
+            payload = {**payload, key: data.draw(blocks[key])}
+        else:
+            name, _, inner = key.rpartition(".")
+            if name:  # a valid init kind, so only the read rule can reject init.kind
+                payload = {**payload, name: {**payload.get(name, {}), inner: "gaussian_zero"}}
+            else:
+                payload = {**payload, key: 1}
+        with pytest.raises(ConfigFileError, match=f"key '{key}'"):
+            load_config(write_config(tmp_path_factory.mktemp("unread"), payload), command)
+
 
 class TestParamsCommand:
     def test_prints_published_percentage(self, capsys):
@@ -192,15 +311,34 @@ class TestFlopsCommand:
         assert int(totals["random_ab"]) < int(totals["full"])
         assert int(totals["random_ab"]) <= int(totals["heuristic"]) <= int(totals["full"])
 
+    def test_negative_steps_is_an_error(self, capsys):
+        code = cmd_dispatch(["flops", "--steps", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: steps must be >= 0" in captured.err
+        assert captured.out == ""
+
 
 class TestSelfcheck:
     def test_exits_zero_and_reports_each_property(self, capsys):
         code = cmd_dispatch(["selfcheck"])
-        out = capsys.readouterr().out
+        lines = capsys.readouterr().out.strip().split("\n")
         assert code == 0
-        lines = [line for line in out.strip().split("\n") if line]
-        assert len(lines) >= 7
-        assert all(line.startswith("PASS") for line in lines)
+        assert [line.split(":")[0] for line in lines] == \
+            [f"PASS criterion {k}" for k in (1, 2, 4, 5, 6)]
+        for line in lines[:4]:  # each names its worst value and case
+            assert re.search(r": worst \S+ at .+ \(tol [^)]+\)$", line), line
+        assert re.search(r": random_ab=\d+ heuristic=\d+ full=\d+$", lines[4])
+
+    @pytest.mark.parametrize("worst", [2e-6, float("nan")])
+    def test_a_measure_above_its_tolerance_fails(self, capsys, monkeypatch, worst):
+        monkeypatch.setattr(checks, "criterion_4_gradients", lambda: (worst, "planted case"))
+        code = cmd_dispatch(["selfcheck"])
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert code == 1
+        assert [line.split(" ")[0] for line in lines] == ["PASS", "PASS", "FAIL", "PASS", "PASS"]
+        assert lines[2].startswith("FAIL criterion 4: gradient suite: worst ")
+        assert "at planted case (tol 1e-06)" in lines[2]
 
 
 class TestRunCommands:

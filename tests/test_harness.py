@@ -20,7 +20,6 @@ from cola_forge.harness import (
     run_grid,
     run_single,
     scarcity_sweep,
-    strategy_cost_report,
     sweep_cell_seed,
     write_rows_csv,
     write_rows_json,
@@ -301,28 +300,6 @@ class TestScarcitySweep:
         task = self.sweep_task()
         assert np.array_equal(task.subsample(20).x_train,
                               task.subsample(40).x_train[:, :20])
-
-
-class TestStrategyCostReport:
-    def cfg(self, strategy, a_count=2, b_count=3):
-        return CoLAConfig(in_dim=64, out_dim=64, rank=8, a_count=a_count,
-                          b_count=b_count, strategy=strategy, alpha=16.0)
-
-    def test_random_ab_below_full(self):
-        rows = dict(strategy_cost_report(
-            [self.cfg(Strategy.RANDOM_AB), self.cfg(Strategy.FULL)], steps=10))
-        assert rows["random_ab"] < rows["full"]
-
-    def test_single_pair_all_equal(self):
-        rows = strategy_cost_report(
-            [self.cfg(s, 1, 1) for s in Strategy], steps=7)
-        totals = {total for _, total in rows}
-        assert len(totals) == 1
-
-    def test_linear_in_steps(self):
-        one = dict(strategy_cost_report([self.cfg(Strategy.FULL)], steps=1))
-        ten = dict(strategy_cost_report([self.cfg(Strategy.FULL)], steps=10))
-        assert ten["full"] == 10 * one["full"]
 
 
 class TestRowWriters:
