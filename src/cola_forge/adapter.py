@@ -154,36 +154,32 @@ def _pairing_range(kind: str, a_count: int, b_count: int) -> tuple[int, int]:
     return (b_count, a_count) if kind == "ab" else (a_count, b_count)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoLALayer:
     """One adapted linear map: frozen base plus trainable pools.
 
-    ``a_list`` and ``b_list`` are views into one flat buffer, ``params``, which
-    training updates in place; :meth:`validate` rejects a rebound pool, as it
-    would no longer train. ``w0`` is never written. ``pairing`` holds the
-    layer's current pairing for random strategies (None for deterministic ones).
+    ``params`` alone stores the pools, and training updates it in place;
+    ``a_list`` and ``b_list`` are its (M, r, m) and (N, n, r) stacks, so writing
+    a member writes ``params``. ``w0`` is never written. ``pairing`` holds a
+    random strategy's current pairing (None for deterministic ones).
     """
 
     w0: np.ndarray
-    a_list: list[np.ndarray]
-    b_list: list[np.ndarray]
     config: CoLAConfig
     params: np.ndarray
-    pairing: Pairing | None = field(default=None)
+    pairing: Pairing | None = None
+    _stacks: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
-    def validate(self) -> None:
-        """Check w0's shape and that every pool is still its view into
-        ``params``: a rebound pool would silently stop training."""
-        cfg = self.config
-        if self.w0.shape != (cfg.out_dim, cfg.in_dim):
-            raise ShapeError(f"w0 must be {cfg.out_dim}x{cfg.in_dim}, got {self.w0.shape}")
-        views = [view for stack in _pool_views(self.params, cfg) for view in stack]
-        pools = self.a_list + self.b_list
-        if len(pools) != len(views) or not all(
-                p.base is self.params and p.shape == v.shape and np.shares_memory(p, v)
-                for p, v in zip(pools, views)):
-            raise ConfigError("a pool is not its view into the layer's parameter "
-                              "buffer; update pools in place, never rebind them")
+    def __post_init__(self):
+        object.__setattr__(self, "_stacks", _pool_views(self.params, self.config))
+
+    @property
+    def a_list(self) -> np.ndarray:
+        return self._stacks[0]
+
+    @property
+    def b_list(self) -> np.ndarray:
+        return self._stacks[1]
 
 
 def _pool_views(flat: np.ndarray, cfg: CoLAConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +194,9 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
                config: CoLAConfig, rng: np.random.Generator | None = None) -> CoLALayer:
     """Pack the pools into one flat buffer; random strategies get an initial pairing."""
     n, m, r = config.out_dim, config.in_dim, config.rank
+    w0 = as_matrix(w0)
+    if w0.shape != (n, m):
+        raise ShapeError(f"w0 must be {n}x{m}, got {w0.shape}")
     if len(a_list) != config.a_count or len(b_list) != config.b_count:
         raise ShapeError(
             f"pool sizes {len(a_list)}/{len(b_list)} do not match "
@@ -208,15 +207,11 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
         name, shape = ("A", (r, m)) if k < config.a_count else ("B", (n, r))
         if pool.shape != shape:
             raise ShapeError(f"every {name} must be {shape[0]}x{shape[1]}, got {pool.shape}")
-    params = np.concatenate([p.ravel() for p in pools])
-    layer = CoLALayer(as_matrix(w0), *map(list, _pool_views(params, config)), config, params)
-    layer.validate()
     kind = _PAIRING_KIND.get(config.strategy)
-    if kind is not None:
-        if rng is None:
-            raise ConfigError("random strategies need an rng to sample the initial pairing")
-        layer.pairing = sample_pairing(config.a_count, config.b_count, kind, rng)
-    return layer
+    if kind is not None and rng is None:
+        raise ConfigError("random strategies need an rng to sample the initial pairing")
+    pairing = None if kind is None else sample_pairing(config.a_count, config.b_count, kind, rng)
+    return CoLALayer(w0, config, np.concatenate([p.ravel() for p in pools]), pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +272,8 @@ _STACK_LIMIT = 4096  # product elements a stacked matmul may hold; more are BLAS
 
 
 def _pool_sum(stack, idx: tuple[int, ...], v: np.ndarray | None = None) -> np.ndarray:
-    """sum_{k in idx} stack[k], or of stack[k] @ v, added left to right; for a
-    plain sum ``stack`` may be a list of members. Small products are one stacked
-    matmul, which saves call overhead; large ones go one at a time, as a loop."""
+    """sum_{k in idx} stack[k], or of stack[k] @ v, added left to right. Small
+    products are one stacked matmul, saving call overhead; large ones a loop."""
     lo, hi = idx[0], idx[-1] + 1
     if hi == lo + 1:
         return stack[lo] if v is None else stack[lo] @ v
@@ -295,32 +289,16 @@ def _pool_sum(stack, idx: tuple[int, ...], v: np.ndarray | None = None) -> np.nd
     return total
 
 
-def _train_pairing(layer: CoLALayer, pairing: Pairing | None,
-                   rng: np.random.Generator | None) -> Pairing | None:
-    """The pairing one training step composes (None for deterministic strategies).
-
-    An explicit pairing wins, then the layer's frozen pairing, then a fresh
-    draw from ``rng``; None from a random strategy means it must draw one.
-    """
-    kind = _PAIRING_KIND.get(layer.config.strategy)
-    if kind is None or pairing is not None:
-        return pairing
-    if layer.pairing is not None and layer.pairing.frozen:
-        return layer.pairing
-    return None if rng is None else sample_pairing(
-        layer.config.a_count, layer.config.b_count, kind, rng)
-
-
-def _apply(layer: CoLALayer, stacks: tuple[np.ndarray, np.ndarray], x: np.ndarray,
-           terms: list[_Term], scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _apply(layer: CoLALayer, x: np.ndarray, terms: list[_Term],
+           scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """W0 x + (alpha/r) DeltaW x for a composition, factored (DeltaW is never
     materialized), and the hidden state sum_{i in a_idx} A_i x of each term.
 
-    ``stacks`` are the layer's pool stacks. Each hidden state sums A_i @ x left
-    to right, every B_j @ t is added into DeltaW x in index order, and the
-    scales come last; a scale of exactly 1.0 is skipped.
+    Each hidden state sums A_i @ x left to right, every B_j @ t is added into
+    DeltaW x in index order, and the scales come last; a scale of exactly 1.0
+    is skipped.
     """
-    a_stack, b_stack = stacks
+    a_stack, b_stack = layer.a_list, layer.b_list
     out = None
     hidden = []
     for b_idx, a_idx in terms:
@@ -339,15 +317,13 @@ def _apply(layer: CoLALayer, stacks: tuple[np.ndarray, np.ndarray], x: np.ndarra
 
 
 def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
-            rng: np.random.Generator | None = None,
             pairing: Pairing | None = None) -> np.ndarray:
     """Evaluate the layer on x (a length-m vector or an m x batch matrix).
 
-    ``train`` mode composes the sampled pairing for random strategies,
-    resampling it from ``rng`` unless one is passed explicitly or the layer's
-    own pairing is frozen. ``eval`` mode uses the deterministic mean-pairing
-    composition and rejects an explicit pairing. Deterministic strategies
-    behave identically in both modes.
+    ``train`` mode composes a random strategy's sampled pairing: the one
+    passed, or else the layer's own. ``eval`` mode uses the deterministic
+    mean-pairing composition and rejects an explicit pairing. Deterministic
+    strategies behave identically in both modes.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -355,13 +331,12 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     if x.shape[0] != layer.config.in_dim:
         raise ShapeError(f"input has leading dim {x.shape[0]}, "
                          f"layer expects {layer.config.in_dim}")
-    if mode == "train":
-        pairing = _train_pairing(layer, pairing, rng)
-    elif pairing is not None:
+    if mode == "eval" and pairing is not None:
         raise ConfigError("eval-mode forward composes the mean pairing; pass no pairing")
-    pairing_map = _check_pairing(layer.config, pairing) if mode == "train" else None
+    pairing_map = (_check_pairing(layer.config, layer.pairing if pairing is None else pairing)
+                   if mode == "train" else None)
     terms, scale = _composition(layer.config, pairing_map, mean_pairing=mode == "eval")
-    return _apply(layer, _pool_views(layer.params, layer.config), x, terms, scale)[0]
+    return _apply(layer, x, terms, scale)[0]
 
 
 def _materialize(layer: CoLALayer, terms: list[_Term], scale: float) -> np.ndarray:

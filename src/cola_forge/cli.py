@@ -62,6 +62,12 @@ class ConfigFileError(ValueError):
 # Run configuration
 # ---------------------------------------------------------------------------
 
+def _distinct(key: str, values: tuple) -> None:
+    """A list key names each entry once: a repeat would run, and count, twice."""
+    if len(set(values)) != len(values):
+        raise ConfigFileError(f"key '{key}' repeats an entry")
+
+
 @dataclass(frozen=True)
 class OptimizerBlock:
     kind: str = "adam"
@@ -101,6 +107,7 @@ class RunBlock:
             raise ConfigFileError(f"key 'run.batch' must be >= 1, got {self.batch}")
         if not self.seeds:
             raise ConfigFileError("key 'run.seeds' must be a nonempty list")
+        _distinct("run.seeds", self.seeds)
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,8 @@ class GridBlock:
     def __post_init__(self):
         if not self.a_counts or not self.b_counts:
             raise ConfigFileError("keys 'grid.a_counts'/'grid.b_counts' must be nonempty")
+        _distinct("grid.a_counts", self.a_counts)
+        _distinct("grid.b_counts", self.b_counts)
 
 
 @dataclass(frozen=True)
@@ -132,6 +141,8 @@ class SweepBlock:
             raise ConfigFileError("key 'sweep.sizes' must be nonempty")
         if not self.init_kinds:
             raise ConfigFileError("key 'sweep.init_kinds' must be nonempty")
+        for name in ("sizes", "init_kinds", "configs"):
+            _distinct(f"sweep.{name}", getattr(self, name))
 
 
 @dataclass(frozen=True)

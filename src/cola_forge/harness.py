@@ -155,10 +155,11 @@ class Task:
 
     def subsample(self, size: int | None) -> "Task":
         """First ``size`` training columns (deterministic); eval untouched."""
-        if size is None or size >= self.train_size:
+        if size is None or size == self.train_size:
             return self
-        if size < 1:
-            raise ValueError(f"subsample size must be >= 1, got {size}")
+        if not 1 <= size <= self.train_size:
+            raise ValueError(f"subsample size must be in [1, {self.train_size}] (the "
+                             f"training set), got {size}")
         out = Task(**{k: v for k, v in self.__dict__.items()})
         out.x_train = self.x_train[:, :size]
         if self.y_train is not None:
@@ -470,6 +471,8 @@ def scarcity_sweep(
     for kind in init_kinds:
         if kind not in INIT_KINDS:
             raise ValueError(f"unknown init kind {kind!r}")
+    for size in sizes:  # a size the task cannot supply fails before any cell runs
+        task.subsample(size)
     rows = []
     for size in sizes:
         for kind in init_kinds:

@@ -27,13 +27,14 @@ A :func:`train_loop` run whose pairing cannot change composes once and draws
 the batch indices of 64 steps per rng call; one that resamples its pairing
 draws them, then the pairing, each step. The stacked forward pass keeps each
 term's hidden state sum_i A_i x; the backward pass reuses it, adding every pool
-gradient into one zeroed buffer laid out like ``params``, updated at once.
+gradient into ``Grads.flat``, one zeroed buffer laid out like ``params``, and
+:func:`optimizer_step` updates ``params`` from it as one array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .adapter import (
     _pairing_range,
     _pool_sum,
     _pool_views,
-    _train_pairing,
     delta_weight_eval,
     flop_count,
     forward,
@@ -74,15 +74,13 @@ class DivergenceError(ArithmeticError):
     """Training produced a non-finite loss."""
 
 
-@dataclass
 class Grads:
-    """dL/dA_i and dL/dB_j, shaped exactly like the layer's pools."""
+    """dL/dA_i and dL/dB_j in one zeroed buffer, ``flat``, laid out like the
+    layer's ``params``; ``da_list`` and ``db_list`` are its pool stacks."""
 
-    da_list: list[np.ndarray]
-    db_list: list[np.ndarray]
-
-    def flat(self) -> list[np.ndarray]:
-        return self.da_list + self.db_list
+    def __init__(self, layer: CoLALayer):
+        self.flat = np.zeros_like(layer.params)
+        self.da_list, self.db_list = _pool_views(self.flat, layer.config)
 
 
 def _as_columns(v: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -103,9 +101,8 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     if x2.shape[1] != g2.shape[1]:
         raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
     terms, scale = _composition(cfg, _check_pairing(cfg, pairing))
-    grads = Grads(*map(list, _pool_views(np.zeros_like(layer.params), cfg)))
-    hidden = _apply(layer, _pool_views(layer.params, cfg), x2, terms, scale)[1]
-    _backward(layer, x2, g2, terms, scale, hidden, grads)
+    grads = Grads(layer)
+    _backward(layer, x2, g2, terms, scale, _apply(layer, x2, terms, scale)[1], grads)
     return grads
 
 
@@ -116,13 +113,17 @@ def _backward(layer: CoLALayer, x2: np.ndarray, g2: np.ndarray, terms, scale: fl
     # Both scales multiply every term, so they are folded into g_out once.
     if (total := layer.config.scale * scale) != 1.0:
         g2 = total * g2
+    # add through a view: ``stack[j] += ...`` would copy it back onto itself
+    b_stack, da_stack, db_stack = layer.b_list, grads.da_list, grads.db_list
     for (b_idx, a_idx), t in zip(terms, hidden):
         db_term = g2 @ t.T
-        da_term = (_pool_sum(layer.b_list, b_idx).T @ g2) @ x2.T
+        da_term = (_pool_sum(b_stack, b_idx).T @ g2) @ x2.T
         for j in b_idx:
-            grads.db_list[j] += db_term
+            db = db_stack[j]
+            db += db_term
         for i in a_idx:
-            grads.da_list[i] += da_term
+            da = da_stack[i]
+            da += da_term
 
 
 def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
@@ -178,7 +179,7 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
 
     worst = 0.0
     pools = a_pools + b_pools
-    grads = analytic.flat()
+    grads = [*analytic.da_list, *analytic.db_list]
     eps_ld = ld(eps)
     for mat, grad in zip(pools, grads):
         it = np.nditer(mat, flags=["multi_index"])
@@ -202,18 +203,18 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam (decoupled weight decay fixed at 0) over a parameter list;
-    the first Adam step allocates ``m``, ``v`` and a two-slot ``scratch``
-    shaped like that list, so later steps allocate no temporaries."""
+    """SGD or Adam (decoupled weight decay fixed at 0) over one parameter
+    array; the first Adam step allocates ``m``, ``v`` and a two-slot
+    ``scratch`` shaped like it, so later steps allocate no temporaries."""
 
     kind: str
     lr: float
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-    scratch: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scratch: np.ndarray | None = None
 
 
 def make_optimizer(kind: str, lr: float) -> OptimizerState:
@@ -224,36 +225,34 @@ def make_optimizer(kind: str, lr: float) -> OptimizerState:
     return OptimizerState(kind=kind, lr=lr)
 
 
-def optimizer_step(state: OptimizerState, params: list[np.ndarray],
-                   grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One in-place update; returns the (mutated) parameter list."""
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(params)} params vs {len(grads)} grads")
+def optimizer_step(state: OptimizerState, params: np.ndarray,
+                   grads: np.ndarray) -> np.ndarray:
+    """One in-place update; returns the (mutated) parameter array."""
+    if params.shape != grads.shape:
+        raise ShapeError(f"params of shape {params.shape} vs grads of shape {grads.shape}")
     state.step += 1
     if state.kind == "sgd":
-        for p, g in zip(params, grads):
-            p -= state.lr * g
+        params -= state.lr * grads
         return params
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-        state.scratch = [np.empty((2,) + p.shape, p.dtype) for p in params]
-    if [m.shape for m in state.m] != [p.shape for p in params]:
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+        state.scratch = np.empty((2,) + params.shape, params.dtype)
+    elif state.m.shape != params.shape:
         raise ShapeError("Adam state was allocated for other parameters")
     b1, b2 = state.betas
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
     # into the scratch buffers t and u, passed by position (parsed faster)
-    for p, g, m, v, (t, u) in zip(params, grads, state.m, state.v, state.scratch):
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, t)
-        v *= b2
-        v += np.multiply(np.multiply(g, 1.0 - b2, t), g, t)
-        np.sqrt(np.divide(v, bc2, t), t)
-        t += state.eps
-        np.multiply(np.divide(m, bc1, u), state.lr, u)
-        p -= np.divide(u, t, u)
+    m, v, (t, u) = state.m, state.v, state.scratch
+    m *= b1
+    m += np.multiply(grads, 1.0 - b1, t)
+    v *= b2
+    v += np.multiply(np.multiply(grads, 1.0 - b2, t), grads, t)
+    np.sqrt(np.divide(v, bc2, t), t)
+    t += state.eps
+    np.multiply(np.divide(m, bc1, u), state.lr, u)
+    params -= np.divide(u, t, u)
     return params
 
 
@@ -326,15 +325,12 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
         raise ValueError(f"steps must be >= 0, got {steps}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    layer.validate()
-    cfg = layer.config
-    stacks = _pool_views(layer.params, cfg)
-    flat_grad = np.zeros_like(layer.params)
-    grads = Grads(*map(list, _pool_views(flat_grad, cfg)))
-    kind, fixed = _PAIRING_KIND.get(cfg.strategy), _train_pairing(layer, None, None)
-    draw = None if kind is None or fixed else _pairing_range(kind, cfg.a_count, cfg.b_count)
+    cfg, grads = layer.config, Grads(layer)
+    kind = _PAIRING_KIND.get(cfg.strategy)
+    frozen = layer.pairing is not None and layer.pairing.frozen
+    draw = None if kind is None or frozen else _pairing_range(kind, cfg.a_count, cfg.b_count)
     if draw is None:  # no pairing is drawn per step
-        terms, scale = _composition(cfg, _check_pairing(cfg, fixed))
+        terms, scale = _composition(cfg, _check_pairing(cfg, layer.pairing))
     block = 64 if draw is None else 1  # steps whose batch indices one rng call draws
     indices = (idx for start in range(0, steps, block) for idx in rng.integers(
         0, task.x_train.shape[1], size=(min(block, steps - start), batch)))
@@ -345,14 +341,14 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
         if draw is not None:
             terms, scale = _composition(cfg, rng.integers(0, draw[0], size=draw[1]).tolist())
         xb = task.x_train[:, idx]
-        y, hidden = _apply(layer, stacks, xb, terms, scale)
+        y, hidden = _apply(layer, xb, terms, scale)
         loss, g = _task_loss(task, y, idx)
         if not math.isfinite(loss):
             raise DivergenceError(f"training diverged: minibatch loss {loss} at step "
                                   f"{step} of {steps} (seed {seed})")
-        flat_grad.fill(0.0)
+        grads.flat.fill(0.0)
         _backward(layer, xb, g, terms, scale, hidden, grads)
-        optimizer_step(optimizer, [layer.params], [flat_grad])
+        optimizer_step(optimizer, layer.params, grads.flat)
         losses.append(loss)
 
     final_loss = _dataset_loss(layer, task)

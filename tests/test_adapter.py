@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,11 +102,22 @@ class TestForward:
         with pytest.raises(ShapeError, match="expects 6"):
             forward(layer, np.zeros(7))
 
+    @pytest.mark.parametrize("w0, a_shapes, b_shapes, match", [
+        ((4, 6), [(2, 6)], [(5, 2)], "w0 must be 5x6"),
+        ((5, 6), [(2, 6)] * 2, [(5, 2)], "pool sizes 2/1"),
+        ((5, 6), [(2, 5)], [(5, 2)], "every A must be 2x6"),
+        ((5, 6), [(2, 6)], [(5, 3)], "every B must be 5x2"),
+    ])
+    def test_make_layer_checks_every_shape(self, w0, a_shapes, b_shapes, match):
+        cfg = CoLAConfig(in_dim=6, out_dim=5, rank=2, alpha=2.0)
+        with pytest.raises(ShapeError, match=match):
+            make_layer(np.zeros(w0), [np.zeros(s) for s in a_shapes],
+                       [np.zeros(s) for s in b_shapes], cfg)
+
     def test_train_mode_requires_pairing_source(self):
         cfg = CoLAConfig(in_dim=4, out_dim=4, rank=2, a_count=2, b_count=2,
                          strategy=Strategy.RANDOM_AB, alpha=2.0)
-        layer = random_layer(cfg, seed=5)
-        layer.pairing = None
+        layer = dataclasses.replace(random_layer(cfg, seed=5), pairing=None)
         with pytest.raises(ConfigError, match="pairing"):
             forward(layer, np.zeros(4), mode="train")
 
@@ -172,8 +185,7 @@ class TestDeltaWeight:
         layer = random_layer(cfg, seed=12)
         x = make_rng(13).normal(size=9)
         pairing = layer.pairing
-        y = forward(layer, x, mode="train", pairing=pairing,
-                    rng=make_rng(0))
+        y = forward(layer, x, mode="train", pairing=pairing)
         dense = layer.w0 + cfg.scale * delta_weight(layer, pairing)
         assert np.abs(y - dense @ x).max() <= 1e-10
 

@@ -195,16 +195,17 @@ def adapter_blocks(draw, dims):
 
 def command_blocks(dims):
     """The block each command reads, as a strategy per block name."""
-    counts = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    counts = st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)
     return {
         "adapter": adapter_blocks(dims),
         "grid": st.fixed_dictionaries({
             "rank": st.integers(1, min(dims)), "a_counts": counts, "b_counts": counts,
             "strategy": st.sampled_from([s.value for s in Strategy])}),
         "sweep": st.fixed_dictionaries({
-            "sizes": st.lists(st.integers(1, 50), min_size=1, max_size=3),
+            "sizes": st.lists(st.integers(1, 50), min_size=1, max_size=3, unique=True),
             "init_kinds": st.lists(st.sampled_from(INIT_KINDS), min_size=1, unique=True),
-            "configs": st.lists(adapter_blocks(dims), min_size=1, max_size=2)}),
+            "configs": st.lists(adapter_blocks(dims), min_size=1, max_size=2,
+                                unique_by=lambda block: tuple(sorted(block.items())))}),
     }
 
 
@@ -238,7 +239,7 @@ def run_configs(draw):
         init=optional(**init),
         optimizer=optional(kind=st.sampled_from(["sgd", "adam"]), lr=POSITIVE),
         run=optional(steps=st.integers(0, 50), batch=st.integers(1, 16),
-                     seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3)),
+                     seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True)),
         output=st.just("rows.csv")))}
     return command, payload, blocks
 
@@ -278,6 +279,21 @@ class TestConfigProperties:
                 payload = {**payload, key: 1}
         with pytest.raises(ConfigFileError, match=f"key '{key}'"):
             load_config(write_config(tmp_path_factory.mktemp("unread"), payload), command)
+
+    @CONFIG_SETTINGS
+    @given(case=run_configs(), data=st.data())
+    def test_a_repeated_list_entry_is_rejected(self, tmp_path_factory, case, data):
+        command, payload, _ = case
+        block = cli._COMMAND_BLOCKS[command]
+        keys = [("run", "seeds")] + [(block, key) for key in {
+            "grid": ("a_counts", "b_counts"), "sweep": ("sizes", "init_kinds", "configs"),
+        }.get(block, ())]
+        name, key = data.draw(st.sampled_from(keys))
+        entries = payload.get(name, {}).get(key, [42])
+        entries = entries + [data.draw(st.sampled_from(entries))]
+        payload = {**payload, name: {**payload.get(name, {}), key: entries}}
+        with pytest.raises(ConfigFileError, match=f"key '{name}.{key}' repeats an entry"):
+            load_config(write_config(tmp_path_factory.mktemp("repeat"), payload), command)
 
 
 class TestParamsCommand:
@@ -366,6 +382,16 @@ class TestRunCommands:
         assert cmd_dispatch(["sweep", "--config", config, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_text().strip().split("\n")) == 1 + 2 * 2 * 1 * 1
+
+    def test_sweep_size_above_the_training_set_is_an_error(self, tmp_path, capsys):
+        payload = {**SWEEP_CONFIG, "sweep": {**SWEEP_CONFIG["sweep"], "sizes": [20, 81]}}
+        out = tmp_path / "rows.csv"
+        code = cmd_dispatch(["sweep", "--config", write_config(tmp_path, payload),
+                             "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert re.search(r"error: .*\[1, 80\].*got 81", captured.err)
+        assert captured.out == "" and not out.exists()
 
     def test_train_on_classification_task(self, tmp_path, capsys):
         config = write_config(tmp_path, {

@@ -81,6 +81,13 @@ class TestRecoveryTask:
         assert np.array_equal(sub.y_train, task.y_train[:, :10])
         assert task.train_size == 50  # original untouched
 
+    def test_subsample_size_is_at_most_the_training_set(self):
+        task = make_recovery_task(self.spec(), make_rng(7))
+        assert task.subsample(50) is task
+        for size in (0, 51):
+            with pytest.raises(ValueError, match=f"in \\[1, 50\\].*got {size}"):
+                task.subsample(size)
+
 
 def linear_probe_accuracy(task):
     """Least-squares one-hot probe, an adapter-free reference classifier."""

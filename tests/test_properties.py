@@ -8,6 +8,7 @@ finite-difference oracle, so any composition rule stated differently in two
 places shows up as a counterexample.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -51,11 +52,11 @@ def layer_cases(draw):
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     cfg = CoLAConfig(in_dim=in_dim, out_dim=out_dim, rank=rank, a_count=a_count,
                      b_count=b_count, strategy=strategy, alpha=alpha)
-    layer = make_layer(rng.normal(size=(out_dim, in_dim)),
-                       [rng.normal(size=(rank, in_dim)) for _ in range(a_count)],
-                       [rng.normal(size=(out_dim, rank)) for _ in range(b_count)],
-                       cfg, rng=rng)
-    layer.pairing = pairing
+    layer = dataclasses.replace(make_layer(
+        rng.normal(size=(out_dim, in_dim)),
+        [rng.normal(size=(rank, in_dim)) for _ in range(a_count)],
+        [rng.normal(size=(out_dim, rank)) for _ in range(b_count)], cfg, rng=rng),
+        pairing=pairing)
     shape = (in_dim,) if batch == 1 else (in_dim, batch)
     x = rng.normal(size=shape)
     target = rng.normal(size=(out_dim,) + shape[1:])
