@@ -458,6 +458,27 @@ class TestFusedStep:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(layer, name, getattr(layer, name))
 
+    @pytest.mark.parametrize("side", ["a_list", "b_list"])
+    @pytest.mark.parametrize("source", ["copy", "other pool"])
+    def test_rebound_pool_is_rejected(self, side, source):
+        task = small_task()
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3)
+        layer = random_layer(cfg, seed=5)
+        pools = list(getattr(layer, side))
+        # a copy would never train; an alias of pool 0 would train twice
+        pools[1] = pools[1].copy() if source == "copy" else pools[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(layer, side, pools)
+        stack = getattr(layer, side)
+        assert np.shares_memory(stack, layer.params)
+        before = stack.copy()
+        train_loop(task, layer, make_optimizer("adam", 1e-2), steps=5, batch=8,
+                   rng=make_rng(9))
+        # both members still train, each on its own slice of params
+        assert not np.array_equal(stack[0], before[0])
+        assert not np.array_equal(stack[1], before[1])
+        assert not np.array_equal(stack[1] - before[1], stack[0] - before[0])
+
     def test_adam_state_is_tied_to_its_parameters(self):
         state = make_optimizer("adam", 1e-2)
         optimizer_step(state, np.zeros(3), np.ones(3))
