@@ -36,13 +36,13 @@ from .harness import (
     RecoveryTaskSpec,
     Task,
     _atomic_write,
+    _run_cells,
     bundled_geometry,
     load_geometry,
     make_classification_task,
     make_recovery_task,
     param_count,
     run_grid,
-    run_single,
     scarcity_sweep,
     write_rows_csv,
     write_rows_json,
@@ -156,6 +156,11 @@ class RunConfig:
     grid: GridBlock | None = None
     sweep: SweepBlock | None = None
     output: str | None = None
+
+    def __post_init__(self):
+        kinds = self.sweep.init_kinds if self.sweep else (self.init.kind,)
+        if self.init.std is not None and GAUSSIAN_ZERO not in kinds:
+            raise ConfigFileError("key 'init.std' is not read without a gaussian_zero cell")
 
     def to_dict(self) -> dict:
         def clean(value):
@@ -349,8 +354,8 @@ def _emit_rows(rows, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_train(cfg: RunConfig, task: Task, **loop):
-    rows = [run_single(task, cfg.adapter, cfg.init.kind, seed, **loop)[0]
-            for seed in cfg.run.seeds]
+    rows = _run_cells(task, [(cfg.adapter, cfg.init.kind, seed, seed, None)
+                             for seed in cfg.run.seeds], **loop)
     return rows, "\n".join(
         f"seed {row.seed}: step0_loss={row.step0_loss:.6g} "
         f"final_loss={row.final_loss:.6g} eval_metric={row.eval_metric:.6g} "
@@ -407,8 +412,7 @@ def _cmd_params(args) -> int:
 def _cmd_flops(args) -> int:
     if args.steps < 0:
         raise ValueError(f"steps must be >= 0, got {args.steps}")
-    for strategy in (Strategy.FULL, Strategy.RANDOM_AB, Strategy.RANDOM_BA,
-                     Strategy.HEURISTIC):
+    for strategy in Strategy:
         if strategy is Strategy.HEURISTIC and args.M > args.N:
             continue
         config = CoLAConfig(in_dim=args.in_dim, out_dim=args.out_dim, rank=args.r,

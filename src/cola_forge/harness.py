@@ -397,9 +397,36 @@ _STRATEGY_CODE = {s: i for i, s in enumerate(Strategy)}
 
 def sweep_cell_seed(seed: int, size: int, init_kind: str, config: CoLAConfig) -> int:
     """Derived stream for one scarcity-sweep cell."""
+    if init_kind not in INIT_KINDS:
+        raise ValueError(f"init kind must be one of {INIT_KINDS}, got {init_kind!r}")
     return derive_seed(seed, size, INIT_KINDS.index(init_kind),
                        config.a_count, config.b_count,
                        _STRATEGY_CODE[config.strategy], config.rank)
+
+
+def _run_cells(task: Task, cells: list, steps: int, batch: int, optimizer: str,
+               lr: float, std: float | None) -> list[SweepRow]:
+    """One :func:`run_single` row per cell, in cell order.
+
+    A cell is (config, init kind, run seed, echoed seed, sample size); a
+    sample size of None is the whole training set. Every cell is checked
+    before the first one trains: its init kind must be known, its sample
+    size must fit the training set, and no two cells may share the row key
+    fields (strategy, init, M, N, r, sample_size, seed).
+    """
+    keys = set()
+    for config, init_kind, _, echo_seed, size in cells:
+        if init_kind not in INIT_KINDS:
+            raise ValueError(f"init kind must be one of {INIT_KINDS}, got {init_kind!r}")
+        key = (config.strategy.value, init_kind, config.a_count, config.b_count,
+               config.rank, task.subsample(size).train_size, echo_seed)
+        if key in keys:
+            raise ValueError(f"two cells share the row key {dict(zip(CSV_HEADER, key))}")
+        keys.add(key)
+    return [run_single(task, config, init_kind, run_seed, steps, batch=batch,
+                       optimizer=optimizer, lr=lr, std=std, sample_size=size,
+                       echo_seed=echo_seed)[0]
+            for config, init_kind, run_seed, echo_seed, size in cells]
 
 
 @dataclass
@@ -422,30 +449,21 @@ def run_grid(
     init_kind: str = GAUSSIAN_ZERO,
     std: float | None = None,
 ) -> GridResult:
-    """One row per (M, N, seed) over the pool-count grid.
+    """One row per (M, N, seed) over the pool-count grid, in (M, N, seed) order.
 
     Heuristic cells with M > N are structurally undefined and reported in
-    ``skipped`` instead of producing rows. Rows are sorted by (M, N, seed).
+    ``skipped`` instead of producing rows. Every cell is checked before the
+    first one trains, so a repeated M, N or seed raises ValueError.
     """
     strategy = Strategy(strategy)
-    skipped: list[tuple[int, int]] = []
-    rows = []
-    for a_count in m_range:
-        for b_count in n_range:
-            if strategy is Strategy.HEURISTIC and a_count > b_count:
-                skipped.append((a_count, b_count))
-                continue
-            config = CoLAConfig(in_dim=task.in_dim, out_dim=task.out_dim,
-                                rank=rank, a_count=a_count, b_count=b_count,
-                                strategy=strategy)
-            for seed in seeds:
-                rows.append(run_single(
-                    task, config, init_kind, grid_cell_seed(seed, a_count, b_count),
-                    steps, batch=batch, optimizer=optimizer, lr=lr, std=std,
-                    echo_seed=seed,
-                )[0])
-    rows.sort(key=lambda r: (r.M, r.N, r.seed))
-    return GridResult(rows=rows, skipped=skipped)
+    skipped = [(a_count, b_count) for a_count in m_range for b_count in n_range
+               if strategy is Strategy.HEURISTIC and a_count > b_count]
+    cells = [(CoLAConfig(in_dim=task.in_dim, out_dim=task.out_dim, rank=rank,
+                         a_count=a_count, b_count=b_count, strategy=strategy),
+              init_kind, grid_cell_seed(seed, a_count, b_count), seed, None)
+             for a_count in sorted(m_range) for b_count in sorted(n_range)
+             if (a_count, b_count) not in skipped for seed in sorted(seeds)]
+    return GridResult(_run_cells(task, cells, steps, batch, optimizer, lr, std), skipped)
 
 
 def scarcity_sweep(
@@ -462,29 +480,16 @@ def scarcity_sweep(
 ) -> list[SweepRow]:
     """One row per (sample size x init kind x config x seed).
 
-    Each run trains on the first ``size`` training samples of the task.
-    Rows are sorted by (sample_size, init, M, N, seed).
+    Each run trains on the first ``size`` training samples of the task. Rows
+    come in (sample_size, init, M, N, seed) order. Every cell is checked
+    before the first one trains, so a size above the training set, or two
+    configs that differ only in alpha, raise ValueError.
     """
-    sizes = list(sizes)
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    for kind in init_kinds:
-        if kind not in INIT_KINDS:
-            raise ValueError(f"unknown init kind {kind!r}")
-    for size in sizes:  # a size the task cannot supply fails before any cell runs
-        task.subsample(size)
-    rows = []
-    for size in sizes:
-        for kind in init_kinds:
-            for config in configs:
-                for seed in seeds:
-                    rows.append(run_single(
-                        task, config, kind, sweep_cell_seed(seed, size, kind, config),
-                        steps, batch=batch, optimizer=optimizer, lr=lr,
-                        std=std, sample_size=size, echo_seed=seed,
-                    )[0])
-    rows.sort(key=lambda r: (r.sample_size, r.init, r.M, r.N, r.seed))
-    return rows
+    cells = [(config, kind, sweep_cell_seed(seed, size, kind, config), seed, size)
+             for size in sizes for kind in init_kinds for config in configs
+             for seed in seeds]
+    cells.sort(key=lambda c: (c[4], c[1], c[0].a_count, c[0].b_count, c[3]))
+    return _run_cells(task, cells, steps, batch, optimizer, lr, std)
 
 
 # ---------------------------------------------------------------------------
@@ -549,26 +554,16 @@ def observation3_experiment(seeds=DEFAULT_SEEDS, steps: int = 400,
     wide-up cell (more up-projections than down) won.
     """
     task = make_recovery_task(OBS3_TASK_SPEC, make_rng(OBS3_TASK_SPEC.base_seed))
-    cells = {"wide_up": (1, 4), "wide_down": (4, 1)}
-    rows: list[SweepRow] = []
-    means: dict[str, float] = {}
-    stds: dict[str, float] = {}
-    for label, (a_count, b_count) in cells.items():
-        config = CoLAConfig(in_dim=task.in_dim, out_dim=task.out_dim, rank=rank,
-                            a_count=a_count, b_count=b_count, strategy=Strategy.FULL)
-        metrics = []
-        for seed in seeds:
-            row, _ = run_single(task, config, GAUSSIAN_ZERO,
-                                grid_cell_seed(seed, a_count, b_count),
-                                steps, lr=lr, echo_seed=seed)
-            rows.append(row)
-            metrics.append(row.eval_metric)
-        means[label] = float(np.mean(metrics))
-        stds[label] = float(np.std(metrics, ddof=1)) if len(metrics) > 1 else 0.0
+    grids = {label: run_grid(task, rank, Strategy.FULL, [a_count], [b_count],
+                             seeds=seeds, steps=steps, lr=lr).rows
+             for label, (a_count, b_count) in (("wide_up", (1, 4)), ("wide_down", (4, 1)))}
+    metrics = {label: [row.eval_metric for row in rows] for label, rows in grids.items()}
+    means = {label: float(np.mean(values)) for label, values in metrics.items()}
     return {
-        "rows": rows,
+        "rows": grids["wide_up"] + grids["wide_down"],
         "mean_eval_mse": means,
-        "std_eval_mse": stds,
+        "std_eval_mse": {label: float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+                         for label, values in metrics.items()},
         "wide_up_wins": means["wide_up"] <= means["wide_down"],
     }
 

@@ -118,8 +118,6 @@ def pissa_extended(
     if (n, m) != (config.out_dim, config.in_dim):
         raise ValueError(f"source shape {w.shape} does not match config {config.out_dim}x{config.in_dim}")
     r = config.rank
-    if r > min(n, m):
-        raise ValueError(f"rank {r} exceeds min(n, m) = {min(n, m)}")
     fac = svd(w)
     if fac.s[r - 1] == 0.0:
         raise RankDeficientSourceError(

@@ -65,10 +65,6 @@ class SvdResult:
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.s) @ self.v.T
 
-    def truncate(self, r: int) -> "SvdResult":
-        """Keep the leading r singular triplets."""
-        return SvdResult(self.u[:, :r], self.s[:r], self.v[:, :r])
-
 
 def svd(w: np.ndarray) -> SvdResult:
     """Thin SVD through LAPACK, returned in canonical form.

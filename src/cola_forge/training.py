@@ -49,11 +49,10 @@ from .adapter import (
     _pairing_range,
     _pool_sum,
     _pool_views,
-    delta_weight_eval,
     flop_count,
     forward,
 )
-from .linalg import ShapeError, frobenius_norm
+from .linalg import ShapeError
 
 __all__ = [
     "DivergenceError",
@@ -298,7 +297,6 @@ class TrainReport:
     final_loss: float
     mac_per_step: int
     mac_total: int
-    param_summary: dict[str, float]
 
 
 def _task_loss(task, y: np.ndarray, idx=slice(None)) -> tuple[float, np.ndarray]:
@@ -335,23 +333,26 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     indices = (idx for start in range(0, steps, block) for idx in rng.integers(
         0, task.x_train.shape[1], size=(min(block, steps - start), batch)))
 
-    initial_loss = _dataset_loss(layer, task)
-    losses: list[float] = []
-    for step, idx in enumerate(indices, 1):
-        if draw is not None:
-            terms, scale = _composition(cfg, rng.integers(0, draw[0], size=draw[1]).tolist())
-        xb = task.x_train[:, idx]
-        y, hidden = _apply(layer, xb, terms, scale)
-        loss, g = _task_loss(task, y, idx)
-        if not math.isfinite(loss):
-            raise DivergenceError(f"training diverged: minibatch loss {loss} at step "
-                                  f"{step} of {steps} (seed {seed})")
-        grads.flat.fill(0.0)
-        _backward(layer, xb, g, terms, scale, hidden, grads)
-        optimizer_step(optimizer, layer.params, grads.flat)
-        losses.append(loss)
+    # A diverging run overflows before its loss turns non-finite; the
+    # DivergenceError below reports it, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        initial_loss = _dataset_loss(layer, task)
+        losses: list[float] = []
+        for step, idx in enumerate(indices, 1):
+            if draw is not None:
+                terms, scale = _composition(cfg, rng.integers(0, draw[0], size=draw[1]).tolist())
+            xb = task.x_train[:, idx]
+            y, hidden = _apply(layer, xb, terms, scale)
+            loss, g = _task_loss(task, y, idx)
+            if not math.isfinite(loss):
+                raise DivergenceError(f"training diverged: minibatch loss {loss} at step "
+                                      f"{step} of {steps} (seed {seed})")
+            grads.flat.fill(0.0)
+            _backward(layer, xb, g, terms, scale, hidden, grads)
+            optimizer_step(optimizer, layer.params, grads.flat)
+            losses.append(loss)
 
-    final_loss = _dataset_loss(layer, task)
+        final_loss = _dataset_loss(layer, task)
     if not math.isfinite(final_loss):
         raise DivergenceError(f"training diverged: final loss {final_loss} after "
                               f"{steps} steps (seed {seed})")
@@ -364,9 +365,4 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
         final_loss=final_loss,
         mac_per_step=mac_per_step,
         mac_total=mac_per_step * steps,
-        param_summary={
-            "delta_norm": frobenius_norm(delta_weight_eval(layer)),
-            "a_norm": float(np.sqrt(sum(np.sum(a * a) for a in layer.a_list))),
-            "b_norm": float(np.sqrt(sum(np.sum(b * b) for b in layer.b_list))),
-        },
     )

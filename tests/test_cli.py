@@ -1,17 +1,21 @@
+import contextlib
+import csv
+import io
 import json
+import math
 import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cola_forge import checks, cli
 from cola_forge.adapter import Strategy
 from cola_forge.cli import ConfigFileError, cmd_dispatch, load_config
 from cola_forge.harness import CSV_HEADER, make_recovery_task
-from cola_forge.initializers import INIT_KINDS
+from cola_forge.initializers import GAUSSIAN_ZERO, INIT_KINDS
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -241,6 +245,10 @@ def run_configs(draw):
         run=optional(steps=st.integers(0, 50), batch=st.integers(1, 16),
                      seeds=st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True)),
         output=st.just("rows.csv")))}
+    kinds = (payload[block]["init_kinds"] if command == "sweep"
+             else [payload.get("init", {}).get("kind", GAUSSIAN_ZERO)])
+    if GAUSSIAN_ZERO not in kinds and "init" in payload:  # only its cells read init.std
+        payload["init"] = {k: v for k, v in payload["init"].items() if k != "std"}
     return command, payload, blocks
 
 
@@ -266,11 +274,18 @@ class TestConfigProperties:
         unread = [other for other in blocks if other != block]
         unread += ["extra"] + [f"{name}.extra" for name in
                                ("task", block, "init", "optimizer", "run")]
+        unread.append("init.std")  # with no gaussian_zero cell, nothing reads it
         if command == "sweep":
             unread.append("init.kind")
         key = data.draw(st.sampled_from(unread))
         if key in blocks:
             payload = {**payload, key: data.draw(blocks[key])}
+        elif key == "init.std":
+            if command == "sweep":
+                payload = {**payload, "sweep": {**payload["sweep"], "init_kinds": ["pissa"]}}
+            else:
+                payload = {**payload, "init": {**payload.get("init", {}), "kind": "pissa"}}
+            payload = {**payload, "init": {**payload.get("init", {}), "std": 1.0}}
         else:
             name, _, inner = key.rpartition(".")
             if name:  # a valid init kind, so only the read rule can reject init.kind
@@ -294,6 +309,59 @@ class TestConfigProperties:
         payload = {**payload, name: {**payload.get(name, {}), key: entries}}
         with pytest.raises(ConfigFileError, match=f"key '{name}.{key}' repeats an entry"):
             load_config(write_config(tmp_path_factory.mktemp("repeat"), payload), command)
+
+
+def found_sweep(configs):
+    """A one-cell-shape sweep whose configs differ only in alpha."""
+    return {"task": {"kind": "recovery", "n": 4, "m": 4, "base_seed": 1},
+            "sweep": {"sizes": [10], "init_kinds": ["gaussian_zero"], "configs": configs}}
+
+
+def expected_row_count(command, payload):
+    seeds = len(payload.get("run", {}).get("seeds", [42]))
+    if command == "train":
+        return seeds
+    if command == "grid":
+        grid = payload["grid"]
+        return seeds * sum(grid["strategy"] != "heuristic" or a <= b
+                           for a in grid["a_counts"] for b in grid["b_counts"])
+    sweep = payload["sweep"]
+    return seeds * len(sweep["sizes"]) * len(sweep["init_kinds"]) * len(sweep["configs"])
+
+
+class TestConfigRuns:
+    """Every accepted config runs to distinct, finite rows or to one error line."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(case=run_configs())
+    @example(case=("sweep", found_sweep([{"rank": 2}, {"rank": 2, "alpha": 4}]), None))
+    @example(case=("sweep", found_sweep([{"rank": 2, "alpha": 4}, {"rank": 2, "alpha": 8}]),
+                   None))
+    def test_a_run_ends_in_rows_or_one_error_line(self, tmp_path_factory, case):
+        command, payload, _ = case
+        run = payload.get("run", {})
+        payload = {**payload, "run": {**run, "steps": min(run.get("steps", 100), 5)}}
+        tmp_path = tmp_path_factory.mktemp("run")
+        out = tmp_path / "rows.csv"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cmd_dispatch([command, "--config", write_config(tmp_path, payload),
+                                 "--out", str(out)])
+        if code == 1:
+            assert re.fullmatch(r"error: [^\n]+\n", stderr.getvalue()), stderr.getvalue()
+            assert not out.exists() and not (tmp_path / "rows.json").exists()
+            return
+        assert code == 0 and stderr.getvalue() == ""
+        with open(out, encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == CSV_HEADER
+        assert len(rows) == expected_row_count(command, payload)
+        keys = [tuple(row[:CSV_HEADER.index("step0_loss")]) for row in rows]
+        assert len(set(keys)) == len(keys)
+        for name in ("step0_loss", "final_loss", "eval_metric"):
+            assert all(math.isfinite(float(row[CSV_HEADER.index(name)])) for row in rows)
+        mirror = json.loads((tmp_path / "rows.json").read_text())
+        assert [[str(entry[name]) for name in CSV_HEADER] for entry in mirror] == rows
 
 
 class TestParamsCommand:
@@ -443,7 +511,6 @@ class TestRunCommands:
         assert "error: key 'command'" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
     def test_divergence_is_an_error(self, tmp_path, capsys):
         config = write_config(tmp_path, {**TRAIN_CONFIG,
                                          "optimizer": {"kind": "sgd", "lr": 50.0},
@@ -451,8 +518,28 @@ class TestRunCommands:
         code = cmd_dispatch(["train", "--config", config])
         captured = capsys.readouterr()
         assert code == 1
-        assert "error: training diverged" in captured.err
+        assert captured.err.startswith("error: training diverged")
         assert "(seed " in captured.err
+        assert captured.err.count("\n") == 1  # numpy's overflow warnings are not shown
+
+    @pytest.mark.parametrize("configs", [
+        [{"rank": 2}, {"rank": 2, "alpha": 4}],  # an unset alpha resolves to 2 * rank = 4
+        [{"rank": 2, "alpha": 4}, {"rank": 2, "alpha": 8}],
+    ])
+    def test_sweep_configs_differing_only_in_alpha_are_an_error(self, tmp_path, capsys,
+                                                                configs):
+        payload = {**SWEEP_CONFIG, "sweep": {"sizes": [20], "init_kinds": ["gaussian_zero"],
+                                             "configs": configs}}
+        out = tmp_path / "rows.csv"
+        code = cmd_dispatch(["sweep", "--config", write_config(tmp_path, payload),
+                             "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert re.fullmatch(r"error: two cells share the row key \{'strategy': 'full', "
+                            r"'init': 'gaussian_zero', 'M': 1, 'N': 1, 'r': 2, "
+                            r"'sample_size': 20, 'seed': 42\}\n", captured.err)
+        assert captured.out == ""
+        assert not out.exists() and not (tmp_path / "rows.json").exists()
 
     def test_rank_deficient_spectral_source_is_an_error(self, tmp_path, capsys,
                                                         monkeypatch):

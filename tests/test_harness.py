@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from cola_forge import harness
 from cola_forge.adapter import CoLAConfig, Strategy
 from cola_forge.harness import (
     CSV_HEADER,
@@ -212,6 +213,14 @@ class TestGeometry:
         assert round(percent, 4) == published
 
 
+def forbid_training(monkeypatch):
+    """Make any cell that starts training fail the test."""
+    def train_loop(*args, **kwargs):
+        raise AssertionError("a cell trained before every cell was checked")
+
+    monkeypatch.setattr(harness, "train_loop", train_loop)
+
+
 def grid_task():
     spec = RecoveryTaskSpec(n=16, m=16, base_seed=4, components=2, noise_std=0.05,
                             train_samples=60, eval_samples=60)
@@ -242,6 +251,11 @@ class TestRunGrid:
         assert set(result.skipped) == {(2, 1), (3, 1), (3, 2)}
         assert len(result.rows) == 3  # (1,1), (1,2), (2,2)
 
+    def test_repeated_seed_is_rejected_before_any_cell_trains(self, monkeypatch):
+        forbid_training(monkeypatch)
+        with pytest.raises(ValueError, match="two cells share the row key .*'seed': 42"):
+            run_grid(grid_task(), 4, Strategy.FULL, [1, 2], [1], seeds=(42, 42), steps=5)
+
     def test_rows_sorted_and_finite(self):
         result = run_grid(grid_task(), 4, Strategy.RANDOM_AB, [2, 1], [2, 1],
                           seeds=(43, 42), steps=5)
@@ -271,6 +285,14 @@ class TestScarcitySweep:
         rows = scarcity_sweep(self.sweep_task(), [20, 40], [PISSA, GAUSSIAN_ZERO],
                               self.configs(), seeds=(42, 43), steps=5)
         assert len(rows) == 2 * 2 * 2 * 2
+
+    @pytest.mark.parametrize("sizes, alphas", [([10, 10], [None]), ([10], [None, 8.0])])
+    def test_repeated_row_key_is_rejected_before_any_cell_trains(self, monkeypatch,
+                                                                 sizes, alphas):
+        forbid_training(monkeypatch)
+        configs = [CoLAConfig(in_dim=16, out_dim=16, rank=4, alpha=alpha) for alpha in alphas]
+        with pytest.raises(ValueError, match="two cells share the row key .*'sample_size': 10"):
+            scarcity_sweep(self.sweep_task(), sizes, [GAUSSIAN_ZERO], configs, seeds=(42,))
 
     def test_seed_column_unique_within_cell(self):
         rows = scarcity_sweep(self.sweep_task(), [20], [GAUSSIAN_ZERO],

@@ -486,7 +486,6 @@ class TestFusedStep:
             optimizer_step(state, np.zeros(4), np.ones(4))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow
 class TestDivergence:
     DIVERGENT = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3)
 
