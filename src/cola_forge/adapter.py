@@ -31,11 +31,14 @@ applications off the same list. The forward path always stays factored
 backward pass; DeltaW is only materialized for merging and as a test oracle.
 A layer's pools are views into one flat buffer, so one update steps them all;
 each index set is a run, so several products are one stacked matmul over it.
+``_apply`` writes into a workspace of buffers that a training run allocates
+once and reuses at every step.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,49 +274,109 @@ def _composition(cfg: CoLAConfig, pairing_map: tuple[int, ...] | None,
 _STACK_LIMIT = 4096  # product elements a stacked matmul may hold; more are BLAS-bound
 
 
-def _pool_sum(stack, idx: tuple[int, ...], v: np.ndarray | None = None) -> np.ndarray:
-    """sum_{k in idx} stack[k], or of stack[k] @ v, added left to right. Small
-    products are one stacked matmul, saving call overhead; large ones a loop."""
-    lo, hi = idx[0], idx[-1] + 1
-    if hi == lo + 1:
-        return stack[lo] if v is None else stack[lo] @ v
-    if v is not None and (hi - lo) * stack.shape[1] * (v.size // v.shape[0]) > _STACK_LIMIT:
-        total = stack[lo] @ v
-        for k in range(lo + 1, hi):
-            total += stack[k] @ v
+def _run(stack: np.ndarray, cols: tuple[int, ...], buffers: bool = False) -> tuple:
+    """A run of pool members, a (count, rows, inner) stack, ready for
+    :func:`_run_sum` on inputs of trailing shape ``cols``: the tuple
+    ``(stack, parts, members, tmp)``. Up to _STACK_LIMIT product elements
+    the products are one stacked matmul (``stack``, else None) into the
+    buffer ``parts[0]`` whose slices are ``parts[1]``; above it they are
+    taken one at a time, each next one into ``tmp``. With ``buffers`` the
+    buffers are allocated here, else each sum allocates its own."""
+    count, rows = stack.shape[:2]
+    stacked = count > 1 and count * rows * math.prod(cols) <= _STACK_LIMIT
+    products = np.empty(stack.shape[:2] + cols) if buffers and stacked else None
+    parts = (products, None if products is None else list(products))
+    tmp = np.empty((rows,) + cols) if buffers and not stacked else None
+    return stack if stacked else None, parts, list(stack), tmp
+
+
+def _run_sum(run: tuple, v: np.ndarray | None, total: np.ndarray | None,
+             add: bool = False) -> np.ndarray:
+    """sum_k member_k (v None) or sum_k member_k @ v over a :func:`_run`,
+    added left to right into ``total`` (a new array if None) and returned.
+    With ``add`` every product is added to what ``total`` holds; else the
+    sum starts from its first product, or from the sum of the first two
+    where the products are one stacked matmul (its slices equal 2-D
+    products). A sum of one member without v is the member itself."""
+    stack, (products, parts), members, tmp = run
+    if v is None:
+        if len(members) == 1:
+            return members[0]
+        parts = members
+    elif stack is not None:
+        products = np.matmul(stack, v, products)
+        parts = parts or products
+    else:  # one product at a time
+        for k, member in enumerate(members):
+            if k or add:
+                total += np.matmul(member, v, tmp)
+            else:
+                total = np.matmul(member, v, total)
         return total
-    parts = stack[lo:hi] if v is None else stack[lo:hi] @ v  # its slices equal 2-D products
-    total = parts[0] + parts[1]
-    for part in parts[2:]:
+    if not add:
+        total = np.add(parts[0], parts[1], total)
+    for part in parts[0 if add else 2:]:
         total += part
     return total
 
 
-def _apply(layer: CoLALayer, x: np.ndarray, terms: list[_Term],
-           scale: float) -> tuple[np.ndarray, list[np.ndarray]]:
+def _pool_sum(stack, idx: tuple[int, ...], v: np.ndarray | None = None) -> np.ndarray:
+    """sum_{k in idx} stack[k], or of stack[k] @ v, added left to right, in
+    new arrays: :func:`_run_sum` on a run without buffers."""
+    return _run_sum(_run(stack[idx[0]:idx[-1] + 1], () if v is None else v.shape[1:]), v, None)
+
+
+class _Workspace:
+    """What :func:`_apply` computes into, for inputs whose trailing shape is
+    ``cols``: DeltaW x, W0 x, one hidden state per term (a composition has
+    at most max(M, N) terms) and, built on first use, a :func:`_run` for each
+    index set of each pool (``runs[0]`` A, ``runs[1]`` B). With ``buffers``
+    all of them are allocated once, so a training run that reuses the
+    workspace allocates nothing per step; without, each call allocates its
+    results, as a single forward pass needs no more."""
+
+    def __init__(self, layer: CoLALayer, cols: tuple[int, ...], buffers: bool = True):
+        cfg = layer.config
+        self.cols, self.buffers, self.layer_scale = cols, buffers, cfg.scale
+        self.pools = (layer.a_list, layer.b_list)
+        terms = max(cfg.a_count, cfg.b_count)
+        if buffers:
+            self.out, self.base = np.empty((2, cfg.out_dim) + cols)
+            self.hidden = list(np.empty((terms, cfg.rank) + cols))
+        else:
+            self.out = self.base = None
+            self.hidden = [None] * terms
+        self.runs: tuple[dict, dict] = ({}, {})
+
+    def run(self, side: int, idx: tuple[int, ...]) -> tuple:
+        """The run of members ``idx`` of pool ``side``, built and kept."""
+        run = _run(self.pools[side][idx[0]:idx[-1] + 1], self.cols, self.buffers)
+        self.runs[side][idx] = run
+        return run
+
+
+def _apply(layer: CoLALayer, x: np.ndarray, terms: list[_Term], scale: float,
+           ws: _Workspace | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """W0 x + (alpha/r) DeltaW x for a composition, factored (DeltaW is never
-    materialized), and the hidden state sum_{i in a_idx} A_i x of each term.
+    materialized), and the hidden state sum_{i in a_idx} A_i x of each term,
+    computed into the workspace ``ws`` (if None, into new arrays).
 
     Each hidden state sums A_i @ x left to right, every B_j @ t is added into
     DeltaW x in index order, and the scales come last; a scale of exactly 1.0
     is skipped.
     """
-    a_stack, b_stack = layer.a_list, layer.b_list
-    out = None
-    hidden = []
-    for b_idx, a_idx in terms:
-        t = _pool_sum(a_stack, a_idx, x)
-        hidden.append(t)
-        if out is None:
-            out = _pool_sum(b_stack, b_idx, t)
-        else:
-            for j in b_idx:
-                out += b_stack[j] @ t
+    if ws is None:
+        ws = _Workspace(layer, x.shape[1:], buffers=False)
+    (a_runs, b_runs), hidden, out = ws.runs, ws.hidden, ws.out
+    for term, (b_idx, a_idx) in enumerate(terms):
+        t = hidden[term] = _run_sum(a_runs.get(a_idx) or ws.run(0, a_idx), x, hidden[term])
+        out = _run_sum(b_runs.get(b_idx) or ws.run(1, b_idx), t, out, term > 0)
     # w0 @ x + alpha/r * (scale * out), rounded alike, into out's own storage
-    for factor in (scale, layer.config.scale):
-        if factor != 1.0:
-            out *= factor
-    return np.add(layer.w0 @ x, out, out), hidden
+    if scale != 1.0:
+        out *= scale
+    if ws.layer_scale != 1.0:
+        out *= ws.layer_scale
+    return np.add(np.matmul(layer.w0, x, ws.base), out, out), hidden
 
 
 def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",

@@ -23,12 +23,24 @@ batch as columns (m x B and n x B), in which case gradients sum over the
 batch, matching a loss that is itself summed (or averaged, if g_out already
 carries the 1/B factor).
 
-A :func:`train_loop` run whose pairing cannot change composes once and draws
-the batch indices of 64 steps per rng call; one that resamples its pairing
-draws them, then the pairing, each step. The stacked forward pass keeps each
-term's hidden state sum_i A_i x; the backward pass reuses it, adding every pool
-gradient into ``Grads.flat``, one zeroed buffer laid out like ``params``, and
-:func:`optimizer_step` updates ``params`` from it as one array.
+:func:`train_loop` allocates its buffers once per run, in a workspace that
+every product and elementwise operation of a step writes into. A run whose
+pairing cannot change composes once, draws the batch indices of a block of
+steps per rng call and gathers the block's inputs and targets in one fancy
+index each (a block holds at most 64 steps and no more columns than the
+training set); one that resamples its pairing draws them, then the pairing,
+each step. The forward pass keeps each term's hidden state sum_i A_i x and
+the backward pass reuses it. Under a fixed composition, pool members that
+appear in exactly the same terms (all A_i and all B_j under FULL, the tail
+B_M..B_N under HEURISTIC) get the same gradient at every step, hence the
+same Adam moments and the same update: they form a class, the step keeps
+one gradient slot per class, updates that buffer and subtracts each class's
+update from its members, which equals one gradient and one update per
+member bit for bit. A run that resamples its pairing keeps one class per
+member. :func:`backward` runs the same gradient routine with one class per
+member, into ``Grads.flat``, laid out like ``params``. :func:`optimizer_step`
+and :func:`train_loop` both compute their update with ``_update``, the one
+statement of the SGD and Adam arithmetic.
 """
 
 from __future__ import annotations
@@ -43,11 +55,12 @@ from .adapter import (
     Pairing,
     Strategy,
     _PAIRING_KIND,
+    _Workspace,
     _apply,
+    _run_sum,
     _check_pairing,
     _composition,
     _pairing_range,
-    _pool_sum,
     _pool_views,
     flop_count,
     forward,
@@ -101,28 +114,50 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
         raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
     terms, scale = _composition(cfg, _check_pairing(cfg, pairing))
     grads = Grads(layer)
-    _backward(layer, x2, g2, terms, scale, _apply(layer, x2, terms, scale)[1], grads)
+    ws = _StepWorkspace(layer, x2.shape[1:], grads.flat, cfg.a_count, cfg.b_count)
+    _apply(layer, x2, terms, scale, ws)
+    _backward(ws, x2, g2, terms, terms, scale)
     return grads
 
 
-def _backward(layer: CoLALayer, x2: np.ndarray, g2: np.ndarray, terms, scale: float,
-              hidden: list[np.ndarray], grads: Grads) -> None:
-    """Add the pool gradients into the zeroed ``grads``, given each term's
-    hidden state from the forward pass."""
+class _StepWorkspace(_Workspace):
+    """An :func:`_apply` workspace plus the buffers of the loss and of
+    :func:`_backward`, and ``ga``/``gb``: the A- and B-class slots of the
+    gradient buffer ``grad`` (``a_count`` and ``b_count`` classes)."""
+
+    def __init__(self, layer: CoLALayer, cols: tuple[int, ...], grad: np.ndarray,
+                 a_count: int, b_count: int):
+        super().__init__(layer, cols)
+        cfg = layer.config
+        n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
+        self.hidden_t = [t.T for t in self.hidden]
+        self.g, self.sq, self.gs = (np.empty((n,) + cols) for _ in range(3))
+        self.rev = np.empty((r,) + cols)
+        self.db, self.bsum, self.da = np.empty((n, r)), np.empty((n, r)), np.empty((r, m))
+        split = a_count * r * m
+        self.ga = list(grad[:split].reshape(a_count, r, m))
+        self.gb = list(grad[split:].reshape(b_count, n, r))
+
+
+def _backward(ws: _StepWorkspace, x2: np.ndarray, g2: np.ndarray, terms,
+              class_terms, scale: float) -> None:
+    """Add the pool gradients into the zeroed class slots ``ws.ga`` and
+    ``ws.gb``, given each term's hidden state from the forward pass in
+    ``ws``. ``class_terms`` names each
+    term's B and A classes, each once: a class slot receives the term's
+    gradient once for all of its members."""
     # Both scales multiply every term, so they are folded into g_out once.
-    if (total := layer.config.scale * scale) != 1.0:
-        g2 = total * g2
-    # add through a view: ``stack[j] += ...`` would copy it back onto itself
-    b_stack, da_stack, db_stack = layer.b_list, grads.da_list, grads.db_list
-    for (b_idx, a_idx), t in zip(terms, hidden):
-        db_term = g2 @ t.T
-        da_term = (_pool_sum(b_stack, b_idx).T @ g2) @ x2.T
-        for j in b_idx:
-            db = db_stack[j]
-            db += db_term
-        for i in a_idx:
-            da = da_stack[i]
-            da += da_term
+    if (total := ws.layer_scale * scale) != 1.0:
+        g2 = np.multiply(g2, total, ws.gs)
+    b_runs, ga, gb, x_t = ws.runs[1], ws.ga, ws.gb, x2.T
+    for (b_idx, _), (b_cls, a_cls), t_t in zip(terms, class_terms, ws.hidden_t):
+        db_term = np.matmul(g2, t_t, ws.db)
+        b_sum = _run_sum(b_runs[b_idx], None, ws.bsum)  # the forward built each run
+        da_term = np.matmul(np.matmul(b_sum.T, g2, ws.rev), x_t, ws.da)
+        for c in b_cls:
+            gb[c] += db_term
+        for c in a_cls:
+            ga[c] += da_term
 
 
 def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
@@ -202,9 +237,11 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam (decoupled weight decay fixed at 0) over one parameter
-    array; the first Adam step allocates ``m``, ``v`` and a two-slot
-    ``scratch`` shaped like it, so later steps allocate no temporaries."""
+    """SGD or Adam (decoupled weight decay fixed at 0). The first Adam step
+    allocates the moments ``m`` and ``v`` and a ``scratch`` buffer shaped like
+    its gradient: the parameters under :func:`optimizer_step`, one slot per
+    class of pool members inside :func:`train_loop` (whose moments are
+    therefore per class), so later steps allocate no temporaries."""
 
     kind: str
     lr: float
@@ -229,30 +266,37 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
     """One in-place update; returns the (mutated) parameter array."""
     if params.shape != grads.shape:
         raise ShapeError(f"params of shape {params.shape} vs grads of shape {grads.shape}")
-    state.step += 1
+    params -= _update(state, grads)
+    return params
+
+
+def _update(state: OptimizerState, grads: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """One step's update u for ``grads`` (applied as params -= u), written
+    into ``out``, which may be ``grads`` itself, or into a new array."""
     if state.kind == "sgd":
-        params -= state.lr * grads
-        return params
+        state.step += 1
+        return np.multiply(grads, state.lr, out)
     if state.m is None:
-        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
-        state.scratch = np.empty((2,) + params.shape, params.dtype)
-    elif state.m.shape != params.shape:
+        state.m, state.v, state.scratch = (np.zeros_like(grads) for _ in range(3))
+    elif state.m.shape != grads.shape:
         raise ShapeError("Adam state was allocated for other parameters")
+    state.step += 1
     b1, b2 = state.betas
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
-    # into the scratch buffers t and u, passed by position (parsed faster)
-    m, v, (t, u) = state.m, state.v, state.scratch
+    # u = lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+    # into the scratch buffer t and out, passed by position (parsed faster)
+    m, v, t = state.m, state.v, state.scratch
     m *= b1
     m += np.multiply(grads, 1.0 - b1, t)
     v *= b2
     v += np.multiply(np.multiply(grads, 1.0 - b2, t), grads, t)
     np.sqrt(np.divide(v, bc2, t), t)
     t += state.eps
-    np.multiply(np.divide(m, bc1, u), state.lr, u)
-    params -= np.divide(u, t, u)
-    return params
+    out = np.divide(m, bc1, out)
+    np.multiply(out, state.lr, out)
+    return np.divide(out, t, out)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +343,53 @@ class TrainReport:
     mac_total: int
 
 
-def _task_loss(task, y: np.ndarray, idx=slice(None)) -> tuple[float, np.ndarray]:
-    """Loss and dL/dy of outputs y on the training samples ``idx``."""
-    if task.kind == "recovery":
-        return squared_error_grad(y, task.y_train[:, idx])
-    return cross_entropy_grad(y, task.labels_train[idx])
-
-
 def _dataset_loss(layer: CoLALayer, task) -> float:
-    return _task_loss(task, forward(layer, task.x_train, mode="eval"))[0]
+    """The loss over the whole training set, under the eval composition."""
+    y = forward(layer, task.x_train, mode="eval")
+    if task.kind == "recovery":
+        return squared_error_grad(y, task.y_train)[0]
+    return cross_entropy_grad(y, task.labels_train)[0]
+
+
+def _classes(terms, a_count: int, b_count: int) -> tuple[list[int], list[int]]:
+    """Each A and each B member's class, numbered in member order: members of
+    one pool that appear in exactly the same terms form one class. Under a
+    fixed composition they get the same gradient at every step, so the same
+    Adam moments and the same update."""
+    a_seen: dict = {}
+    b_seen: dict = {}
+    a_class = [a_seen.setdefault(tuple(k for k, (_, a_idx) in enumerate(terms) if i in a_idx),
+                                 len(a_seen)) for i in range(a_count)]
+    b_class = [b_seen.setdefault(tuple(k for k, (b_idx, _) in enumerate(terms) if j in b_idx),
+                                 len(b_seen)) for j in range(b_count)]
+    return a_class, b_class
+
+
+def _class_updates(layer: CoLALayer, grad: np.ndarray, a_class: list[int],
+                   b_class: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(members, update) view pairs that apply the class updates in ``grad``
+    (laid out A classes, then B classes) to ``layer.params`` as ``members -=
+    update``: a span of members whose classes follow each other in ``grad``
+    is one slice of each, and a span of members of one class is a (count,
+    size) view and the class's slot, broadcast."""
+    cfg, params = layer.config, layer.params
+    rm, nr = cfg.rank * cfg.in_dim, cfg.out_dim * cfg.rank
+    split = (max(a_class) + 1) * rm
+    members = ([(i * rm, c * rm, rm) for i, c in enumerate(a_class)]
+               + [(len(a_class) * rm + j * nr, split + c * nr, nr) for j, c in enumerate(b_class)])
+    spans: list[tuple[int, int, int, int]] = []  # params start and length, grad start and length
+    for p, g, size in members:
+        if spans:
+            p0, p_len, g0, g_len = spans[-1]
+            if p_len == g_len and g == g0 + g_len:  # the next slot of grad
+                spans[-1] = (p0, p_len + size, g0, g_len + size)
+                continue
+            if g == g0 and size == g_len:  # the span's one class again
+                spans[-1] = (p0, p_len + size, g0, g_len)
+                continue
+        spans.append((p, size, g, size))
+    return [(params[p0:p0 + p_len].reshape(-1, g_len), grad[g0:g0 + g_len])
+            for p0, p_len, g0, g_len in spans]
 
 
 def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
@@ -323,34 +405,69 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
         raise ValueError(f"steps must be >= 0, got {steps}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    cfg, grads = layer.config, Grads(layer)
+    cfg = layer.config
     kind = _PAIRING_KIND.get(cfg.strategy)
     frozen = layer.pairing is not None and layer.pairing.frozen
     draw = None if kind is None or frozen else _pairing_range(kind, cfg.a_count, cfg.b_count)
+    # One gradient slot, one pair of Adam moments and one update per class;
+    # a run that resamples its pairing, or an Adam state that already holds
+    # per-member moments, keeps one class per member.
+    a_class, b_class = list(range(cfg.a_count)), list(range(cfg.b_count))
     if draw is None:  # no pairing is drawn per step
         terms, scale = _composition(cfg, _check_pairing(cfg, layer.pairing))
-    block = 64 if draw is None else 1  # steps whose batch indices one rng call draws
-    indices = (idx for start in range(0, steps, block) for idx in rng.integers(
-        0, task.x_train.shape[1], size=(min(block, steps - start), batch)))
+        if optimizer.m is None or optimizer.m.shape != layer.params.shape:
+            a_class, b_class = _classes(terms, cfg.a_count, cfg.b_count)
+        class_terms = [(tuple(dict.fromkeys(b_class[j] for j in b_idx)),
+                        tuple(dict.fromkeys(a_class[i] for i in a_idx)))
+                       for b_idx, a_idx in terms]
+    a_count, b_count = max(a_class) + 1, max(b_class) + 1
+    grad = np.zeros(a_count * cfg.rank * cfg.in_dim + b_count * cfg.out_dim * cfg.rank)
+    ws = _StepWorkspace(layer, (batch,), grad, a_count, b_count)
+    updates = _class_updates(layer, grad, a_class, b_class)
+
+    # A block of steps draws its batch indices in one rng call and gathers
+    # its samples, as rows, in one fancy index per array, holding at most
+    # the training set's size; a step reads the transpose of its rows, laid
+    # out like ``x_train[:, idx]``. A run that resamples its pairing draws
+    # them, then the pairing, each step.
+    size = task.x_train.shape[1]
+    block = 1 if draw is not None else max(1, min(64, size // batch))
+    recovery = task.kind == "recovery"
+    samples = (task.x_train.T, task.y_train.T if recovery else task.labels_train)
 
     # A diverging run overflows before its loss turns non-finite; the
     # DivergenceError below reports it, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         initial_loss = _dataset_loss(layer, task)
         losses: list[float] = []
-        for step, idx in enumerate(indices, 1):
-            if draw is not None:
-                terms, scale = _composition(cfg, rng.integers(0, draw[0], size=draw[1]).tolist())
-            xb = task.x_train[:, idx]
-            y, hidden = _apply(layer, xb, terms, scale)
-            loss, g = _task_loss(task, y, idx)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"training diverged: minibatch loss {loss} at step "
-                                      f"{step} of {steps} (seed {seed})")
-            grads.flat.fill(0.0)
-            _backward(layer, xb, g, terms, scale, hidden, grads)
-            optimizer_step(optimizer, layer.params, grads.flat)
-            losses.append(loss)
+        for start in range(0, steps, block):
+            count = min(block, steps - start)
+            idx = rng.integers(0, size, size=(count, batch))
+            x_block, t_block = (rows[idx] for rows in samples)
+            for x_rows, t_rows in zip(x_block, t_block):
+                xb, tb = x_rows.T, t_rows.T
+                if draw is not None:
+                    terms, scale = _composition(
+                        cfg, rng.integers(0, draw[0], size=draw[1]).tolist())
+                    class_terms = terms
+                y = _apply(layer, xb, terms, scale, ws)[0]
+                if recovery:  # squared_error_grad, into the workspace
+                    g = np.subtract(y, tb, ws.g)
+                    loss = 0.5 * float(np.add.reduce(np.multiply(g, g, ws.sq), None)) / batch
+                    np.divide(g, batch, g)
+                else:
+                    loss, g = cross_entropy_grad(y, tb)
+                if not math.isfinite(loss):
+                    raise DivergenceError(f"training diverged: minibatch loss {loss} at step "
+                                          f"{len(losses) + 1} of {steps} (seed {seed})")
+                grad.fill(0.0)
+                _backward(ws, xb, g, terms, class_terms, scale)
+                _update(optimizer, grad, grad)
+                for members, update in updates:
+                    members -= update
+                losses.append(loss)
+            # the last step's views hold the block too; free it before the next
+            del x_block, t_block, x_rows, t_rows, xb, tb
 
         final_loss = _dataset_loss(layer, task)
     if not math.isfinite(final_loss):

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cola_forge import harness
 from cola_forge.adapter import CoLAConfig, Strategy
@@ -25,7 +27,7 @@ from cola_forge.harness import (
     write_rows_csv,
     write_rows_json,
 )
-from cola_forge.initializers import GAUSSIAN_ZERO, PISSA
+from cola_forge.initializers import GAUSSIAN_ZERO, INIT_KINDS, PISSA
 from cola_forge.linalg import make_rng, svd
 
 
@@ -329,6 +331,74 @@ class TestScarcitySweep:
         task = self.sweep_task()
         assert np.array_equal(task.subsample(20).x_train,
                               task.subsample(40).x_train[:, :20])
+
+
+@st.composite
+def small_runs(draw):
+    """(task, command, arguments, training settings): a tiny recovery or
+    classification task and a ``run_grid`` or ``scarcity_sweep`` call on it."""
+    seed = draw(st.integers(0, 99))
+    if draw(st.booleans()):
+        task = make_recovery_task(RecoveryTaskSpec(
+            n=draw(st.integers(2, 6)), m=draw(st.integers(2, 6)), base_seed=seed,
+            components=draw(st.integers(1, 2)), noise_std=0.05,
+            train_samples=draw(st.integers(2, 10)), eval_samples=4, source_noise_std=0.01),
+            make_rng(seed))
+    else:
+        clusters = draw(st.integers(2, 3))
+        task = make_classification_task(ClassifyTaskSpec(
+            clusters=clusters, input_dim=draw(st.integers(clusters, 5)),
+            samples_per_cluster=draw(st.integers(1, 4)), backbone_seed=seed,
+            label_noise=0.1), make_rng(seed))
+    train = {"steps": draw(st.integers(0, 6)), "batch": draw(st.integers(1, 5)),
+             "optimizer": draw(st.sampled_from(["sgd", "adam"])),
+             "lr": draw(st.sampled_from([1e-3, 1e-2]))}
+    seeds = draw(st.lists(st.integers(0, 99), min_size=1, max_size=2, unique=True))
+    ranks = st.integers(1, min(task.in_dim, task.out_dim))
+    counts = st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True)
+    if draw(st.booleans()):
+        return task, "grid", {
+            "rank": draw(ranks), "strategy": draw(st.sampled_from(list(Strategy))),
+            "m_range": draw(counts), "n_range": draw(counts),
+            "init_kind": draw(st.sampled_from(INIT_KINDS)), "seeds": seeds}, train
+
+    @st.composite
+    def shapes(draw):
+        strategy = draw(st.sampled_from(list(Strategy)))
+        a_count = draw(st.integers(1, 3))
+        b_count = draw(st.integers(a_count if strategy is Strategy.HEURISTIC else 1, 3))
+        return strategy, a_count, b_count, draw(ranks)
+
+    configs = [CoLAConfig(in_dim=task.in_dim, out_dim=task.out_dim, rank=rank,
+                          a_count=a_count, b_count=b_count, strategy=strategy)
+               for strategy, a_count, b_count, rank in draw(st.lists(
+                   shapes(), min_size=1, max_size=2, unique=True))]
+    return task, "sweep", {
+        "sizes": draw(st.lists(st.integers(1, task.train_size), min_size=1, max_size=2,
+                               unique=True)),
+        "init_kinds": draw(st.lists(st.sampled_from(INIT_KINDS), min_size=1, unique=True)),
+        "configs": configs, "seeds": seeds}, train
+
+
+class TestStandaloneRows:
+    """Every grid and sweep row is the row of one standalone run_single."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(case=small_runs())
+    def test_every_row_equals_its_standalone_rerun(self, case):
+        task, command, args, train = case
+        if command == "grid":
+            rows = run_grid(task, **args, **train).rows
+        else:
+            rows = scarcity_sweep(task, **args, **train)
+        for row in rows:
+            cfg = CoLAConfig(in_dim=task.in_dim, out_dim=task.out_dim, rank=row.r,
+                             a_count=row.M, b_count=row.N, strategy=row.strategy)
+            run_seed = (grid_cell_seed(row.seed, row.M, row.N) if command == "grid" else
+                        sweep_cell_seed(row.seed, row.sample_size, row.init, cfg))
+            alone, _ = run_single(task, cfg, row.init, run_seed, sample_size=row.sample_size,
+                                  echo_seed=row.seed, **train)
+            assert [str(v) for v in alone.as_list()] == [str(v) for v in row.as_list()]
 
 
 class TestRowWriters:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,15 @@ class TestOptimizers:
         with pytest.raises(ShapeError, match="grads"):
             optimizer_step(state, np.zeros(3), np.ones(1))
         assert state.step == 0
+        # a rejected call after a good one leaves the step count, and with it
+        # every later bias correction, as it was
+        optimizer_step(state, np.zeros(3), np.ones(3))
+        with pytest.raises(ShapeError, match="grads"):
+            optimizer_step(state, np.zeros(3), np.ones(1))
+        if kind == "adam":
+            with pytest.raises(ShapeError, match="other parameters"):
+                optimizer_step(state, np.zeros(4), np.ones(4))
+        assert state.step == 1
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -274,6 +284,23 @@ class TestTrainLoop:
                                 rng=make_rng(seed))
             assert report.final_loss < report.initial_loss
 
+    def test_gathered_blocks_cost_at_most_one_training_set_of_memory(self):
+        # the benchmark's wide_layer cell shape; 1759197 bytes is the traced
+        # peak of this run when each step gathered only its own minibatch
+        task = make_recovery_task(RecoveryTaskSpec(
+            n=128, m=128, base_seed=3, components=3, noise_std=0.05,
+            train_samples=400, eval_samples=400), make_rng(3))
+        cfg = CoLAConfig(in_dim=128, out_dim=128, rank=16, a_count=2, b_count=3)
+        layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1), base_w0=task.w_base)
+        tracemalloc.start()
+        try:
+            train_loop(task, layer, make_optimizer("adam", 1e-2), steps=100, batch=32,
+                       rng=make_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1759197 + task.x_train.nbytes + task.y_train.nbytes
+
     def test_frozen_pairing_is_honored(self):
         task = small_task()
         cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
@@ -366,19 +393,35 @@ class TestFusedStep:
     # rank 1, batch 1 and 8 members make every stacked product one element,
     # where numpy's own reductions would sum pairwise; 150 steps span three
     # blocks of batch indices, the last one short
+    # a 20-sample training set holds two steps of batch 8, so a block of steps
+    # is capped at two; the (1, 1) pairing of a frozen RANDOM_AB (2, 3) layer
+    # leaves B_0 and B_2 in no term (one class, never updated); the HEURISTIC
+    # (2, 4) tail B_1..B_3 is one class of three members
     EDGES = {
         "rank1-batch1-8x8": (dict(rank=1, a_count=8, b_count=8), 1, 30),
         "out-dim-1": (dict(rank=1, a_count=8, b_count=9), 1, 30),
         "three-index-blocks": (dict(rank=4, a_count=2, b_count=3), 8, 150),
         "classification": (dict(rank=2, a_count=2, b_count=3), 8, 30),
+        "training-set-below-one-block": (dict(rank=4, a_count=2, b_count=3), 8, 30),
+        "pairing-all-to-member-1": (dict(rank=4, a_count=2, b_count=3), 8, 30),
+        "heuristic-tail-of-three": (dict(rank=4, a_count=2, b_count=4), 8, 30),
     }
 
     @pytest.mark.parametrize("edge", list(EDGES))
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("strategy, frozen", STRATEGIES)
-    def test_matches_hand_loop_bitwise_at_edges(self, strategy, frozen, kind, edge):
+    def test_matches_hand_loop_bitwise_at_edges(self, strategy, frozen, kind, edge,
+                                                monkeypatch):
         shape, batch, steps = self.EDGES[edge]
-        if edge == "out-dim-1":
+        if edge == "pairing-all-to-member-1":  # every random layer starts from it
+            monkeypatch.setattr("cola_forge.adapter.sample_pairing", lambda a_count, b_count,
+                                kind, rng: Pairing(kind, [1] * (a_count if kind == "ab"
+                                                                else b_count)))
+        if edge == "training-set-below-one-block":
+            task = make_recovery_task(RecoveryTaskSpec(
+                n=24, m=20, base_seed=3, components=2, noise_std=0.05,
+                train_samples=20, eval_samples=50), make_rng(3))
+        elif edge == "out-dim-1":
             task = make_recovery_task(RecoveryTaskSpec(
                 n=1, m=20, base_seed=3, components=1, noise_std=0.05,
                 train_samples=200, eval_samples=50), make_rng(3))
