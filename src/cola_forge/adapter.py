@@ -30,7 +30,8 @@ applications off the same list. The forward path always stays factored
 (down-projections first) and returns each term's hidden state for the
 backward pass; DeltaW is only materialized for merging and as a test oracle.
 A layer's pools are views into one flat buffer, so one update steps them all;
-each index set is a run, so several products are one stacked matmul over it.
+the members of each index set are a run, summed left to right, each product
+one 2-D ``np.dot`` into a buffer.
 ``_apply`` writes into a workspace of buffers that a training run allocates
 once and reuses at every step.
 """
@@ -38,7 +39,6 @@ once and reuses at every step.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,87 +271,58 @@ def _composition(cfg: CoLAConfig, pairing_map: tuple[int, ...] | None,
     return [((j,), (i,)) for j, i in enumerate(pairing_map)], 1.0
 
 
-_STACK_LIMIT = 4096  # product elements a stacked matmul may hold; more are BLAS-bound
-
-
-def _run(stack: np.ndarray, cols: tuple[int, ...], buffers: bool = False) -> tuple:
-    """A run of pool members, a (count, rows, inner) stack, ready for
-    :func:`_run_sum` on inputs of trailing shape ``cols``: the tuple
-    ``(stack, parts, members, tmp)``. Up to _STACK_LIMIT product elements
-    the products are one stacked matmul (``stack``, else None) into the
-    buffer ``parts[0]`` whose slices are ``parts[1]``; above it they are
-    taken one at a time, each next one into ``tmp``. With ``buffers`` the
-    buffers are allocated here, else each sum allocates its own."""
-    count, rows = stack.shape[:2]
-    stacked = count > 1 and count * rows * math.prod(cols) <= _STACK_LIMIT
-    products = np.empty(stack.shape[:2] + cols) if buffers and stacked else None
-    parts = (products, None if products is None else list(products))
-    tmp = np.empty((rows,) + cols) if buffers and not stacked else None
-    return stack if stacked else None, parts, list(stack), tmp
-
-
-def _run_sum(run: tuple, v: np.ndarray | None, total: np.ndarray | None,
-             add: bool = False) -> np.ndarray:
-    """sum_k member_k (v None) or sum_k member_k @ v over a :func:`_run`,
-    added left to right into ``total`` (a new array if None) and returned.
-    With ``add`` every product is added to what ``total`` holds; else the
-    sum starts from its first product, or from the sum of the first two
-    where the products are one stacked matmul (its slices equal 2-D
-    products). A sum of one member without v is the member itself."""
-    stack, (products, parts), members, tmp = run
+def _run_sum(members: list[np.ndarray], v: np.ndarray | None, total: np.ndarray | None,
+             add: bool = False, tmp: np.ndarray | None = None) -> np.ndarray:
+    """sum_k member_k (v None) or sum_k member_k @ v over a run, the member
+    list of one index set, added left to right into ``total`` (a new array
+    if None) and returned. Each product is ``np.dot(member, v, out)``: into
+    ``total`` for the first one, into the scratch ``tmp`` (a new array if
+    None) for every next one, which is then added. With ``add`` every
+    product is added to what ``total`` holds. A sum of one member without v
+    is the member itself."""
     if v is None:
         if len(members) == 1:
             return members[0]
-        parts = members
-    elif stack is not None:
-        products = np.matmul(stack, v, products)
-        parts = parts or products
-    else:  # one product at a time
-        for k, member in enumerate(members):
-            if k or add:
-                total += np.matmul(member, v, tmp)
-            else:
-                total = np.matmul(member, v, total)
+        total = np.add(members[0], members[1], total)
+        for member in members[2:]:
+            total += member
         return total
-    if not add:
-        total = np.add(parts[0], parts[1], total)
-    for part in parts[0 if add else 2:]:
-        total += part
+    for k, member in enumerate(members):
+        if k or add:
+            total += np.dot(member, v, tmp)
+        else:
+            total = np.dot(member, v, total)
     return total
 
 
 def _pool_sum(stack, idx: tuple[int, ...], v: np.ndarray | None = None) -> np.ndarray:
     """sum_{k in idx} stack[k], or of stack[k] @ v, added left to right, in
-    new arrays: :func:`_run_sum` on a run without buffers."""
-    return _run_sum(_run(stack[idx[0]:idx[-1] + 1], () if v is None else v.shape[1:]), v, None)
+    new arrays: :func:`_run_sum` on the members ``idx``."""
+    return _run_sum(list(stack[idx[0]:idx[-1] + 1]), v, None)
 
 
 class _Workspace:
-    """What :func:`_apply` computes into, for inputs whose trailing shape is
-    ``cols``: DeltaW x, W0 x, one hidden state per term (a composition has
-    at most max(M, N) terms) and, built on first use, a :func:`_run` for each
-    index set of each pool (``runs[0]`` A, ``runs[1]`` B). With ``buffers``
-    all of them are allocated once, so a training run that reuses the
-    workspace allocates nothing per step; without, each call allocates its
-    results, as a single forward pass needs no more."""
+    """What :func:`_apply` computes into: DeltaW x (``out``), W0 x
+    (``base``), the hidden state of each of at most ``terms`` terms, a
+    product scratch per pool side (``tmp``, A then B) and, built on first
+    use, the run of each index set of each pool (``runs[0]`` A, ``runs[1]``
+    B). Here every buffer is None, so a single forward pass allocates only
+    what its composition uses: a hidden state per term, a scratch per
+    product after a run's first, and W0 x apart from the output. A training
+    run's workspace allocates them all once and reuses them at every step."""
 
-    def __init__(self, layer: CoLALayer, cols: tuple[int, ...], buffers: bool = True):
-        cfg = layer.config
-        self.cols, self.buffers, self.layer_scale = cols, buffers, cfg.scale
+    out = base = None
+    tmp = (None, None)
+
+    def __init__(self, layer: CoLALayer, terms: int):
+        self.layer_scale = layer.config.scale
         self.pools = (layer.a_list, layer.b_list)
-        terms = max(cfg.a_count, cfg.b_count)
-        if buffers:
-            self.out, self.base = np.empty((2, cfg.out_dim) + cols)
-            self.hidden = list(np.empty((terms, cfg.rank) + cols))
-        else:
-            self.out = self.base = None
-            self.hidden = [None] * terms
+        self.hidden = [None] * terms
         self.runs: tuple[dict, dict] = ({}, {})
 
-    def run(self, side: int, idx: tuple[int, ...]) -> tuple:
+    def run(self, side: int, idx: tuple[int, ...]) -> list[np.ndarray]:
         """The run of members ``idx`` of pool ``side``, built and kept."""
-        run = _run(self.pools[side][idx[0]:idx[-1] + 1], self.cols, self.buffers)
-        self.runs[side][idx] = run
+        run = self.runs[side][idx] = list(self.pools[side][idx[0]:idx[-1] + 1])
         return run
 
 
@@ -366,17 +337,18 @@ def _apply(layer: CoLALayer, x: np.ndarray, terms: list[_Term], scale: float,
     is skipped.
     """
     if ws is None:
-        ws = _Workspace(layer, x.shape[1:], buffers=False)
-    (a_runs, b_runs), hidden, out = ws.runs, ws.hidden, ws.out
+        ws = _Workspace(layer, len(terms))
+    (a_runs, b_runs), hidden, out, (a_tmp, b_tmp) = ws.runs, ws.hidden, ws.out, ws.tmp
     for term, (b_idx, a_idx) in enumerate(terms):
-        t = hidden[term] = _run_sum(a_runs.get(a_idx) or ws.run(0, a_idx), x, hidden[term])
-        out = _run_sum(b_runs.get(b_idx) or ws.run(1, b_idx), t, out, term > 0)
+        t = hidden[term] = _run_sum(a_runs.get(a_idx) or ws.run(0, a_idx), x, hidden[term],
+                                    tmp=a_tmp)
+        out = _run_sum(b_runs.get(b_idx) or ws.run(1, b_idx), t, out, term > 0, b_tmp)
     # w0 @ x + alpha/r * (scale * out), rounded alike, into out's own storage
     if scale != 1.0:
         out *= scale
     if ws.layer_scale != 1.0:
         out *= ws.layer_scale
-    return np.add(np.matmul(layer.w0, x, ws.base), out, out), hidden
+    return np.add(np.dot(layer.w0, x, ws.base), out, out), hidden
 
 
 def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",

@@ -25,22 +25,24 @@ carries the 1/B factor).
 
 :func:`train_loop` allocates its buffers once per run, in a workspace that
 every product and elementwise operation of a step writes into. A run whose
-pairing cannot change composes once, draws the batch indices of a block of
-steps per rng call and gathers the block's inputs and targets in one fancy
-index each (a block holds at most 64 steps and no more columns than the
-training set); one that resamples its pairing draws them, then the pairing,
-each step. The forward pass keeps each term's hidden state sum_i A_i x and
-the backward pass reuses it. Under a fixed composition, pool members that
-appear in exactly the same terms (all A_i and all B_j under FULL, the tail
-B_M..B_N under HEURISTIC) get the same gradient at every step, hence the
-same Adam moments and the same update: they form a class, the step keeps
-one gradient slot per class, updates that buffer and subtracts each class's
-update from its members, which equals one gradient and one update per
-member bit for bit. A run that resamples its pairing keeps one class per
-member. :func:`backward` runs the same gradient routine with one class per
-member, into ``Grads.flat``, laid out like ``params``. :func:`optimizer_step`
-and :func:`train_loop` both compute their update with ``_update``, the one
-statement of the SGD and Adam arithmetic.
+pairing cannot change (a deterministic strategy, a frozen pairing, or a
+random strategy whose pool of partners has one member, so that drawing the
+pairing consumes no rng state) composes once, draws the batch indices of a
+block of steps per rng call and gathers the block's inputs and targets in
+one fancy index each (a block holds at most 64 steps and no more columns
+than the training set); one that resamples its pairing draws them, then the
+pairing, each step. The forward pass keeps each term's hidden state
+sum_i A_i x and the backward pass reuses it. Under a fixed composition, pool
+members that appear in exactly the same terms (all A_i and all B_j under
+FULL, the tail B_M..B_N under HEURISTIC) get the same gradient at every
+step, hence the same Adam moments and the same update: they form a class,
+the step keeps one gradient slot per class, updates that buffer and
+subtracts each class's update from its members, which equals one gradient
+and one update per member bit for bit. A run that resamples its pairing
+keeps one class per member. :func:`backward` runs the same gradient routine
+with one class per member, into ``Grads.flat``, laid out like ``params``.
+:func:`optimizer_step` and :func:`train_loop` both compute their update with
+``_update``, the one statement of the SGD and Adam arithmetic.
 """
 
 from __future__ import annotations
@@ -121,15 +123,20 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
 
 
 class _StepWorkspace(_Workspace):
-    """An :func:`_apply` workspace plus the buffers of the loss and of
-    :func:`_backward`, and ``ga``/``gb``: the A- and B-class slots of the
-    gradient buffer ``grad`` (``a_count`` and ``b_count`` classes)."""
+    """An :func:`_apply` workspace with its buffers allocated, for inputs of
+    trailing shape ``cols`` and compositions of at most max(M, N) terms, plus
+    the buffers of the loss and of :func:`_backward`, and ``ga``/``gb``: the
+    A- and B-class slots of the gradient buffer ``grad`` (``a_count`` and
+    ``b_count`` classes)."""
 
     def __init__(self, layer: CoLALayer, cols: tuple[int, ...], grad: np.ndarray,
                  a_count: int, b_count: int):
-        super().__init__(layer, cols)
         cfg = layer.config
         n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
+        super().__init__(layer, max(cfg.a_count, cfg.b_count))
+        self.out, self.base = np.empty((2, n) + cols)
+        self.hidden = list(np.empty((len(self.hidden), r) + cols))
+        self.tmp = (np.empty((r,) + cols), np.empty((n,) + cols))
         self.hidden_t = [t.T for t in self.hidden]
         self.g, self.sq, self.gs = (np.empty((n,) + cols) for _ in range(3))
         self.rev = np.empty((r,) + cols)
@@ -151,9 +158,9 @@ def _backward(ws: _StepWorkspace, x2: np.ndarray, g2: np.ndarray, terms,
         g2 = np.multiply(g2, total, ws.gs)
     b_runs, ga, gb, x_t = ws.runs[1], ws.ga, ws.gb, x2.T
     for (b_idx, _), (b_cls, a_cls), t_t in zip(terms, class_terms, ws.hidden_t):
-        db_term = np.matmul(g2, t_t, ws.db)
+        db_term = np.dot(g2, t_t, ws.db)
         b_sum = _run_sum(b_runs[b_idx], None, ws.bsum)  # the forward built each run
-        da_term = np.matmul(np.matmul(b_sum.T, g2, ws.rev), x_t, ws.da)
+        da_term = np.dot(np.dot(b_sum.T, g2, ws.rev), x_t, ws.da)
         for c in b_cls:
             gb[c] += db_term
         for c in a_cls:
@@ -409,12 +416,15 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     kind = _PAIRING_KIND.get(cfg.strategy)
     frozen = layer.pairing is not None and layer.pairing.frozen
     draw = None if kind is None or frozen else _pairing_range(kind, cfg.a_count, cfg.b_count)
+    fixed = None  # a random strategy's only pairing: drawing it consumes no rng state
+    if draw is not None and draw[0] == 1:
+        draw, fixed = None, (0,) * draw[1]
     # One gradient slot, one pair of Adam moments and one update per class;
     # a run that resamples its pairing, or an Adam state that already holds
     # per-member moments, keeps one class per member.
     a_class, b_class = list(range(cfg.a_count)), list(range(cfg.b_count))
     if draw is None:  # no pairing is drawn per step
-        terms, scale = _composition(cfg, _check_pairing(cfg, layer.pairing))
+        terms, scale = _composition(cfg, fixed or _check_pairing(cfg, layer.pairing))
         if optimizer.m is None or optimizer.m.shape != layer.params.shape:
             a_class, b_class = _classes(terms, cfg.a_count, cfg.b_count)
         class_terms = [(tuple(dict.fromkeys(b_class[j] for j in b_idx)),

@@ -14,7 +14,7 @@ from cola_forge.adapter import (
     make_layer,
     sample_pairing,
 )
-from cola_forge.adapter import _STACK_LIMIT, _pool_sum
+from cola_forge.adapter import _pool_sum
 from cola_forge.harness import (
     ClassifyTaskSpec,
     RecoveryTaskSpec,
@@ -301,6 +301,23 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert peak <= 1759197 + task.x_train.nbytes + task.y_train.nbytes
 
+    def test_eval_forward_allocates_only_what_its_composition_uses(self):
+        # 872880 bytes is the traced peak of this forward while pool sums had
+        # a stacked-matmul branch; a workspace that allocated every buffer of
+        # a training step up front would peak at ~1.43 MB
+        rng = make_rng(3)
+        cfg = CoLAConfig(in_dim=128, out_dim=128, rank=16, a_count=2, b_count=3)
+        layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1),
+                            base_w0=rng.normal(size=(128, 128)))
+        x = rng.normal(size=(128, 400))
+        tracemalloc.start()
+        try:
+            forward(layer, x, mode="eval")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 872880
+
     def test_frozen_pairing_is_honored(self):
         task = small_task()
         cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
@@ -390,13 +407,15 @@ class TestFusedStep:
                          strategy=strategy)
         self.check_against_hand_loop(small_task(noise=0.05), cfg, frozen, kind, batch)
 
-    # rank 1, batch 1 and 8 members make every stacked product one element,
-    # where numpy's own reductions would sum pairwise; 150 steps span three
-    # blocks of batch indices, the last one short
+    # rank 1, batch 1 and 8 members make every product of a pool sum one
+    # element, where numpy's own reductions would sum pairwise; 150 steps span
+    # three blocks of batch indices, the last one short
     # a 20-sample training set holds two steps of batch 8, so a block of steps
     # is capped at two; the (1, 1) pairing of a frozen RANDOM_AB (2, 3) layer
     # leaves B_0 and B_2 in no term (one class, never updated); the HEURISTIC
-    # (2, 4) tail B_1..B_3 is one class of three members
+    # (2, 4) tail B_1..B_3 is one class of three members; M = 1 leaves a
+    # RANDOM_BA pairing one choice, which train_loop composes once while the
+    # hand loop draws it every step, and a RANDOM_AB pairing three
     EDGES = {
         "rank1-batch1-8x8": (dict(rank=1, a_count=8, b_count=8), 1, 30),
         "out-dim-1": (dict(rank=1, a_count=8, b_count=9), 1, 30),
@@ -405,6 +424,7 @@ class TestFusedStep:
         "training-set-below-one-block": (dict(rank=4, a_count=2, b_count=3), 8, 30),
         "pairing-all-to-member-1": (dict(rank=4, a_count=2, b_count=3), 8, 30),
         "heuristic-tail-of-three": (dict(rank=4, a_count=2, b_count=4), 8, 30),
+        "one-choice-pairing": (dict(rank=4, a_count=1, b_count=3), 8, 30),
     }
 
     @pytest.mark.parametrize("edge", list(EDGES))
@@ -438,15 +458,20 @@ class TestFusedStep:
     @pytest.mark.parametrize("high", [1, 2, 7, 400, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 1,
                                       2 ** 40])
     def test_block_draw_equals_per_step_draws(self, high):
-        # train_loop draws the batch indices of a block of steps in one call
+        # train_loop draws the batch indices of a block of steps in one call,
+        # also where a one-choice pairing is drawn between them in the
+        # reference (the draw consumes nothing)
         for seed in range(12):
             for batch in (1, 3, 8, 32):
                 for steps in (1, 7):
-                    block, single = make_rng(seed), make_rng(seed)
+                    block, single, one_choice = make_rng(seed), make_rng(seed), make_rng(seed)
                     drawn = block.integers(0, high, size=(steps, batch))
                     for row in drawn:
                         assert np.array_equal(row, single.integers(0, high, size=batch))
-                    assert block.bit_generator.state == single.bit_generator.state
+                        assert np.array_equal(row, one_choice.integers(0, high, size=batch))
+                        assert not one_choice.integers(0, 1, size=3).any()
+                    assert (block.bit_generator.state == single.bit_generator.state
+                            == one_choice.bit_generator.state)
 
     @pytest.mark.parametrize("count, rows, inner, cols", [
         (3, 24, 4, 8), (8, 1, 1, 1), (8, 8, 32, 1), (2, 128, 16, 32), (3, 32, 8, 400),
@@ -464,9 +489,9 @@ class TestFusedStep:
         (3, 128, 32), (4, 16, None),
     ])
     def test_pool_sum_adds_left_to_right(self, count, rows, cols):
-        # one stacked matmul below the limit, one product at a time above it;
-        # both must round as a plain loop (numpy's reductions sum pairwise
-        # over 8 or more one-element slices)
+        # one product at a time, added in index order, must round as a plain
+        # loop (numpy's reductions sum pairwise over 8 or more one-element
+        # slices)
         idx = tuple(range(1, count + 1))
         for seed in range(10):
             rng = make_rng(seed)
@@ -479,7 +504,39 @@ class TestFusedStep:
                 plain_sum += stack[k]
             assert _pool_sum(stack, idx, v).tobytes() == product_sum.tobytes()
             assert _pool_sum(stack, idx).tobytes() == plain_sum.tobytes()
-        assert (count * rows * (cols or 1) > _STACK_LIMIT) == (count == 3 and rows == 128)
+
+    # each product of a train step as (rows, inner, cols) of n, m, r and the
+    # batch, and the layout of its operands: C-contiguous, or F, the
+    # transpose of one member of a C stack (a step reads its batch as the
+    # transpose of a gathered block's rows)
+    PRODUCTS = {
+        "A_i @ xb": (lambda n, m, r, b: (r, m, b), "CF"),
+        "B_j @ t": (lambda n, m, r, b: (n, r, b), "CC"),
+        "w0 @ x": (lambda n, m, r, b: (n, m, b), "CC"),
+        "g @ t.T": (lambda n, m, r, b: (n, b, r), "CF"),
+        "b_sum.T @ g": (lambda n, m, r, b: (r, n, b), "FC"),
+        "rev @ x_rows": (lambda n, m, r, b: (r, b, m), "CC"),
+        "rev @ x.T": (lambda n, m, r, b: (r, b, m), "CF"),
+    }
+
+    @pytest.mark.parametrize("shape", [(24, 20, 4, 8), (24, 20, 4, 1), (1, 20, 1, 8),
+                                       (128, 128, 16, 32)],
+                             ids=["step", "batch-1", "out-dim-1", "wide"])
+    @pytest.mark.parametrize("product", list(PRODUCTS))
+    def test_dot_into_buffer_equals_matmul(self, product, shape):
+        # every product of a step is np.dot(a, b, out) and must round as a @ b
+        dims, layout = self.PRODUCTS[product]
+        rows, inner, cols = dims(*shape)
+
+        def operand(rng, shape, order):
+            if order == "C":
+                return rng.normal(size=shape)
+            return rng.normal(size=(3,) + shape[::-1])[1].T
+
+        for seed in range(20):
+            rng = make_rng(seed)
+            a, b = operand(rng, (rows, inner), layout[0]), operand(rng, (inner, cols), layout[1])
+            assert np.dot(a, b, np.empty((rows, cols))).tobytes() == (a @ b).tobytes()
 
     def test_pools_are_views_of_one_buffer(self):
         layer = random_layer(CoLAConfig(in_dim=6, out_dim=5, rank=2, a_count=2, b_count=3))
