@@ -27,13 +27,15 @@ FULL scaled by 1/N (AB) or 1/M (BA). The factored forward, the materialized
 :func:`delta_weight` and ``training.backward`` are each one loop over that
 list, so none of them knows the strategies, and the MAC model counts the
 applications off the same list. The forward path always stays factored
-(down-projections first) and returns each term's hidden state for the
+(down-projections first) and keeps each term's hidden state for the
 backward pass; DeltaW is only materialized for merging and as a test oracle.
 A layer's pools are views into one flat buffer, so one update steps them all;
 the members of each index set are a run, summed left to right, each product
 one 2-D ``np.dot`` into a buffer.
-``_apply`` writes into a workspace of buffers that a training run allocates
-once and reuses at every step.
+``_apply`` computes nothing itself: it records the numpy calls of a forward
+pass, one list per term, over a workspace of buffers, and is the one
+statement of their order. Public :func:`forward` replays them once; a
+training run records them once and replays them at every step.
 """
 
 from __future__ import annotations
@@ -271,84 +273,93 @@ def _composition(cfg: CoLAConfig, pairing_map: tuple[int, ...] | None,
     return [((j,), (i,)) for j, i in enumerate(pairing_map)], 1.0
 
 
-def _run_sum(members: list[np.ndarray], v: np.ndarray | None, total: np.ndarray | None,
-             add: bool = False, tmp: np.ndarray | None = None) -> np.ndarray:
-    """sum_k member_k (v None) or sum_k member_k @ v over a run, the member
-    list of one index set, added left to right into ``total`` (a new array
-    if None) and returned. Each product is ``np.dot(member, v, out)``: into
-    ``total`` for the first one, into the scratch ``tmp`` (a new array if
-    None) for every next one, which is then added. With ``add`` every
-    product is added to what ``total`` holds. A sum of one member without v
-    is the member itself."""
+def _run_sum(members: list[np.ndarray], v: np.ndarray | None, total: np.ndarray,
+             add: bool = False, tmp: np.ndarray | None = None) -> list[tuple]:
+    """The calls that add up a run, the member list of one index set, left
+    to right into ``total``: sum_k member_k (v None) or sum_k member_k @ v.
+    Each product is ``np.dot(member, v, out)``: into ``total`` for the first
+    one, into the scratch ``tmp`` for every next one, which is then added.
+    With ``add`` every product is added to what ``total`` holds. A sum of one
+    member without v makes no call: it is the member itself."""
     if v is None:
-        if len(members) == 1:
-            return members[0]
-        total = np.add(members[0], members[1], total)
-        for member in members[2:]:
-            total += member
-        return total
+        return [(np.add, (total if k > 1 else members[0], member, total))
+                for k, member in enumerate(members) if k]
+    calls = []
     for k, member in enumerate(members):
         if k or add:
-            total += np.dot(member, v, tmp)
+            calls += [(np.dot, (member, v, tmp)), (np.add, (total, tmp, total))]
         else:
-            total = np.dot(member, v, total)
-    return total
+            calls.append((np.dot, (member, v, total)))
+    return calls
+
+
+def _replay(calls: list[tuple]) -> None:
+    """Run recorded ``(function, arguments)`` calls in order."""
+    for function, args in calls:
+        function(*args)
 
 
 def _pool_sum(stack, idx: tuple[int, ...], v: np.ndarray | None = None) -> np.ndarray:
     """sum_{k in idx} stack[k], or of stack[k] @ v, added left to right, in
-    new arrays: :func:`_run_sum` on the members ``idx``."""
-    return _run_sum(list(stack[idx[0]:idx[-1] + 1]), v, None)
+    new arrays: the calls of :func:`_run_sum` on the members ``idx``."""
+    members = list(stack[idx[0]:idx[-1] + 1])
+    if v is None and len(members) == 1:
+        return members[0]
+    shape = members[0].shape[:1] + (members[0].shape[1:] if v is None else v.shape[1:])
+    total = np.empty(shape)
+    _replay(_run_sum(members, v, total, tmp=None if v is None else np.empty(shape)))
+    return total
 
 
 class _Workspace:
-    """What :func:`_apply` computes into: DeltaW x (``out``), W0 x
-    (``base``), the hidden state of each of at most ``terms`` terms, a
-    product scratch per pool side (``tmp``, A then B) and, built on first
-    use, the run of each index set of each pool (``runs[0]`` A, ``runs[1]``
-    B). Here every buffer is None, so a single forward pass allocates only
-    what its composition uses: a hidden state per term, a scratch per
-    product after a run's first, and W0 x apart from the output. A training
-    run's workspace allocates them all once and reuses them at every step."""
+    """The buffers that the calls :func:`_apply` records compute into, for
+    inputs of trailing shape ``cols``: DeltaW x (``out``), W0 x (``base``)
+    and the hidden state of each of at most ``terms`` terms. Until the last
+    calls write W0 x, ``base`` is the product scratch of both pool sides
+    (``tmp``: its first r rows for A, all of it for B), so a forward pass
+    holds no buffer beside its output, W0 x and its hidden states. The run of
+    each index set of each pool (``runs[0]`` A, ``runs[1]`` B) is built on
+    first use."""
 
-    out = base = None
-    tmp = (None, None)
-
-    def __init__(self, layer: CoLALayer, terms: int):
-        self.layer_scale = layer.config.scale
+    def __init__(self, layer: CoLALayer, cols: tuple[int, ...], terms: int):
+        cfg = layer.config
+        self.w0, self.layer_scale = layer.w0, cfg.scale
         self.pools = (layer.a_list, layer.b_list)
-        self.hidden = [None] * terms
+        self.out, self.base = np.empty((cfg.out_dim,) + cols), np.empty((cfg.out_dim,) + cols)
+        self.hidden = [np.empty((cfg.rank,) + cols) for _ in range(terms)]
+        self.tmp = (self.base[:cfg.rank], self.base)
         self.runs: tuple[dict, dict] = ({}, {})
 
     def run(self, side: int, idx: tuple[int, ...]) -> list[np.ndarray]:
         """The run of members ``idx`` of pool ``side``, built and kept."""
-        run = self.runs[side][idx] = list(self.pools[side][idx[0]:idx[-1] + 1])
+        run = self.runs[side].get(idx)
+        if run is None:
+            run = self.runs[side][idx] = list(self.pools[side][idx[0]:idx[-1] + 1])
         return run
 
 
-def _apply(layer: CoLALayer, x: np.ndarray, terms: list[_Term], scale: float,
-           ws: _Workspace | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
-    """W0 x + (alpha/r) DeltaW x for a composition, factored (DeltaW is never
-    materialized), and the hidden state sum_{i in a_idx} A_i x of each term,
-    computed into the workspace ``ws`` (if None, into new arrays).
+def _apply(ws: _Workspace, x: np.ndarray, terms: list[_Term],
+           scale: float) -> list[list[tuple]]:
+    """The calls that compute W0 x + (alpha/r) DeltaW x for a composition
+    into ``ws.out``, factored (DeltaW is never materialized), and the hidden
+    state sum_{i in a_idx} A_i x of each term into ``ws.hidden``: one list
+    per term, the term at position k computing ``hidden[k]`` and adding its
+    products into DeltaW x (writing it, at k = 0), then the list that scales
+    DeltaW x and adds W0 x. Nothing runs until the lists are replayed.
 
     Each hidden state sums A_i @ x left to right, every B_j @ t is added into
     DeltaW x in index order, and the scales come last; a scale of exactly 1.0
     is skipped.
     """
-    if ws is None:
-        ws = _Workspace(layer, len(terms))
-    (a_runs, b_runs), hidden, out, (a_tmp, b_tmp) = ws.runs, ws.hidden, ws.out, ws.tmp
-    for term, (b_idx, a_idx) in enumerate(terms):
-        t = hidden[term] = _run_sum(a_runs.get(a_idx) or ws.run(0, a_idx), x, hidden[term],
-                                    tmp=a_tmp)
-        out = _run_sum(b_runs.get(b_idx) or ws.run(1, b_idx), t, out, term > 0, b_tmp)
+    (a_tmp, b_tmp), out = ws.tmp, ws.out
+    pieces = []
+    for k, (b_idx, a_idx) in enumerate(terms):
+        t = ws.hidden[k]
+        pieces.append(_run_sum(ws.run(0, a_idx), x, t, tmp=a_tmp)
+                      + _run_sum(ws.run(1, b_idx), t, out, k > 0, b_tmp))
     # w0 @ x + alpha/r * (scale * out), rounded alike, into out's own storage
-    if scale != 1.0:
-        out *= scale
-    if ws.layer_scale != 1.0:
-        out *= ws.layer_scale
-    return np.add(np.dot(layer.w0, x, ws.base), out, out), hidden
+    close = [(np.multiply, (out, s, out)) for s in (scale, ws.layer_scale) if s != 1.0]
+    return pieces + [close + [(np.dot, (ws.w0, x, ws.base)), (np.add, (ws.base, out, out))]]
 
 
 def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
@@ -371,7 +382,10 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     pairing_map = (_check_pairing(layer.config, layer.pairing if pairing is None else pairing)
                    if mode == "train" else None)
     terms, scale = _composition(layer.config, pairing_map, mean_pairing=mode == "eval")
-    return _apply(layer, x, terms, scale)[0]
+    ws = _Workspace(layer, x.shape[1:], len(terms))
+    for calls in _apply(ws, x, terms, scale):
+        _replay(calls)
+    return ws.out
 
 
 def _materialize(layer: CoLALayer, terms: list[_Term], scale: float) -> np.ndarray:

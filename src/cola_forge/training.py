@@ -24,25 +24,31 @@ batch, matching a loss that is itself summed (or averaged, if g_out already
 carries the 1/B factor).
 
 :func:`train_loop` allocates its buffers once per run, in a workspace that
-every product and elementwise operation of a step writes into. A run whose
-pairing cannot change (a deterministic strategy, a frozen pairing, or a
-random strategy whose pool of partners has one member, so that drawing the
-pairing consumes no rng state) composes once, draws the batch indices of a
-block of steps per rng call and gathers the block's inputs and targets in
-one fancy index each (a block holds at most 64 steps and no more columns
-than the training set); one that resamples its pairing draws them, then the
-pairing, each step. The forward pass keeps each term's hidden state
-sum_i A_i x and the backward pass reuses it. Under a fixed composition, pool
-members that appear in exactly the same terms (all A_i and all B_j under
-FULL, the tail B_M..B_N under HEURISTIC) get the same gradient at every
-step, hence the same Adam moments and the same update: they form a class,
-the step keeps one gradient slot per class, updates that buffer and
-subtracts each class's update from its members, which equals one gradient
-and one update per member bit for bit. A run that resamples its pairing
-keeps one class per member. :func:`backward` runs the same gradient routine
-with one class per member, into ``Grads.flat``, laid out like ``params``.
-:func:`optimizer_step` and :func:`train_loop` both compute their update with
-``_update``, the one statement of the SGD and Adam arithmetic.
+every product and elementwise operation of a step writes into. Every run
+draws a block of steps in one rng call, per step the batch indices and then,
+if it resamples its pairing, the pairing, with one upper bound per element;
+that leaves the generator exactly where one draw after the other would (a
+block holds at most 64 steps and no more indices than the training set has
+samples). A step takes its inputs and targets, as rows, from row-major
+copies of the training set into fixed buffers, and replays the numpy calls
+that ``adapter._apply`` and :func:`_backward` recorded over the workspace
+and those buffers, one piece per term: a run whose pairing cannot change (a
+deterministic strategy, a frozen pairing, or a random strategy whose pool of
+partners has one member, so that drawing the pairing consumes no rng state)
+is recorded once, and one that resamples its pairing records each (position,
+term) once and picks a step's pieces by the pairing drawn. The forward pass
+keeps each term's hidden state sum_i A_i x and the backward pass reuses it.
+Under a fixed composition, pool members that appear in exactly the same
+terms (all A_i and all B_j under FULL, the tail B_M..B_N under HEURISTIC)
+get the same gradient at every step, hence the same Adam moments and the
+same update: they form a class, the step keeps one gradient slot per class,
+updates that buffer and subtracts each class's update from its members,
+which equals one gradient and one update per member bit for bit. A run that
+resamples its pairing keeps one class per member. :func:`backward` replays
+the same recorded calls once, with one class per member, into
+``Grads.flat``, laid out like ``params``. :func:`optimizer_step` and
+:func:`train_loop` both compute their update with ``_update``, the one
+statement of the SGD and Adam arithmetic.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .adapter import (
     _PAIRING_KIND,
     _Workspace,
     _apply,
+    _replay,
     _run_sum,
     _check_pairing,
     _composition,
@@ -117,26 +124,22 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     terms, scale = _composition(cfg, _check_pairing(cfg, pairing))
     grads = Grads(layer)
     ws = _StepWorkspace(layer, x2.shape[1:], grads.flat, cfg.a_count, cfg.b_count)
-    _apply(layer, x2, terms, scale, ws)
-    _backward(ws, x2, g2, terms, terms, scale)
+    for calls in _apply(ws, x2, terms, scale) + _backward(ws, x2, g2, terms, terms, scale):
+        _replay(calls)
     return grads
 
 
 class _StepWorkspace(_Workspace):
-    """An :func:`_apply` workspace with its buffers allocated, for inputs of
-    trailing shape ``cols`` and compositions of at most max(M, N) terms, plus
-    the buffers of the loss and of :func:`_backward`, and ``ga``/``gb``: the
-    A- and B-class slots of the gradient buffer ``grad`` (``a_count`` and
-    ``b_count`` classes)."""
+    """An :func:`_apply` workspace for compositions of at most max(M, N)
+    terms, plus the buffers of the loss and of :func:`_backward`, and
+    ``ga``/``gb``: the A- and B-class slots of the gradient buffer ``grad``
+    (``a_count`` and ``b_count`` classes)."""
 
     def __init__(self, layer: CoLALayer, cols: tuple[int, ...], grad: np.ndarray,
                  a_count: int, b_count: int):
         cfg = layer.config
         n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
-        super().__init__(layer, max(cfg.a_count, cfg.b_count))
-        self.out, self.base = np.empty((2, n) + cols)
-        self.hidden = list(np.empty((len(self.hidden), r) + cols))
-        self.tmp = (np.empty((r,) + cols), np.empty((n,) + cols))
+        super().__init__(layer, cols, max(cfg.a_count, cfg.b_count))
         self.hidden_t = [t.T for t in self.hidden]
         self.g, self.sq, self.gs = (np.empty((n,) + cols) for _ in range(3))
         self.rev = np.empty((r,) + cols)
@@ -147,24 +150,28 @@ class _StepWorkspace(_Workspace):
 
 
 def _backward(ws: _StepWorkspace, x2: np.ndarray, g2: np.ndarray, terms,
-              class_terms, scale: float) -> None:
-    """Add the pool gradients into the zeroed class slots ``ws.ga`` and
-    ``ws.gb``, given each term's hidden state from the forward pass in
-    ``ws``. ``class_terms`` names each
-    term's B and A classes, each once: a class slot receives the term's
+              class_terms, scale: float) -> list[list[tuple]]:
+    """The calls that add the pool gradients into the zeroed class slots
+    ``ws.ga`` and ``ws.gb``, given each term's hidden state from the forward
+    pass in ``ws`` (whose recording built each B run): the list that folds
+    both scales into g_out, then one list per term. ``class_terms`` names
+    each term's B and A classes, each once: a class slot receives the term's
     gradient once for all of its members."""
-    # Both scales multiply every term, so they are folded into g_out once.
+    head = []
     if (total := ws.layer_scale * scale) != 1.0:
-        g2 = np.multiply(g2, total, ws.gs)
-    b_runs, ga, gb, x_t = ws.runs[1], ws.ga, ws.gb, x2.T
+        head.append((np.multiply, (g2, total, ws.gs)))
+        g2 = ws.gs
+    x_t = x2.T
+    pieces = [head]
     for (b_idx, _), (b_cls, a_cls), t_t in zip(terms, class_terms, ws.hidden_t):
-        db_term = np.dot(g2, t_t, ws.db)
-        b_sum = _run_sum(b_runs[b_idx], None, ws.bsum)  # the forward built each run
-        da_term = np.dot(np.dot(b_sum.T, g2, ws.rev), x_t, ws.da)
-        for c in b_cls:
-            gb[c] += db_term
-        for c in a_cls:
-            ga[c] += da_term
+        b_run = ws.run(1, b_idx)
+        b_sum = b_run[0] if len(b_run) == 1 else ws.bsum
+        calls = [(np.dot, (g2, t_t, ws.db)), *_run_sum(b_run, None, ws.bsum),
+                 (np.dot, (b_sum.T, g2, ws.rev)), (np.dot, (ws.rev, x_t, ws.da))]
+        calls += [(np.add, (ws.gb[c], ws.db, ws.gb[c])) for c in b_cls]
+        calls += [(np.add, (ws.ga[c], ws.da, ws.ga[c])) for c in a_cls]
+        pieces.append(calls)
+    return pieces
 
 
 def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
@@ -404,7 +411,8 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     """Minibatch training of a layer's pools on a synthetic task.
 
     Deterministic per rng stream: each step first draws the batch indices,
-    then (for random strategies with an unfrozen pairing) the fresh pairing.
+    then (for random strategies with an unfrozen pairing) the fresh pairing;
+    a block of steps makes these draws in one call.
     The frozen base is never written. Raises :class:`DivergenceError` at the
     first non-finite minibatch loss, or if the final loss is not finite.
     """
@@ -435,49 +443,80 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     ws = _StepWorkspace(layer, (batch,), grad, a_count, b_count)
     updates = _class_updates(layer, grad, a_class, b_class)
 
-    # A block of steps draws its batch indices in one rng call and gathers
-    # its samples, as rows, in one fancy index per array, holding at most
-    # the training set's size; a step reads the transpose of its rows, laid
-    # out like ``x_train[:, idx]``. A run that resamples its pairing draws
-    # them, then the pairing, each step.
+    # A block of steps draws, per step, its batch indices and then (if it
+    # resamples) its pairing, all in one rng call with per-element bounds; a
+    # block holds at most 64 steps and no more indices than the training set
+    # has samples. A step takes its samples, as rows, into fixed buffers:
+    # ``x_rows``, whose transpose is laid out like ``x_train[:, idx]``, and
+    # ``t_rows``.
     size = task.x_train.shape[1]
-    block = 1 if draw is not None else max(1, min(64, size // batch))
+    block = max(1, min(64, size // batch))
+    highs = [size] * batch + ([] if draw is None else [draw[0]] * draw[1])
+    block_highs = np.tile(highs, block)
     recovery = task.kind == "recovery"
-    samples = (task.x_train.T, task.y_train.T if recovery else task.labels_train)
+    targets = task.y_train if recovery else task.labels_train
+    x_rows = np.empty((batch, cfg.in_dim), task.x_train.dtype)
+    t_rows = np.empty((batch,) + targets.shape[:-1], targets.dtype)
+    xb = x_rows.T
+
+    # A step replays the calls that _apply and _backward record over the
+    # workspace and x_rows: a (forward, backward) piece per term, the closing
+    # forward calls and the backward's head. A fixed composition is recorded
+    # once. Every pairing of a random strategy composes with one scale, and
+    # the term at position k depends on the pairing's k-th entry alone, so a
+    # resampling run records each (position, term) once, off the composition
+    # of each constant pairing, and a step picks its pieces by the pairing.
+    if draw is None:
+        compositions = [(terms, class_terms, scale)]
+    else:
+        compositions = [(terms, terms, scale) for terms, scale in
+                        (_composition(cfg, (v,) * draw[1]) for v in range(draw[0]))]
+    recorded = [(_apply(ws, xb, terms, scale), _backward(ws, xb, ws.g, terms, classes, scale))
+                for terms, classes, scale in compositions]
+    close, head = recorded[0][0][-1], recorded[0][1][0]
+    by_pairing = [list(zip(forward[:-1], backward[1:])) for forward, backward in recorded]
+    step, by_position = by_pairing[0], list(zip(*by_pairing))
 
     # A diverging run overflows before its loss turns non-finite; the
     # DivergenceError below reports it, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         initial_loss = _dataset_loss(layer, task)
+        # the samples as rows, copied row-major while the steps run (a
+        # dataset loss, which peaks higher, never runs beside them)
+        x_samples, t_samples = (np.ascontiguousarray(a.T) for a in (task.x_train, targets))
         losses: list[float] = []
         for start in range(0, steps, block):
             count = min(block, steps - start)
-            idx = rng.integers(0, size, size=(count, batch))
-            x_block, t_block = (rows[idx] for rows in samples)
-            for x_rows, t_rows in zip(x_block, t_block):
-                xb, tb = x_rows.T, t_rows.T
-                if draw is not None:
-                    terms, scale = _composition(
-                        cfg, rng.integers(0, draw[0], size=draw[1]).tolist())
-                    class_terms = terms
-                y = _apply(layer, xb, terms, scale, ws)[0]
+            drawn = rng.integers(0, block_highs[:count * len(highs)]).reshape(count, -1)
+            for idx, pairing in zip(drawn[:, :batch], drawn[:, batch:].tolist()):
+                # every index is in range, so "wrap" changes none; unlike the
+                # default "raise", it lets take write straight into the buffer
+                x_samples.take(idx, 0, x_rows, "wrap")
+                t_samples.take(idx, 0, t_rows, "wrap")
+                if draw is not None:  # the pieces of the terms this pairing composes
+                    step = [by_position[k][v] for k, v in enumerate(pairing)]
+                for forward, _ in step:
+                    _replay(forward)
+                _replay(close)
                 if recovery:  # squared_error_grad, into the workspace
-                    g = np.subtract(y, tb, ws.g)
+                    g = np.subtract(ws.out, t_rows.T, ws.g)
                     loss = 0.5 * float(np.add.reduce(np.multiply(g, g, ws.sq), None)) / batch
                     np.divide(g, batch, g)
                 else:
-                    loss, g = cross_entropy_grad(y, tb)
+                    loss, g = cross_entropy_grad(ws.out, t_rows)
+                    ws.g[...] = g
                 if not math.isfinite(loss):
                     raise DivergenceError(f"training diverged: minibatch loss {loss} at step "
                                           f"{len(losses) + 1} of {steps} (seed {seed})")
                 grad.fill(0.0)
-                _backward(ws, xb, g, terms, class_terms, scale)
+                _replay(head)
+                for _, backward in step:
+                    _replay(backward)
                 _update(optimizer, grad, grad)
                 for members, update in updates:
                     members -= update
                 losses.append(loss)
-            # the last step's views hold the block too; free it before the next
-            del x_block, t_block, x_rows, t_rows, xb, tb
+        del x_samples, t_samples
 
         final_loss = _dataset_loss(layer, task)
     if not math.isfinite(final_loss):

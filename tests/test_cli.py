@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -16,6 +18,8 @@ from cola_forge.adapter import Strategy
 from cola_forge.cli import ConfigFileError, cmd_dispatch, load_config
 from cola_forge.harness import CSV_HEADER, make_recovery_task
 from cola_forge.initializers import GAUSSIAN_ZERO, INIT_KINDS
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -562,10 +566,11 @@ class TestRunCommands:
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         proc = subprocess.run(
             [sys.executable, "-m", "cola_forge.cli", "params", "--geometry",
              "llama32_3b.json", "--M", "1", "--N", "1", "--r", "8"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.3770"

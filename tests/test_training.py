@@ -301,6 +301,24 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert peak <= 1759197 + task.x_train.nbytes + task.y_train.nbytes
 
+    def test_resampling_blocks_cost_at_most_one_training_set_of_memory(self):
+        # the same bound for a run that resamples its pairing, which draws
+        # blocks of steps and takes its samples as a fixed composition does
+        task = make_recovery_task(RecoveryTaskSpec(
+            n=128, m=128, base_seed=3, components=3, noise_std=0.05,
+            train_samples=400, eval_samples=400), make_rng(3))
+        cfg = CoLAConfig(in_dim=128, out_dim=128, rank=16, a_count=2, b_count=3,
+                         strategy=Strategy.RANDOM_AB)
+        layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1), base_w0=task.w_base)
+        tracemalloc.start()
+        try:
+            train_loop(task, layer, make_optimizer("adam", 1e-2), steps=100, batch=32,
+                       rng=make_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1759197 + task.x_train.nbytes + task.y_train.nbytes
+
     def test_eval_forward_allocates_only_what_its_composition_uses(self):
         # 872880 bytes is the traced peak of this forward while pool sums had
         # a stacked-matmul branch; a workspace that allocated every buffer of
@@ -473,6 +491,26 @@ class TestFusedStep:
                     assert (block.bit_generator.state == single.bit_generator.state
                             == one_choice.bit_generator.state)
 
+    @pytest.mark.parametrize("pairing_high", [1, 2, 3, 7])
+    @pytest.mark.parametrize("index_high", [1, 400, 2 ** 32, 2 ** 32 + 1])
+    def test_block_draw_with_bounds_equals_per_step_draws(self, index_high, pairing_high):
+        # a run that resamples its pairing draws, per step, the batch indices
+        # and then the pairing; train_loop draws a block of such steps in one
+        # call with per-element bounds (a run with no pairing to draw, length 0)
+        for seed in range(12):
+            for batch in (1, 8):
+                for length in (0, 1, 4):
+                    for steps in (1, 7):
+                        block, single = make_rng(seed), make_rng(seed)
+                        highs = [index_high] * batch + [pairing_high] * length
+                        drawn = block.integers(0, np.tile(highs, steps)).reshape(steps, -1)
+                        for row in drawn:
+                            assert np.array_equal(row[:batch], single.integers(
+                                0, index_high, size=batch))
+                            assert np.array_equal(row[batch:], single.integers(
+                                0, pairing_high, size=length))
+                        assert block.bit_generator.state == single.bit_generator.state
+
     @pytest.mark.parametrize("count, rows, inner, cols", [
         (3, 24, 4, 8), (8, 1, 1, 1), (8, 8, 32, 1), (2, 128, 16, 32), (3, 32, 8, 400),
         (4, 16, 20, None),  # a vector input
@@ -508,7 +546,7 @@ class TestFusedStep:
     # each product of a train step as (rows, inner, cols) of n, m, r and the
     # batch, and the layout of its operands: C-contiguous, or F, the
     # transpose of one member of a C stack (a step reads its batch as the
-    # transpose of a gathered block's rows)
+    # transpose of the C buffer it takes its rows into)
     PRODUCTS = {
         "A_i @ xb": (lambda n, m, r, b: (r, m, b), "CF"),
         "B_j @ t": (lambda n, m, r, b: (n, r, b), "CC"),
