@@ -30,8 +30,8 @@ applications off the same list. The forward path always stays factored
 (down-projections first) and keeps each term's hidden state for the
 backward pass; DeltaW is only materialized for merging and as a test oracle.
 A layer's pools are views into one flat buffer, so one update steps them all;
-the members of each index set are a run, summed left to right, each product
-one 2-D ``np.dot`` into a buffer.
+the members of each index set are a run, summed left to right (in a forward
+pass each product one 2-D ``np.dot`` into a buffer, by :func:`_run_sum`).
 ``_apply`` computes nothing itself: it records the numpy calls of a forward
 pass, one list per term, over a workspace of buffers, and is the one
 statement of their order. Public :func:`forward` replays them once; a
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -299,18 +300,6 @@ def _replay(calls: list[tuple]) -> None:
         function(*args)
 
 
-def _pool_sum(stack, idx: tuple[int, ...], v: np.ndarray | None = None) -> np.ndarray:
-    """sum_{k in idx} stack[k], or of stack[k] @ v, added left to right, in
-    new arrays: the calls of :func:`_run_sum` on the members ``idx``."""
-    members = list(stack[idx[0]:idx[-1] + 1])
-    if v is None and len(members) == 1:
-        return members[0]
-    shape = members[0].shape[:1] + (members[0].shape[1:] if v is None else v.shape[1:])
-    total = np.empty(shape)
-    _replay(_run_sum(members, v, total, tmp=None if v is None else np.empty(shape)))
-    return total
-
-
 class _Workspace:
     """The buffers that the calls :func:`_apply` records compute into, for
     inputs of trailing shape ``cols``: DeltaW x (``out``), W0 x (``base``)
@@ -391,7 +380,9 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
 def _materialize(layer: CoLALayer, terms: list[_Term], scale: float) -> np.ndarray:
     out = None
     for b_idx, a_idx in terms:
-        term = _pool_sum(layer.b_list, b_idx) @ _pool_sum(layer.a_list, a_idx)
+        # each run summed left to right, as the forward pass sums it
+        term = (reduce(np.add, (layer.b_list[j] for j in b_idx))
+                @ reduce(np.add, (layer.a_list[i] for i in a_idx)))
         out = term if out is None else out + term
     return scale * out
 

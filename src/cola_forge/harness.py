@@ -358,15 +358,10 @@ def run_single(
     ``echo_seed`` is what lands in the row's seed column (sweeps echo the
     user-facing seed while running on a derived stream).
     """
-    if init_kind not in INIT_KINDS:
-        raise ValueError(f"init kind must be one of {INIT_KINDS}, got {init_kind!r}")
+    init = InitSpec(init_kind, std=std, source_w=task.pissa_source)
     view = task.subsample(sample_size)
     rng = make_rng(run_seed)
-    if init_kind == GAUSSIAN_ZERO:
-        layer = build_layer(config, InitSpec(GAUSSIAN_ZERO, std=std), rng,
-                            base_w0=task.w_base)
-    else:
-        layer = build_layer(config, InitSpec(PISSA, source_w=task.pissa_source), rng)
+    layer = build_layer(config, init, rng, base_w0=task.w_base)
     opt = make_optimizer(optimizer, lr)
     report = train_loop(view, layer, opt, steps, batch, rng, seed=run_seed)
     row = SweepRow(
@@ -510,15 +505,11 @@ def _atomic_write(path: str, payload: str) -> None:
         raise
 
 
-def _cell_str(value) -> str:
-    # str() of a float is its shortest round-trip representation, which keeps
-    # repeated runs byte-identical.
-    return str(value)
-
-
 def write_rows_csv(rows, path: str) -> None:
     lines = [",".join(CSV_HEADER)]
-    lines.extend(",".join(_cell_str(v) for v in row.as_list()) for row in rows)
+    # str() of a float is its shortest round-trip representation, which keeps
+    # repeated runs byte-identical.
+    lines.extend(",".join(map(str, row.as_list())) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

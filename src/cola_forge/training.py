@@ -32,23 +32,25 @@ block holds at most 64 steps and no more indices than the training set has
 samples). A step takes its inputs and targets, as rows, from row-major
 copies of the training set into fixed buffers, and replays the numpy calls
 that ``adapter._apply`` and :func:`_backward` recorded over the workspace
-and those buffers, one piece per term: a run whose pairing cannot change (a
-deterministic strategy, a frozen pairing, or a random strategy whose pool of
-partners has one member, so that drawing the pairing consumes no rng state)
-is recorded once, and one that resamples its pairing records each (position,
-term) once and picks a step's pieces by the pairing drawn. The forward pass
+and those buffers, one piece per term: a run whose pairing does not change
+(a deterministic strategy or a frozen pairing) is recorded once, and one
+that resamples its pairing records each (position, term) once and picks a
+step's pieces by the pairing drawn (a pool of partners with one member
+leaves one pairing, whose draw consumes no rng state). The forward pass
 keeps each term's hidden state sum_i A_i x and the backward pass reuses it.
 Under a fixed composition, pool members that appear in exactly the same
 terms (all A_i and all B_j under FULL, the tail B_M..B_N under HEURISTIC)
 get the same gradient at every step, hence the same Adam moments and the
 same update: they form a class, the step keeps one gradient slot per class,
-updates that buffer and subtracts each class's update from its members,
-which equals one gradient and one update per member bit for bit. A run that
-resamples its pairing keeps one class per member. :func:`backward` replays
-the same recorded calls once, with one class per member, into
+updates that buffer and subtracts each class's update from each of its
+members, which equals one gradient and one update per member bit for bit. A
+run that resamples its pairing keeps one class per member. :func:`backward`
+replays the same recorded calls once, with one class per member, into
 ``Grads.flat``, laid out like ``params``. :func:`optimizer_step` and
 :func:`train_loop` both compute their update with ``_update``, the one
-statement of the SGD and Adam arithmetic.
+statement of the SGD and Adam arithmetic, and every loss is computed by
+``_loss``, the one statement of the squared-error and cross-entropy
+arithmetic, which writes dL/dy into a buffer it is given.
 """
 
 from __future__ import annotations
@@ -317,24 +319,50 @@ def _update(state: OptimizerState, grads: np.ndarray,
 # Losses and the loop
 # ---------------------------------------------------------------------------
 
-def squared_error_grad(y: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """L = mean over batch of 0.5 ||y_b - t_b||^2; returns (L, dL/dy)."""
-    diff = y - targets
+def _loss(kind: str, y: np.ndarray, targets: np.ndarray, g: np.ndarray,
+          sq: np.ndarray | None) -> float:
+    """The loss of outputs ``y`` against ``targets``, writing dL/dy into ``g``
+    (which may be ``y``): for ``recovery`` the batch mean of 0.5 ||y_b -
+    t_b||^2, summed through the squares in ``sq`` (new if None, ``g`` if the
+    gradient is not read), else the softmax cross-entropy of class-by-batch
+    logits against integer labels."""
     batch = y.shape[1] if y.ndim == 2 else 1
-    loss = 0.5 * float((diff * diff).sum()) / batch
-    return loss, diff / batch
+    if kind == "recovery":
+        np.subtract(y, targets, g)
+        loss = 0.5 * float(np.add.reduce(np.multiply(g, g, sq), None)) / batch
+    else:
+        np.subtract(y, y.max(axis=0, keepdims=True), g)
+        np.exp(g, g)
+        np.divide(g, g.sum(axis=0, keepdims=True), g)
+        cols = np.arange(batch)
+        loss = -float(np.mean(np.log(np.maximum(g[targets, cols], 1e-300))))
+        g[targets, cols] -= 1.0
+    np.divide(g, batch, g)
+    return loss
+
+
+def squared_error_grad(y: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """L = mean over batch of 0.5 ||y_b - t_b||^2; returns (L, dL/dy), the
+    gradient a new array. ``targets`` must have the shape of ``y``."""
+    y, targets = np.asarray(y), np.asarray(targets)
+    if targets.shape != y.shape:
+        raise ShapeError(f"targets of shape {targets.shape} vs outputs of shape {y.shape}")
+    g = np.empty(y.shape)
+    return _loss("recovery", y, targets, g, None), g
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy over class-by-batch logits; returns (L, dL/dlogits)."""
-    z = logits - logits.max(axis=0, keepdims=True)
-    expz = np.exp(z)
-    probs = expz / expz.sum(axis=0, keepdims=True)
-    batch = logits.shape[1]
-    picked = probs[labels, np.arange(batch)]
-    loss = -float(np.mean(np.log(np.maximum(picked, 1e-300))))
-    probs[labels, np.arange(batch)] -= 1.0
-    return loss, np.divide(probs, batch, probs)
+    """Softmax cross-entropy over class-by-batch logits; returns (L,
+    dL/dlogits), the gradient a new array. ``labels`` holds one integer class
+    in [0, classes) per column."""
+    logits, labels = np.asarray(logits), np.asarray(labels)
+    if logits.ndim != 2 or labels.shape != logits.shape[1:]:
+        raise ShapeError(f"need class-by-batch logits and one label per column, got "
+                         f"logits of shape {logits.shape} and labels of shape {labels.shape}")
+    if labels.dtype.kind not in "iu" or not np.all((labels >= 0) & (labels < logits.shape[0])):
+        raise ValueError(f"labels must be integers in [0, {logits.shape[0]}), got {labels}")
+    g = np.empty(logits.shape)
+    return _loss("classify", logits, labels, g, None), g
 
 
 @dataclass
@@ -358,11 +386,11 @@ class TrainReport:
 
 
 def _dataset_loss(layer: CoLALayer, task) -> float:
-    """The loss over the whole training set, under the eval composition."""
+    """The loss over the whole training set, under the eval composition; its
+    gradient and squares overwrite forward's output, which nothing else reads."""
     y = forward(layer, task.x_train, mode="eval")
-    if task.kind == "recovery":
-        return squared_error_grad(y, task.y_train)[0]
-    return cross_entropy_grad(y, task.labels_train)[0]
+    targets = task.y_train if task.kind == "recovery" else task.labels_train
+    return _loss(task.kind, y, targets, y, y)
 
 
 def _classes(terms, a_count: int, b_count: int) -> tuple[list[int], list[int]]:
@@ -381,29 +409,24 @@ def _classes(terms, a_count: int, b_count: int) -> tuple[list[int], list[int]]:
 
 def _class_updates(layer: CoLALayer, grad: np.ndarray, a_class: list[int],
                    b_class: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(members, update) view pairs that apply the class updates in ``grad``
+    """(members, update) slice pairs that apply the class updates in ``grad``
     (laid out A classes, then B classes) to ``layer.params`` as ``members -=
-    update``: a span of members whose classes follow each other in ``grad``
-    is one slice of each, and a span of members of one class is a (count,
-    size) view and the class's slot, broadcast."""
+    update``: each member's slice of ``params`` and its class's slot, except
+    that consecutive members whose class slots follow each other in ``grad``
+    share one slice of each. A class of several members is applied once per
+    member."""
     cfg, params = layer.config, layer.params
     rm, nr = cfg.rank * cfg.in_dim, cfg.out_dim * cfg.rank
     split = (max(a_class) + 1) * rm
     members = ([(i * rm, c * rm, rm) for i, c in enumerate(a_class)]
                + [(len(a_class) * rm + j * nr, split + c * nr, nr) for j, c in enumerate(b_class)])
-    spans: list[tuple[int, int, int, int]] = []  # params start and length, grad start and length
+    spans: list[list[int]] = []  # params start, grad start, length
     for p, g, size in members:
-        if spans:
-            p0, p_len, g0, g_len = spans[-1]
-            if p_len == g_len and g == g0 + g_len:  # the next slot of grad
-                spans[-1] = (p0, p_len + size, g0, g_len + size)
-                continue
-            if g == g0 and size == g_len:  # the span's one class again
-                spans[-1] = (p0, p_len + size, g0, g_len)
-                continue
-        spans.append((p, size, g, size))
-    return [(params[p0:p0 + p_len].reshape(-1, g_len), grad[g0:g0 + g_len])
-            for p0, p_len, g0, g_len in spans]
+        if spans and g == spans[-1][1] + spans[-1][2]:  # the next slot of grad
+            spans[-1][2] += size
+        else:
+            spans.append([p, g, size])
+    return [(params[p:p + size], grad[g:g + size]) for p, g, size in spans]
 
 
 def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
@@ -424,15 +447,12 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     kind = _PAIRING_KIND.get(cfg.strategy)
     frozen = layer.pairing is not None and layer.pairing.frozen
     draw = None if kind is None or frozen else _pairing_range(kind, cfg.a_count, cfg.b_count)
-    fixed = None  # a random strategy's only pairing: drawing it consumes no rng state
-    if draw is not None and draw[0] == 1:
-        draw, fixed = None, (0,) * draw[1]
     # One gradient slot, one pair of Adam moments and one update per class;
     # a run that resamples its pairing, or an Adam state that already holds
     # per-member moments, keeps one class per member.
     a_class, b_class = list(range(cfg.a_count)), list(range(cfg.b_count))
     if draw is None:  # no pairing is drawn per step
-        terms, scale = _composition(cfg, fixed or _check_pairing(cfg, layer.pairing))
+        terms, scale = _composition(cfg, _check_pairing(cfg, layer.pairing))
         if optimizer.m is None or optimizer.m.shape != layer.params.shape:
             a_class, b_class = _classes(terms, cfg.a_count, cfg.b_count)
         class_terms = [(tuple(dict.fromkeys(b_class[j] for j in b_idx)),
@@ -447,17 +467,16 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     # resamples) its pairing, all in one rng call with per-element bounds; a
     # block holds at most 64 steps and no more indices than the training set
     # has samples. A step takes its samples, as rows, into fixed buffers:
-    # ``x_rows``, whose transpose is laid out like ``x_train[:, idx]``, and
-    # ``t_rows``.
+    # ``x_rows`` and ``t_rows``, whose transposes are laid out like
+    # ``x_train[:, idx]`` and the targets' columns ``idx``.
     size = task.x_train.shape[1]
     block = max(1, min(64, size // batch))
     highs = [size] * batch + ([] if draw is None else [draw[0]] * draw[1])
     block_highs = np.tile(highs, block)
-    recovery = task.kind == "recovery"
-    targets = task.y_train if recovery else task.labels_train
+    targets = task.y_train if task.kind == "recovery" else task.labels_train
     x_rows = np.empty((batch, cfg.in_dim), task.x_train.dtype)
     t_rows = np.empty((batch,) + targets.shape[:-1], targets.dtype)
-    xb = x_rows.T
+    xb, tb = x_rows.T, t_rows.T
 
     # A step replays the calls that _apply and _backward record over the
     # workspace and x_rows: a (forward, backward) piece per term, the closing
@@ -498,13 +517,7 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                 for forward, _ in step:
                     _replay(forward)
                 _replay(close)
-                if recovery:  # squared_error_grad, into the workspace
-                    g = np.subtract(ws.out, t_rows.T, ws.g)
-                    loss = 0.5 * float(np.add.reduce(np.multiply(g, g, ws.sq), None)) / batch
-                    np.divide(g, batch, g)
-                else:
-                    loss, g = cross_entropy_grad(ws.out, t_rows)
-                    ws.g[...] = g
+                loss = _loss(task.kind, ws.out, tb, ws.g, ws.sq)
                 if not math.isfinite(loss):
                     raise DivergenceError(f"training diverged: minibatch loss {loss} at step "
                                           f"{len(losses) + 1} of {steps} (seed {seed})")

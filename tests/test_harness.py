@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,23 @@ def grid_task():
     spec = RecoveryTaskSpec(n=16, m=16, base_seed=4, components=2, noise_std=0.05,
                             train_samples=60, eval_samples=60)
     return make_recovery_task(spec, make_rng(4))
+
+
+UNKNOWN_INIT_RUNS = {
+    "run_single": lambda task, config: run_single(task, config, "xavier", 42, 5),
+    "run_grid": lambda task, config: run_grid(task, 4, Strategy.FULL, [1, 2], [1],
+                                              seeds=(42,), steps=5, init_kind="xavier"),
+    "scarcity_sweep": lambda task, config: scarcity_sweep(
+        task, [20], [GAUSSIAN_ZERO, "xavier"], [config], seeds=(42,), steps=5),
+}
+
+
+@pytest.mark.parametrize("run", list(UNKNOWN_INIT_RUNS))
+def test_unknown_init_kind_is_rejected_before_any_cell_trains(monkeypatch, run):
+    forbid_training(monkeypatch)
+    message = re.escape(f"init kind must be one of {INIT_KINDS}, got 'xavier'")
+    with pytest.raises(ValueError, match=message):
+        UNKNOWN_INIT_RUNS[run](grid_task(), CoLAConfig(in_dim=16, out_dim=16, rank=4))
 
 
 class TestRunGrid:

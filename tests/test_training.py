@@ -14,7 +14,7 @@ from cola_forge.adapter import (
     make_layer,
     sample_pairing,
 )
-from cola_forge.adapter import _pool_sum
+from cola_forge.adapter import _replay, _run_sum
 from cola_forge.harness import (
     ClassifyTaskSpec,
     RecoveryTaskSpec,
@@ -212,6 +212,41 @@ class TestLosses:
         lp, _ = cross_entropy_grad(z2, labels)
         assert abs((lp - loss) / eps - grad[1, 3]) <= 1e-5
         assert loss > 0.0
+
+    def test_squared_error_grad_rejects_targets_of_another_shape(self):
+        # (3, 1) targets would broadcast against every column of y
+        with pytest.raises(ShapeError, match=r"targets of shape \(3, 1\)"):
+            squared_error_grad(np.ones((3, 4)), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("logits_shape, labels", [
+        ((4,), [1]),  # one sample as a vector
+        ((4, 3), [0, 1]),  # fewer labels than columns
+        ((4, 3), [0, 1, 2, 3]),  # more labels than columns
+        ((4, 3), [[0], [1], [2]]),  # labels as a column
+    ])
+    def test_cross_entropy_grad_rejects_bad_shapes(self, logits_shape, labels):
+        with pytest.raises(ShapeError, match="one label per column"):
+            cross_entropy_grad(np.zeros(logits_shape), np.array(labels))
+
+    @pytest.mark.parametrize("label", [-1, 4, 9, 1.0])
+    def test_cross_entropy_grad_rejects_labels_outside_the_classes(self, label):
+        with pytest.raises(ValueError, match=r"labels must be integers in \[0, 4\)"):
+            cross_entropy_grad(np.zeros((4, 3)), np.array([0, label, 2]))
+
+    @pytest.mark.parametrize("loss_grad", [squared_error_grad, cross_entropy_grad])
+    def test_losses_leave_their_inputs_and_return_a_new_gradient(self, loss_grad):
+        # both write their gradient through the step's in-place loss
+        rng = make_rng(16)
+        y = rng.normal(size=(4, 6))
+        targets = (rng.normal(size=(4, 6)) if loss_grad is squared_error_grad
+                   else rng.integers(0, 4, size=6))
+        y_bytes, targets_bytes = y.tobytes(), targets.tobytes()
+        _, grad = loss_grad(y, targets)
+        _, again = loss_grad(y, targets)
+        assert y.tobytes() == y_bytes and targets.tobytes() == targets_bytes
+        assert grad.tobytes() == again.tobytes()
+        for other in (y, targets, again):
+            assert not np.shares_memory(grad, other)
 
 
 def small_task(noise=0.0, seed=3):
@@ -432,8 +467,9 @@ class TestFusedStep:
     # is capped at two; the (1, 1) pairing of a frozen RANDOM_AB (2, 3) layer
     # leaves B_0 and B_2 in no term (one class, never updated); the HEURISTIC
     # (2, 4) tail B_1..B_3 is one class of three members; M = 1 leaves a
-    # RANDOM_BA pairing one choice, which train_loop composes once while the
-    # hand loop draws it every step, and a RANDOM_AB pairing three
+    # RANDOM_BA pairing one choice, which train_loop and the hand loop both
+    # draw at every step (a draw that consumes no rng state), and a RANDOM_AB
+    # pairing three
     EDGES = {
         "rank1-batch1-8x8": (dict(rank=1, a_count=8, b_count=8), 1, 30),
         "out-dim-1": (dict(rank=1, a_count=8, b_count=9), 1, 30),
@@ -527,9 +563,9 @@ class TestFusedStep:
         (3, 128, 32), (4, 16, None),
     ])
     def test_pool_sum_adds_left_to_right(self, count, rows, cols):
-        # one product at a time, added in index order, must round as a plain
-        # loop (numpy's reductions sum pairwise over 8 or more one-element
-        # slices)
+        # the recorded calls that add up a run, one product at a time in
+        # index order, must round as a plain loop (numpy's reductions sum
+        # pairwise over 8 or more one-element slices)
         idx = tuple(range(1, count + 1))
         for seed in range(10):
             rng = make_rng(seed)
@@ -540,8 +576,14 @@ class TestFusedStep:
             for k in idx[1:]:
                 product_sum += stack[k] @ v
                 plain_sum += stack[k]
-            assert _pool_sum(stack, idx, v).tobytes() == product_sum.tobytes()
-            assert _pool_sum(stack, idx).tobytes() == plain_sum.tobytes()
+            run = list(stack[1:count + 1])
+            product, tmp, plain = (np.empty_like(a) for a in (product_sum, product_sum,
+                                                                plain_sum))
+            _replay(_run_sum(run, v, product, tmp=tmp))
+            _replay(_run_sum(run, None, plain))
+            assert product.tobytes() == product_sum.tobytes()
+            # a run of one member sums to the member itself, with no call
+            assert (plain if count > 1 else run[0]).tobytes() == plain_sum.tobytes()
 
     # each product of a train step as (rows, inner, cols) of n, m, r and the
     # batch, and the layout of its operands: C-contiguous, or F, the
