@@ -459,7 +459,8 @@ def flop_breakdown(config: CoLAConfig, pass_kind: str = "forward") -> dict[str, 
     if pass_kind not in ("forward", "train_step"):
         raise ValueError(f"pass kind must be 'forward' or 'train_step', got {pass_kind!r}")
     n, m, r = config.out_dim, config.in_dim, config.rank
-    length = config.b_count if config.strategy is Strategy.RANDOM_BA else config.a_count
+    _, length = _pairing_range(_PAIRING_KIND.get(config.strategy, "ab"),
+                               config.a_count, config.b_count)
     terms, _ = _composition(config, (0,) * length)
     down_apps = sum(len(a_idx) for _, a_idx in terms)
     up_apps = sum(len(b_idx) for b_idx, _ in terms)

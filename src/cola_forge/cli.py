@@ -10,23 +10,26 @@ Subcommands:
 * ``selfcheck`` measure acceptance criteria 1, 2, 4, 5 and 6 (``checks``)
 
 ``train``, ``grid`` and ``sweep`` share one body and read a single strictly
-validated JSON run config, whose blocks check their own fields. The
-subcommand names the command; the file's ``command`` key is optional and
-must agree with it. A file holds only what its command reads: ``adapter``
-for ``train``, ``grid`` for ``grid`` and ``sweep`` for ``sweep``, and a
-sweep takes its init kinds from ``sweep.init_kinds``, not ``init.kind``.
-Row outputs are written atomically as CSV plus a JSON mirror with identical
-fields. Diagnostics go to stderr and the exit code is nonzero exactly when
-an error was emitted.
+validated JSON run config. Each key is read as its field's annotation
+states, so a field's JSON type is stated once, in its dataclass, and the
+blocks check their own values. The subcommand names the command; the
+file's ``command`` key is optional and must agree with it. A file holds
+only what its command reads: ``adapter`` for ``train``, ``grid`` for
+``grid`` and ``sweep`` for ``sweep``, and a sweep takes its init kinds
+from ``sweep.init_kinds``, not ``init.kind``. Row outputs are written
+atomically as CSV plus a JSON mirror with identical fields. Diagnostics go
+to stderr and the exit code is nonzero exactly when an error was emitted.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 
 from .adapter import CoLAConfig, ConfigError, Strategy, flop_count
@@ -61,12 +64,6 @@ class ConfigFileError(ValueError):
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
-
-def _distinct(key: str, values: tuple) -> None:
-    """A list key names each entry once: a repeat would run, and count, twice."""
-    if len(set(values)) != len(values):
-        raise ConfigFileError(f"key '{key}' repeats an entry")
-
 
 @dataclass(frozen=True)
 class OptimizerBlock:
@@ -107,7 +104,6 @@ class RunBlock:
             raise ConfigFileError(f"key 'run.batch' must be >= 1, got {self.batch}")
         if not self.seeds:
             raise ConfigFileError("key 'run.seeds' must be a nonempty list")
-        _distinct("run.seeds", self.seeds)
 
 
 @dataclass(frozen=True)
@@ -120,8 +116,6 @@ class GridBlock:
     def __post_init__(self):
         if not self.a_counts or not self.b_counts:
             raise ConfigFileError("keys 'grid.a_counts'/'grid.b_counts' must be nonempty")
-        _distinct("grid.a_counts", self.a_counts)
-        _distinct("grid.b_counts", self.b_counts)
 
 
 @dataclass(frozen=True)
@@ -141,8 +135,6 @@ class SweepBlock:
             raise ConfigFileError("key 'sweep.sizes' must be nonempty")
         if not self.init_kinds:
             raise ConfigFileError("key 'sweep.init_kinds' must be nonempty")
-        for name in ("sizes", "init_kinds", "configs"):
-            _distinct(f"sweep.{name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -208,67 +200,66 @@ def _float(value) -> float:
     return float(value)
 
 
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
+def _exact(kind: type, expected: str):
+    """The cast that takes only a JSON value of type ``kind``, as it is."""
+    def cast(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"expected {expected}, got {value!r}")
+        return value
+    return cast
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(_int(v) for v in values)
+# The cast of each scalar field type; ``_cast`` composes them by annotation.
+_CASTS = {int: _int, float: _float, bool: _exact(bool, "true or false"),
+          str: _exact(str, "a string"), Strategy: Strategy}
+_hints = functools.cache(typing.get_type_hints)  # a config class's field types
 
 
-def _build(cls, mapping: dict, context: str, casts: dict):
-    """Construct a dataclass from a dict with per-key casting and naming.
+def _cast(hint, value, key: str, dims: dict):
+    """``value`` read from JSON as the annotation ``hint`` states: a dataclass
+    is an object, ``X | None`` is X, and ``tuple[X, ...]`` a list of X that
+    names each entry once (a repeat would run, and count, twice)."""
+    if hint in _CASTS:
+        return _CASTS[hint](value)
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, f"{key}.", dims)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        entries = tuple(_cast(typing.get_args(hint)[0], entry, key, dims) for entry in value)
+        if len(set(entries)) != len(entries):
+            raise ConfigFileError(f"key '{key}' repeats an entry")
+        return entries
+    (hint,) = set(typing.get_args(hint)) - {type(None)}
+    return _cast(hint, value, key, dims)
 
-    A cast or constructor that raises ConfigFileError has already named the
-    key; any other TypeError/ValueError is re-raised naming the key or block.
-    """
+
+def _build(cls, mapping: dict, context: str, dims: dict, **given):
+    """Construct a dataclass from a dict, casting each key by its annotation;
+    ``given`` fields pass as they are, and an adapter's dims default to the
+    task's ``dims``. A TypeError/ValueError is re-raised naming the key or
+    block, unless it is a ConfigFileError, which already names it."""
     if not isinstance(mapping, dict):
         raise ConfigFileError(f"key '{context.rstrip('.')}' must be an object")
-    kwargs = {}
-    names = {f.name for f in dataclasses.fields(cls)}
+    if cls is CoLAConfig:
+        mapping = {**dims, **mapping}
+    hints = _hints(cls)
     for key in mapping:
-        if key not in names:
+        if key not in hints:
             raise ConfigFileError(f"unknown key '{context}{key}'")
     for key, value in mapping.items():
-        cast = casts.get(key)
         try:
-            kwargs[key] = cast(value) if cast else value
+            given[key] = _cast(hints[key], value, f"{context}{key}", dims)
         except ConfigFileError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigFileError(f"key '{context}{key}': {exc}") from exc
     try:
-        return cls(**kwargs)
+        return cls(**given)
     except ConfigFileError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigFileError(f"block '{context.rstrip('.')}': {exc}") from exc
-
-
-def _parse_task(raw: dict) -> RecoveryTaskSpec | ClassifyTaskSpec:
-    kind = _require(raw, "kind", "task.")
-    body = {k: v for k, v in raw.items() if k != "kind"}
-    if kind == "recovery":
-        return _build(RecoveryTaskSpec, body, "task.",
-                      {"n": _int, "m": _int, "base_seed": _int, "components": _int,
-                       "noise_std": _float, "train_samples": _int,
-                       "eval_samples": _int, "source_noise_std": _float,
-                       "shared_downspace": _bool})
-    if kind == "classify":
-        return _build(ClassifyTaskSpec, body, "task.",
-                      {"clusters": _int, "input_dim": _int,
-                       "samples_per_cluster": _int, "backbone_seed": _int,
-                       "label_noise": _float, "separation": _float})
-    raise ConfigFileError(f"key 'task.kind' must be 'recovery' or 'classify', got {kind!r}")
-
-
-def _parse_adapter(raw: dict, dims: dict) -> CoLAConfig:
-    # dims default to the task's shape so configs stay minimal
-    return _build(CoLAConfig, {**dims, **raw} if isinstance(raw, dict) else raw, "adapter.",
-                  {"in_dim": _int, "out_dim": _int, "rank": _int, "a_count": _int,
-                   "b_count": _int, "alpha": _float, "strategy": Strategy})
 
 
 def load_config(path: str, command: str | None = None) -> RunConfig:
@@ -288,9 +279,8 @@ def load_config(path: str, command: str | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigFileError("config root must be a JSON object")
 
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     for key in raw:
-        if key not in known:
+        if key not in _hints(RunConfig):
             raise ConfigFileError(f"unknown key '{key}'")
 
     stated = str(raw.get("command", command or "train"))
@@ -311,28 +301,18 @@ def load_config(path: str, command: str | None = None) -> RunConfig:
         raise ConfigFileError("key 'init.kind' is not read by command 'sweep' "
                               "(its kinds come from 'sweep.init_kinds')")
 
-    task = _parse_task(_require(raw, "task", ""))
-    dims = ({"in_dim": task.m, "out_dim": task.n} if isinstance(task, RecoveryTaskSpec)
+    body = _require(raw, "task", "")
+    if not isinstance(body, dict):
+        raise ConfigFileError("key 'task' must be an object")
+    kind = _require(body, "kind", "task.")
+    if kind not in ("recovery", "classify"):
+        raise ConfigFileError(f"key 'task.kind' must be 'recovery' or 'classify', got {kind!r}")
+    spec = RecoveryTaskSpec if kind == "recovery" else ClassifyTaskSpec
+    task = _build(spec, {k: v for k, v in body.items() if k != "kind"}, "task.", {})
+    dims = ({"in_dim": task.m, "out_dim": task.n} if spec is RecoveryTaskSpec
             else {"in_dim": task.input_dim, "out_dim": task.clusters})
-    return RunConfig(
-        command=stated,
-        task=task,
-        init=_build(InitBlock, raw.get("init", {}), "init.", {"std": _float}),
-        optimizer=_build(OptimizerBlock, raw.get("optimizer", {}), "optimizer.",
-                         {"lr": _float}),
-        run=_build(RunBlock, raw.get("run", {}), "run.",
-                   {"steps": _int, "batch": _int, "seeds": _ints}),
-        adapter=_parse_adapter(raw["adapter"], dims) if "adapter" in raw else None,
-        grid=_build(GridBlock, raw["grid"], "grid.",
-                    {"rank": _int, "strategy": Strategy,
-                     "a_counts": _ints, "b_counts": _ints})
-        if "grid" in raw else None,
-        sweep=_build(SweepBlock, raw["sweep"], "sweep.",
-                     {"sizes": _ints, "init_kinds": lambda v: tuple(str(x) for x in v),
-                      "configs": lambda v: tuple(_parse_adapter(c, dims) for c in v)})
-        if "sweep" in raw else None,
-        output=None if raw.get("output") is None else str(raw["output"]),
-    )
+    blocks = {k: v for k, v in raw.items() if k not in ("command", "task")}
+    return _build(RunConfig, blocks, "", dims, command=stated, task=task)
 
 
 def _materialize_task(cfg: RunConfig) -> Task:

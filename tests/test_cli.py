@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,15 +9,17 @@ import pathlib
 import re
 import subprocess
 import sys
+import typing
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cola_forge import checks, cli
-from cola_forge.adapter import Strategy
+from cola_forge.adapter import CoLAConfig, Strategy
 from cola_forge.cli import ConfigFileError, cmd_dispatch, load_config
-from cola_forge.harness import CSV_HEADER, make_recovery_task
+from cola_forge.harness import (CSV_HEADER, ClassifyTaskSpec, RecoveryTaskSpec,
+                                make_recovery_task)
 from cola_forge.initializers import GAUSSIAN_ZERO, INIT_KINDS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -181,6 +184,78 @@ class TestLoadConfig:
         payload = {**SWEEP_CONFIG, key.split(".")[0]: block}
         with pytest.raises(ConfigFileError, match=f"key '{key}' is not read by command 'sweep'"):
             load_config(write_config(tmp_path, payload), "sweep")
+
+    @pytest.mark.parametrize("output", [5, True, ["rows.csv"]])
+    def test_a_non_string_output_is_rejected_and_writes_nothing(self, tmp_path, capsys,
+                                                               monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, {**TRAIN_CONFIG, "output": output})
+        with pytest.raises(ConfigFileError, match="key 'output': expected a string"):
+            load_config(config)
+        assert cmd_dispatch(["train", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: key 'output': expected a string")
+        assert captured.out == "" and os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("block, payload", [
+        ("task", TRAIN_CONFIG), ("adapter", TRAIN_CONFIG), ("init", TRAIN_CONFIG),
+        ("optimizer", TRAIN_CONFIG), ("run", TRAIN_CONFIG), ("grid", GRID_CONFIG),
+        ("sweep", SWEEP_CONFIG),
+    ])
+    def test_a_block_that_is_not_an_object_is_named(self, tmp_path, block, payload):
+        with pytest.raises(ConfigFileError, match=f"key '{block}' must be an object"):
+            load_config(write_config(tmp_path, {**payload, block: 5}))
+
+
+CLASSIFY_CONFIG = {
+    **TRAIN_CONFIG,
+    "task": {"kind": "classify", "clusters": 4, "input_dim": 16, "samples_per_cluster": 30,
+             "backbone_seed": 9},
+}
+
+# Each config dataclass a run config reaches: (block, class, a config holding the block).
+CONFIG_BLOCKS = [
+    ("task", RecoveryTaskSpec, TRAIN_CONFIG),
+    ("task", ClassifyTaskSpec, CLASSIFY_CONFIG),
+    ("adapter", CoLAConfig, TRAIN_CONFIG),
+    ("sweep.configs", CoLAConfig, SWEEP_CONFIG),
+    ("init", cli.InitBlock, TRAIN_CONFIG),
+    ("optimizer", cli.OptimizerBlock, TRAIN_CONFIG),
+    ("run", cli.RunBlock, TRAIN_CONFIG),
+    ("grid", cli.GridBlock, GRID_CONFIG),
+    ("sweep", cli.SweepBlock, SWEEP_CONFIG),
+]
+
+# A JSON value of another type than each field type reads.
+WRONG_JSON = {int: "1", float: "1", str: 1, bool: 1, Strategy: 1}
+
+
+def wrong_json(hint):
+    """A scalar for a list; for ``X | None`` the wrong value of X."""
+    if typing.get_origin(hint) is tuple:
+        return 1
+    (hint,) = set(typing.get_args(hint) or (hint,)) - {type(None)}
+    return WRONG_JSON[hint]
+
+
+def with_key(payload, block, key, value):
+    """``payload`` with ``block.key`` set; a ``sweep.configs`` key in its first config."""
+    if block == "sweep.configs":
+        sweep = payload["sweep"]
+        return {**payload, "sweep": {**sweep, "configs": [{**sweep["configs"][0], key: value}]}}
+    return {**payload, block: {**payload.get(block, {}), key: value}}
+
+
+@pytest.mark.parametrize("block, key, payload, value", [
+    pytest.param(block, field.name, payload,
+                 wrong_json(typing.get_type_hints(cls)[field.name]),
+                 id=f"{block}.{field.name}-{cls.__name__}")
+    for block, cls, payload in CONFIG_BLOCKS for field in dataclasses.fields(cls)
+])
+def test_every_field_rejects_a_value_of_another_json_type(tmp_path, block, key, payload,
+                                                          value):
+    with pytest.raises(ConfigFileError, match=re.escape(f"key '{block}.{key}'")):
+        load_config(write_config(tmp_path, with_key(payload, block, key, value)))
 
 
 CONFIG_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
