@@ -10,7 +10,8 @@ Subcommands:
 * ``selfcheck`` measure acceptance criteria 1, 2, 4, 5 and 6 (``checks``)
 
 ``train``, ``grid`` and ``sweep`` share one body and read a single strictly
-validated JSON run config. Each key is read as its field's annotation
+validated JSON run config with ``harness``'s reader, which also reads the
+geometry files of ``params``. Each key is read as its field's annotation
 states, so a field's JSON type is stated once, in its dataclass, and the
 blocks check their own values. The subcommand names the command; the
 file's ``command`` key is optional and must agree with it. A file holds
@@ -24,21 +25,20 @@ to stderr and the exit code is nonzero exactly when an error was emitted.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import functools
-import json
 import os
 import sys
-import typing
 from dataclasses import dataclass, field
 
 from .adapter import CoLAConfig, ConfigError, Strategy, flop_count
 from .checks import run_selfcheck
 from .harness import (
     ClassifyTaskSpec,
+    ConfigFileError,
     RecoveryTaskSpec,
     Task,
-    _atomic_write,
+    _build,
+    _hints,
+    _read_object,
     _run_cells,
     bundled_geometry,
     load_geometry,
@@ -55,10 +55,6 @@ from .linalg import make_rng
 from .training import DivergenceError
 
 __all__ = ["RunConfig", "load_config", "cmd_dispatch", "main"]
-
-
-class ConfigFileError(ValueError):
-    """A run-config file failed validation; the message names the key."""
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +150,6 @@ class RunConfig:
         if self.init.std is not None and GAUSSIAN_ZERO not in kinds:
             raise ConfigFileError("key 'init.std' is not read without a gaussian_zero cell")
 
-    def to_dict(self) -> dict:
-        def clean(value):
-            if isinstance(value, dict):
-                return {k: clean(v) for k, v in value.items() if v is not None}
-            if isinstance(value, (list, tuple)):
-                return [clean(v) for v in value]
-            if isinstance(value, Strategy):
-                return value.value
-            return value
-
-        payload = clean(dataclasses.asdict(self))
-        kind = "recovery" if isinstance(self.task, RecoveryTaskSpec) else "classify"
-        payload["task"] = {"kind": kind, **payload["task"]}
-        if self.command == "sweep":
-            del payload["init"]["kind"]  # a sweep's kinds are sweep.init_kinds
-        return payload
-
-    def dump(self, path: str) -> None:
-        _atomic_write(path, json.dumps(self.to_dict(), indent=2) + "\n")
-
 
 # The block each run command reads; a config run under it must have that
 # block and none of the others.
@@ -186,82 +162,6 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _int(value) -> int:
-    """A JSON integer; a boolean, a string or a non-integral number fails."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _float(value) -> float:
-    """A JSON number; a boolean or a string fails."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _exact(kind: type, expected: str):
-    """The cast that takes only a JSON value of type ``kind``, as it is."""
-    def cast(value):
-        if not isinstance(value, kind):
-            raise ValueError(f"expected {expected}, got {value!r}")
-        return value
-    return cast
-
-
-# The cast of each scalar field type; ``_cast`` composes them by annotation.
-_CASTS = {int: _int, float: _float, bool: _exact(bool, "true or false"),
-          str: _exact(str, "a string"), Strategy: Strategy}
-_hints = functools.cache(typing.get_type_hints)  # a config class's field types
-
-
-def _cast(hint, value, key: str, dims: dict):
-    """``value`` read from JSON as the annotation ``hint`` states: a dataclass
-    is an object, ``X | None`` is X, and ``tuple[X, ...]`` a list of X that
-    names each entry once (a repeat would run, and count, twice)."""
-    if hint in _CASTS:
-        return _CASTS[hint](value)
-    if dataclasses.is_dataclass(hint):
-        return _build(hint, value, f"{key}.", dims)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ValueError(f"expected a list, got {value!r}")
-        entries = tuple(_cast(typing.get_args(hint)[0], entry, key, dims) for entry in value)
-        if len(set(entries)) != len(entries):
-            raise ConfigFileError(f"key '{key}' repeats an entry")
-        return entries
-    (hint,) = set(typing.get_args(hint)) - {type(None)}
-    return _cast(hint, value, key, dims)
-
-
-def _build(cls, mapping: dict, context: str, dims: dict, **given):
-    """Construct a dataclass from a dict, casting each key by its annotation;
-    ``given`` fields pass as they are, and an adapter's dims default to the
-    task's ``dims``. A TypeError/ValueError is re-raised naming the key or
-    block, unless it is a ConfigFileError, which already names it."""
-    if not isinstance(mapping, dict):
-        raise ConfigFileError(f"key '{context.rstrip('.')}' must be an object")
-    if cls is CoLAConfig:
-        mapping = {**dims, **mapping}
-    hints = _hints(cls)
-    for key in mapping:
-        if key not in hints:
-            raise ConfigFileError(f"unknown key '{context}{key}'")
-    for key, value in mapping.items():
-        try:
-            given[key] = _cast(hints[key], value, f"{context}{key}", dims)
-        except ConfigFileError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigFileError(f"key '{context}{key}': {exc}") from exc
-    try:
-        return cls(**given)
-    except ConfigFileError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigFileError(f"block '{context.rstrip('.')}': {exc}") from exc
-
-
 def load_config(path: str, command: str | None = None) -> RunConfig:
     """Parse and fully validate a run-config JSON file.
 
@@ -269,16 +169,7 @@ def load_config(path: str, command: str | None = None) -> RunConfig:
     ``command`` key is optional and must agree with it when both are given;
     with neither, the command is ``train``.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigFileError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigFileError("config root must be a JSON object")
-
+    raw = _read_object(path)
     for key in raw:
         if key not in _hints(RunConfig):
             raise ConfigFileError(f"unknown key '{key}'")

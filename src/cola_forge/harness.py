@@ -5,13 +5,23 @@ the grid / scarcity sweeps over adapter shapes, and parameter accounting
 against published model geometries. All runs are pure functions of
 (spec, seeds): cells derive disjoint RNG streams from their coordinates, so
 execution order never changes results.
+
+It also holds the one reader of JSON input files, shared by geometry files
+and the CLI's run configs: ``_read_object`` loads a file's root object and
+``_build`` turns it into a dataclass, reading each key as its field's
+annotation states. An unknown key, a missing required key and a value of
+another JSON type raise ``ConfigFileError`` naming the key, with the index
+of a list entry (``modules[2].m``); each dataclass checks its own values.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import tempfile
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -231,6 +241,112 @@ def make_classification_task(spec: ClassifyTaskSpec, rng: np.random.Generator) -
 
 
 # ---------------------------------------------------------------------------
+# JSON input files
+# ---------------------------------------------------------------------------
+
+class ConfigFileError(ValueError):
+    """A JSON input file failed validation; the message names the key."""
+
+
+def _int(value) -> int:
+    """A JSON integer; a boolean, a string or a non-integral number fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A JSON number; a boolean or a string fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _exact(kind: type, expected: str):
+    """The cast that takes only a JSON value of type ``kind``, as it is."""
+    def cast(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"expected {expected}, got {value!r}")
+        return value
+    return cast
+
+
+# The cast of each scalar field type; ``_cast`` composes them by annotation.
+_CASTS = {int: _int, float: _float, bool: _exact(bool, "true or false"),
+          str: _exact(str, "a string"), Strategy: Strategy}
+_hints = functools.cache(typing.get_type_hints)  # a dataclass's field types
+
+
+def _cast(hint, value, key: str, dims: dict):
+    """``value`` read from JSON as the annotation ``hint`` states: a dataclass
+    is an object, ``X | None`` is X, and ``tuple[X, ...]`` a list of X that
+    names each entry once (a repeat would run, and count, twice). A value of
+    another type raises ConfigFileError naming ``key``; a list entry's key
+    carries its index."""
+    if hint in _CASTS:
+        try:
+            return _CASTS[hint](value)
+        except ValueError as exc:
+            raise ConfigFileError(f"key '{key}': {exc}") from exc
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, f"{key}.", dims)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigFileError(f"key '{key}': expected a list, got {value!r}")
+        entries = tuple(_cast(typing.get_args(hint)[0], entry, f"{key}[{index}]", dims)
+                        for index, entry in enumerate(value))
+        if len(set(entries)) != len(entries):
+            raise ConfigFileError(f"key '{key}' repeats an entry")
+        return entries
+    (hint,) = set(typing.get_args(hint)) - {type(None)}
+    return _cast(hint, value, key, dims)
+
+
+def _build(cls, mapping: dict, context: str, dims: dict, **given):
+    """Construct a dataclass from a JSON object, casting each key by its
+    annotation; ``given`` fields pass as they are, and an adapter's dims
+    default to the task's ``dims``. ``context`` prefixes every key an error
+    names. A ValueError the class raises is re-raised naming the block (a
+    root object's as it is), unless it is a ConfigFileError, which already
+    names its key."""
+    if not isinstance(mapping, dict):
+        raise ConfigFileError(f"key '{context.rstrip('.')}' must be an object")
+    if cls is CoLAConfig:
+        mapping = {**dims, **mapping}
+    hints = _hints(cls)
+    for key in mapping:
+        if key not in hints:
+            raise ConfigFileError(f"unknown key '{context}{key}'")
+    for key, value in mapping.items():
+        given[key] = _cast(hints[key], value, f"{context}{key}", dims)
+    for declared in dataclasses.fields(cls):
+        if (declared.name not in given and declared.default is dataclasses.MISSING
+                and declared.default_factory is dataclasses.MISSING):
+            raise ConfigFileError(f"missing key '{context}{declared.name}'")
+    try:
+        return cls(**given)
+    except ConfigFileError:
+        raise
+    except ValueError as exc:
+        block = context.rstrip(".")
+        raise ConfigFileError(f"block '{block}': {exc}" if block else str(exc)) from exc
+
+
+def _read_object(path: str) -> dict:
+    """The root object of the JSON file at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigFileError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigFileError("config root must be a JSON object")
+    return raw
+
+
+# ---------------------------------------------------------------------------
 # Model geometry and parameter accounting
 # ---------------------------------------------------------------------------
 
@@ -245,6 +361,13 @@ class ModuleDim:
     n: int  # output dim
     m: int  # input dim
 
+    def __post_init__(self):
+        if self.name not in ALLOWED_MODULES:
+            raise ValueError(f"unknown module name {self.name!r}; "
+                             f"expected one of {sorted(ALLOWED_MODULES)}")
+        if self.n <= 0 or self.m <= 0:
+            raise ValueError(f"module {self.name} has non-positive dims")
+
 
 @dataclass(frozen=True)
 class ModelGeometry:
@@ -256,25 +379,11 @@ class ModelGeometry:
     def __post_init__(self):
         if self.base_params <= 0 or self.layers <= 0:
             raise ValueError("base_params and layers must be positive")
-        for mod in self.modules:
-            if mod.name not in ALLOWED_MODULES:
-                raise ValueError(f"unknown module name {mod.name!r}; "
-                                 f"expected one of {sorted(ALLOWED_MODULES)}")
-            if mod.n <= 0 or mod.m <= 0:
-                raise ValueError(f"module {mod.name} has non-positive dims")
 
 
 def load_geometry(path: str) -> ModelGeometry:
     """Parse and validate a geometry JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        modules = tuple(ModuleDim(name=m["name"], n=int(m["n"]), m=int(m["m"]))
-                        for m in raw["modules"])
-        return ModelGeometry(name=str(raw["name"]), base_params=int(raw["base_params"]),
-                             layers=int(raw["layers"]), modules=modules)
-    except KeyError as exc:
-        raise ValueError(f"geometry file {path} is missing key {exc}") from exc
+    return _build(ModelGeometry, _read_object(path), "", {})
 
 
 def bundled_geometry(name: str) -> ModelGeometry:
@@ -305,12 +414,6 @@ def param_count(geometry: ModelGeometry, a_count: int, b_count: int,
 # Sweep rows
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = [
-    "strategy", "init", "M", "N", "r", "sample_size", "seed",
-    "step0_loss", "final_loss", "eval_metric", "trainable_params", "mac_count",
-]
-
-
 @dataclass(frozen=True)
 class SweepRow:
     strategy: str
@@ -331,6 +434,9 @@ class SweepRow:
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_HEADER}
+
+
+CSV_HEADER = [f.name for f in dataclasses.fields(SweepRow)]
 
 
 def _eval_metric(layer, task: Task) -> float:

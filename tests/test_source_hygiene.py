@@ -4,7 +4,8 @@ Every import in ``src/cola_forge/*.py`` is used (``__init__.py`` is exempt:
 its imports are the package's re-exports), and every name in a module's
 ``__all__`` is bound at the top level of that module. The benchmark
 tracer wraps the functions a module lists in ``__all__``, so a stale entry
-would break it.
+would break it. JSON is parsed in one place, the reader every input file
+goes through, so no file escapes its key checks.
 """
 
 import ast
@@ -70,3 +71,21 @@ def test_all_names_resolve(path):
     tree = parse(path)
     missing = set(declared_all(tree)) - top_level_bindings(tree)
     assert not missing, f"{path.name}: __all__ names not bound in the module {missing}"
+
+
+def test_json_is_parsed_only_by_the_reader():
+    """``json.load``/``json.loads`` is called once in the package, in
+    ``harness._read_object``, and no module imports names from ``json``."""
+    calls = []
+    for path in MODULES:
+        tree = parse(path)
+        for statement in tree.body:  # each call is named by its top-level statement
+            calls += [(path.name, getattr(statement, "name", "<module>"))
+                      for node in ast.walk(statement)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id == "json"
+                      and node.func.attr in ("load", "loads")]
+        assert not any(isinstance(node, ast.ImportFrom) and node.module == "json"
+                       for node in ast.walk(tree)), path.name
+    assert calls == [("harness.py", "_read_object")]
