@@ -117,7 +117,7 @@ class CoLAConfig:
             raise ConfigError(
                 f"heuristic strategy requires M <= N, got M={self.a_count} > N={self.b_count}"
             )
-        if self.alpha is not None and self.alpha <= 0:
+        if self.alpha is not None and not self.alpha > 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
 
     @property

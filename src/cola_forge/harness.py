@@ -9,9 +9,11 @@ execution order never changes results.
 It also holds the one reader of JSON input files, shared by geometry files
 and the CLI's run configs: ``_read_object`` loads a file's root object and
 ``_build`` turns it into a dataclass, reading each key as its field's
-annotation states. An unknown key, a missing required key and a value of
-another JSON type raise ``ConfigFileError`` naming the key, with the index
-of a list entry (``modules[2].m``); each dataclass checks its own values.
+annotation states. An unknown key, a missing required key, a key stated
+twice in one object and a value of another JSON type raise
+``ConfigFileError`` naming the key, with the index of a list entry
+(``modules[2].m``), and so does ``NaN`` or ``Infinity``, which JSON does not
+have; each dataclass checks its own values.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class RecoveryTaskSpec:
     def __post_init__(self):
         if self.components < 1:
             raise ValueError(f"components must be >= 1, got {self.components}")
-        if self.noise_std < 0 or self.source_noise_std < 0:
+        if not (self.noise_std >= 0 and self.source_noise_std >= 0):
             raise ValueError("noise levels must be >= 0")
         if self.train_samples < 1 or self.eval_samples < 1:
             raise ValueError("sample counts must be >= 1")
@@ -333,10 +335,24 @@ def _build(cls, mapping: dict, context: str, dims: dict, **given):
 
 
 def _read_object(path: str) -> dict:
-    """The root object of the JSON file at ``path``."""
+    """The root object of the JSON file at ``path``. JSON has no NaN or
+    infinity, and an object names each key once, so the constants
+    ``NaN``/``Infinity``/``-Infinity`` and a repeated key, which Python's
+    reader would accept, raise ConfigFileError naming them."""
+    def constant(name: str):
+        raise ConfigFileError(f"config file {path} holds {name}, which is not a JSON number")
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigFileError(f"key '{key}' is stated twice in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=constant, object_pairs_hook=unique)
     except OSError as exc:
         raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -379,6 +395,8 @@ class ModelGeometry:
     def __post_init__(self):
         if self.base_params <= 0 or self.layers <= 0:
             raise ValueError("base_params and layers must be positive")
+        if not self.modules:
+            raise ValueError("modules must be a nonempty list")
 
 
 def load_geometry(path: str) -> ModelGeometry:

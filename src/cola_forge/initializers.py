@@ -63,7 +63,7 @@ class InitSpec:
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ValueError(f"init kind must be one of {INIT_KINDS}, got {self.kind!r}")
-        if self.kind == GAUSSIAN_ZERO and self.std is not None and self.std <= 0:
+        if self.kind == GAUSSIAN_ZERO and self.std is not None and not self.std > 0:
             raise ValueError(f"gaussian init std must be positive, got {self.std}")
         if self.kind == PISSA and self.source_w is None:
             raise ValueError("spectral init requires source_w")

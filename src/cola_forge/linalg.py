@@ -110,7 +110,7 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
 def gaussian_matrix(rows: int, cols: int, std: float,
                     rng: np.random.Generator) -> np.ndarray:
     """rows x cols matrix of i.i.d. N(0, std^2) draws from ``rng``."""
-    if std <= 0.0:
+    if not std > 0.0:
         raise ValueError(f"std must be positive, got {std}")
     if rows < 1 or cols < 1:
         raise ShapeError(f"invalid matrix shape ({rows}, {cols})")

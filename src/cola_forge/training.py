@@ -23,40 +23,39 @@ batch as columns (m x B and n x B), in which case gradients sum over the
 batch, matching a loss that is itself summed (or averaged, if g_out already
 carries the 1/B factor).
 
-:func:`train_loop` allocates its buffers once per run, in a workspace that
-every product and elementwise operation of a step writes into. Every run
-draws a block of steps in one rng call, per step the batch indices and then,
-if it resamples its pairing, the pairing, with one upper bound per element;
-that leaves the generator exactly where one draw after the other would (a
-block holds at most 64 steps and no more indices than the training set has
-samples). A step takes its inputs and targets, as rows, from row-major
-copies of the training set into fixed buffers, and replays the numpy calls
-that ``adapter._apply`` and :func:`_backward` recorded over the workspace
-and those buffers, one piece per term: a run whose pairing does not change
-(a deterministic strategy or a frozen pairing) is recorded once, and one
-that resamples its pairing records each (position, term) once and picks a
-step's pieces by the pairing drawn (a pool of partners with one member
-leaves one pairing, whose draw consumes no rng state). The forward pass
-keeps each term's hidden state sum_i A_i x and the backward pass reuses it.
+:func:`train_loop` records a step once per run, over buffers it allocates
+once: the forward pass (``adapter._apply``, one piece per term), the loss
+(``_loss``, the one statement of the squared-error and cross-entropy
+arithmetic: calls that write dL/dy, and a readout of the loss), the backward
+pass (:func:`_backward`, which reuses each term's hidden state sum_i A_i x)
+and the optimizer (``_update``, the one statement of the SGD and Adam
+arithmetic: calls whose scalars are 0-d arrays, and an advance that counts
+the step and sets Adam's bias corrections). A step is two replays around
+one float readout: it takes its samples, as rows, from row-major copies of
+the training set into fixed buffers, replays the forward pass and the loss,
+reads and checks the loss, advances the optimizer, and replays the
+gradient's divide by the batch, the backward pass, the optimizer and the
+class updates. A run that resamples its pairing records each (position,
+term) once and picks a step's pieces by the pairing drawn (a pool of
+partners with one member leaves one pairing, whose draw consumes no rng
+state). A run draws a block of steps in one rng call, per step the batch
+indices and then any pairing, with one upper bound per element, which
+leaves the generator where one draw after the other would (a block holds at
+most 64 steps and no more indices than the training set has samples).
 Under a fixed composition, pool members that appear in exactly the same
 terms (all A_i and all B_j under FULL, the tail B_M..B_N under HEURISTIC)
 get the same gradient at every step, hence the same Adam moments and the
-same update: they form a class, the step keeps one gradient slot per class,
-updates that buffer and subtracts each class's update from each of its
-members, which equals one gradient and one update per member bit for bit. A
-run that resamples its pairing keeps one class per member. :func:`backward`
-replays the same recorded calls once, with one class per member, into
-``Grads.flat``, laid out like ``params``. :func:`optimizer_step` and
-:func:`train_loop` both compute their update with ``_update``, the one
-statement of the SGD and Adam arithmetic, and every loss is computed by
-``_loss``, the one statement of the squared-error and cross-entropy
-arithmetic, which writes dL/dy into a buffer it is given.
+same update: they form a class, one gradient slot whose update is
+subtracted from each member, which equals one update per member bit for
+bit. A resampling run keeps one class per member, as do :func:`backward`
+and :func:`optimizer_step`, which replay the same recorded calls once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -161,7 +160,7 @@ def _backward(ws: _StepWorkspace, x2: np.ndarray, g2: np.ndarray, terms,
     gradient once for all of its members."""
     head = []
     if (total := ws.layer_scale * scale) != 1.0:
-        head.append((np.multiply, (g2, total, ws.gs)))
+        head.append((np.multiply, (g2, np.array(total), ws.gs)))
         g2 = ws.gs
     x_t = x2.T
     pieces = [head]
@@ -191,7 +190,7 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
     gradient entries and report false disagreement. The oracle stays a pure
     perturb-and-evaluate procedure, independent of backward().
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     cfg = layer.config
     pairing = layer.pairing if cfg.strategy in _PAIRING_KIND else None
@@ -253,8 +252,8 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam (decoupled weight decay fixed at 0). The first Adam step
-    allocates the moments ``m`` and ``v`` and a ``scratch`` buffer shaped like
+    """SGD or Adam (decoupled weight decay fixed at 0). The first recorded Adam
+    update allocates the moments ``m`` and ``v`` and a ``scratch`` buffer like
     its gradient: the parameters under :func:`optimizer_step`, one slot per
     class of pool members inside :func:`train_loop` (whose moments are
     therefore per class), so later steps allocate no temporaries."""
@@ -272,7 +271,7 @@ class OptimizerState:
 def make_optimizer(kind: str, lr: float) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {kind!r}")
-    if lr <= 0:
+    if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     return OptimizerState(kind=kind, lr=lr)
 
@@ -282,37 +281,43 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
     """One in-place update; returns the (mutated) parameter array."""
     if params.shape != grads.shape:
         raise ShapeError(f"params of shape {params.shape} vs grads of shape {grads.shape}")
-    params -= _update(state, grads)
+    update = np.empty(grads.shape, np.result_type(grads, 1.0))
+    calls, advance = _update(state, grads, update)
+    advance()
+    _replay(calls)
+    params -= update
     return params
 
 
 def _update(state: OptimizerState, grads: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """One step's update u for ``grads`` (applied as params -= u), written
-    into ``out``, which may be ``grads`` itself, or into a new array."""
+            out: np.ndarray) -> tuple[list[tuple], Callable[[], None]]:
+    """The calls that write a step's update u for ``grads`` (applied as
+    params -= u) into ``out``, which may be ``grads``, and the advance that
+    counts the step and sets Adam's bias corrections before each replay; each
+    scalar is a 0-d array of ``out``'s dtype (read faster, rounded alike)."""
     if state.kind == "sgd":
-        state.step += 1
-        return np.multiply(grads, state.lr, out)
+        def advance():
+            state.step += 1
+        return [(np.multiply, (grads, np.array(state.lr, out.dtype), out))], advance
     if state.m is None:
         state.m, state.v, state.scratch = (np.zeros_like(grads) for _ in range(3))
     elif state.m.shape != grads.shape:
         raise ShapeError("Adam state was allocated for other parameters")
-    state.step += 1
     b1, b2 = state.betas
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
+    c1, k1, c2, k2, eps, lr, bc1, bc2 = (np.array(value, out.dtype) for value in (
+        b1, 1.0 - b1, b2, 1.0 - b2, state.eps, state.lr, 1.0, 1.0))
+
+    def advance():
+        state.step += 1
+        bc1[()] = 1.0 - b1 ** state.step
+        bc2[()] = 1.0 - b2 ** state.step
     # u = lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
-    # into the scratch buffer t and out, passed by position (parsed faster)
     m, v, t = state.m, state.v, state.scratch
-    m *= b1
-    m += np.multiply(grads, 1.0 - b1, t)
-    v *= b2
-    v += np.multiply(np.multiply(grads, 1.0 - b2, t), grads, t)
-    np.sqrt(np.divide(v, bc2, t), t)
-    t += state.eps
-    out = np.divide(m, bc1, out)
-    np.multiply(out, state.lr, out)
-    return np.divide(out, t, out)
+    return [(np.multiply, (m, c1, m)), (np.multiply, (grads, k1, t)), (np.add, (m, t, m)),
+            (np.multiply, (v, c2, v)), (np.multiply, (grads, k2, t)),
+            (np.multiply, (t, grads, t)), (np.add, (v, t, v)), (np.divide, (v, bc2, t)),
+            (np.sqrt, (t, t)), (np.add, (t, eps, t)), (np.divide, (m, bc1, out)),
+            (np.multiply, (out, lr, out)), (np.divide, (out, t, out))], advance
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +325,40 @@ def _update(state: OptimizerState, grads: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _loss(kind: str, y: np.ndarray, targets: np.ndarray, g: np.ndarray,
-          sq: np.ndarray | None) -> float:
-    """The loss of outputs ``y`` against ``targets``, writing dL/dy into ``g``
-    (which may be ``y``): for ``recovery`` the batch mean of 0.5 ||y_b -
-    t_b||^2, summed through the squares in ``sq`` (new if None, ``g`` if the
-    gradient is not read), else the softmax cross-entropy of class-by-batch
-    logits against integer labels."""
+          sq: np.ndarray) -> tuple[list[tuple], Callable[[], float], list[tuple]]:
+    """The loss of outputs ``y`` against ``targets`` as ``(calls, readout,
+    divide)``: the calls that write dL/dy, times the batch size, into ``g``
+    (which may be ``y``), the readout that returns the loss once they ran,
+    and the call that then divides ``g`` by the batch. For ``recovery`` the
+    loss is the batch mean of 0.5 ||y_b - t_b||^2, summed through the squares
+    in ``sq`` (which may be ``g`` if the gradient is not read), else the
+    softmax cross-entropy of class-by-batch logits against integer labels."""
     batch = y.shape[1] if y.ndim == 2 else 1
     if kind == "recovery":
-        np.subtract(y, targets, g)
-        loss = 0.5 * float(np.add.reduce(np.multiply(g, g, sq), None)) / batch
+        calls = [(np.subtract, (y, targets, g)), (np.multiply, (g, g, sq))]
+        def readout() -> float:
+            return 0.5 * float(np.add.reduce(sq, None)) / batch
     else:
-        np.subtract(y, y.max(axis=0, keepdims=True), g)
-        np.exp(g, g)
-        np.divide(g, g.sum(axis=0, keepdims=True), g)
+        peak, total = np.empty((2, 1, batch))
         cols = np.arange(batch)
-        loss = -float(np.mean(np.log(np.maximum(g[targets, cols], 1e-300))))
-        g[targets, cols] -= 1.0
-    np.divide(g, batch, g)
-    return loss
+        calls = [(np.maximum.reduce, (y, 0, None, peak, True)), (np.subtract, (y, peak, g)),
+                 (np.exp, (g, g)), (np.add.reduce, (g, 0, None, total, True)),
+                 (np.divide, (g, total, g))]
+        def readout() -> float:
+            loss = -float(np.mean(np.log(np.maximum(g[targets, cols], 1e-300))))
+            g[targets, cols] -= 1.0
+            return loss
+    return calls, readout, [(np.divide, (g, np.array(batch, g.dtype), g))]
+
+
+def _loss_grad(kind: str, y: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """(L, dL/dy) by :func:`_loss`, the gradient a new array."""
+    g = np.empty(y.shape)
+    calls, readout, divide = _loss(kind, y, targets, g, np.empty(y.shape))
+    _replay(calls)
+    loss = readout()
+    _replay(divide)
+    return loss, g
 
 
 def squared_error_grad(y: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -347,8 +367,7 @@ def squared_error_grad(y: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     y, targets = np.asarray(y), np.asarray(targets)
     if targets.shape != y.shape:
         raise ShapeError(f"targets of shape {targets.shape} vs outputs of shape {y.shape}")
-    g = np.empty(y.shape)
-    return _loss("recovery", y, targets, g, None), g
+    return _loss_grad("recovery", y, targets)
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -361,8 +380,7 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, n
                          f"logits of shape {logits.shape} and labels of shape {labels.shape}")
     if labels.dtype.kind not in "iu" or not np.all((labels >= 0) & (labels < logits.shape[0])):
         raise ValueError(f"labels must be integers in [0, {logits.shape[0]}), got {labels}")
-    g = np.empty(logits.shape)
-    return _loss("classify", logits, labels, g, None), g
+    return _loss_grad("classify", logits, labels)
 
 
 @dataclass
@@ -387,10 +405,13 @@ class TrainReport:
 
 def _dataset_loss(layer: CoLALayer, task) -> float:
     """The loss over the whole training set, under the eval composition; its
-    gradient and squares overwrite forward's output, which nothing else reads."""
+    gradient and squares overwrite forward's output, which nothing else
+    reads, so the gradient is never divided by the batch."""
     y = forward(layer, task.x_train, mode="eval")
-    targets = task.y_train if task.kind == "recovery" else task.labels_train
-    return _loss(task.kind, y, targets, y, y)
+    calls, readout, _ = _loss(task.kind, y, task.y_train if task.kind == "recovery"
+                              else task.labels_train, y, y)
+    _replay(calls)
+    return readout()
 
 
 def _classes(terms, a_count: int, b_count: int) -> tuple[list[int], list[int]]:
@@ -408,13 +429,11 @@ def _classes(terms, a_count: int, b_count: int) -> tuple[list[int], list[int]]:
 
 
 def _class_updates(layer: CoLALayer, grad: np.ndarray, a_class: list[int],
-                   b_class: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(members, update) slice pairs that apply the class updates in ``grad``
-    (laid out A classes, then B classes) to ``layer.params`` as ``members -=
-    update``: each member's slice of ``params`` and its class's slot, except
-    that consecutive members whose class slots follow each other in ``grad``
-    share one slice of each. A class of several members is applied once per
-    member."""
+                   b_class: list[int]) -> list[tuple]:
+    """The calls ``members -= update`` that apply the class updates in
+    ``grad`` (A classes, then B classes) to ``layer.params``, one per member
+    (so once per member of a class), except that consecutive members whose
+    class slots follow each other in ``grad`` share one call."""
     cfg, params = layer.config, layer.params
     rm, nr = cfg.rank * cfg.in_dim, cfg.out_dim * cfg.rank
     split = (max(a_class) + 1) * rm
@@ -426,7 +445,8 @@ def _class_updates(layer: CoLALayer, grad: np.ndarray, a_class: list[int],
             spans[-1][2] += size
         else:
             spans.append([p, g, size])
-    return [(params[p:p + size], grad[g:g + size]) for p, g, size in spans]
+    return [(np.subtract, (params[p:p + size], grad[g:g + size], params[p:p + size]))
+            for p, g, size in spans]
 
 
 def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
@@ -461,7 +481,6 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     a_count, b_count = max(a_class) + 1, max(b_class) + 1
     grad = np.zeros(a_count * cfg.rank * cfg.in_dim + b_count * cfg.out_dim * cfg.rank)
     ws = _StepWorkspace(layer, (batch,), grad, a_count, b_count)
-    updates = _class_updates(layer, grad, a_class, b_class)
 
     # A block of steps draws, per step, its batch indices and then (if it
     # resamples) its pairing, all in one rng call with per-element bounds; a
@@ -478,11 +497,9 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     t_rows = np.empty((batch,) + targets.shape[:-1], targets.dtype)
     xb, tb = x_rows.T, t_rows.T
 
-    # A step replays the calls that _apply and _backward record over the
-    # workspace and x_rows: a (forward, backward) piece per term, the closing
-    # forward calls and the backward's head. A fixed composition is recorded
-    # once. Every pairing of a random strategy composes with one scale, and
-    # the term at position k depends on the pairing's k-th entry alone, so a
+    # A step's two lists of calls, over the workspace, x_rows and t_rows.
+    # Every pairing of a random strategy composes with one scale, and the
+    # term at position k depends on the pairing's k-th entry alone, so a
     # resampling run records each (position, term) once, off the composition
     # of each constant pairing, and a step picks its pieces by the pairing.
     if draw is None:
@@ -492,9 +509,18 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                         (_composition(cfg, (v,) * draw[1]) for v in range(draw[0]))]
     recorded = [(_apply(ws, xb, terms, scale), _backward(ws, xb, ws.g, terms, classes, scale))
                 for terms, classes, scale in compositions]
-    close, head = recorded[0][0][-1], recorded[0][1][0]
+    loss_calls, readout, divide = _loss(task.kind, ws.out, tb, ws.g, ws.sq)
+    optimizer_calls, advance = _update(optimizer, grad, grad)
+    close = recorded[0][0][-1] + loss_calls
+    head = divide + [(grad.fill, (0.0,))] + recorded[0][1][0]
+    tail = optimizer_calls + _class_updates(layer, grad, a_class, b_class)
     by_pairing = [list(zip(forward[:-1], backward[1:])) for forward, backward in recorded]
-    step, by_position = by_pairing[0], list(zip(*by_pairing))
+    by_position = list(zip(*by_pairing))
+
+    def replays(step) -> tuple[list[tuple], list[tuple]]:
+        return ([call for forward, _ in step for call in forward] + close,
+                head + [call for _, backward in step for call in backward] + tail)
+    first, second = replays(by_pairing[0])
 
     # A diverging run overflows before its loss turns non-finite; the
     # DivergenceError below reports it, so numpy's warnings would only repeat it.
@@ -513,21 +539,14 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                 x_samples.take(idx, 0, x_rows, "wrap")
                 t_samples.take(idx, 0, t_rows, "wrap")
                 if draw is not None:  # the pieces of the terms this pairing composes
-                    step = [by_position[k][v] for k, v in enumerate(pairing)]
-                for forward, _ in step:
-                    _replay(forward)
-                _replay(close)
-                loss = _loss(task.kind, ws.out, tb, ws.g, ws.sq)
+                    first, second = replays([by_position[k][v] for k, v in enumerate(pairing)])
+                _replay(first)
+                loss = readout()
                 if not math.isfinite(loss):
                     raise DivergenceError(f"training diverged: minibatch loss {loss} at step "
                                           f"{len(losses) + 1} of {steps} (seed {seed})")
-                grad.fill(0.0)
-                _replay(head)
-                for _, backward in step:
-                    _replay(backward)
-                _update(optimizer, grad, grad)
-                for members, update in updates:
-                    members -= update
+                advance()
+                _replay(second)
                 losses.append(loss)
         del x_samples, t_samples
 
@@ -536,12 +555,6 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
         raise DivergenceError(f"training diverged: final loss {final_loss} after "
                               f"{steps} steps (seed {seed})")
     mac_per_step = flop_count(cfg, "train_step") * batch
-    return TrainReport(
-        seed=seed,
-        steps=steps,
-        initial_loss=initial_loss,
-        losses=losses,
-        final_loss=final_loss,
-        mac_per_step=mac_per_step,
-        mac_total=mac_per_step * steps,
-    )
+    return TrainReport(seed=seed, steps=steps, initial_loss=initial_loss, losses=losses,
+                       final_loss=final_loss, mac_per_step=mac_per_step,
+                       mac_total=mac_per_step * steps)

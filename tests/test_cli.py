@@ -162,6 +162,30 @@ class TestLoadConfig:
         with pytest.raises(ConfigFileError, match=f"key '{block}.{key}': expected a number"):
             load_config(write_config(tmp_path, payload))
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("block, key", [("optimizer", "lr"), ("task", "noise_std")])
+    def test_non_finite_constants_are_rejected_and_write_nothing(self, tmp_path, capsys,
+                                                                block, key, constant):
+        # JSON has no such numbers; Python's reader would load them as floats
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TRAIN_CONFIG, block: {**TRAIN_CONFIG[block], key: 0.5}})
+                        .replace("0.5", constant))
+        named = f"config file {path} holds {constant}, which is not a JSON number"
+        with pytest.raises(ConfigFileError, match=re.escape(named)):
+            load_config(str(path))
+        out = tmp_path / "rows.csv"
+        assert cmd_dispatch(["train", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {named}\n"
+        assert not out.exists() and not (tmp_path / "rows.json").exists()
+
+    def test_a_key_stated_twice_in_one_object_is_rejected(self, tmp_path):
+        text = json.dumps(TRAIN_CONFIG).replace('"rank": 4', '"rank": 2, "rank": 4')
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigFileError, match="key 'rank' is stated twice in one object"):
+            load_config(str(path))
+
     def test_integers_load_as_floats(self, tmp_path):
         payload = {**TRAIN_CONFIG, "optimizer": {"kind": "adam", "lr": 1}}
         cfg = load_config(write_config(tmp_path, payload))
@@ -522,6 +546,7 @@ class TestParamsCommand:
         ({**GEOMETRY, "modules": [{**MODULE, "name": "lm_head"}]},
          "block 'modules[0]': unknown module name 'lm_head'"),
         ({**GEOMETRY, "modules": [MODULE, MODULE]}, "key 'modules' repeats an entry"),
+        ({**GEOMETRY, "modules": []}, "modules must be a nonempty list"),
     ])
     def test_a_malformed_geometry_file_is_one_named_error(self, tmp_path, capsys, geometry,
                                                          named):
@@ -531,6 +556,16 @@ class TestParamsCommand:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"error: {named}")
         assert captured.err.count("\n") == 1
+
+
+    def test_a_key_stated_twice_in_a_geometry_file_is_one_named_error(self, tmp_path, capsys):
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(GEOMETRY).replace('"layers": 2', '"layers": 1, "layers": 2'))
+        code = cmd_dispatch(["params", "--geometry", str(path), "--M", "1", "--N", "1",
+                             "--r", "8"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: key 'layers' is stated twice in one object\n"
 
 
 class TestFlopsCommand:

@@ -23,7 +23,7 @@ from cola_forge.harness import (
     run_single,
 )
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
-from cola_forge.linalg import ShapeError, make_rng
+from cola_forge.linalg import ShapeError, gaussian_matrix, make_rng
 from cola_forge.training import (
     DivergenceError,
     backward,
@@ -271,6 +271,18 @@ class TestTrainLoop:
         row, report = run_single(small_task(), cfg, GAUSSIAN_ZERO, 42, steps=10, batch=8)
         assert row.mac_count == report.mac_total == flop_count(cfg, "train_step") * 8 * 10
 
+    @pytest.mark.parametrize("init_kind", [GAUSSIAN_ZERO, PISSA])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_step0_loss_is_the_squared_error_of_the_eval_forward(self, strategy, init_kind):
+        # the dataset loss skips only the divide of a gradient it never reads
+        task = small_task(noise=0.05)
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3, strategy=strategy)
+        row, _ = run_single(task, cfg, init_kind, 42, steps=0)
+        layer = build_layer(cfg, InitSpec(init_kind, source_w=task.pissa_source), make_rng(42),
+                            base_w0=task.w_base)
+        loss, _ = squared_error_grad(forward(layer, task.x_train, mode="eval"), task.y_train)
+        assert row.step0_loss.hex() == loss.hex()
+
     def test_recovery_halves_loss(self):
         # pilot-calibrated: 500 Adam steps cut the loss far below half
         task = small_task()
@@ -509,6 +521,24 @@ class TestFusedStep:
                          **shape)
         self.check_against_hand_loop(task, cfg, frozen, kind, batch, steps, lr=2e-3)
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("strategy", [Strategy.FULL, Strategy.RANDOM_AB])
+    def test_resumed_run_matches_one_hand_loop(self, strategy, kind):
+        # a second train_loop on the same layer, optimizer state and rng
+        # continues the first, mid block of draws: FULL (2, 3) carries its
+        # class moments over, RANDOM_AB (2, 3) its per-member moments
+        task = small_task(noise=0.05)
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
+                         strategy=strategy)
+        fused, hand = (build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(5),
+                                   base_w0=task.w_base) for _ in range(2))
+        state, rng = make_optimizer(kind, 1e-2), make_rng(9)
+        losses = [loss for steps in (17, 13) for loss in
+                  train_loop(task, fused, state, steps=steps, batch=8, rng=rng).losses]
+        assert state.step == 30
+        assert losses == self.hand_loop(task, hand, kind, 30, 8, make_rng(9))
+        assert fused.params.tobytes() == hand.params.tobytes()
+
     @pytest.mark.parametrize("high", [1, 2, 7, 400, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 1,
                                       2 ** 40])
     def test_block_draw_equals_per_step_draws(self, high):
@@ -680,3 +710,23 @@ class TestDivergence:
         with pytest.raises(DivergenceError, match=r"final loss .* after 5 steps \(seed 42\)"):
             run_single(small_task(), self.DIVERGENT, GAUSSIAN_ZERO, 42, steps=5,
                        optimizer="sgd", lr=50.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_optimizer("adam", NAN), "learning rate must be positive"),
+    (lambda: CoLAConfig(in_dim=4, out_dim=4, rank=2, alpha=NAN), "alpha must be positive"),
+    (lambda: RecoveryTaskSpec(n=4, m=4, base_seed=1, noise_std=NAN), "noise levels"),
+    (lambda: RecoveryTaskSpec(n=4, m=4, base_seed=1, source_noise_std=NAN), "noise levels"),
+    (lambda: InitSpec(GAUSSIAN_ZERO, std=NAN), "gaussian init std must be positive"),
+    (lambda: gaussian_matrix(2, 2, NAN, make_rng(0)), "std must be positive"),
+    (lambda: finite_diff_check(random_layer(lora_preset(4, 4, 2)), np.ones(4), np.ones(4),
+                               eps=NAN), "eps must be positive"),
+], ids=["lr", "alpha", "noise_std", "source_noise_std", "init-std", "gaussian_matrix-std",
+        "eps"])
+def test_value_checks_reject_nan(make, message):
+    # NaN fails every comparison, so each check is stated as "not x > 0"
+    with pytest.raises(ValueError, match=message):
+        make()
