@@ -23,12 +23,14 @@ Each rule is stated once, by ``_composition``, as a list of terms
 (sum_{j in b_idx} B_j)(sum_{i in a_idx} A_i). FULL is one term over both
 whole pools, HEURISTIC is M - 1 singleton pairs plus the tail, the random
 strategies are one term per pairing edge, and the eval-time mean pairing is
-FULL scaled by 1/N (AB) or 1/M (BA). The factored forward, the materialized
-:func:`delta_weight` and ``training.backward`` are each one loop over that
-list, so none of them knows the strategies, and the MAC model counts the
-applications off the same list. The forward path always stays factored
-(down-projections first) and keeps each term's hidden state for the
-backward pass; DeltaW is only materialized for merging and as a test oracle.
+FULL scaled by 1/N (RANDOM_AB) or 1/M (RANDOM_BA). A pairing is its map
+alone: the strategy says which pool draws its partners. The factored
+forward, the materialized :func:`delta_weight` and ``training.backward`` are
+each one loop over that list, so none of them knows the strategies, and the
+MAC model counts the applications off the same list. The forward path
+always stays factored (down-projections first) and keeps each term's hidden
+state for the backward pass; DeltaW is only materialized for merging and as
+a test oracle.
 A layer's pools are views into one flat buffer, so one update steps them all;
 the members of each index set are a run, summed left to right (in a forward
 pass each product one 2-D ``np.dot`` into a buffer, by :func:`_run_sum`).
@@ -73,10 +75,6 @@ class Strategy(str, enum.Enum):
     RANDOM_AB = "random_ab"
     RANDOM_BA = "random_ba"
     HEURISTIC = "heuristic"
-
-
-# The pairing kind each random strategy samples; deterministic ones have none.
-_PAIRING_KIND = {Strategy.RANDOM_AB: "ab", Strategy.RANDOM_BA: "ba"}
 
 
 class ConfigError(ValueError):
@@ -129,35 +127,39 @@ class CoLAConfig:
 
 @dataclass(frozen=True)
 class Pairing:
-    """A sampled pool assignment for the random strategies.
-
-    ``kind`` is "ab" (maps each A index to a B index, length M) or "ba" (maps
-    each B index to an A index, length N). ``frozen`` pairings survive across
+    """A sampled pool assignment for the random strategies: under RANDOM_AB
+    ``map`` sends each A index to a B index (length M), under RANDOM_BA each
+    B index to an A index (length N). ``frozen`` pairings survive across
     training steps; unfrozen ones are resampled every step, dropout-style.
     """
 
-    kind: str
     map: tuple[int, ...]
     frozen: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("ab", "ba"):
-            raise ConfigError(f"pairing kind must be 'ab' or 'ba', got {self.kind!r}")
         object.__setattr__(self, "map", tuple(map(int, self.map)))
 
 
-def sample_pairing(a_count: int, b_count: int, kind: str,
-                   rng: np.random.Generator, frozen: bool = False) -> Pairing:
-    """Uniform i.i.d. pairing: 'ab' draws M targets in [0, N), 'ba' the mirror."""
-    if a_count < 1 or b_count < 1:
-        raise ConfigError(f"pool counts must be >= 1, got M={a_count}, N={b_count}")
-    high, size = _pairing_range(kind, a_count, b_count)
-    return Pairing(kind, rng.integers(0, high, size=size).tolist(), frozen)
+def sample_pairing(config: CoLAConfig, rng: np.random.Generator,
+                   frozen: bool = False) -> Pairing:
+    """Uniform i.i.d. pairing of a random strategy: RANDOM_AB draws M
+    partners in [0, N), RANDOM_BA N partners in [0, M)."""
+    draw = _pairing_range(config)
+    if draw is None:
+        raise ConfigError(f"strategy {config.strategy.value} is deterministic; "
+                          f"it samples no pairing")
+    return Pairing(rng.integers(0, draw[0], size=draw[1]).tolist(), frozen)
 
 
-def _pairing_range(kind: str, a_count: int, b_count: int) -> tuple[int, int]:
-    """(high, length) of a pairing map: 'ab' maps M indices into [0, N), 'ba' the mirror."""
-    return (b_count, a_count) if kind == "ab" else (a_count, b_count)
+def _pairing_range(cfg: CoLAConfig) -> tuple[int, int] | None:
+    """(high, length) of a random strategy's pairing map, which draws a B for
+    each A_i under RANDOM_AB and an A for each B_j under RANDOM_BA; None for
+    a deterministic strategy."""
+    if cfg.strategy is Strategy.RANDOM_AB:
+        return cfg.b_count, cfg.a_count
+    if cfg.strategy is Strategy.RANDOM_BA:
+        return cfg.a_count, cfg.b_count
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,10 +215,10 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
         name, shape = ("A", (r, m)) if k < config.a_count else ("B", (n, r))
         if pool.shape != shape:
             raise ShapeError(f"every {name} must be {shape[0]}x{shape[1]}, got {pool.shape}")
-    kind = _PAIRING_KIND.get(config.strategy)
-    if kind is not None and rng is None:
+    random = _pairing_range(config) is not None
+    if random and rng is None:
         raise ConfigError("random strategies need an rng to sample the initial pairing")
-    pairing = None if kind is None else sample_pairing(config.a_count, config.b_count, kind, rng)
+    pairing = sample_pairing(config, rng) if random else None
     return CoLALayer(w0, config, np.concatenate([p.ravel() for p in pools]), pairing)
 
 
@@ -225,20 +227,16 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
 # ---------------------------------------------------------------------------
 
 def _check_pairing(cfg: CoLAConfig, pairing: Pairing | None) -> tuple[int, ...] | None:
-    """The pairing's map, once its presence, kind and size fit the strategy."""
-    kind = _PAIRING_KIND.get(cfg.strategy)
-    if kind is None:
+    """The pairing's map, once its presence and size fit the strategy."""
+    draw = _pairing_range(cfg)
+    if draw is None:
         if pairing is not None:
-            raise ConfigError(
-                f"strategy {cfg.strategy.value} is deterministic; no pairing applies"
-            )
+            raise ConfigError(f"strategy {cfg.strategy.value} is deterministic; "
+                              f"no pairing applies")
         return None
     if pairing is None:
         raise ConfigError(f"strategy {cfg.strategy.value} requires a pairing")
-    if pairing.kind != kind:
-        raise ConfigError(f"pairing kind {pairing.kind!r} does not match strategy "
-                          f"{cfg.strategy.value}")
-    limit, expect = _pairing_range(kind, cfg.a_count, cfg.b_count)
+    limit, expect = draw
     if len(pairing.map) != expect:
         raise ConfigError(f"pairing length {len(pairing.map)} != {expect}")
     if min(pairing.map) < 0 or max(pairing.map) >= limit:
@@ -261,8 +259,8 @@ def _composition(cfg: CoLAConfig, pairing_map: tuple[int, ...] | None,
     """
     m_count, n_count = cfg.a_count, cfg.b_count
     every = (tuple(range(n_count)), tuple(range(m_count)))
-    if mean_pairing and cfg.strategy in _PAIRING_KIND:
-        return [every], 1.0 / (n_count if cfg.strategy is Strategy.RANDOM_AB else m_count)
+    if mean_pairing and (draw := _pairing_range(cfg)) is not None:
+        return [every], 1.0 / draw[0]  # the partner pool's mean
     if cfg.strategy is Strategy.FULL:
         return [every], 1.0
     if cfg.strategy is Strategy.HEURISTIC:
@@ -363,9 +361,9 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != layer.config.in_dim:
-        raise ShapeError(f"input has leading dim {x.shape[0]}, "
-                         f"layer expects {layer.config.in_dim}")
+    m = layer.config.in_dim
+    if x.ndim not in (1, 2) or x.shape[0] != m:
+        raise ShapeError(f"x has shape {x.shape}; layer expects {m} or ({m}, batch)")
     if mode == "eval" and pairing is not None:
         raise ConfigError("eval-mode forward composes the mean pairing; pass no pairing")
     pairing_map = (_check_pairing(layer.config, layer.pairing if pairing is None else pairing)
@@ -459,9 +457,8 @@ def flop_breakdown(config: CoLAConfig, pass_kind: str = "forward") -> dict[str, 
     if pass_kind not in ("forward", "train_step"):
         raise ValueError(f"pass kind must be 'forward' or 'train_step', got {pass_kind!r}")
     n, m, r = config.out_dim, config.in_dim, config.rank
-    _, length = _pairing_range(_PAIRING_KIND.get(config.strategy, "ab"),
-                               config.a_count, config.b_count)
-    terms, _ = _composition(config, (0,) * length)
+    draw = _pairing_range(config)
+    terms, _ = _composition(config, draw and (0,) * draw[1])
     down_apps = sum(len(a_idx) for _, a_idx in terms)
     up_apps = sum(len(b_idx) for b_idx, _ in terms)
     parts = {"base": n * m, "down": down_apps * r * m, "up": up_apps * n * r}

@@ -130,27 +130,28 @@ class ClassifyTaskSpec:
             raise ValueError(f"label_noise must be in [0, 1], got {self.label_noise}")
         if self.samples_per_cluster < 1:
             raise ValueError("samples_per_cluster must be >= 1")
+        if not self.separation > 0:
+            raise ValueError(f"separation must be positive, got {self.separation}")
 
 
 @dataclass
 class Task:
     """Materialized dataset plus the matrices models build on.
 
-    ``w_base`` is the frozen base a Gaussian/zero layer adapts;
-    ``pissa_source`` is what the spectral initializer splits (for recovery
-    tasks: the true map plus spec.source_noise_std perturbation; for
-    classification: the backbone itself).
+    Samples are the last axis; ``y_*`` hold output columns (recovery) or
+    integer labels (classify). ``w_base`` is the frozen base a Gaussian/zero
+    layer adapts; ``pissa_source`` is what the spectral initializer splits
+    (for recovery tasks: the true map plus spec.source_noise_std
+    perturbation; for classification: the backbone itself).
     """
 
     kind: str
     x_train: np.ndarray
+    y_train: np.ndarray
     x_eval: np.ndarray
+    y_eval: np.ndarray
     w_base: np.ndarray
     pissa_source: np.ndarray
-    y_train: np.ndarray | None = None
-    y_eval: np.ndarray | None = None
-    labels_train: np.ndarray | None = None
-    labels_eval: np.ndarray | None = None
     delta_target: np.ndarray | None = None
 
     @property
@@ -172,13 +173,8 @@ class Task:
         if not 1 <= size <= self.train_size:
             raise ValueError(f"subsample size must be in [1, {self.train_size}] (the "
                              f"training set), got {size}")
-        out = Task(**{k: v for k, v in self.__dict__.items()})
-        out.x_train = self.x_train[:, :size]
-        if self.y_train is not None:
-            out.y_train = self.y_train[:, :size]
-        if self.labels_train is not None:
-            out.labels_train = self.labels_train[:size]
-        return out
+        return dataclasses.replace(self, x_train=self.x_train[..., :size],
+                                   y_train=self.y_train[..., :size])
 
 
 def make_recovery_task(spec: RecoveryTaskSpec, rng: np.random.Generator) -> Task:
@@ -234,11 +230,11 @@ def make_classification_task(spec: ClassifyTaskSpec, rng: np.random.Generator) -
             labels = np.where(flip, (labels + shift) % c, labels)
         return x, labels.astype(np.int64)
 
-    x_train, labels_train = draw()
-    x_eval, labels_eval = draw()
+    x_train, y_train = draw()
+    x_eval, y_eval = draw()
     backbone = gaussian_matrix(c, d, 1.0 / np.sqrt(d), make_rng(spec.backbone_seed))
-    return Task(kind="classify", x_train=x_train, labels_train=labels_train,
-                x_eval=x_eval, labels_eval=labels_eval, w_base=backbone,
+    return Task(kind="classify", x_train=x_train, y_train=y_train,
+                x_eval=x_eval, y_eval=y_eval, w_base=backbone,
                 pissa_source=backbone)
 
 
@@ -306,18 +302,18 @@ def _cast(hint, value, key: str, dims: dict):
 
 def _build(cls, mapping: dict, context: str, dims: dict, **given):
     """Construct a dataclass from a JSON object, casting each key by its
-    annotation; ``given`` fields pass as they are, and an adapter's dims
-    default to the task's ``dims``. ``context`` prefixes every key an error
-    names. A ValueError the class raises is re-raised naming the block (a
-    root object's as it is), unless it is a ConfigFileError, which already
-    names its key."""
+    annotation; ``given`` fields pass as they are, and an adapter's dims are
+    the task's ``dims``. A key naming a given field is unknown. ``context``
+    prefixes every key an error names. A ValueError the class raises is
+    re-raised naming the block (a root object's as it is), unless it is a
+    ConfigFileError, which already names its key."""
     if not isinstance(mapping, dict):
         raise ConfigFileError(f"key '{context.rstrip('.')}' must be an object")
     if cls is CoLAConfig:
-        mapping = {**dims, **mapping}
+        given.update(dims)
     hints = _hints(cls)
     for key in mapping:
-        if key not in hints:
+        if key not in hints or key in given:
             raise ConfigFileError(f"unknown key '{context}{key}'")
     for key, value in mapping.items():
         given[key] = _cast(hints[key], value, f"{context}{key}", dims)
@@ -461,7 +457,7 @@ def _eval_metric(layer, task: Task) -> float:
     pred = forward(layer, task.x_eval, mode="eval")
     if task.kind == "recovery":
         return float(np.mean((pred - task.y_eval) ** 2))
-    return float(np.mean(np.argmax(pred, axis=0) == task.labels_eval))
+    return float(np.mean(np.argmax(pred, axis=0) == task.y_eval))
 
 
 def run_single(
@@ -667,6 +663,11 @@ def observation3_experiment(seeds=DEFAULT_SEEDS, steps: int = 400,
     Gaussian/zero under the fully collaborative strategy on scarce noisy
     samples. Returns the rows, per-cell mean eval MSE, and whether the
     wide-up cell (more up-projections than down) won.
+
+    A FULL (M, N) layer trains as a (1, 1) adapter of its pool sums at
+    lr_A = M * lr, lr_B = N * lr: ``wide_up`` trains B, ``wide_down`` A (from
+    a sum of four draws) at 4 * lr. The cells differ in one side's learning
+    rate, the effect LoRA+ (arXiv 2402.12354) studies.
     """
     task = make_recovery_task(OBS3_TASK_SPEC, make_rng(OBS3_TASK_SPEC.base_seed))
     grids = {label: run_grid(task, rank, Strategy.FULL, [a_count], [b_count],

@@ -119,6 +119,8 @@ def gaussian_matrix(rows: int, cols: int, std: float,
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; identical seeds yield identical streams."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
 

@@ -26,7 +26,8 @@ carries the 1/B factor).
 :func:`train_loop` records a step once per run, over buffers it allocates
 once: the forward pass (``adapter._apply``, one piece per term), the loss
 (``_loss``, the one statement of the squared-error and cross-entropy
-arithmetic: calls that write dL/dy, and a readout of the loss), the backward
+arithmetic against the task's ``y_train``, output columns or integer
+labels: calls that write dL/dy, and a readout of the loss), the backward
 pass (:func:`_backward`, which reuses each term's hidden state sum_i A_i x)
 and the optimizer (``_update``, the one statement of the SGD and Adam
 arithmetic: calls whose scalars are 0-d arrays, and an advance that counts
@@ -63,7 +64,6 @@ from .adapter import (
     CoLALayer,
     Pairing,
     Strategy,
-    _PAIRING_KIND,
     _Workspace,
     _apply,
     _replay,
@@ -193,7 +193,7 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     cfg = layer.config
-    pairing = layer.pairing if cfg.strategy in _PAIRING_KIND else None
+    pairing = None if _pairing_range(cfg) is None else layer.pairing
 
     y0 = forward(layer, x, mode="train", pairing=pairing)
     analytic = backward(layer, x, y0 - np.asarray(target, dtype=np.float64), pairing)
@@ -254,9 +254,9 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
 class OptimizerState:
     """SGD or Adam (decoupled weight decay fixed at 0). The first recorded Adam
     update allocates the moments ``m`` and ``v`` and a ``scratch`` buffer like
-    its gradient: the parameters under :func:`optimizer_step`, one slot per
-    class of pool members inside :func:`train_loop` (whose moments are
-    therefore per class), so later steps allocate no temporaries."""
+    the update it writes: the parameters under :func:`optimizer_step`, one
+    slot per class of pool members inside :func:`train_loop` (whose moments
+    are therefore per class), so later steps allocate no temporaries."""
 
     kind: str
     lr: float
@@ -267,12 +267,14 @@ class OptimizerState:
     v: np.ndarray | None = None
     scratch: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("sgd", "adam"):
+            raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
+        if not self.lr > 0:
+            raise ValueError(f"learning rate must be positive, got {self.lr}")
+
 
 def make_optimizer(kind: str, lr: float) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
-        raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {kind!r}")
-    if not lr > 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
     return OptimizerState(kind=kind, lr=lr)
 
 
@@ -300,7 +302,7 @@ def _update(state: OptimizerState, grads: np.ndarray,
             state.step += 1
         return [(np.multiply, (grads, np.array(state.lr, out.dtype), out))], advance
     if state.m is None:
-        state.m, state.v, state.scratch = (np.zeros_like(grads) for _ in range(3))
+        state.m, state.v, state.scratch = (np.zeros_like(out) for _ in range(3))
     elif state.m.shape != grads.shape:
         raise ShapeError("Adam state was allocated for other parameters")
     b1, b2 = state.betas
@@ -408,8 +410,7 @@ def _dataset_loss(layer: CoLALayer, task) -> float:
     gradient and squares overwrite forward's output, which nothing else
     reads, so the gradient is never divided by the batch."""
     y = forward(layer, task.x_train, mode="eval")
-    calls, readout, _ = _loss(task.kind, y, task.y_train if task.kind == "recovery"
-                              else task.labels_train, y, y)
+    calls, readout, _ = _loss(task.kind, y, task.y_train, y, y)
     _replay(calls)
     return readout()
 
@@ -464,9 +465,8 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     cfg = layer.config
-    kind = _PAIRING_KIND.get(cfg.strategy)
     frozen = layer.pairing is not None and layer.pairing.frozen
-    draw = None if kind is None or frozen else _pairing_range(kind, cfg.a_count, cfg.b_count)
+    draw = None if frozen else _pairing_range(cfg)
     # One gradient slot, one pair of Adam moments and one update per class;
     # a run that resamples its pairing, or an Adam state that already holds
     # per-member moments, keeps one class per member.
@@ -487,14 +487,13 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     # block holds at most 64 steps and no more indices than the training set
     # has samples. A step takes its samples, as rows, into fixed buffers:
     # ``x_rows`` and ``t_rows``, whose transposes are laid out like
-    # ``x_train[:, idx]`` and the targets' columns ``idx``.
+    # ``x_train[:, idx]`` and ``y_train[..., idx]``.
     size = task.x_train.shape[1]
     block = max(1, min(64, size // batch))
     highs = [size] * batch + ([] if draw is None else [draw[0]] * draw[1])
     block_highs = np.tile(highs, block)
-    targets = task.y_train if task.kind == "recovery" else task.labels_train
     x_rows = np.empty((batch, cfg.in_dim), task.x_train.dtype)
-    t_rows = np.empty((batch,) + targets.shape[:-1], targets.dtype)
+    t_rows = np.empty((batch,) + task.y_train.shape[:-1], task.y_train.dtype)
     xb, tb = x_rows.T, t_rows.T
 
     # A step's two lists of calls, over the workspace, x_rows and t_rows.
@@ -528,7 +527,7 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
         initial_loss = _dataset_loss(layer, task)
         # the samples as rows, copied row-major while the steps run (a
         # dataset loss, which peaks higher, never runs beside them)
-        x_samples, t_samples = (np.ascontiguousarray(a.T) for a in (task.x_train, targets))
+        x_samples, t_samples = (np.ascontiguousarray(a.T) for a in (task.x_train, task.y_train))
         losses: list[float] = []
         for start in range(0, steps, block):
             count = min(block, steps - start)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,12 @@ class TestForward:
         with pytest.raises(ShapeError, match="expects 6"):
             forward(layer, np.zeros(7))
 
+    @pytest.mark.parametrize("shape", [(), (6, 2, 3)])
+    def test_x_of_zero_or_three_dims_is_a_shape_error(self, shape):
+        layer = random_layer(CoLAConfig(in_dim=6, out_dim=5, rank=2, alpha=2.0))
+        with pytest.raises(ShapeError, match=re.escape(f"x has shape {shape}")):
+            forward(layer, np.zeros(shape))
+
     @pytest.mark.parametrize("w0, a_shapes, b_shapes, match", [
         ((4, 6), [(2, 6)], [(5, 2)], "w0 must be 5x6"),
         ((5, 6), [(2, 6)] * 2, [(5, 2)], "pool sizes 2/1"),
@@ -121,7 +128,7 @@ class TestForward:
         with pytest.raises(ConfigError, match="pairing"):
             forward(layer, np.zeros(4), mode="train")
 
-    @pytest.mark.parametrize("pairing", [Pairing("ab", (9, 9, 9)), Pairing("ab", (0, 1))])
+    @pytest.mark.parametrize("pairing", [Pairing((9, 9, 9)), Pairing((0, 1))])
     def test_eval_mode_rejects_explicit_pairing(self, pairing):
         # eval mode composes the mean pairing, so a pairing passed to it,
         # valid or not, would be accepted and ignored
@@ -162,21 +169,19 @@ class TestDeltaWeight:
         cfg_ab = CoLAConfig(in_dim=7, out_dim=6, rank=2, a_count=3, b_count=1,
                             strategy=Strategy.RANDOM_AB, alpha=2.0)
         layer = random_layer(cfg_ab, seed=10)
-        forced = Pairing(kind="ab", map=(0, 0, 0))
+        forced = Pairing(map=(0, 0, 0))
         full_like = sum(layer.b_list) @ sum(layer.a_list)
         assert np.abs(delta_weight(layer, forced) - full_like).max() <= 1e-12
 
     def test_pairing_strategy_mismatch(self):
         det = random_layer(CoLAConfig(in_dim=4, out_dim=4, rank=2, alpha=2.0))
         with pytest.raises(ConfigError, match="deterministic"):
-            delta_weight(det, Pairing(kind="ab", map=(0,)))
+            delta_weight(det, Pairing(map=(0,)))
         rnd = random_layer(CoLAConfig(in_dim=4, out_dim=4, rank=2, a_count=2,
                                       b_count=2, strategy=Strategy.RANDOM_AB,
                                       alpha=2.0), seed=11)
         with pytest.raises(ConfigError, match="requires a pairing"):
             delta_weight(rnd, None)
-        with pytest.raises(ConfigError, match="kind"):
-            delta_weight(rnd, Pairing(kind="ba", map=(0, 0)))
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_factored_matches_materialized(self, strategy):
@@ -216,29 +221,42 @@ class TestMergeAndEval:
         assert np.abs(delta_weight_eval(layer) - expected).max() <= 1e-12
 
 
+def random_config(a_count, b_count, strategy=Strategy.RANDOM_AB):
+    return CoLAConfig(in_dim=4, out_dim=4, rank=1, a_count=a_count, b_count=b_count,
+                      strategy=strategy)
+
+
 class TestSamplePairing:
     def test_single_choice(self):
-        pairing = sample_pairing(3, 1, "ab", make_rng(0))
+        pairing = sample_pairing(random_config(3, 1), make_rng(0))
         assert pairing.map == (0, 0, 0)
 
     def test_deterministic(self):
-        assert sample_pairing(4, 5, "ab", make_rng(42)) == \
-            sample_pairing(4, 5, "ab", make_rng(42))
+        assert sample_pairing(random_config(4, 5), make_rng(42)) == \
+            sample_pairing(random_config(4, 5), make_rng(42))
 
     def test_uniform_frequencies(self):
         # 1e5 draws over 4 targets: 5-sigma binomial bound ~ 0.0068 < 0.01
         rng = make_rng(21)
         counts = np.zeros(4)
         draws = 100_000
+        cfg = random_config(1, 4)
         for _ in range(draws):
-            counts[sample_pairing(1, 4, "ab", rng).map[0]] += 1
+            counts[sample_pairing(cfg, rng).map[0]] += 1
         assert np.abs(counts / draws - 0.25).max() <= 0.01
 
     def test_ba_kind_ranges(self):
-        pairing = sample_pairing(3, 5, "ba", make_rng(1))
-        assert pairing.kind == "ba"
+        pairing = sample_pairing(random_config(3, 5, Strategy.RANDOM_BA), make_rng(1))
         assert len(pairing.map) == 5
         assert all(0 <= t < 3 for t in pairing.map)
+
+    @pytest.mark.parametrize("strategy", [Strategy.FULL, Strategy.HEURISTIC])
+    def test_a_deterministic_strategy_samples_no_pairing(self, strategy):
+        rng = make_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=f"strategy {strategy.value} is deterministic"):
+            sample_pairing(random_config(2, 3, strategy), rng)
+        assert rng.bit_generator.state == state  # nothing was drawn
 
 
 class TestPresets:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cola_forge import checks, cli
+from cola_forge import checks, cli, harness
 from cola_forge.adapter import CoLAConfig, Strategy
 from cola_forge.cli import ConfigFileError, cmd_dispatch, load_config
 from cola_forge.harness import (CSV_HEADER, ClassifyTaskSpec, RecoveryTaskSpec,
@@ -723,6 +723,41 @@ class TestRunCommands:
                             r"'sample_size': 20, 'seed': 42\}\n", captured.err)
         assert captured.out == ""
         assert not out.exists() and not (tmp_path / "rows.json").exists()
+
+    @pytest.mark.parametrize("block", ["adapter", "sweep.configs"])
+    @pytest.mark.parametrize("key, value", [("in_dim", 5), ("out_dim", 16)])
+    def test_adapter_dims_are_the_task_and_not_keys(self, tmp_path, capsys, monkeypatch,
+                                                    block, key, value):
+        # the task is 16 x 16, so out_dim 16 restates it and in_dim 5 contradicts
+        # it; either is an unknown key, named before any cell trains
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(harness, "train_loop", no_training)
+        payload, named = with_key(TRAIN_CONFIG if block == "adapter" else SWEEP_CONFIG,
+                                  block, key, value)
+        out = tmp_path / "rows.csv"
+        code = cmd_dispatch([payload["command"], "--config", write_config(tmp_path, payload),
+                             "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: unknown key '{named}'\n"
+        assert captured.out == ""
+        assert not out.exists() and not (tmp_path / "rows.json").exists()
+
+    @pytest.mark.parametrize("separation", [0.0, -6.0])
+    def test_a_separation_that_is_not_positive_is_an_error(self, tmp_path, capsys,
+                                                           separation):
+        payload = {**CLASSIFY_CONFIG,
+                   "task": {**CLASSIFY_CONFIG["task"], "separation": separation}}
+        out = tmp_path / "rows.csv"
+        code = cmd_dispatch(["train", "--config", write_config(tmp_path, payload),
+                             "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: block 'task': separation must be positive, "
+                                f"got {separation}\n")
+        assert captured.out == "" and not out.exists()
 
     def test_rank_deficient_spectral_source_is_an_error(self, tmp_path, capsys,
                                                         monkeypatch):

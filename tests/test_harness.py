@@ -95,12 +95,12 @@ class TestRecoveryTask:
 
 def linear_probe_accuracy(task):
     """Least-squares one-hot probe, an adapter-free reference classifier."""
-    x, labels = task.x_train, task.labels_train
+    x, labels = task.x_train, task.y_train
     onehot = np.zeros((task.out_dim, labels.size))
     onehot[labels, np.arange(labels.size)] = 1.0
     w, *_ = np.linalg.lstsq(x.T, onehot.T, rcond=None)
     pred = np.argmax(w.T @ task.x_eval, axis=0)
-    return float(np.mean(pred == task.labels_eval))
+    return float(np.mean(pred == task.y_eval))
 
 
 class TestClassificationTask:
@@ -114,7 +114,7 @@ class TestClassificationTask:
         spec = ClassifyTaskSpec(clusters=2, input_dim=8, samples_per_cluster=30,
                                 backbone_seed=9)
         task = make_classification_task(spec, make_rng(12))
-        counts = np.bincount(task.labels_train, minlength=2)
+        counts = np.bincount(task.y_train, minlength=2)
         assert counts[0] == counts[1] == 30  # majority baseline is exactly 0.5
 
     def test_same_seed_identical(self):
@@ -123,14 +123,14 @@ class TestClassificationTask:
         a = make_classification_task(spec, make_rng(13))
         b = make_classification_task(spec, make_rng(13))
         assert np.array_equal(a.x_train, b.x_train)
-        assert np.array_equal(a.labels_train, b.labels_train)
+        assert np.array_equal(a.y_train, b.y_train)
 
     def test_label_noise_flips_labels(self):
         spec = ClassifyTaskSpec(clusters=3, input_dim=10, samples_per_cluster=200,
                                 backbone_seed=9, label_noise=0.3)
         task = make_classification_task(spec, make_rng(14))
         clean = np.repeat(np.arange(3), 200)
-        rate = np.mean(task.labels_train != clean)
+        rate = np.mean(task.y_train != clean)
         assert 0.2 <= rate <= 0.4
 
     def test_validation(self):
@@ -140,6 +140,13 @@ class TestClassificationTask:
         with pytest.raises(ValueError, match="label_noise"):
             ClassifyTaskSpec(clusters=2, input_dim=8, samples_per_cluster=5,
                              backbone_seed=0, label_noise=1.5)
+
+    @pytest.mark.parametrize("separation", [float("nan"), -6.0, 0.0])
+    def test_separation_must_be_positive(self, separation):
+        # a NaN separation would make NaN centers, which only training noticed
+        with pytest.raises(ValueError, match="separation must be positive"):
+            ClassifyTaskSpec(clusters=3, input_dim=8, samples_per_cluster=10,
+                             backbone_seed=1, separation=separation)
 
     def test_adapter_training_improves_accuracy(self):
         spec = ClassifyTaskSpec(clusters=4, input_dim=16, samples_per_cluster=40,
@@ -245,6 +252,13 @@ def test_unknown_init_kind_is_rejected_before_any_cell_trains(monkeypatch, run):
     message = re.escape(f"init kind must be one of {INIT_KINDS}, got 'xavier'")
     with pytest.raises(ValueError, match=message):
         UNKNOWN_INIT_RUNS[run](grid_task(), CoLAConfig(in_dim=16, out_dim=16, rank=4))
+
+
+def test_a_negative_run_seed_is_named(monkeypatch):
+    forbid_training(monkeypatch)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        run_single(grid_task(), CoLAConfig(in_dim=16, out_dim=16, rank=4), GAUSSIAN_ZERO,
+                   -1, 5)
 
 
 class TestRunGrid:

@@ -231,6 +231,11 @@ class TestGaussianMatrix:
             gaussian_matrix(2, 2, -1.0, make_rng(0))
 
 
+def test_a_negative_seed_is_named():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        make_rng(-1)
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(42, 1, 2) == derive_seed(42, 1, 2)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
 from cola_forge.linalg import ShapeError, gaussian_matrix, make_rng
 from cola_forge.training import (
     DivergenceError,
+    OptimizerState,
     backward,
     cross_entropy_grad,
     finite_diff_check,
@@ -82,7 +84,7 @@ class TestBackward:
         cfg = CoLAConfig(in_dim=6, out_dim=5, rank=2, a_count=2, b_count=3,
                          strategy=Strategy.RANDOM_AB, alpha=4.0)
         layer = random_layer(cfg, seed=5)
-        pairing = Pairing(kind="ab", map=(0, 0))
+        pairing = Pairing(map=(0, 0))
         rng = make_rng(6)
         grads = backward(layer, rng.normal(size=6), rng.normal(size=5), pairing)
         assert np.all(grads.db_list[1] == 0.0)
@@ -187,6 +189,22 @@ class TestOptimizers:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             make_optimizer("rmsprop", 0.1)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(kind="adamw", lr=0.1), "optimizer kind must be 'sgd' or 'adam', got 'adamw'"),
+        (dict(kind="adam", lr=0.0), "learning rate must be positive, got 0.0"),
+    ])
+    def test_a_state_built_directly_is_checked(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimizerState(**fields)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_integer_gradients_update_as_their_float_values(self, kind):
+        # Adam's moments are allocated like the float update, not like the gradient
+        ints, floats = np.zeros(3), np.zeros(3)
+        optimizer_step(make_optimizer(kind, 0.1), ints, np.array([1, 2, 3]))
+        optimizer_step(make_optimizer(kind, 0.1), floats, np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(ints, floats) and ints.any()
 
 
 class TestLosses:
@@ -369,12 +387,15 @@ class TestTrainLoop:
     def test_eval_forward_allocates_only_what_its_composition_uses(self):
         # 872880 bytes is the traced peak of this forward while pool sums had
         # a stacked-matmul branch; a workspace that allocated every buffer of
-        # a training step up front would peak at ~1.43 MB
+        # a training step up front would peak at ~1.43 MB. The first forward
+        # of a process also allocates one-time objects, so an untraced one of
+        # the same shape runs first and the second is traced.
         rng = make_rng(3)
         cfg = CoLAConfig(in_dim=128, out_dim=128, rank=16, a_count=2, b_count=3)
         layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1),
                             base_w0=rng.normal(size=(128, 128)))
         x = rng.normal(size=(128, 400))
+        forward(layer, x, mode="eval")
         tracemalloc.start()
         try:
             forward(layer, x, mode="eval")
@@ -389,7 +410,7 @@ class TestTrainLoop:
                          strategy=Strategy.RANDOM_AB)
         layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(42),
                             base_w0=task.w_base)
-        layer = dataclasses.replace(layer, pairing=Pairing(kind="ab", map=(1, 1), frozen=True))
+        layer = dataclasses.replace(layer, pairing=Pairing(map=(1, 1), frozen=True))
         opt = make_optimizer("adam", 1e-2)
         train_loop(task, layer, opt, steps=40, batch=8, rng=make_rng(42))
         # up members 0 and 2 were never selected, so they never moved from 0
@@ -432,21 +453,20 @@ class TestFusedStep:
     def hand_loop(task, layer, kind, steps, batch, rng, lr=1e-2):
         """One rng draw of batch indices per step, then the pairing draw."""
         state = make_optimizer(kind, lr)
-        random_kind = {Strategy.RANDOM_AB: "ab", Strategy.RANDOM_BA: "ba"}.get(
-            layer.config.strategy)
+        random = layer.config.strategy in (Strategy.RANDOM_AB, Strategy.RANDOM_BA)
         losses = []
         for _ in range(steps):
             idx = rng.integers(0, task.x_train.shape[1], size=batch)
             xb = task.x_train[:, idx]
             pairing = None
-            if random_kind is not None:
+            if random:
                 pairing = layer.pairing if layer.pairing.frozen else sample_pairing(
-                    layer.config.a_count, layer.config.b_count, random_kind, rng)
+                    layer.config, rng)
             y = forward(layer, xb, mode="train", pairing=pairing)
             if task.kind == "recovery":
                 loss, g = squared_error_grad(y, task.y_train[:, idx])
             else:
-                loss, g = cross_entropy_grad(y, task.labels_train[idx])
+                loss, g = cross_entropy_grad(y, task.y_train[idx])
             optimizer_step(state, layer.params, backward(layer, xb, g, pairing).flat)
             losses.append(loss)
         return losses
@@ -500,9 +520,9 @@ class TestFusedStep:
                                                 monkeypatch):
         shape, batch, steps = self.EDGES[edge]
         if edge == "pairing-all-to-member-1":  # every random layer starts from it
-            monkeypatch.setattr("cola_forge.adapter.sample_pairing", lambda a_count, b_count,
-                                kind, rng: Pairing(kind, [1] * (a_count if kind == "ab"
-                                                                else b_count)))
+            monkeypatch.setattr("cola_forge.adapter.sample_pairing", lambda config, rng:
+                                Pairing([1] * (config.a_count if config.strategy
+                                               is Strategy.RANDOM_AB else config.b_count)))
         if edge == "training-set-below-one-block":
             task = make_recovery_task(RecoveryTaskSpec(
                 n=24, m=20, base_seed=3, components=2, noise_std=0.05,
