@@ -247,19 +247,19 @@ def _check_pairing(cfg: CoLAConfig, pairing: Pairing | None) -> tuple[int, ...] 
 _Term = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _composition(cfg: CoLAConfig, pairing_map: tuple[int, ...] | None,
-                 mean_pairing: bool = False) -> tuple[list[_Term], float]:
+def _composition(cfg: CoLAConfig,
+                 pairing_map: tuple[int, ...] | None) -> tuple[list[_Term], float]:
     """A layer's DeltaW as ``(terms, scale)``, the one statement of the rules.
 
     Each term is a ``(b_idx, a_idx)`` pair and
     DeltaW = scale * sum_terms (sum_{j in b_idx} B_j)(sum_{i in a_idx} A_i).
-    ``pairing_map`` is the checked map of a random strategy's pairing.
-    ``mean_pairing`` asks for the expectation over uniform pairings, which for
-    the random strategies replaces every sampled partner by its pool mean.
+    ``pairing_map`` is the checked map of a random strategy's pairing; None
+    asks for the expectation over uniform pairings, which replaces every
+    sampled partner by its pool mean.
     """
     m_count, n_count = cfg.a_count, cfg.b_count
     every = (tuple(range(n_count)), tuple(range(m_count)))
-    if mean_pairing and (draw := _pairing_range(cfg)) is not None:
+    if pairing_map is None and (draw := _pairing_range(cfg)) is not None:
         return [every], 1.0 / draw[0]  # the partner pool's mean
     if cfg.strategy is Strategy.FULL:
         return [every], 1.0
@@ -270,6 +270,14 @@ def _composition(cfg: CoLAConfig, pairing_map: tuple[int, ...] | None,
     if cfg.strategy is Strategy.RANDOM_AB:
         return [((j,), (i,)) for i, j in enumerate(pairing_map)], 1.0
     return [((j,), (i,)) for j, i in enumerate(pairing_map)], 1.0
+
+
+def _eval_composition(layer: CoLALayer) -> tuple[list[_Term], float]:
+    """The deterministic composition of eval mode: a frozen pairing's own
+    (the map the layer trains), else the mean over uniform pairings."""
+    cfg, pairing = layer.config, layer.pairing
+    frozen = pairing is not None and pairing.frozen
+    return _composition(cfg, _check_pairing(cfg, pairing) if frozen else None)
 
 
 def _run_sum(members: list[np.ndarray], v: np.ndarray | None, total: np.ndarray,
@@ -354,9 +362,9 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     """Evaluate the layer on x (a length-m vector or an m x batch matrix).
 
     ``train`` mode composes a random strategy's sampled pairing: the one
-    passed, or else the layer's own. ``eval`` mode uses the deterministic
-    mean-pairing composition and rejects an explicit pairing. Deterministic
-    strategies behave identically in both modes.
+    passed, or else the layer's own. ``eval`` mode composes a frozen pairing,
+    or else the mean over uniform pairings, and rejects an explicit pairing.
+    Deterministic strategies behave identically in both modes.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -365,10 +373,12 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     if x.ndim not in (1, 2) or x.shape[0] != m:
         raise ShapeError(f"x has shape {x.shape}; layer expects {m} or ({m}, batch)")
     if mode == "eval" and pairing is not None:
-        raise ConfigError("eval-mode forward composes the mean pairing; pass no pairing")
-    pairing_map = (_check_pairing(layer.config, layer.pairing if pairing is None else pairing)
-                   if mode == "train" else None)
-    terms, scale = _composition(layer.config, pairing_map, mean_pairing=mode == "eval")
+        raise ConfigError("eval-mode forward composes the layer's own pairing; pass none")
+    if mode == "eval":
+        terms, scale = _eval_composition(layer)
+    else:
+        terms, scale = _composition(layer.config, _check_pairing(
+            layer.config, layer.pairing if pairing is None else pairing))
     ws = _Workspace(layer, x.shape[1:], len(terms))
     for calls in _apply(ws, x, terms, scale):
         _replay(calls)
@@ -397,11 +407,11 @@ def delta_weight(layer: CoLALayer, pairing: Pairing | None = None) -> np.ndarray
 def delta_weight_eval(layer: CoLALayer) -> np.ndarray:
     """Deterministic DeltaW used by eval forward and merging.
 
-    For random strategies this is the mean over the uniform pairing
-    distribution, i.e. every sampled partner replaced by its pool mean:
-    (sum B)(sum A) / N for the AB direction, / M for BA.
+    A frozen pairing composes its own map, the one the layer trains; else a
+    random strategy takes the mean over uniform pairings, every sampled
+    partner replaced by its pool mean: (sum B)(sum A) / N for AB, / M for BA.
     """
-    return _materialize(layer, *_composition(layer.config, None, mean_pairing=True))
+    return _materialize(layer, *_eval_composition(layer))
 
 
 def merge(layer: CoLALayer) -> np.ndarray:

@@ -26,34 +26,26 @@ carries the 1/B factor).
 :func:`train_loop` records a step once per run, over buffers it allocates
 once: the forward pass (``adapter._apply``, one piece per term), the loss
 (``_loss``, the one statement of the squared-error and cross-entropy
-arithmetic against the task's ``y_train``, output columns or integer
-labels: calls that write dL/dy, and a readout of the loss), the backward
+arithmetic: calls that write dL/dy, and a readout of the loss), the backward
 pass (:func:`_backward`, which reuses each term's hidden state sum_i A_i x)
 and the optimizer (``_update``, the one statement of the SGD and Adam
 arithmetic: calls whose scalars are 0-d arrays, and an advance that counts
-the step and sets Adam's bias corrections). A step is two replays around
-one float readout: it takes its samples, as rows, from row-major copies of
-the training set into fixed buffers, replays the forward pass and the loss,
-reads and checks the loss, advances the optimizer, and replays the
-gradient's divide by the batch, the backward pass, the optimizer and the
-class updates. A run that resamples its pairing records each (position,
-term) once and picks a step's pieces by the pairing drawn (a pool of
-partners with one member leaves one pairing, whose draw consumes no rng
-state). A run draws a block of steps in one rng call, per step the batch
-indices and then any pairing, with one upper bound per element, which
-leaves the generator where one draw after the other would (a block holds at
-most 64 steps and no more indices than the training set has samples).
-Under a fixed composition, pool members that appear in exactly the same
-terms (all A_i and all B_j under FULL, the tail B_M..B_N under HEURISTIC)
-get the same gradient at every step, hence the same Adam moments and the
-same update: they form a class, one gradient slot whose update is
-subtracted from each member, which equals one update per member bit for
-bit. A resampling run keeps one class per member, as do :func:`backward`
-and :func:`optimizer_step`, which replay the same recorded calls once.
+the step and sets Adam's bias corrections). A step takes its samples, as
+rows, into fixed buffers, and is two replays around the loss readout. A run
+draws a block of steps in one rng call (per step the batch indices, then any
+pairing), which leaves the generator where one draw after the other would.
+Pool members that appear in exactly the same terms (all A_i and all B_j
+under FULL, the tail B_M..B_N under HEURISTIC) get the same gradient at
+every step, so a run trains one matrix per such class, the members' sum, at
+lr times the class size, and writes the members once, after its last step;
+a run that resamples its pairing has one class per member. A step thus
+knows nothing of classes. :func:`backward` and :func:`optimizer_step` replay
+the same recorded calls once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -74,6 +66,7 @@ from .adapter import (
     _pool_views,
     flop_count,
     forward,
+    trainable_params,
 )
 from .linalg import ShapeError
 
@@ -123,21 +116,19 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     if x2.shape[1] != g2.shape[1]:
         raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
     terms, scale = _composition(cfg, _check_pairing(cfg, pairing))
-    grads = Grads(layer)
-    ws = _StepWorkspace(layer, x2.shape[1:], grads.flat, cfg.a_count, cfg.b_count)
-    for calls in _apply(ws, x2, terms, scale) + _backward(ws, x2, g2, terms, terms, scale):
+    ws = _StepWorkspace(layer, x2.shape[1:])
+    for calls in _apply(ws, x2, terms, scale) + _backward(ws, x2, g2, terms, scale):
         _replay(calls)
-    return grads
+    return ws.grads
 
 
 class _StepWorkspace(_Workspace):
     """An :func:`_apply` workspace for compositions of at most max(M, N)
-    terms, plus the buffers of the loss and of :func:`_backward`, and
-    ``ga``/``gb``: the A- and B-class slots of the gradient buffer ``grad``
-    (``a_count`` and ``b_count`` classes)."""
+    terms, plus the buffers of the loss and of :func:`_backward`, and the
+    zeroed gradient ``grads``, laid out like the layer's ``params``, with
+    ``ga`` and ``gb`` the lists of its A and B members."""
 
-    def __init__(self, layer: CoLALayer, cols: tuple[int, ...], grad: np.ndarray,
-                 a_count: int, b_count: int):
+    def __init__(self, layer: CoLALayer, cols: tuple[int, ...]):
         cfg = layer.config
         n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
         super().__init__(layer, cols, max(cfg.a_count, cfg.b_count))
@@ -145,32 +136,31 @@ class _StepWorkspace(_Workspace):
         self.g, self.sq, self.gs = (np.empty((n,) + cols) for _ in range(3))
         self.rev = np.empty((r,) + cols)
         self.db, self.bsum, self.da = np.empty((n, r)), np.empty((n, r)), np.empty((r, m))
-        split = a_count * r * m
-        self.ga = list(grad[:split].reshape(a_count, r, m))
-        self.gb = list(grad[split:].reshape(b_count, n, r))
+        self.grads = Grads(layer)
+        # one view per member: an add that reads and writes one view object
+        # runs faster than one given two views of the same member
+        self.ga, self.gb = list(self.grads.da_list), list(self.grads.db_list)
 
 
 def _backward(ws: _StepWorkspace, x2: np.ndarray, g2: np.ndarray, terms,
-              class_terms, scale: float) -> list[list[tuple]]:
-    """The calls that add the pool gradients into the zeroed class slots
-    ``ws.ga`` and ``ws.gb``, given each term's hidden state from the forward
-    pass in ``ws`` (whose recording built each B run): the list that folds
-    both scales into g_out, then one list per term. ``class_terms`` names
-    each term's B and A classes, each once: a class slot receives the term's
-    gradient once for all of its members."""
+              scale: float) -> list[list[tuple]]:
+    """The calls that add the pool gradients into the zeroed ``ws.ga`` and
+    ``ws.gb``, given each term's hidden state from the forward pass in ``ws``
+    (whose recording built each B run): the list that folds both scales into
+    g_out, then one list per term."""
     head = []
     if (total := ws.layer_scale * scale) != 1.0:
         head.append((np.multiply, (g2, np.array(total), ws.gs)))
         g2 = ws.gs
     x_t = x2.T
     pieces = [head]
-    for (b_idx, _), (b_cls, a_cls), t_t in zip(terms, class_terms, ws.hidden_t):
+    for (b_idx, a_idx), t_t in zip(terms, ws.hidden_t):
         b_run = ws.run(1, b_idx)
         b_sum = b_run[0] if len(b_run) == 1 else ws.bsum
         calls = [(np.dot, (g2, t_t, ws.db)), *_run_sum(b_run, None, ws.bsum),
                  (np.dot, (b_sum.T, g2, ws.rev)), (np.dot, (ws.rev, x_t, ws.da))]
-        calls += [(np.add, (ws.gb[c], ws.db, ws.gb[c])) for c in b_cls]
-        calls += [(np.add, (ws.ga[c], ws.da, ws.ga[c])) for c in a_cls]
+        calls += [(np.add, (ws.gb[j], ws.db, ws.gb[j])) for j in b_idx]
+        calls += [(np.add, (ws.ga[i], ws.da, ws.ga[i])) for i in a_idx]
         pieces.append(calls)
     return pieces
 
@@ -254,9 +244,9 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
 class OptimizerState:
     """SGD or Adam (decoupled weight decay fixed at 0). The first recorded Adam
     update allocates the moments ``m`` and ``v`` and a ``scratch`` buffer like
-    the update it writes: the parameters under :func:`optimizer_step`, one
-    slot per class of pool members inside :func:`train_loop` (whose moments
-    are therefore per class), so later steps allocate no temporaries."""
+    the update it writes (the parameters under :func:`optimizer_step`, the
+    class sums inside :func:`train_loop`), so later steps allocate none; an
+    update of another shape raises :class:`ShapeError`."""
 
     kind: str
     lr: float
@@ -284,6 +274,8 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
     if params.shape != grads.shape:
         raise ShapeError(f"params of shape {params.shape} vs grads of shape {grads.shape}")
     update = np.empty(grads.shape, np.result_type(grads, 1.0))
+    if not np.can_cast(update.dtype, params.dtype, "same_kind"):
+        raise ValueError(f"params of dtype {params.dtype} cannot take a {update.dtype} update")
     calls, advance = _update(state, grads, update)
     advance()
     _replay(calls)
@@ -291,23 +283,25 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
     return params
 
 
-def _update(state: OptimizerState, grads: np.ndarray,
-            out: np.ndarray) -> tuple[list[tuple], Callable[[], None]]:
+def _update(state: OptimizerState, grads: np.ndarray, out: np.ndarray,
+            lr: np.ndarray | None = None) -> tuple[list[tuple], Callable[[], None]]:
     """The calls that write a step's update u for ``grads`` (applied as
     params -= u) into ``out``, which may be ``grads``, and the advance that
     counts the step and sets Adam's bias corrections before each replay; each
-    scalar is a 0-d array of ``out``'s dtype (read faster, rounded alike)."""
+    scalar is a 0-d array of ``out``'s dtype (read faster, rounded alike).
+    ``lr``, laid out like ``grads``, replaces ``state.lr`` per element."""
+    lr = np.array(state.lr if lr is None else lr, out.dtype)
     if state.kind == "sgd":
         def advance():
             state.step += 1
-        return [(np.multiply, (grads, np.array(state.lr, out.dtype), out))], advance
+        return [(np.multiply, (grads, lr, out))], advance
     if state.m is None:
         state.m, state.v, state.scratch = (np.zeros_like(out) for _ in range(3))
     elif state.m.shape != grads.shape:
         raise ShapeError("Adam state was allocated for other parameters")
     b1, b2 = state.betas
-    c1, k1, c2, k2, eps, lr, bc1, bc2 = (np.array(value, out.dtype) for value in (
-        b1, 1.0 - b1, b2, 1.0 - b2, state.eps, state.lr, 1.0, 1.0))
+    c1, k1, c2, k2, eps, bc1, bc2 = (np.array(value, out.dtype) for value in (
+        b1, 1.0 - b1, b2, 1.0 - b2, state.eps, 1.0, 1.0))
 
     def advance():
         state.step += 1
@@ -417,9 +411,8 @@ def _dataset_loss(layer: CoLALayer, task) -> float:
 
 def _classes(terms, a_count: int, b_count: int) -> tuple[list[int], list[int]]:
     """Each A and each B member's class, numbered in member order: members of
-    one pool that appear in exactly the same terms form one class. Under a
-    fixed composition they get the same gradient at every step, so the same
-    Adam moments and the same update."""
+    one pool that appear in exactly the same terms form one class, and under
+    a fixed composition they get the same gradient at every step."""
     a_seen: dict = {}
     b_seen: dict = {}
     a_class = [a_seen.setdefault(tuple(k for k, (_, a_idx) in enumerate(terms) if i in a_idx),
@@ -429,36 +422,21 @@ def _classes(terms, a_count: int, b_count: int) -> tuple[list[int], list[int]]:
     return a_class, b_class
 
 
-def _class_updates(layer: CoLALayer, grad: np.ndarray, a_class: list[int],
-                   b_class: list[int]) -> list[tuple]:
-    """The calls ``members -= update`` that apply the class updates in
-    ``grad`` (A classes, then B classes) to ``layer.params``, one per member
-    (so once per member of a class), except that consecutive members whose
-    class slots follow each other in ``grad`` share one call."""
-    cfg, params = layer.config, layer.params
-    rm, nr = cfg.rank * cfg.in_dim, cfg.out_dim * cfg.rank
-    split = (max(a_class) + 1) * rm
-    members = ([(i * rm, c * rm, rm) for i, c in enumerate(a_class)]
-               + [(len(a_class) * rm + j * nr, split + c * nr, nr) for j, c in enumerate(b_class)])
-    spans: list[list[int]] = []  # params start, grad start, length
-    for p, g, size in members:
-        if spans and g == spans[-1][1] + spans[-1][2]:  # the next slot of grad
-            spans[-1][2] += size
-        else:
-            spans.append([p, g, size])
-    return [(np.subtract, (params[p:p + size], grad[g:g + size], params[p:p + size]))
-            for p, g, size in spans]
-
-
 def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                batch: int, rng: np.random.Generator, seed: int = 0) -> TrainReport:
     """Minibatch training of a layer's pools on a synthetic task.
 
     Deterministic per rng stream: each step first draws the batch indices,
     then (for random strategies with an unfrozen pairing) the fresh pairing;
-    a block of steps makes these draws in one call.
-    The frozen base is never written. Raises :class:`DivergenceError` at the
-    first non-finite minibatch loss, or if the final loss is not finite.
+    a block of steps makes these draws in one call. The run trains one
+    matrix per class of pool members, their sum, at ``optimizer.lr`` times
+    the class size (an Adam state laid out otherwise raises
+    :class:`ShapeError`), and writes the members after the last step: a
+    member alone in its class becomes its trained sum, and a member of a
+    class of k moves by (trained sum - starting sum) / k. The frozen base is
+    never written. Raises :class:`DivergenceError` at the first non-finite
+    minibatch loss, which leaves the members as they were, or, once they are
+    written, if the final loss is not finite.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -467,20 +445,33 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     cfg = layer.config
     frozen = layer.pairing is not None and layer.pairing.frozen
     draw = None if frozen else _pairing_range(cfg)
-    # One gradient slot, one pair of Adam moments and one update per class;
-    # a run that resamples its pairing, or an Adam state that already holds
-    # per-member moments, keeps one class per member.
-    a_class, b_class = list(range(cfg.a_count)), list(range(cfg.b_count))
-    if draw is None:  # no pairing is drawn per step
+    # Every pairing of a random strategy composes with one scale, and the
+    # term at position k depends on the pairing's k-th entry alone, so a
+    # resampling run records each (position, term) once, off the composition
+    # of each constant pairing, and a step picks its pieces by the pairing.
+    # Such a run keeps one class per member; a fixed composition trains its
+    # terms over the classes its members form.
+    if draw is None:
         terms, scale = _composition(cfg, _check_pairing(cfg, layer.pairing))
-        if optimizer.m is None or optimizer.m.shape != layer.params.shape:
-            a_class, b_class = _classes(terms, cfg.a_count, cfg.b_count)
-        class_terms = [(tuple(dict.fromkeys(b_class[j] for j in b_idx)),
-                        tuple(dict.fromkeys(a_class[i] for i in a_idx)))
-                       for b_idx, a_idx in terms]
-    a_count, b_count = max(a_class) + 1, max(b_class) + 1
-    grad = np.zeros(a_count * cfg.rank * cfg.in_dim + b_count * cfg.out_dim * cfg.rank)
-    ws = _StepWorkspace(layer, (batch,), grad, a_count, b_count)
+        a_class, b_class = _classes(terms, cfg.a_count, cfg.b_count)
+        compositions = [([(tuple(dict.fromkeys(b_class[j] for j in b_idx)),
+                           tuple(dict.fromkeys(a_class[i] for i in a_idx)))
+                          for b_idx, a_idx in terms], scale)]
+    else:
+        a_class, b_class = list(range(cfg.a_count)), list(range(cfg.b_count))
+        compositions = [_composition(cfg, (v,) * draw[1]) for v in range(draw[0])]
+    # The class sums are a layer with one member per class: each entry sums,
+    # left to right, the entries of params that ``slot`` sends to it (from
+    # -0.0, which keeps every addend's bits, signed zeros included).
+    sums_cfg = dataclasses.replace(cfg, a_count=max(a_class) + 1, b_count=max(b_class) + 1)
+    rm, nr = cfg.rank * cfg.in_dim, cfg.out_dim * cfg.rank
+    slot = np.concatenate([c * rm + np.arange(rm) for c in a_class] + [
+        sums_cfg.a_count * rm + c * nr + np.arange(nr) for c in b_class])
+    sums = CoLALayer(layer.w0, sums_cfg, np.full(trainable_params(sums_cfg), -0.0))
+    np.add.at(sums.params, slot, layer.params)
+    sums_start, sizes = sums.params.copy(), np.bincount(slot)
+    ws = _StepWorkspace(sums, (batch,))
+    grad = ws.grads.flat
 
     # A block of steps draws, per step, its batch indices and then (if it
     # resamples) its pairing, all in one rng call with per-element bounds; a
@@ -497,28 +488,20 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     xb, tb = x_rows.T, t_rows.T
 
     # A step's two lists of calls, over the workspace, x_rows and t_rows.
-    # Every pairing of a random strategy composes with one scale, and the
-    # term at position k depends on the pairing's k-th entry alone, so a
-    # resampling run records each (position, term) once, off the composition
-    # of each constant pairing, and a step picks its pieces by the pairing.
-    if draw is None:
-        compositions = [(terms, class_terms, scale)]
-    else:
-        compositions = [(terms, terms, scale) for terms, scale in
-                        (_composition(cfg, (v,) * draw[1]) for v in range(draw[0]))]
-    recorded = [(_apply(ws, xb, terms, scale), _backward(ws, xb, ws.g, terms, classes, scale))
-                for terms, classes, scale in compositions]
+    recorded = [(_apply(ws, xb, terms, scale), _backward(ws, xb, ws.g, terms, scale))
+                for terms, scale in compositions]
     loss_calls, readout, divide = _loss(task.kind, ws.out, tb, ws.g, ws.sq)
-    optimizer_calls, advance = _update(optimizer, grad, grad)
+    optimizer_calls, advance = _update(optimizer, grad, grad, optimizer.lr * sizes)
+    optimizer_calls.append((np.subtract, (sums.params, grad, sums.params)))
     close = recorded[0][0][-1] + loss_calls
     head = divide + [(grad.fill, (0.0,))] + recorded[0][1][0]
-    tail = optimizer_calls + _class_updates(layer, grad, a_class, b_class)
     by_pairing = [list(zip(forward[:-1], backward[1:])) for forward, backward in recorded]
     by_position = list(zip(*by_pairing))
 
     def replays(step) -> tuple[list[tuple], list[tuple]]:
         return ([call for forward, _ in step for call in forward] + close,
-                head + [call for _, backward in step for call in backward] + tail)
+                head + [call for _, backward in step for call in backward]
+                + optimizer_calls)
     first, second = replays(by_pairing[0])
 
     # A diverging run overflows before its loss turns non-finite; the
@@ -549,6 +532,12 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                 losses.append(loss)
         del x_samples, t_samples
 
+        # a member alone in its class becomes its trained sum; a member of a
+        # class of k moves by (sum_end - sum_start) / k, written as a
+        # subtraction, which leaves it untouched, signed zeros included, when
+        # its class sum never moved
+        moved = layer.params - ((sums_start - sums.params) / sizes)[slot]
+        layer.params[...] = np.where((sizes == 1)[slot], sums.params[slot], moved)
         final_loss = _dataset_loss(layer, task)
     if not math.isfinite(final_loss):
         raise DivergenceError(f"training diverged: final loss {final_loss} after "

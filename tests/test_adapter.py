@@ -130,8 +130,8 @@ class TestForward:
 
     @pytest.mark.parametrize("pairing", [Pairing((9, 9, 9)), Pairing((0, 1))])
     def test_eval_mode_rejects_explicit_pairing(self, pairing):
-        # eval mode composes the mean pairing, so a pairing passed to it,
-        # valid or not, would be accepted and ignored
+        # eval mode composes the layer's own frozen pairing or the mean, so a
+        # pairing passed to it, valid or not, would be accepted and ignored
         cfg = CoLAConfig(in_dim=4, out_dim=4, rank=2, a_count=2, b_count=3,
                          strategy=Strategy.RANDOM_AB, alpha=2.0)
         layer = random_layer(cfg, seed=5)

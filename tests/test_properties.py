@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 
 import numpy as np
+from class_sums import class_sum_run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,11 +30,8 @@ from cola_forge.harness import RecoveryTaskSpec, make_recovery_task
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
 from cola_forge.linalg import make_rng
 from cola_forge.training import (
-    backward,
     finite_diff_check,
     make_optimizer,
-    optimizer_step,
-    squared_error_grad,
     train_loop,
 )
 
@@ -114,15 +112,8 @@ def test_backward_matches_finite_differences(case):
     assert finite_diff_check(layer, x, target) <= 1e-6
 
 
-# A fixed composition is a smaller adapter in disguise. Pool members that
-# appear in exactly the same terms get the same gradient at every step, so
-# each such class trains as one matrix, its members' sum, whose learning
-# rate is the class size times lr: one Adam update per member adds up to
-# one update of size * lr on the sum. FULL (M, N) trains as FULL (1, 1),
-# HEURISTIC (M, N) as HEURISTIC (M, M) with its tail summed, and a frozen
-# pairing as the same strategy over its drawing members and the classes of
-# partners that the same members draw (partners no member draws form one
-# class, which never trains).
+# A fixed composition is a smaller adapter in disguise (see class_sums.py),
+# and train_loop trains it as that adapter.
 
 CLASS_TASK = make_recovery_task(RecoveryTaskSpec(
     n=5, m=6, base_seed=1, components=2, noise_std=0.1, train_samples=24,
@@ -151,77 +142,31 @@ def fixed_compositions(draw):
     return layer, draw(st.sampled_from(["sgd", "adam"]))
 
 
-def class_sum_adapter(layer):
-    """(adapter, class sizes): the smaller layer whose members are the class
-    sums of ``layer``'s members, A classes then B classes, and each class's
-    member count, in the same order."""
-    cfg, pairing = layer.config, layer.pairing
-    if cfg.strategy is Strategy.FULL:
-        a_class, b_class = [0] * cfg.a_count, [0] * cfg.b_count
-    elif cfg.strategy is Strategy.HEURISTIC:
-        a_class = list(range(cfg.a_count))
-        b_class = [min(j, cfg.a_count - 1) for j in range(cfg.b_count)]
-    else:
-        ab = cfg.strategy is Strategy.RANDOM_AB
-        drawing, partners = (cfg.a_count, cfg.b_count) if ab else (cfg.b_count, cfg.a_count)
-        drawn_by: dict = {}
-        partner_class = [drawn_by.setdefault(tuple(k for k, p in enumerate(pairing.map)
-                                                   if p == partner), len(drawn_by))
-                         for partner in range(partners)]
-        own = list(range(drawing))
-        a_class, b_class = (own, partner_class) if ab else (partner_class, own)
-        pairing = Pairing([partner_class[p] for p in pairing.map], frozen=True)
-    a_sums = [sum(a for a, c in zip(layer.a_list, a_class) if c == k)
-              for k in range(max(a_class) + 1)]
-    b_sums = [sum(b for b, c in zip(layer.b_list, b_class) if c == k)
-              for k in range(max(b_class) + 1)]
-    small = CoLAConfig(in_dim=cfg.in_dim, out_dim=cfg.out_dim, rank=cfg.rank,
-                       a_count=len(a_sums), b_count=len(b_sums), strategy=cfg.strategy,
-                       alpha=cfg.alpha)
-    adapter = dataclasses.replace(make_layer(layer.w0, a_sums, b_sums, small, make_rng(0)),
-                                  pairing=pairing)
-    sizes = ([a_class.count(k) for k in range(len(a_sums))]
-             + [b_class.count(k) for k in range(len(b_sums))])
-    return adapter, sizes
-
-
-def class_sum_loop(task, layer, sizes, kind, lr, steps, batch, rng):
-    """Train ``layer`` by the public forward, backward and optimizer_step:
-    one optimizer, at lr times the class size, per class slice of
-    ``params``; one draw of batch indices per step, as train_loop draws."""
-    cfg = layer.config
-    widths = [cfg.rank * cfg.in_dim] * cfg.a_count + [cfg.out_dim * cfg.rank] * cfg.b_count
-    bounds = list(itertools.accumulate(widths, initial=0))
-    slices = [slice(lo, hi) for lo, hi in itertools.pairwise(bounds)]
-    states = [make_optimizer(kind, lr * size) for size in sizes]
-    losses = []
-    for _ in range(steps):
-        idx = rng.integers(0, task.train_size, size=batch)
-        xb = task.x_train[:, idx]
-        loss, g = squared_error_grad(forward(layer, xb, mode="train"), task.y_train[:, idx])
-        grads = backward(layer, xb, g, layer.pairing).flat
-        for part, state in zip(slices, states):
-            optimizer_step(state, layer.params[part], grads[part])
-        losses.append(loss)
-    return losses
-
-
-def merged(layer):
-    """merge(layer), except that a frozen pairing merges the composition it
-    trained (merge's mean over pairings depends on the pool sizes)."""
-    if layer.pairing is None:
-        return merge(layer)
-    return layer.w0 + layer.config.scale * delta_weight(layer, layer.pairing)
-
-
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(fixed_compositions())
 def test_a_fixed_composition_trains_as_its_class_sum_adapter(case):
     layer, kind = case
     lr, steps, batch = (0.01 if kind == "adam" else 0.02), 12, 4
-    adapter, sizes = class_sum_adapter(layer)
+    hand = dataclasses.replace(layer, params=layer.params.copy())
     report = train_loop(CLASS_TASK, layer, make_optimizer(kind, lr), steps, batch,
                         make_rng(7))
-    losses = class_sum_loop(CLASS_TASK, adapter, sizes, kind, lr, steps, batch, make_rng(7))
-    assert np.allclose(report.losses, losses, rtol=1e-12, atol=0.0)
-    assert rel_err(merged(layer), merged(adapter)) <= 1e-12
+    losses, adapter, _ = class_sum_run(CLASS_TASK, hand, kind, lr, steps, batch, make_rng(7))
+    assert report.losses == losses
+    assert layer.params.tobytes() == hand.params.tobytes()
+    # a frozen pairing merges the composition it trained, so the layer and
+    # its class-sum adapter merge alike whatever their pool sizes
+    assert rel_err(merge(layer), merge(adapter)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(layer_cases())
+def test_a_frozen_pairing_evaluates_the_composition_it_trains(case):
+    layer, pairing, x, _ = case
+    if pairing is None:
+        return
+    frozen = dataclasses.replace(layer, pairing=dataclasses.replace(pairing, frozen=True))
+    assert np.array_equal(delta_weight_eval(frozen), delta_weight(layer, pairing))
+    assert np.array_equal(merge(frozen), layer.w0 + layer.config.scale * delta_weight(
+        layer, pairing))
+    assert (forward(frozen, x, mode="eval").tobytes()
+            == forward(layer, x, mode="train", pairing=pairing).tobytes())

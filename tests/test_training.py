@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from class_sums import class_sum_adapter, class_sum_loop, class_sum_run
 
 from cola_forge.adapter import (
     CoLAConfig,
@@ -197,6 +198,13 @@ class TestOptimizers:
     def test_a_state_built_directly_is_checked(self, fields, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             OptimizerState(**fields)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_integer_params_are_named(self, kind):
+        state = make_optimizer(kind, 0.1)
+        with pytest.raises(ValueError, match="params of dtype int64 cannot take a float64 update"):
+            optimizer_step(state, np.zeros(3, dtype=np.int64), np.ones(3))
+        assert state.step == 0 and state.m is None
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_integer_gradients_update_as_their_float_values(self, kind):
@@ -412,11 +420,14 @@ class TestTrainLoop:
                             base_w0=task.w_base)
         layer = dataclasses.replace(layer, pairing=Pairing(map=(1, 1), frozen=True))
         opt = make_optimizer("adam", 1e-2)
-        train_loop(task, layer, opt, steps=40, batch=8, rng=make_rng(42))
+        report = train_loop(task, layer, opt, steps=40, batch=8, rng=make_rng(42))
         # up members 0 and 2 were never selected, so they never moved from 0
         assert np.all(layer.b_list[0] == 0.0)
         assert np.all(layer.b_list[2] == 0.0)
         assert np.any(layer.b_list[1] != 0.0)
+        # the dataset losses compose the frozen pairing, not the mean pairing
+        loss, _ = squared_error_grad(forward(layer, task.x_train, mode="train"), task.y_train)
+        assert report.final_loss.hex() == loss.hex()
 
 
 class TestGradientSuiteAcrossInits:
@@ -438,10 +449,19 @@ class TestGradientSuiteAcrossInits:
         assert err <= 1e-6
 
 
+def rel_err(got, want):
+    """Worst difference relative to the largest entry of ``want``."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 class TestFusedStep:
-    """``train_loop`` fuses each step; a hand loop over the public forward,
-    backward and optimizer_step over ``params``, making the same rng draws, is the
-    reference it must match bit for bit."""
+    """``train_loop`` fuses each step. Its references make the same rng draws
+    through the public forward, backward and optimizer_step: where every
+    class of pool members has one member, a hand loop over ``params``, which
+    it must match bit for bit; else the class-sum hand loop of
+    ``class_sums.py``, which it must match bit for bit, and the hand loop,
+    which rounds its sums differently, to 1e-12."""
 
     STRATEGIES = [
         (Strategy.FULL, False), (Strategy.HEURISTIC, False),
@@ -471,17 +491,32 @@ class TestFusedStep:
             losses.append(loss)
         return losses
 
+    @staticmethod
+    def singleton_classes(layer):
+        """Whether every class of ``layer``'s pool members has one member."""
+        if layer.pairing is not None and not layer.pairing.frozen:
+            return True  # a resampling run keeps one class per member
+        adapter, _, _ = class_sum_adapter(layer)
+        return adapter.params.size == layer.params.size
+
     def check_against_hand_loop(self, task, cfg, frozen, kind, batch, steps=30, lr=1e-2):
-        fused, hand = (build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(5),
-                                   base_w0=task.w_base) for _ in range(2))
+        fused, hand, sums = (build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(5),
+                                         base_w0=task.w_base) for _ in range(3))
         if frozen:
-            fused, hand = (dataclasses.replace(layer, pairing=dataclasses.replace(
-                layer.pairing, frozen=True)) for layer in (fused, hand))
+            fused, hand, sums = (dataclasses.replace(layer, pairing=dataclasses.replace(
+                layer.pairing, frozen=True)) for layer in (fused, hand, sums))
         report = train_loop(task, fused, make_optimizer(kind, lr), steps=steps,
                             batch=batch, rng=make_rng(9))
         losses = self.hand_loop(task, hand, kind, steps, batch, make_rng(9), lr)
-        assert report.losses == losses
-        assert fused.params.tobytes() == hand.params.tobytes()
+        if self.singleton_classes(fused):
+            assert report.losses == losses
+            assert fused.params.tobytes() == hand.params.tobytes()
+        else:
+            class_losses, _, _ = class_sum_run(task, sums, kind, lr, steps, batch, make_rng(9))
+            assert report.losses == class_losses
+            assert fused.params.tobytes() == sums.params.tobytes()
+            assert rel_err(report.losses, losses) <= 1e-12
+            assert rel_err(fused.params, hand.params) <= 1e-12
         assert np.any(fused.b_list != 0.0)  # training moved the pools
 
     @pytest.mark.parametrize("batch", [1, 8])
@@ -546,18 +581,28 @@ class TestFusedStep:
     def test_resumed_run_matches_one_hand_loop(self, strategy, kind):
         # a second train_loop on the same layer, optimizer state and rng
         # continues the first, mid block of draws: FULL (2, 3) carries its
-        # class moments over, RANDOM_AB (2, 3) its per-member moments
+        # class moments over and sums its written members again, as two
+        # class-sum runs do, RANDOM_AB (2, 3) its per-member moments
         task = small_task(noise=0.05)
         cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
                          strategy=strategy)
-        fused, hand = (build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(5),
-                                   base_w0=task.w_base) for _ in range(2))
+        fused, hand, sums = (build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(5),
+                                         base_w0=task.w_base) for _ in range(3))
         state, rng = make_optimizer(kind, 1e-2), make_rng(9)
         losses = [loss for steps in (17, 13) for loss in
                   train_loop(task, fused, state, steps=steps, batch=8, rng=rng).losses]
         assert state.step == 30
-        assert losses == self.hand_loop(task, hand, kind, 30, 8, make_rng(9))
-        assert fused.params.tobytes() == hand.params.tobytes()
+        hand_losses = self.hand_loop(task, hand, kind, 30, 8, make_rng(9))
+        if strategy is Strategy.RANDOM_AB:
+            assert losses == hand_losses
+            assert fused.params.tobytes() == hand.params.tobytes()
+            return
+        first, _, states = class_sum_run(task, sums, kind, 1e-2, 17, 8, rng := make_rng(9))
+        second, _, _ = class_sum_run(task, sums, kind, 1e-2, 13, 8, rng, states)
+        assert losses == first + second
+        assert fused.params.tobytes() == sums.params.tobytes()
+        assert rel_err(losses, hand_losses) <= 1e-12
+        assert rel_err(fused.params, hand.params) <= 1e-12
 
     @pytest.mark.parametrize("high", [1, 2, 7, 400, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 1,
                                       2 ** 40])
@@ -715,9 +760,59 @@ class TestFusedStep:
         with pytest.raises(ShapeError, match="other parameters"):
             optimizer_step(state, np.zeros(4), np.ones(4))
 
+    def test_adam_state_of_the_members_does_not_fit_their_class_sums(self):
+        # FULL (2, 3) trains one A and one B class sum, so a state allocated
+        # for the five members is refused before anything is written
+        task = small_task()
+        layer = random_layer(CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3))
+        state = make_optimizer("adam", 1e-2)
+        optimizer_step(state, layer.params.copy(), np.ones_like(layer.params))
+        before = layer.params.tobytes()
+        with pytest.raises(ShapeError, match="other parameters"):
+            train_loop(task, layer, state, steps=5, batch=8, rng=make_rng(9))
+        assert layer.params.tobytes() == before
+
+    def test_the_write_back_is_exact(self):
+        # a frozen RANDOM_AB (2, 3) pairing (1, 1) under PiSSA: A_0, A_1 and
+        # B_1 are alone in their classes and become their trained sums; B_0
+        # and B_2, which no term uses, form a class whose sum never moves, so
+        # they keep their nonzero PiSSA values bit for bit
+        task = small_task(noise=0.05)
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
+                         strategy=Strategy.RANDOM_AB)
+        layer = dataclasses.replace(
+            build_layer(cfg, InitSpec(PISSA, source_w=task.pissa_source), make_rng(5)),
+            pairing=Pairing((1, 1), frozen=True))
+        before = layer.b_list.copy()
+        adapter, a_class, b_class = class_sum_adapter(layer)
+        assert (a_class, b_class) == ([0, 1], [0, 1, 0])
+        train_loop(task, layer, make_optimizer("adam", 1e-2), steps=30, batch=8,
+                   rng=make_rng(9))
+        class_sum_loop(task, adapter, [make_optimizer("adam", 1e-2 * size)
+                                       for size in (1, 1, 2, 1)], 30, 8, make_rng(9))
+        for member, trained in ((layer.a_list[0], adapter.a_list[0]),
+                                (layer.a_list[1], adapter.a_list[1]),
+                                (layer.b_list[1], adapter.b_list[1])):
+            assert member.tobytes() == trained.tobytes()
+        assert not np.array_equal(layer.b_list[1], before[1])
+        assert layer.b_list[0].tobytes() == before[0].tobytes() and before[0].any()
+        assert layer.b_list[2].tobytes() == before[2].tobytes() and before[2].any()
+
 
 class TestDivergence:
     DIVERGENT = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3)
+
+    @pytest.mark.parametrize("steps, written", [(50, False), (5, True)],
+                             ids=["minibatch", "final"])
+    def test_members_are_written_only_after_the_last_step(self, steps, written):
+        # a run stopped at a minibatch loss leaves the members as they were;
+        # one whose final loss is not finite has written them
+        task, rng = small_task(), make_rng(42)  # the runs of the two tests above
+        layer = build_layer(self.DIVERGENT, InitSpec(GAUSSIAN_ZERO), rng, base_w0=task.w_base)
+        before = layer.params.tobytes()
+        with pytest.raises(DivergenceError, match="final" if written else "minibatch"):
+            train_loop(task, layer, make_optimizer("sgd", 50.0), steps=steps, batch=8, rng=rng)
+        assert (layer.params.tobytes() != before) == written
 
     def test_first_non_finite_minibatch_loss_is_named(self):
         # SGD at lr=50 overflows the minibatch loss at step 6
