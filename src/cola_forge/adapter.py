@@ -48,7 +48,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix
+from .linalg import ShapeError, _as_real, as_matrix
 
 __all__ = [
     "Strategy",
@@ -202,7 +202,7 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
                config: CoLAConfig, rng: np.random.Generator | None = None) -> CoLALayer:
     """Pack the pools into one flat buffer; random strategies get an initial pairing."""
     n, m, r = config.out_dim, config.in_dim, config.rank
-    w0 = as_matrix(w0)
+    w0 = as_matrix(w0, "w0")
     if w0.shape != (n, m):
         raise ShapeError(f"w0 must be {n}x{m}, got {w0.shape}")
     if len(a_list) != config.a_count or len(b_list) != config.b_count:
@@ -210,16 +210,17 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
             f"pool sizes {len(a_list)}/{len(b_list)} do not match "
             f"config M={config.a_count}, N={config.b_count}"
         )
-    pools = [as_matrix(p) for p in (*a_list, *b_list)]
+    pools = [np.asarray(p) for p in (*a_list, *b_list)]
     for k, pool in enumerate(pools):
         name, shape = ("A", (r, m)) if k < config.a_count else ("B", (n, r))
         if pool.shape != shape:
             raise ShapeError(f"every {name} must be {shape[0]}x{shape[1]}, got {pool.shape}")
+    params = as_matrix(np.concatenate([p.ravel() for p in pools])[None], "a_list and b_list")[0]
     random = _pairing_range(config) is not None
     if random and rng is None:
         raise ConfigError("random strategies need an rng to sample the initial pairing")
     pairing = sample_pairing(config, rng) if random else None
-    return CoLALayer(w0, config, np.concatenate([p.ravel() for p in pools]), pairing)
+    return CoLALayer(w0, config, params, pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +369,7 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_real(x, "x")
     m = layer.config.in_dim
     if x.ndim not in (1, 2) or x.shape[0] != m:
         raise ShapeError(f"x has shape {x.shape}; layer expects {m} or ({m}, batch)")

@@ -82,7 +82,7 @@ def init_gaussian_zero(
     std: float | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Gaussian A pools, zero B pools, base passed through untouched."""
-    w0 = as_matrix(w0)
+    w0 = as_matrix(w0, "w0")
     if w0.shape != (config.out_dim, config.in_dim):
         raise ValueError(f"base shape {w0.shape} does not match config "
                          f"{config.out_dim}x{config.in_dim}")
@@ -113,7 +113,7 @@ def pissa_extended(
     SVD's roundoff cutoff: both factors would be zero in the missing
     directions, so their gradients would be zero and they would never train.
     """
-    w = as_matrix(w)
+    w = as_matrix(w, "w")
     n, m = w.shape
     if (n, m) != (config.out_dim, config.in_dim):
         raise ValueError(f"source shape {w.shape} does not match config {config.out_dim}x{config.in_dim}")
@@ -161,7 +161,7 @@ def eckart_young_error(w: np.ndarray, r: int) -> float:
     Computed as ||w - U_r S_r V_r^T||_F from the materialized truncation;
     equals sqrt(sum of squared tail singular values).
     """
-    w = as_matrix(w)
+    w = as_matrix(w, "w")
     if not 0 <= r <= min(w.shape):
         raise ValueError(f"rank {r} out of range for shape {w.shape}")
     fac = svd(w)

@@ -34,14 +34,23 @@ class ConvergenceError(RuntimeError):
     """An iterative routine failed to converge."""
 
 
-def as_matrix(w) -> np.ndarray:
-    """Coerce input to a 2-D float64 C-order array, validating finiteness."""
-    a = np.ascontiguousarray(w, dtype=np.float64)
+def as_matrix(w, name: str = "matrix") -> np.ndarray:
+    """Coerce input to a 2-D float64 C-order array, validating finiteness;
+    complex input is refused by its ``name``."""
+    a = np.ascontiguousarray(_as_real(w, name))
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"expected a 2-D matrix, got array of shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains NaN or Inf entries")
     return a
+
+
+def _as_real(v, name: str) -> np.ndarray:
+    """``v`` as a float64 array; complex input raises ValueError naming
+    ``name``, where a cast would drop its imaginary part."""
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real, got complex entries")
+    return np.asarray(v, dtype=np.float64)
 
 
 def frobenius_norm(w: np.ndarray) -> float:
@@ -81,7 +90,7 @@ def svd(w: np.ndarray) -> SvdResult:
 
     Raises ConvergenceError if LAPACK reports non-convergence.
     """
-    a = as_matrix(w)
+    a = as_matrix(w, "w")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:

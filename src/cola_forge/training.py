@@ -33,7 +33,9 @@ arithmetic: calls whose scalars are 0-d arrays, and an advance that counts
 the step and sets Adam's bias corrections). A step takes its samples, as
 rows, into fixed buffers, and is two replays around the loss readout. A run
 draws a block of steps in one rng call (per step the batch indices, then any
-pairing), which leaves the generator where one draw after the other would.
+pairing), which leaves the generator where one draw after the other would;
+a run that resamples reuses each drawn pairing's lists within its block. A
+step zero-fills the gradient unless :func:`_backward` writes it all straight.
 Pool members that appear in exactly the same terms (all A_i and all B_j
 under FULL, the tail B_M..B_N under HEURISTIC) get the same gradient at
 every step, so a run trains one matrix per such class, the members' sum, at
@@ -68,7 +70,7 @@ from .adapter import (
     forward,
     trainable_params,
 )
-from .linalg import ShapeError
+from .linalg import ShapeError, _as_real
 
 __all__ = [
     "DivergenceError",
@@ -90,8 +92,8 @@ class DivergenceError(ArithmeticError):
 
 
 class Grads:
-    """dL/dA_i and dL/dB_j in one zeroed buffer, ``flat``, laid out like the
-    layer's ``params``; ``da_list`` and ``db_list`` are its pool stacks."""
+    """dL/dA_i and dL/dB_j in one buffer, ``flat``, allocated zeroed, laid out
+    like the layer's ``params``; ``da_list`` and ``db_list`` are its stacks."""
 
     def __init__(self, layer: CoLALayer):
         self.flat = np.zeros_like(layer.params)
@@ -99,7 +101,7 @@ class Grads:
 
 
 def _as_columns(v: np.ndarray, dim: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
+    v = _as_real(v, name)
     if v.ndim == 1:
         v = v[:, None]
     if v.ndim != 2 or v.shape[0] != dim:
@@ -125,8 +127,8 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
 class _StepWorkspace(_Workspace):
     """An :func:`_apply` workspace for compositions of at most max(M, N)
     terms, plus the buffers of the loss and of :func:`_backward`, and the
-    zeroed gradient ``grads``, laid out like the layer's ``params``, with
-    ``ga`` and ``gb`` the lists of its A and B members."""
+    gradient ``grads``, allocated zeroed and laid out like the layer's
+    ``params``, with ``ga`` and ``gb`` the lists of its A and B members."""
 
     def __init__(self, layer: CoLALayer, cols: tuple[int, ...]):
         cfg = layer.config
@@ -144,24 +146,33 @@ class _StepWorkspace(_Workspace):
 
 def _backward(ws: _StepWorkspace, x2: np.ndarray, g2: np.ndarray, terms,
               scale: float) -> list[list[tuple]]:
-    """The calls that add the pool gradients into the zeroed ``ws.ga`` and
-    ``ws.gb``, given each term's hidden state from the forward pass in ``ws``
-    (whose recording built each B run): the list that folds both scales into
-    g_out, then one list per term."""
+    """The calls that write the pool gradients into ``ws.ga`` and ``ws.gb``,
+    given each term's hidden state from the forward pass in ``ws`` (whose
+    recording built each B run): the list that folds both scales into g_out,
+    then one list per term. A product goes straight into a member's slot if
+    that member is its term's whole run on its side and in no other term,
+    else to ``ws.db``/``ws.da`` and is added; the first list zero-fills the
+    gradient unless every slot is written straight."""
     head = []
     if (total := ws.layer_scale * scale) != 1.0:
         head.append((np.multiply, (g2, np.array(total), ws.gs)))
         g2 = ws.gs
     x_t = x2.T
-    pieces = [head]
+    b_used, a_used = (sum(runs, ()) for runs in zip(*terms))  # each member once per term
+    pieces, straight = [head], 0
     for (b_idx, a_idx), t_t in zip(terms, ws.hidden_t):
         b_run = ws.run(1, b_idx)
         b_sum = b_run[0] if len(b_run) == 1 else ws.bsum
-        calls = [(np.dot, (g2, t_t, ws.db)), *_run_sum(b_run, None, ws.bsum),
-                 (np.dot, (b_sum.T, g2, ws.rev)), (np.dot, (ws.rev, x_t, ws.da))]
-        calls += [(np.add, (ws.gb[j], ws.db, ws.gb[j])) for j in b_idx]
-        calls += [(np.add, (ws.ga[i], ws.da, ws.ga[i])) for i in a_idx]
+        db = ws.gb[b_idx[0]] if b_used.count(b_idx[0]) == len(b_idx) == 1 else ws.db
+        da = ws.ga[a_idx[0]] if a_used.count(a_idx[0]) == len(a_idx) == 1 else ws.da
+        straight += (db is not ws.db) + (da is not ws.da)
+        calls = [(np.dot, (g2, t_t, db)), *_run_sum(b_run, None, ws.bsum),
+                 (np.dot, (b_sum.T, g2, ws.rev)), (np.dot, (ws.rev, x_t, da))]
+        calls += [(np.add, (ws.gb[j], db, ws.gb[j])) for j in b_idx if db is ws.db]
+        calls += [(np.add, (ws.ga[i], da, ws.ga[i])) for i in a_idx if da is ws.da]
         pieces.append(calls)
+    if straight < len(ws.ga) + len(ws.gb):
+        head.insert(0, (ws.grads.flat.fill, (0.0,)))
     return pieces
 
 
@@ -494,7 +505,7 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     optimizer_calls, advance = _update(optimizer, grad, grad, optimizer.lr * sizes)
     optimizer_calls.append((np.subtract, (sums.params, grad, sums.params)))
     close = recorded[0][0][-1] + loss_calls
-    head = divide + [(grad.fill, (0.0,))] + recorded[0][1][0]
+    head = divide + recorded[0][1][0]
     by_pairing = [list(zip(forward[:-1], backward[1:])) for forward, backward in recorded]
     by_position = list(zip(*by_pairing))
 
@@ -515,13 +526,16 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
         for start in range(0, steps, block):
             count = min(block, steps - start)
             drawn = rng.integers(0, block_highs[:count * len(highs)]).reshape(count, -1)
-            for idx, pairing in zip(drawn[:, :batch], drawn[:, batch:].tolist()):
+            kept: dict = {}  # the replays of each pairing the block has drawn
+            for idx, pairing in zip(drawn[:, :batch], map(tuple, drawn[:, batch:].tolist())):
                 # every index is in range, so "wrap" changes none; unlike the
                 # default "raise", it lets take write straight into the buffer
                 x_samples.take(idx, 0, x_rows, "wrap")
                 t_samples.take(idx, 0, t_rows, "wrap")
                 if draw is not None:  # the pieces of the terms this pairing composes
-                    first, second = replays([by_position[k][v] for k, v in enumerate(pairing)])
+                    if pairing not in kept:
+                        kept[pairing] = replays([by_position[k][v] for k, v in enumerate(pairing)])
+                    first, second = kept[pairing]
                 _replay(first)
                 loss = readout()
                 if not math.isfinite(loss):

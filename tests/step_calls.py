@@ -1,0 +1,84 @@
+"""Calls and cost per step of ``train_loop``, for each strategy and pool shape.
+
+Prints one line per (strategy, M, N), with M and N in {1, 2, 3, 4} (M <= N
+under HEURISTIC), at 32x32, rank 8, batch 8 and Adam on a 400-sample
+recovery task:
+
+* ``calls``: the numpy calls a step replays, counted by wrapping
+  ``training._replay`` over a 400-step and a 0-step run, whose difference
+  is divided by 400;
+* ``us``: the microseconds per step, as a 400-step run minus a 0-step run,
+  each the min of 7 runs from a fresh layer.
+
+The script is not a test (pytest collects only ``test_*.py``). Run it from
+the repository root, naming the tree to measure by its ``src``, with one
+BLAS thread::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/step_calls.py
+"""
+
+import time
+
+from cola_forge import training
+from cola_forge.adapter import CoLAConfig, Strategy
+from cola_forge.harness import RecoveryTaskSpec, make_recovery_task
+from cola_forge.initializers import GAUSSIAN_ZERO, InitSpec, build_layer
+from cola_forge.linalg import make_rng
+
+STEPS, REPEATS = 400, 7
+COUNTS = (1, 2, 3, 4)
+
+
+def run(task, cfg, steps) -> float:
+    """Seconds of one train_loop of ``steps`` steps, from a fresh layer."""
+    layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1), base_w0=task.w_base)
+    optimizer = training.make_optimizer("adam", 1e-2)
+    start = time.perf_counter()
+    training.train_loop(task, layer, optimizer, steps=steps, batch=8, rng=make_rng(2))
+    return time.perf_counter() - start
+
+
+def calls_per_step(task, cfg) -> float:
+    replay, counted = training._replay, [0]
+
+    def counting(calls):
+        counted[0] += len(calls)
+        replay(calls)
+
+    training._replay = counting
+    try:
+        totals = []
+        for steps in (STEPS, 0):
+            counted[0] = 0
+            run(task, cfg, steps)
+            totals.append(counted[0])
+    finally:
+        training._replay = replay
+    return (totals[0] - totals[1]) / STEPS
+
+
+def us_per_step(task, cfg) -> float:
+    long = min(run(task, cfg, STEPS) for _ in range(REPEATS))
+    short = min(run(task, cfg, 0) for _ in range(REPEATS))
+    return (long - short) / STEPS * 1e6
+
+
+def main() -> None:
+    task = make_recovery_task(RecoveryTaskSpec(n=32, m=32, base_seed=1, components=3,
+                                               noise_std=0.05, train_samples=400,
+                                               eval_samples=400), make_rng(1))
+    print(f"{'strategy':10s} {'M':>2s} {'N':>2s} {'calls':>6s} {'us':>6s}")
+    for strategy in Strategy:
+        for m_count in COUNTS:
+            for n_count in COUNTS:
+                if strategy is Strategy.HEURISTIC and m_count > n_count:
+                    continue
+                cfg = CoLAConfig(in_dim=32, out_dim=32, rank=8, a_count=m_count,
+                                 b_count=n_count, strategy=strategy)
+                print(f"{strategy.value:10s} {m_count:2d} {n_count:2d} "
+                      f"{calls_per_step(task, cfg):6.2f} {us_per_step(task, cfg):6.1f}",
+                      flush=True)
+
+
+if __name__ == "__main__":
+    main()

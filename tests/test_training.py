@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from class_sums import class_sum_adapter, class_sum_loop, class_sum_run
 
+from cola_forge import training
 from cola_forge.adapter import (
     CoLAConfig,
     Pairing,
@@ -16,7 +17,7 @@ from cola_forge.adapter import (
     make_layer,
     sample_pairing,
 )
-from cola_forge.adapter import _replay, _run_sum
+from cola_forge.adapter import _apply, _check_pairing, _composition, _replay, _run_sum
 from cola_forge.harness import (
     ClassifyTaskSpec,
     RecoveryTaskSpec,
@@ -25,10 +26,12 @@ from cola_forge.harness import (
     run_single,
 )
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
-from cola_forge.linalg import ShapeError, gaussian_matrix, make_rng
+from cola_forge.linalg import ShapeError, gaussian_matrix, make_rng, svd
 from cola_forge.training import (
     DivergenceError,
     OptimizerState,
+    _backward,
+    _StepWorkspace,
     backward,
     cross_entropy_grad,
     finite_diff_check,
@@ -749,10 +752,13 @@ class TestFusedStep:
         before = stack.copy()
         train_loop(task, layer, make_optimizer("adam", 1e-2), steps=5, batch=8,
                    rng=make_rng(9))
-        # both members still train, each on its own slice of params
+        # both members still train, each on its own slice of params; FULL
+        # (2, 3) gives the two members of a class one move, to rounding
+        assert not np.shares_memory(stack[0], stack[1])
         assert not np.array_equal(stack[0], before[0])
         assert not np.array_equal(stack[1], before[1])
-        assert not np.array_equal(stack[1] - before[1], stack[0] - before[0])
+        np.testing.assert_allclose(stack[1] - before[1], stack[0] - before[0],
+                                   rtol=1e-12, atol=1e-15)
 
     def test_adam_state_is_tied_to_its_parameters(self):
         state = make_optimizer("adam", 1e-2)
@@ -797,6 +803,69 @@ class TestFusedStep:
         assert not np.array_equal(layer.b_list[1], before[1])
         assert layer.b_list[0].tobytes() == before[0].tobytes() and before[0].any()
         assert layer.b_list[2].tobytes() == before[2].tobytes() and before[2].any()
+
+    @staticmethod
+    def spy_on_fills(monkeypatch) -> list:
+        """The gradients whose zero-fill train_loop replays; each is poisoned
+        with NaN before the replay that should zero it."""
+        grads = []
+
+        def poisoning(calls):
+            for function, _ in calls:
+                if getattr(function, "__name__", None) == "fill":
+                    function.__self__.fill(np.nan)
+                    grads.append(function.__self__)
+            _replay(calls)
+        monkeypatch.setattr(training, "_replay", poisoning)
+        return grads
+
+    @pytest.mark.parametrize("strategy, a_count, b_count", [
+        (Strategy.FULL, 2, 3), (Strategy.HEURISTIC, 2, 4),
+        (Strategy.RANDOM_AB, 1, 1), (Strategy.RANDOM_BA, 1, 1)])
+    def test_every_slot_is_written_straight_where_no_fill_runs(self, strategy, a_count,
+                                                               b_count, monkeypatch):
+        # each member of the class-sum composition is one term's whole run on
+        # its side and in no other term, so its product is written straight
+        # into its gradient slot: a slot left over from the last step (here
+        # NaN) is overwritten, and train_loop records no zero-fill
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=a_count, b_count=b_count,
+                         strategy=strategy)
+        layer = random_layer(cfg, seed=5)
+        sums, _, _ = class_sum_adapter(layer)
+        terms, scale = _composition(sums.config, _check_pairing(sums.config, sums.pairing))
+        rng = make_rng(6)
+        x, g = rng.normal(size=(20, 8)), rng.normal(size=(24, 8))
+        ws = _StepWorkspace(sums, (8,))
+        ws.grads.flat.fill(np.nan)
+        for calls in _apply(ws, x, terms, scale) + _backward(ws, x, g, terms, scale):
+            _replay(calls)
+        assert not np.isnan(ws.grads.flat).any()
+        assert ws.grads.flat.tobytes() == backward(sums, x, g, sums.pairing).flat.tobytes()
+        fills = self.spy_on_fills(monkeypatch)
+        train_loop(small_task(), layer, make_optimizer("adam", 1e-2), steps=5, batch=8,
+                   rng=make_rng(9))
+        assert not fills and np.isfinite(layer.params).all()
+
+    def test_a_run_that_adds_a_product_keeps_the_zero_fill(self, monkeypatch):
+        # a frozen RANDOM_AB (2, 3) pairing (1, 1): B_1's class takes the
+        # products of two terms, added, and B_0 and B_2 form a class no term
+        # uses, so each step zeroes the gradient first; under SGD the unused
+        # class's slot then holds lr * 0 after every step
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
+                         strategy=Strategy.RANDOM_AB)
+        layer = dataclasses.replace(random_layer(cfg, seed=5),
+                                    pairing=Pairing((1, 1), frozen=True))
+        before = layer.b_list.copy()
+        fills = self.spy_on_fills(monkeypatch)
+        train_loop(small_task(), layer, make_optimizer("sgd", 1e-2), steps=5, batch=8,
+                   rng=make_rng(9))
+        assert len(fills) == 5 and all(grad is fills[0] for grad in fills)
+        # the class sums hold A_0, A_1, then B's classes {B_0, B_2} and {B_1}
+        unused = fills[0][2 * 4 * 20:][:24 * 4]
+        assert unused.tobytes() == np.zeros_like(unused).tobytes()
+        assert np.isfinite(layer.params).all()
+        assert layer.b_list[0].tobytes() == before[0].tobytes()
+        assert not np.array_equal(layer.b_list[1], before[1])
 
 
 class TestDivergence:
@@ -845,3 +914,26 @@ def test_value_checks_reject_nan(make, message):
     # NaN fails every comparison, so each check is stated as "not x > 0"
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda layer: make_layer(layer.w0 + 1j, list(layer.a_list), list(layer.b_list),
+                              layer.config), "w0"),
+    (lambda layer: make_layer(layer.w0, [layer.a_list[0], layer.a_list[1] + 0j],
+                              list(layer.b_list), layer.config), "a_list and b_list"),
+    (lambda layer: forward(layer, np.ones(20, complex)), "x"),
+    (lambda layer: backward(layer, np.ones((20, 2), complex), np.ones((24, 2))), "x"),
+    (lambda layer: backward(layer, np.ones(20), np.ones(24, complex)), "g_out"),
+    (lambda layer: svd(layer.w0 + 1j), "w"),
+    (lambda layer: build_layer(layer.config, InitSpec(GAUSSIAN_ZERO), make_rng(0),
+                               base_w0=layer.w0 + 1j), "w0"),
+    (lambda layer: build_layer(layer.config, InitSpec(PISSA, source_w=layer.w0 + 1j),
+                               make_rng(0)), "w"),
+], ids=["make_layer-w0", "make_layer-pools", "forward-x", "backward-x", "backward-g_out",
+        "svd", "gaussian_zero-w0", "pissa-w"])
+def test_complex_input_is_refused_by_name(make, name):
+    # a cast to float64 would drop the imaginary part with only a warning,
+    # even where it is exactly zero
+    layer = random_layer(CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3))
+    with pytest.raises(ValueError, match=f"^{name} must be real, got complex entries$"):
+        make(layer)
