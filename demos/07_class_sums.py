@@ -5,9 +5,9 @@ A_i get the same gradient at every step, and so do all B_j. DeltaW depends
 only on the sums (B_1 + ... + B_N)(A_1 + ... + A_M), so FULL (M, N) trains
 exactly like a single-pair adapter whose A is the sum of the A_i, trained at
 lr_A = M * lr, and whose B is the sum of the B_j, at lr_B = N * lr. This is
-how ``train_loop`` trains any fixed composition: one matrix per class of
-members that share their terms, written back to the members after the last
-step.
+how ``train_loop`` trains every composition: one matrix per run of members
+that the terms use whole (a pool, the HEURISTIC tail or one member), written
+back to the members after the last step.
 
 Here FULL (2, 3) trains through ``train_loop``, and its (1, 1) class-sum
 adapter through a hand loop over the public forward, backward and

@@ -18,22 +18,23 @@ Setting (M, N, strategy) recovers the familiar adapter families: (1, 1) is a
 vanilla single-pair adapter, (1, N, FULL) the shared-down multi-head layout,
 and (N, N, HEURISTIC) the per-expert paired layout.
 
-Each rule is stated once, by ``_composition``, as a list of terms
-``(b_idx, a_idx)`` and a scale: DeltaW = scale * sum over the terms of
-(sum_{j in b_idx} B_j)(sum_{i in a_idx} A_i). FULL is one term over both
-whole pools, HEURISTIC is M - 1 singleton pairs plus the tail, the random
-strategies are one term per pairing edge, and the eval-time mean pairing is
-FULL scaled by 1/N (RANDOM_AB) or 1/M (RANDOM_BA). A pairing is its map
-alone: the strategy says which pool draws its partners. The factored
-forward, the materialized :func:`delta_weight` and ``training.backward`` are
-each one loop over that list, so none of them knows the strategies, and the
-MAC model counts the applications off the same list. The forward path
-always stays factored (down-projections first) and keeps each term's hidden
-state for the backward pass; DeltaW is only materialized for merging and as
-a test oracle.
-A layer's pools are views into one flat buffer, so one update steps them all;
-the members of each index set are a run, summed left to right (in a forward
-pass each product one 2-D ``np.dot`` into a buffer, by :func:`_run_sum`).
+Each rule is stated once, by ``_composition``, as the *runs* of each pool
+(member ranges that every term uses whole: a pool, the HEURISTIC tail or
+one member), a list of terms ``(b_run, a_run)`` and a scale: DeltaW =
+scale * sum over the terms of (B run sum)(A run sum). FULL is one term over
+both whole pools, HEURISTIC is M - 1 singleton pairs plus the tail, the
+random strategies are one term per pairing edge over one run per member,
+and the eval-time mean pairing is FULL scaled by 1/N (RANDOM_AB) or 1/M
+(RANDOM_BA). A pairing is its map alone: the strategy says which pool draws
+its partners. Every path first builds the run sums (``_run_sums``), a layer
+with one member per run, each summed left to right, so the factored
+forward, the materialized :func:`delta_weight` and ``training.backward``
+are each one loop over the terms, one product per side, none of them knows
+the strategies, and the MAC model counts the applications off the run
+lengths. The forward path always stays factored (down-projections first)
+and keeps each term's hidden state for the backward pass; DeltaW is only
+materialized for merging and as a test oracle. A layer's pools are views
+into one flat buffer, so one update steps them all.
 ``_apply`` computes nothing itself: it records the numpy calls of a forward
 pass, one list per term, over a workspace of buffers, and is the one
 statement of their order. Public :func:`forward` replays them once; a
@@ -43,7 +44,7 @@ training run records them once and replays them at every step.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -245,35 +246,38 @@ def _check_pairing(cfg: CoLAConfig, pairing: Pairing | None) -> tuple[int, ...] 
     return pairing.map
 
 
-_Term = tuple[tuple[int, ...], tuple[int, ...]]
+_Runs = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
 
-def _composition(cfg: CoLAConfig,
-                 pairing_map: tuple[int, ...] | None) -> tuple[list[_Term], float]:
-    """A layer's DeltaW as ``(terms, scale)``, the one statement of the rules.
+def _composition(cfg: CoLAConfig, pairing_map: tuple[int, ...] | None
+                 ) -> tuple[_Runs, list[tuple[int, int]], float]:
+    """A layer's DeltaW as ``(runs, terms, scale)``, the one statement of the rules.
 
-    Each term is a ``(b_idx, a_idx)`` pair and
-    DeltaW = scale * sum_terms (sum_{j in b_idx} B_j)(sum_{i in a_idx} A_i).
+    ``runs`` holds the runs of the A pool, then of the B pool, as ``(lo, hi)``
+    member ranges; every member is in exactly one run, and a run's sum is
+    A_lo + ... + A_{hi-1} (B alike). Each term is a ``(b_run, a_run)`` pair
+    of run indices, and DeltaW = scale * sum_terms (B run sum)(A run sum).
     ``pairing_map`` is the checked map of a random strategy's pairing; None
     asks for the expectation over uniform pairings, which replaces every
     sampled partner by its pool mean.
     """
     m_count, n_count = cfg.a_count, cfg.b_count
-    every = (tuple(range(n_count)), tuple(range(m_count)))
+    whole = ([(0, m_count)], [(0, n_count)]), [(0, 0)]
     if pairing_map is None and (draw := _pairing_range(cfg)) is not None:
-        return [every], 1.0 / draw[0]  # the partner pool's mean
+        return *whole, 1.0 / draw[0]  # the partner pool's mean
     if cfg.strategy is Strategy.FULL:
-        return [every], 1.0
+        return *whole, 1.0
+    a_runs, b_runs = ([(k, k + 1) for k in range(count)] for count in (m_count, n_count))
     if cfg.strategy is Strategy.HEURISTIC:
         # one-to-one pairs, then B_M..B_N all fed by A_M
-        tail = (tuple(range(m_count - 1, n_count)), (m_count - 1,))
-        return [((i,), (i,)) for i in range(m_count - 1)] + [tail], 1.0
-    if cfg.strategy is Strategy.RANDOM_AB:
-        return [((j,), (i,)) for i, j in enumerate(pairing_map)], 1.0
-    return [((j,), (i,)) for j, i in enumerate(pairing_map)], 1.0
+        b_runs[m_count - 1:] = [(m_count - 1, n_count)]
+        return (a_runs, b_runs), [(i, i) for i in range(m_count)], 1.0
+    edges = list(enumerate(pairing_map))  # (drawing member, its partner)
+    terms = [(j, i) for i, j in edges] if cfg.strategy is Strategy.RANDOM_AB else edges
+    return (a_runs, b_runs), terms, 1.0
 
 
-def _eval_composition(layer: CoLALayer) -> tuple[list[_Term], float]:
+def _eval_composition(layer: CoLALayer) -> tuple[_Runs, list[tuple[int, int]], float]:
     """The deterministic composition of eval mode: a frozen pairing's own
     (the map the layer trains), else the mean over uniform pairings."""
     cfg, pairing = layer.config, layer.pairing
@@ -281,24 +285,21 @@ def _eval_composition(layer: CoLALayer) -> tuple[list[_Term], float]:
     return _composition(cfg, _check_pairing(cfg, pairing) if frozen else None)
 
 
-def _run_sum(members: list[np.ndarray], v: np.ndarray | None, total: np.ndarray,
-             add: bool = False, tmp: np.ndarray | None = None) -> list[tuple]:
-    """The calls that add up a run, the member list of one index set, left
-    to right into ``total``: sum_k member_k (v None) or sum_k member_k @ v.
-    Each product is ``np.dot(member, v, out)``: into ``total`` for the first
-    one, into the scratch ``tmp`` for every next one, which is then added.
-    With ``add`` every product is added to what ``total`` holds. A sum of one
-    member without v makes no call: it is the member itself."""
-    if v is None:
-        return [(np.add, (total if k > 1 else members[0], member, total))
-                for k, member in enumerate(members) if k]
-    calls = []
-    for k, member in enumerate(members):
-        if k or add:
-            calls += [(np.dot, (member, v, tmp)), (np.add, (total, tmp, total))]
-        else:
-            calls.append((np.dot, (member, v, total)))
-    return calls
+def _run_sums(layer: CoLALayer, runs: _Runs) -> CoLALayer:
+    """The layer, in a buffer of its own, whose members are the run sums of
+    ``layer``'s members, each summed left to right, one member at a time
+    (numpy's reductions sum 8 or more one-element slices pairwise)."""
+    cfg = layer.config
+    if (len(runs[0]), len(runs[1])) == (cfg.a_count, cfg.b_count):  # one member each
+        return CoLALayer(layer.w0, cfg, layer.params.copy())
+    cfg = replace(cfg, a_count=len(runs[0]), b_count=len(runs[1]))
+    sums = CoLALayer(layer.w0, cfg, np.empty(trainable_params(cfg)))
+    for pool, totals, side in zip(layer._stacks, sums._stacks, runs):
+        for total, (lo, hi) in zip(totals, side):
+            total[...] = pool[lo]
+            for member in pool[lo + 1:hi]:
+                total += member
+    return sums
 
 
 def _replay(calls: list[tuple]) -> None:
@@ -308,51 +309,43 @@ def _replay(calls: list[tuple]) -> None:
 
 
 class _Workspace:
-    """The buffers that the calls :func:`_apply` records compute into, for
-    inputs of trailing shape ``cols``: DeltaW x (``out``), W0 x (``base``)
-    and the hidden state of each of at most ``terms`` terms. Until the last
-    calls write W0 x, ``base`` is the product scratch of both pool sides
-    (``tmp``: its first r rows for A, all of it for B), so a forward pass
-    holds no buffer beside its output, W0 x and its hidden states. The run of
-    each index set of each pool (``runs[0]`` A, ``runs[1]`` B) is built on
-    first use."""
+    """The only buffers of a forward pass beside its run sums, for inputs of
+    trailing shape ``cols``: DeltaW x (``out``), W0 x (``base``, until then
+    the scratch of each B product added into DeltaW x) and the hidden states
+    of at most ``terms`` terms, which :func:`_apply`'s calls compute into."""
 
-    def __init__(self, layer: CoLALayer, cols: tuple[int, ...], terms: int):
-        cfg = layer.config
-        self.w0, self.layer_scale = layer.w0, cfg.scale
-        self.pools = (layer.a_list, layer.b_list)
+    def __init__(self, sums: CoLALayer, cols: tuple[int, ...], terms: int):
+        cfg = sums.config
+        self.w0, self.layer_scale = sums.w0, cfg.scale
+        self.pools = (sums.a_list, sums.b_list)
         self.out, self.base = np.empty((cfg.out_dim,) + cols), np.empty((cfg.out_dim,) + cols)
         self.hidden = [np.empty((cfg.rank,) + cols) for _ in range(terms)]
-        self.tmp = (self.base[:cfg.rank], self.base)
-        self.runs: tuple[dict, dict] = ({}, {})
-
-    def run(self, side: int, idx: tuple[int, ...]) -> list[np.ndarray]:
-        """The run of members ``idx`` of pool ``side``, built and kept."""
-        run = self.runs[side].get(idx)
-        if run is None:
-            run = self.runs[side][idx] = list(self.pools[side][idx[0]:idx[-1] + 1])
-        return run
 
 
-def _apply(ws: _Workspace, x: np.ndarray, terms: list[_Term],
+def _apply(ws: _Workspace, x: np.ndarray, terms: list[tuple[int, int]],
            scale: float) -> list[list[tuple]]:
     """The calls that compute W0 x + (alpha/r) DeltaW x for a composition
-    into ``ws.out``, factored (DeltaW is never materialized), and the hidden
-    state sum_{i in a_idx} A_i x of each term into ``ws.hidden``: one list
-    per term, the term at position k computing ``hidden[k]`` and adding its
-    products into DeltaW x (writing it, at k = 0), then the list that scales
-    DeltaW x and adds W0 x. Nothing runs until the lists are replayed.
+    over the run sums of ``ws`` into ``ws.out``, factored (DeltaW is never
+    materialized), and the hidden state A x of each term's A run sum into
+    ``ws.hidden``: one list per term, the term at position k computing
+    ``hidden[k]`` and adding its B product into DeltaW x (writing it, at
+    k = 0), then the list that scales DeltaW x and adds W0 x. Nothing runs
+    until the lists are replayed.
 
-    Each hidden state sums A_i @ x left to right, every B_j @ t is added into
-    DeltaW x in index order, and the scales come last; a scale of exactly 1.0
-    is skipped.
+    Every product is one 2-D ``np.dot`` into a buffer, the B products are
+    added into DeltaW x in term order, and the scales come last; a scale of
+    exactly 1.0 is skipped.
     """
-    (a_tmp, b_tmp), out = ws.tmp, ws.out
+    (a_pool, b_pool), out = ws.pools, ws.out
     pieces = []
-    for k, (b_idx, a_idx) in enumerate(terms):
+    for k, (b, a) in enumerate(terms):
         t = ws.hidden[k]
-        pieces.append(_run_sum(ws.run(0, a_idx), x, t, tmp=a_tmp)
-                      + _run_sum(ws.run(1, b_idx), t, out, k > 0, b_tmp))
+        calls = [(np.dot, (a_pool[a], x, t))]
+        if k:
+            calls += [(np.dot, (b_pool[b], t, ws.base)), (np.add, (out, ws.base, out))]
+        else:
+            calls.append((np.dot, (b_pool[b], t, out)))
+        pieces.append(calls)
     # w0 @ x + alpha/r * (scale * out), rounded alike, into out's own storage
     close = [(np.multiply, (out, s, out)) for s in (scale, ws.layer_scale) if s != 1.0]
     return pieces + [close + [(np.dot, (ws.w0, x, ws.base)), (np.add, (ws.base, out, out))]]
@@ -376,24 +369,20 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     if mode == "eval" and pairing is not None:
         raise ConfigError("eval-mode forward composes the layer's own pairing; pass none")
     if mode == "eval":
-        terms, scale = _eval_composition(layer)
+        runs, terms, scale = _eval_composition(layer)
     else:
-        terms, scale = _composition(layer.config, _check_pairing(
+        runs, terms, scale = _composition(layer.config, _check_pairing(
             layer.config, layer.pairing if pairing is None else pairing))
-    ws = _Workspace(layer, x.shape[1:], len(terms))
+    ws = _Workspace(_run_sums(layer, runs), x.shape[1:], len(terms))
     for calls in _apply(ws, x, terms, scale):
         _replay(calls)
     return ws.out
 
 
-def _materialize(layer: CoLALayer, terms: list[_Term], scale: float) -> np.ndarray:
-    out = None
-    for b_idx, a_idx in terms:
-        # each run summed left to right, as the forward pass sums it
-        term = (reduce(np.add, (layer.b_list[j] for j in b_idx))
-                @ reduce(np.add, (layer.a_list[i] for i in a_idx)))
-        out = term if out is None else out + term
-    return scale * out
+def _materialize(layer: CoLALayer, runs: _Runs, terms: list[tuple[int, int]],
+                 scale: float) -> np.ndarray:
+    sums = _run_sums(layer, runs)
+    return scale * reduce(np.add, (sums.b_list[b] @ sums.a_list[a] for b, a in terms))
 
 
 def delta_weight(layer: CoLALayer, pairing: Pairing | None = None) -> np.ndarray:
@@ -457,7 +446,8 @@ def flop_breakdown(config: CoLAConfig, pass_kind: str = "forward") -> dict[str, 
     """Per-component MAC counts for one sample through one layer.
 
     forward: the frozen base map (n*m) plus one application of every A_i
-    (r*m MACs) and B_j (n*r) in each train-mode term of ``_composition``.
+    (r*m MACs) and B_j (n*r) in the runs of each train-mode term of
+    ``_composition``.
     The counts do not depend on the pairing, so an all-zeros one stands in
     for any. train_step: forward plus reverse-mode products (one B^T g per
     up-application) and parameter-gradient outer products (one n x r outer
@@ -469,9 +459,10 @@ def flop_breakdown(config: CoLAConfig, pass_kind: str = "forward") -> dict[str, 
         raise ValueError(f"pass kind must be 'forward' or 'train_step', got {pass_kind!r}")
     n, m, r = config.out_dim, config.in_dim, config.rank
     draw = _pairing_range(config)
-    terms, _ = _composition(config, draw and (0,) * draw[1])
-    down_apps = sum(len(a_idx) for _, a_idx in terms)
-    up_apps = sum(len(b_idx) for b_idx, _ in terms)
+    runs, terms, _ = _composition(config, draw and (0,) * draw[1])
+    a_lengths, b_lengths = ([hi - lo for lo, hi in side] for side in runs)
+    down_apps = sum(a_lengths[a] for _, a in terms)
+    up_apps = sum(b_lengths[b] for b, _ in terms)
     parts = {"base": n * m, "down": down_apps * r * m, "up": up_apps * n * r}
     if pass_kind == "train_step":
         parts["reverse"] = up_apps * n * r

@@ -35,13 +35,13 @@ class ConvergenceError(RuntimeError):
 
 
 def as_matrix(w, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a 2-D float64 C-order array, validating finiteness;
-    complex input is refused by its ``name``."""
+    """Coerce input to a 2-D float64 C-order array; complex input and NaN
+    or Inf entries are refused by its ``name``."""
     a = np.ascontiguousarray(_as_real(w, name))
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"expected a 2-D matrix, got array of shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise ValueError(f"{name} contains NaN or Inf entries")
     return a
 
 

@@ -1,12 +1,12 @@
 """Gradients, optimizers and the training loop.
 
 Gradients are hand-derived from the factored forward pass. ``backward`` reads
-the same term list as ``adapter.forward`` (see the ``adapter`` module), so it
-is one generic loop: a term's B_j receive g (sum_i A_i x)^T and its A_i
-receive ((sum_j B_j)^T g) x^T, and each pool member sums over the terms it
-appears in. :func:`finite_diff_check` keeps its own, deliberately
-independent, extended-precision statement of the rules: it is the oracle the
-term list is tested against. The conventions:
+the runs and terms of ``adapter.forward`` (see the ``adapter`` module), so it
+is one generic loop over the run sums: a term (B, A) of run sums gives B the
+gradient g (A x)^T and A the gradient (B^T g) x^T, a run sum adds them over
+its terms, and each member takes its run's gradient. :func:`finite_diff_check`
+keeps its own, deliberately independent, extended-precision statement of the
+rules: it is the oracle the term list is tested against. The conventions:
 
 * The base w0 is frozen: it never receives a gradient and training never
   writes to it.
@@ -27,7 +27,7 @@ carries the 1/B factor).
 once: the forward pass (``adapter._apply``, one piece per term), the loss
 (``_loss``, the one statement of the squared-error and cross-entropy
 arithmetic: calls that write dL/dy, and a readout of the loss), the backward
-pass (:func:`_backward`, which reuses each term's hidden state sum_i A_i x)
+pass (:func:`_backward`, which reuses each term's hidden state A x)
 and the optimizer (``_update``, the one statement of the SGD and Adam
 arithmetic: calls whose scalars are 0-d arrays, and an advance that counts
 the step and sets Adam's bias corrections). A step takes its samples, as
@@ -36,18 +36,14 @@ draws a block of steps in one rng call (per step the batch indices, then any
 pairing), which leaves the generator where one draw after the other would;
 a run that resamples reuses each drawn pairing's lists within its block. A
 step zero-fills the gradient unless :func:`_backward` writes it all straight.
-Pool members that appear in exactly the same terms (all A_i and all B_j
-under FULL, the tail B_M..B_N under HEURISTIC) get the same gradient at
-every step, so a run trains one matrix per such class, the members' sum, at
-lr times the class size, and writes the members once, after its last step;
-a run that resamples its pairing has one class per member. A step thus
-knows nothing of classes. :func:`backward` and :func:`optimizer_step` replay
-the same recorded calls once.
+The members of one run get the same gradient at every step, so a training
+run trains the run sums, at lr times the run length, and writes the members
+once, after its last step. :func:`backward` and :func:`optimizer_step`
+replay the same recorded calls once.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -61,14 +57,13 @@ from .adapter import (
     _Workspace,
     _apply,
     _replay,
-    _run_sum,
+    _run_sums,
     _check_pairing,
     _composition,
     _pairing_range,
     _pool_views,
     flop_count,
     forward,
-    trainable_params,
 )
 from .linalg import ShapeError, _as_real
 
@@ -117,28 +112,33 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     g2 = _as_columns(g_out, cfg.out_dim, "g_out")
     if x2.shape[1] != g2.shape[1]:
         raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
-    terms, scale = _composition(cfg, _check_pairing(cfg, pairing))
-    ws = _StepWorkspace(layer, x2.shape[1:])
+    runs, terms, scale = _composition(cfg, _check_pairing(cfg, pairing))
+    ws = _StepWorkspace(_run_sums(layer, runs), x2.shape[1:])
     for calls in _apply(ws, x2, terms, scale) + _backward(ws, x2, g2, terms, scale):
         _replay(calls)
-    return ws.grads
+    grads = Grads(layer)  # each member takes its run's gradient
+    for pool, run_grads, side in zip((grads.da_list, grads.db_list),
+                                     (ws.grads.da_list, ws.grads.db_list), runs):
+        pool[...] = np.repeat(run_grads, [hi - lo for lo, hi in side], axis=0)
+    return grads
 
 
 class _StepWorkspace(_Workspace):
-    """An :func:`_apply` workspace for compositions of at most max(M, N)
-    terms, plus the buffers of the loss and of :func:`_backward`, and the
-    gradient ``grads``, allocated zeroed and laid out like the layer's
-    ``params``, with ``ga`` and ``gb`` the lists of its A and B members."""
+    """An :func:`_apply` workspace over a layer of run sums for compositions
+    of at most max(M, N) terms, plus the buffers of the loss and of
+    :func:`_backward`, and the gradient ``grads``, allocated zeroed and laid
+    out like the run sums' ``params``, with ``ga`` and ``gb`` the lists of
+    its A and B members."""
 
-    def __init__(self, layer: CoLALayer, cols: tuple[int, ...]):
-        cfg = layer.config
+    def __init__(self, sums: CoLALayer, cols: tuple[int, ...]):
+        cfg = sums.config
         n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
-        super().__init__(layer, cols, max(cfg.a_count, cfg.b_count))
+        super().__init__(sums, cols, max(cfg.a_count, cfg.b_count))
         self.hidden_t = [t.T for t in self.hidden]
         self.g, self.sq, self.gs = (np.empty((n,) + cols) for _ in range(3))
         self.rev = np.empty((r,) + cols)
-        self.db, self.bsum, self.da = np.empty((n, r)), np.empty((n, r)), np.empty((r, m))
-        self.grads = Grads(layer)
+        self.db, self.da = np.empty((n, r)), np.empty((r, m))
+        self.grads = Grads(sums)
         # one view per member: an add that reads and writes one view object
         # runs faster than one given two views of the same member
         self.ga, self.gb = list(self.grads.da_list), list(self.grads.db_list)
@@ -146,30 +146,27 @@ class _StepWorkspace(_Workspace):
 
 def _backward(ws: _StepWorkspace, x2: np.ndarray, g2: np.ndarray, terms,
               scale: float) -> list[list[tuple]]:
-    """The calls that write the pool gradients into ``ws.ga`` and ``ws.gb``,
-    given each term's hidden state from the forward pass in ``ws`` (whose
-    recording built each B run): the list that folds both scales into g_out,
-    then one list per term. A product goes straight into a member's slot if
-    that member is its term's whole run on its side and in no other term,
-    else to ``ws.db``/``ws.da`` and is added; the first list zero-fills the
-    gradient unless every slot is written straight."""
+    """The calls that write the run sums' gradients into ``ws.ga`` and
+    ``ws.gb``, given each term's hidden state from the forward pass in
+    ``ws``: the list that folds both scales into g_out, then one list per
+    term. A product goes straight into its run's gradient if that run is in
+    no other term, else to ``ws.db``/``ws.da`` and is added; the first list
+    zero-fills the gradient unless every run's is written straight."""
     head = []
     if (total := ws.layer_scale * scale) != 1.0:
         head.append((np.multiply, (g2, np.array(total), ws.gs)))
         g2 = ws.gs
-    x_t = x2.T
-    b_used, a_used = (sum(runs, ()) for runs in zip(*terms))  # each member once per term
+    x_t, b_pool = x2.T, ws.pools[1]
+    b_used, a_used = zip(*terms)
     pieces, straight = [head], 0
-    for (b_idx, a_idx), t_t in zip(terms, ws.hidden_t):
-        b_run = ws.run(1, b_idx)
-        b_sum = b_run[0] if len(b_run) == 1 else ws.bsum
-        db = ws.gb[b_idx[0]] if b_used.count(b_idx[0]) == len(b_idx) == 1 else ws.db
-        da = ws.ga[a_idx[0]] if a_used.count(a_idx[0]) == len(a_idx) == 1 else ws.da
+    for (b, a), t_t in zip(terms, ws.hidden_t):
+        db = ws.gb[b] if b_used.count(b) == 1 else ws.db
+        da = ws.ga[a] if a_used.count(a) == 1 else ws.da
         straight += (db is not ws.db) + (da is not ws.da)
-        calls = [(np.dot, (g2, t_t, db)), *_run_sum(b_run, None, ws.bsum),
-                 (np.dot, (b_sum.T, g2, ws.rev)), (np.dot, (ws.rev, x_t, da))]
-        calls += [(np.add, (ws.gb[j], db, ws.gb[j])) for j in b_idx if db is ws.db]
-        calls += [(np.add, (ws.ga[i], da, ws.ga[i])) for i in a_idx if da is ws.da]
+        calls = [(np.dot, (g2, t_t, db)), (np.dot, (b_pool[b].T, g2, ws.rev)),
+                 (np.dot, (ws.rev, x_t, da))]
+        calls += [(np.add, (ws.gb[b], db, ws.gb[b]))] if db is ws.db else []
+        calls += [(np.add, (ws.ga[a], da, ws.ga[a]))] if da is ws.da else []
         pieces.append(calls)
     if straight < len(ws.ga) + len(ws.gb):
         head.insert(0, (ws.grads.flat.fill, (0.0,)))
@@ -256,7 +253,7 @@ class OptimizerState:
     """SGD or Adam (decoupled weight decay fixed at 0). The first recorded Adam
     update allocates the moments ``m`` and ``v`` and a ``scratch`` buffer like
     the update it writes (the parameters under :func:`optimizer_step`, the
-    class sums inside :func:`train_loop`), so later steps allocate none; an
+    run sums inside :func:`train_loop`), so later steps allocate none; an
     update of another shape raises :class:`ShapeError`."""
 
     kind: str
@@ -420,31 +417,18 @@ def _dataset_loss(layer: CoLALayer, task) -> float:
     return readout()
 
 
-def _classes(terms, a_count: int, b_count: int) -> tuple[list[int], list[int]]:
-    """Each A and each B member's class, numbered in member order: members of
-    one pool that appear in exactly the same terms form one class, and under
-    a fixed composition they get the same gradient at every step."""
-    a_seen: dict = {}
-    b_seen: dict = {}
-    a_class = [a_seen.setdefault(tuple(k for k, (_, a_idx) in enumerate(terms) if i in a_idx),
-                                 len(a_seen)) for i in range(a_count)]
-    b_class = [b_seen.setdefault(tuple(k for k, (b_idx, _) in enumerate(terms) if j in b_idx),
-                                 len(b_seen)) for j in range(b_count)]
-    return a_class, b_class
-
-
 def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                batch: int, rng: np.random.Generator, seed: int = 0) -> TrainReport:
     """Minibatch training of a layer's pools on a synthetic task.
 
     Deterministic per rng stream: each step first draws the batch indices,
     then (for random strategies with an unfrozen pairing) the fresh pairing;
-    a block of steps makes these draws in one call. The run trains one
-    matrix per class of pool members, their sum, at ``optimizer.lr`` times
-    the class size (an Adam state laid out otherwise raises
+    a block of steps makes these draws in one call. The run trains the run
+    sums of its composition (``adapter._composition``) at ``optimizer.lr``
+    times the run length (an Adam state laid out otherwise raises
     :class:`ShapeError`), and writes the members after the last step: a
-    member alone in its class becomes its trained sum, and a member of a
-    class of k moves by (trained sum - starting sum) / k. The frozen base is
+    member alone in its run becomes its trained sum, and a member of a run
+    of k moves by (trained sum - starting sum) / k. The frozen base is
     never written. Raises :class:`DivergenceError` at the first non-finite
     minibatch loss, which leaves the members as they were, or, once they are
     written, if the final loss is not finite.
@@ -456,31 +440,18 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     cfg = layer.config
     frozen = layer.pairing is not None and layer.pairing.frozen
     draw = None if frozen else _pairing_range(cfg)
-    # Every pairing of a random strategy composes with one scale, and the
-    # term at position k depends on the pairing's k-th entry alone, so a
-    # resampling run records each (position, term) once, off the composition
-    # of each constant pairing, and a step picks its pieces by the pairing.
-    # Such a run keeps one class per member; a fixed composition trains its
-    # terms over the classes its members form.
-    if draw is None:
-        terms, scale = _composition(cfg, _check_pairing(cfg, layer.pairing))
-        a_class, b_class = _classes(terms, cfg.a_count, cfg.b_count)
-        compositions = [([(tuple(dict.fromkeys(b_class[j] for j in b_idx)),
-                           tuple(dict.fromkeys(a_class[i] for i in a_idx)))
-                          for b_idx, a_idx in terms], scale)]
-    else:
-        a_class, b_class = list(range(cfg.a_count)), list(range(cfg.b_count))
-        compositions = [_composition(cfg, (v,) * draw[1]) for v in range(draw[0])]
-    # The class sums are a layer with one member per class: each entry sums,
-    # left to right, the entries of params that ``slot`` sends to it (from
-    # -0.0, which keeps every addend's bits, signed zeros included).
-    sums_cfg = dataclasses.replace(cfg, a_count=max(a_class) + 1, b_count=max(b_class) + 1)
-    rm, nr = cfg.rank * cfg.in_dim, cfg.out_dim * cfg.rank
-    slot = np.concatenate([c * rm + np.arange(rm) for c in a_class] + [
-        sums_cfg.a_count * rm + c * nr + np.arange(nr) for c in b_class])
-    sums = CoLALayer(layer.w0, sums_cfg, np.full(trainable_params(sums_cfg), -0.0))
-    np.add.at(sums.params, slot, layer.params)
-    sums_start, sizes = sums.params.copy(), np.bincount(slot)
+    # Every pairing of a random strategy composes one run per member with one
+    # scale, and the term at position k depends on the pairing's k-th entry
+    # alone, so a resampling run records each (position, term) once, off the
+    # composition of each constant pairing, and a step picks its pieces.
+    pairings = ([_check_pairing(cfg, layer.pairing)] if draw is None
+                else [(v,) * draw[1] for v in range(draw[0])])
+    compositions = [_composition(cfg, pairing) for pairing in pairings]
+    runs = compositions[0][0]
+    sums = _run_sums(layer, runs)
+    sums_start = sums.params.copy()
+    widths = [cfg.rank * cfg.in_dim] * len(runs[0]) + [cfg.out_dim * cfg.rank] * len(runs[1])
+    lr = optimizer.lr * np.repeat([hi - lo for side in runs for lo, hi in side], widths)
     ws = _StepWorkspace(sums, (batch,))
     grad = ws.grads.flat
 
@@ -500,9 +471,9 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
 
     # A step's two lists of calls, over the workspace, x_rows and t_rows.
     recorded = [(_apply(ws, xb, terms, scale), _backward(ws, xb, ws.g, terms, scale))
-                for terms, scale in compositions]
+                for _, terms, scale in compositions]
     loss_calls, readout, divide = _loss(task.kind, ws.out, tb, ws.g, ws.sq)
-    optimizer_calls, advance = _update(optimizer, grad, grad, optimizer.lr * sizes)
+    optimizer_calls, advance = _update(optimizer, grad, grad, lr)
     optimizer_calls.append((np.subtract, (sums.params, grad, sums.params)))
     close = recorded[0][0][-1] + loss_calls
     head = divide + recorded[0][1][0]
@@ -546,12 +517,14 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                 losses.append(loss)
         del x_samples, t_samples
 
-        # a member alone in its class becomes its trained sum; a member of a
-        # class of k moves by (sum_end - sum_start) / k, written as a
+        # a member alone in its run becomes its trained sum; a member of a
+        # run of k moves by (sum_end - sum_start) / k, written as a
         # subtraction, which leaves it untouched, signed zeros included, when
-        # its class sum never moved
-        moved = layer.params - ((sums_start - sums.params) / sizes)[slot]
-        layer.params[...] = np.where((sizes == 1)[slot], sums.params[slot], moved)
+        # its run sum never moved
+        for pool, trained, began, side in zip((layer.a_list, layer.b_list), (
+                sums.a_list, sums.b_list), _pool_views(sums_start, sums.config), runs):
+            for end, start, (lo, hi) in zip(trained, began, side):
+                pool[lo:hi] = end if hi - lo == 1 else pool[lo:hi] - (start - end) / (hi - lo)
         final_loss = _dataset_loss(layer, task)
     if not math.isfinite(final_loss):
         raise DivergenceError(f"training diverged: final loss {final_loss} after "

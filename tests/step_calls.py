@@ -8,7 +8,9 @@ recovery task:
   ``training._replay`` over a 400-step and a 0-step run, whose difference
   is divided by 400;
 * ``us``: the microseconds per step, as a 400-step run minus a 0-step run,
-  each the min of 7 runs from a fresh layer.
+  each the min of 7 runs from a fresh layer;
+* ``setup_us``: the microseconds of that 0-step run, the per-run setup
+  (run sums, workspace, recorded calls and the two dataset losses).
 
 The script is not a test (pytest collects only ``test_*.py``). Run it from
 the repository root, naming the tree to measure by its ``src``, with one
@@ -57,17 +59,17 @@ def calls_per_step(task, cfg) -> float:
     return (totals[0] - totals[1]) / STEPS
 
 
-def us_per_step(task, cfg) -> float:
+def us_per_step_and_setup(task, cfg) -> tuple[float, float]:
     long = min(run(task, cfg, STEPS) for _ in range(REPEATS))
     short = min(run(task, cfg, 0) for _ in range(REPEATS))
-    return (long - short) / STEPS * 1e6
+    return (long - short) / STEPS * 1e6, short * 1e6
 
 
 def main() -> None:
     task = make_recovery_task(RecoveryTaskSpec(n=32, m=32, base_seed=1, components=3,
                                                noise_std=0.05, train_samples=400,
                                                eval_samples=400), make_rng(1))
-    print(f"{'strategy':10s} {'M':>2s} {'N':>2s} {'calls':>6s} {'us':>6s}")
+    print(f"{'strategy':10s} {'M':>2s} {'N':>2s} {'calls':>6s} {'us':>6s} {'setup_us':>8s}")
     for strategy in Strategy:
         for m_count in COUNTS:
             for n_count in COUNTS:
@@ -75,9 +77,9 @@ def main() -> None:
                     continue
                 cfg = CoLAConfig(in_dim=32, out_dim=32, rank=8, a_count=m_count,
                                  b_count=n_count, strategy=strategy)
+                us, setup_us = us_per_step_and_setup(task, cfg)
                 print(f"{strategy.value:10s} {m_count:2d} {n_count:2d} "
-                      f"{calls_per_step(task, cfg):6.2f} {us_per_step(task, cfg):6.1f}",
-                      flush=True)
+                      f"{calls_per_step(task, cfg):6.2f} {us:6.1f} {setup_us:8.1f}", flush=True)
 
 
 if __name__ == "__main__":

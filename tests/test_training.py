@@ -17,7 +17,7 @@ from cola_forge.adapter import (
     make_layer,
     sample_pairing,
 )
-from cola_forge.adapter import _apply, _check_pairing, _composition, _replay, _run_sum
+from cola_forge.adapter import _apply, _check_pairing, _composition, _replay, _run_sums
 from cola_forge.harness import (
     ClassifyTaskSpec,
     RecoveryTaskSpec,
@@ -104,6 +104,25 @@ class TestBackward:
         batched = backward(layer, xs, gs)
         summed = sum(backward(layer, xs[:, col], gs[:, col]).flat for col in range(4))
         assert np.abs(batched.flat - summed).max() <= 1e-12
+
+    @pytest.mark.parametrize("strategy, a_count, b_count", [
+        (Strategy.FULL, 2, 3), (Strategy.HEURISTIC, 2, 4)])
+    def test_every_member_of_a_run_takes_the_run_gradient(self, strategy, a_count, b_count):
+        # the members of FULL (2, 3)'s two runs and of the HEURISTIC (2, 4)
+        # tail B_1..B_3 each get their run's gradient, bit for bit: the
+        # gradient of the class-sum adapter's member for that run
+        cfg = CoLAConfig(in_dim=12, out_dim=16, rank=4, a_count=a_count, b_count=b_count,
+                         strategy=strategy)
+        layer = random_layer(cfg, seed=3)
+        sums, a_class, b_class = class_sum_adapter(layer)
+        rng = make_rng(4)
+        x, g = rng.normal(size=(12, 5)), rng.normal(size=(16, 5))
+        grads, run_grads = backward(layer, x, g), backward(sums, x, g)
+        assert len(set(a_class + b_class)) < a_count + b_count  # a run of several
+        for members, runs, classes in ((grads.da_list, run_grads.da_list, a_class),
+                                       (grads.db_list, run_grads.db_list, b_class)):
+            for member, c in zip(members, classes):
+                assert member.tobytes() == runs[c].tobytes()
 
 
 class TestFiniteDiffCheck:
@@ -397,10 +416,12 @@ class TestTrainLoop:
 
     def test_eval_forward_allocates_only_what_its_composition_uses(self):
         # 872880 bytes is the traced peak of this forward while pool sums had
-        # a stacked-matmul branch; a workspace that allocated every buffer of
-        # a training step up front would peak at ~1.43 MB. The first forward
-        # of a process also allocates one-time objects, so an untraced one of
-        # the same shape runs first and the second is traced.
+        # a stacked-matmul branch, and 32768 bytes are the run sums (one A and
+        # one B of 128 x 16) that a forward now composes from instead of
+        # adding a product per member; a workspace that allocated every buffer
+        # of a training step up front would peak at ~1.43 MB. The first
+        # forward of a process also allocates one-time objects, so an untraced
+        # one of the same shape runs first and the second is traced.
         rng = make_rng(3)
         cfg = CoLAConfig(in_dim=128, out_dim=128, rank=16, a_count=2, b_count=3)
         layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1),
@@ -413,7 +434,7 @@ class TestTrainLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 872880
+        assert peak <= 872880 + 32768
 
     def test_frozen_pairing_is_honored(self):
         task = small_task()
@@ -580,23 +601,31 @@ class TestFusedStep:
         self.check_against_hand_loop(task, cfg, frozen, kind, batch, steps, lr=2e-3)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
-    @pytest.mark.parametrize("strategy", [Strategy.FULL, Strategy.RANDOM_AB])
-    def test_resumed_run_matches_one_hand_loop(self, strategy, kind):
+    @pytest.mark.parametrize("strategy, frozen", [
+        (Strategy.FULL, False), (Strategy.RANDOM_AB, False), (Strategy.RANDOM_AB, True)],
+        ids=["full", "random_ab", "random_ab-frozen"])
+    def test_resumed_run_matches_one_hand_loop(self, strategy, frozen, kind):
         # a second train_loop on the same layer, optimizer state and rng
-        # continues the first, mid block of draws: FULL (2, 3) carries its
-        # class moments over and sums its written members again, as two
-        # class-sum runs do, RANDOM_AB (2, 3) its per-member moments
+        # continues the first, mid block of draws: FULL (2, 3) carries the
+        # moments of its run sums over and sums its written members again, as
+        # two class-sum runs do; RANDOM_AB (2, 3), resampling or frozen at
+        # (1, 1), has one run per member, so its moments are laid out like
+        # the members, B_0 and B_2 (in no frozen term) included
         task = small_task(noise=0.05)
         cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
                          strategy=strategy)
         fused, hand, sums = (build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(5),
                                          base_w0=task.w_base) for _ in range(3))
+        if frozen:
+            fused, hand = (dataclasses.replace(layer, pairing=Pairing((1, 1), frozen=True))
+                           for layer in (fused, hand))
         state, rng = make_optimizer(kind, 1e-2), make_rng(9)
         losses = [loss for steps in (17, 13) for loss in
                   train_loop(task, fused, state, steps=steps, batch=8, rng=rng).losses]
         assert state.step == 30
         hand_losses = self.hand_loop(task, hand, kind, 30, 8, make_rng(9))
         if strategy is Strategy.RANDOM_AB:
+            assert state.m is None or state.m.shape == fused.params.shape
             assert losses == hand_losses
             assert fused.params.tobytes() == hand.params.tobytes()
             return
@@ -661,27 +690,30 @@ class TestFusedStep:
         (3, 128, 32), (4, 16, None),
     ])
     def test_pool_sum_adds_left_to_right(self, count, rows, cols):
-        # the recorded calls that add up a run, one product at a time in
-        # index order, must round as a plain loop (numpy's reductions sum
-        # pairwise over 8 or more one-element slices)
-        idx = tuple(range(1, count + 1))
+        # a run sum adds its members one at a time in index order and must
+        # round as a plain loop (numpy's reductions sum pairwise over 8 or
+        # more one-element slices); B members are rows x cols and A members
+        # cols x rows, one column or row where cols is None
+        rank = cols or 1
+        cfg = CoLAConfig(in_dim=rows, out_dim=rows, rank=rank, a_count=count + 2,
+                         b_count=count + 2, alpha=1.0)
+        runs = ([(0, 1), (1, count + 1), (count + 1, count + 2)], [(1, count + 1)])
         for seed in range(10):
             rng = make_rng(seed)
-            stack = rng.normal(size=(count + 2, rows, 5)) * 10.0 ** rng.integers(
-                -6, 6, size=(count + 2, rows, 5))
-            v = rng.normal(size=5 if cols is None else (5, cols))
-            product_sum, plain_sum = stack[1] @ v, stack[1].copy()
-            for k in idx[1:]:
-                product_sum += stack[k] @ v
-                plain_sum += stack[k]
-            run = list(stack[1:count + 1])
-            product, tmp, plain = (np.empty_like(a) for a in (product_sum, product_sum,
-                                                                plain_sum))
-            _replay(_run_sum(run, v, product, tmp=tmp))
-            _replay(_run_sum(run, None, plain))
-            assert product.tobytes() == product_sum.tobytes()
-            # a run of one member sums to the member itself, with no call
-            assert (plain if count > 1 else run[0]).tobytes() == plain_sum.tobytes()
+            layer = make_layer(np.zeros((rows, rows)), [np.zeros((rank, rows))] * (count + 2),
+                               [np.zeros((rows, rank))] * (count + 2), cfg)
+            size = layer.params.size
+            layer.params[:] = rng.normal(size=size) * 10.0 ** rng.integers(-6, 6, size=size)
+            sums = _run_sums(layer, runs)
+            assert not np.shares_memory(sums.params, layer.params)
+            for pool, run_sums, side in ((layer.a_list, sums.a_list, runs[0]),
+                                         (layer.b_list, sums.b_list, runs[1])):
+                assert len(run_sums) == len(side)
+                for run_sum, (lo, hi) in zip(run_sums, side):
+                    plain_sum = pool[lo]
+                    for k in range(lo + 1, hi):
+                        plain_sum = plain_sum + pool[k]
+                    assert run_sum.tobytes() == plain_sum.tobytes()
 
     # each product of a train step as (rows, inner, cols) of n, m, r and the
     # batch, and the layout of its operands: C-contiguous, or F, the
@@ -779,10 +811,11 @@ class TestFusedStep:
         assert layer.params.tobytes() == before
 
     def test_the_write_back_is_exact(self):
-        # a frozen RANDOM_AB (2, 3) pairing (1, 1) under PiSSA: A_0, A_1 and
-        # B_1 are alone in their classes and become their trained sums; B_0
-        # and B_2, which no term uses, form a class whose sum never moves, so
-        # they keep their nonzero PiSSA values bit for bit
+        # a frozen RANDOM_AB (2, 3) pairing (1, 1) under PiSSA: every run is
+        # one member and becomes its trained sum, as the class-sum reference
+        # trains A_0, A_1 and B_1; B_0 and B_2, which no term uses, get a zero
+        # gradient at every step, so they keep their nonzero PiSSA values bit
+        # for bit, as the class of both does in the reference
         task = small_task(noise=0.05)
         cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
                          strategy=Strategy.RANDOM_AB)
@@ -824,18 +857,19 @@ class TestFusedStep:
         (Strategy.RANDOM_AB, 1, 1), (Strategy.RANDOM_BA, 1, 1)])
     def test_every_slot_is_written_straight_where_no_fill_runs(self, strategy, a_count,
                                                                b_count, monkeypatch):
-        # each member of the class-sum composition is one term's whole run on
-        # its side and in no other term, so its product is written straight
+        # each run of the class-sum composition is one member, in one term,
+        # so its product is written straight
         # into its gradient slot: a slot left over from the last step (here
         # NaN) is overwritten, and train_loop records no zero-fill
         cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=a_count, b_count=b_count,
                          strategy=strategy)
         layer = random_layer(cfg, seed=5)
         sums, _, _ = class_sum_adapter(layer)
-        terms, scale = _composition(sums.config, _check_pairing(sums.config, sums.pairing))
+        runs, terms, scale = _composition(sums.config, _check_pairing(sums.config,
+                                                                      sums.pairing))
         rng = make_rng(6)
         x, g = rng.normal(size=(20, 8)), rng.normal(size=(24, 8))
-        ws = _StepWorkspace(sums, (8,))
+        ws = _StepWorkspace(_run_sums(sums, runs), (8,))
         ws.grads.flat.fill(np.nan)
         for calls in _apply(ws, x, terms, scale) + _backward(ws, x, g, terms, scale):
             _replay(calls)
@@ -847,10 +881,10 @@ class TestFusedStep:
         assert not fills and np.isfinite(layer.params).all()
 
     def test_a_run_that_adds_a_product_keeps_the_zero_fill(self, monkeypatch):
-        # a frozen RANDOM_AB (2, 3) pairing (1, 1): B_1's class takes the
-        # products of two terms, added, and B_0 and B_2 form a class no term
-        # uses, so each step zeroes the gradient first; under SGD the unused
-        # class's slot then holds lr * 0 after every step
+        # a frozen RANDOM_AB (2, 3) pairing (1, 1): B_1's run takes the
+        # products of two terms, added, and no term uses B_0 or B_2, so each
+        # step zeroes the gradient first; under SGD B_0's slot then holds
+        # lr * 0 after every step
         cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
                          strategy=Strategy.RANDOM_AB)
         layer = dataclasses.replace(random_layer(cfg, seed=5),
@@ -860,7 +894,7 @@ class TestFusedStep:
         train_loop(small_task(), layer, make_optimizer("sgd", 1e-2), steps=5, batch=8,
                    rng=make_rng(9))
         assert len(fills) == 5 and all(grad is fills[0] for grad in fills)
-        # the class sums hold A_0, A_1, then B's classes {B_0, B_2} and {B_1}
+        # the run sums hold A_0, A_1, B_0, B_1 and B_2, one member each
         unused = fills[0][2 * 4 * 20:][:24 * 4]
         assert unused.tobytes() == np.zeros_like(unused).tobytes()
         assert np.isfinite(layer.params).all()
@@ -936,4 +970,32 @@ def test_complex_input_is_refused_by_name(make, name):
     # even where it is exactly zero
     layer = random_layer(CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3))
     with pytest.raises(ValueError, match=f"^{name} must be real, got complex entries$"):
+        make(layer)
+
+
+def with_entry(matrix, value):
+    """A copy of ``matrix`` whose entry (0, 1) is ``value``."""
+    out = np.array(matrix)
+    out[0, 1] = value
+    return out
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda layer: make_layer(with_entry(layer.w0, NAN), list(layer.a_list),
+                              list(layer.b_list), layer.config), "w0"),
+    (lambda layer: make_layer(layer.w0, [layer.a_list[0], with_entry(layer.a_list[1], NAN)],
+                              list(layer.b_list), layer.config), "a_list and b_list"),
+    (lambda layer: make_layer(layer.w0, list(layer.a_list),
+                              [*layer.b_list[:2], with_entry(layer.b_list[2], -np.inf)],
+                              layer.config), "a_list and b_list"),
+    (lambda layer: svd(with_entry(layer.w0, np.inf)), "w"),
+    (lambda layer: build_layer(layer.config, InitSpec(GAUSSIAN_ZERO), make_rng(0),
+                               base_w0=with_entry(layer.w0, NAN)), "w0"),
+    (lambda layer: build_layer(layer.config, InitSpec(PISSA, source_w=with_entry(
+        layer.w0, NAN)), make_rng(0)), "w"),
+], ids=["make_layer-w0", "make_layer-a-pool", "make_layer-b-pool", "svd", "gaussian_zero-w0",
+        "pissa-w"])
+def test_non_finite_input_is_refused_by_name(make, name):
+    layer = random_layer(CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3))
+    with pytest.raises(ValueError, match=f"^{name} contains NaN or Inf entries$"):
         make(layer)
