@@ -311,7 +311,8 @@ def _replay(calls: list[tuple]) -> None:
 class _Workspace:
     """The only buffers of a forward pass beside its run sums, for inputs of
     trailing shape ``cols``: DeltaW x (``out``), W0 x (``base``, until then
-    the scratch of each B product added into DeltaW x) and the hidden states
+    the scratch of each B product added into DeltaW x; only that scratch
+    where :func:`_apply` is given W0 x) and the hidden states
     of at most ``terms`` terms, which :func:`_apply`'s calls compute into."""
 
     def __init__(self, sums: CoLALayer, cols: tuple[int, ...], terms: int):
@@ -323,7 +324,7 @@ class _Workspace:
 
 
 def _apply(ws: _Workspace, x: np.ndarray, terms: list[tuple[int, int]],
-           scale: float) -> list[list[tuple]]:
+           scale: float, base: np.ndarray | None = None) -> list[list[tuple]]:
     """The calls that compute W0 x + (alpha/r) DeltaW x for a composition
     over the run sums of ``ws`` into ``ws.out``, factored (DeltaW is never
     materialized), and the hidden state A x of each term's A run sum into
@@ -334,7 +335,9 @@ def _apply(ws: _Workspace, x: np.ndarray, terms: list[tuple[int, int]],
 
     Every product is one 2-D ``np.dot`` into a buffer, the B products are
     added into DeltaW x in term order, and the scales come last; a scale of
-    exactly 1.0 is skipped.
+    exactly 1.0 is skipped. ``base``, shaped like ``ws.out`` and holding W0 x
+    when the lists run, replaces the closing product W0 x (a training run
+    takes it from a table it multiplies once).
     """
     (a_pool, b_pool), out = ws.pools, ws.out
     pieces = []
@@ -348,7 +351,10 @@ def _apply(ws: _Workspace, x: np.ndarray, terms: list[tuple[int, int]],
         pieces.append(calls)
     # w0 @ x + alpha/r * (scale * out), rounded alike, into out's own storage
     close = [(np.multiply, (out, s, out)) for s in (scale, ws.layer_scale) if s != 1.0]
-    return pieces + [close + [(np.dot, (ws.w0, x, ws.base)), (np.add, (ws.base, out, out))]]
+    if base is None:
+        base = ws.base
+        close.append((np.dot, (ws.w0, x, base)))
+    return pieces + [close + [(np.add, (base, out, out))]]
 
 
 def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",

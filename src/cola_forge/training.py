@@ -30,16 +30,20 @@ arithmetic: calls that write dL/dy, and a readout of the loss), the backward
 pass (:func:`_backward`, which reuses each term's hidden state A x)
 and the optimizer (``_update``, the one statement of the SGD and Adam
 arithmetic: calls whose scalars are 0-d arrays, and an advance that counts
-the step and sets Adam's bias corrections). A step takes its samples, as
-rows, into fixed buffers, and is two replays around the loss readout. A run
-draws a block of steps in one rng call (per step the batch indices, then any
+the step and sets Adam's bias corrections). W0 and the training set are
+fixed, so a run multiplies W0 into the training set once, in batch-sized
+chunks that round each column as a step's own product would; a step takes
+its x as rows, and its W0 x and targets as columns of the run's tables, into
+fixed buffers, and is two replays around the loss readout. A run draws a
+block of steps in one rng call (per step the batch indices, then any
 pairing), which leaves the generator where one draw after the other would;
 a run that resamples reuses each drawn pairing's lists within its block. A
 step zero-fills the gradient unless :func:`_backward` writes it all straight.
 The members of one run get the same gradient at every step, so a training
 run trains the run sums, at lr times the run length, and writes the members
 once, after its last step. :func:`backward` and :func:`optimizer_step`
-replay the same recorded calls once.
+replay the same recorded calls once; ``forward`` and :func:`backward`
+compute W0 x themselves.
 """
 
 from __future__ import annotations
@@ -116,6 +120,8 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     ws = _StepWorkspace(_run_sums(layer, runs), x2.shape[1:])
     for calls in _apply(ws, x2, terms, scale) + _backward(ws, x2, g2, terms, scale):
         _replay(calls)
+    if ws.grads.flat.size == layer.params.size:  # every run is one member
+        return ws.grads
     grads = Grads(layer)  # each member takes its run's gradient
     for pool, run_grads, side in zip((grads.da_list, grads.db_list),
                                      (ws.grads.da_list, ws.grads.db_list), runs):
@@ -417,6 +423,24 @@ def _dataset_loss(layer: CoLALayer, task) -> float:
     return readout()
 
 
+def _sample_tables(w0: np.ndarray, x_train: np.ndarray,
+                   batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of ``x_train`` (m x size) as rows, copied row-major and
+    zero-padded to whole batches, and W0 x of each as a column of an n x
+    (padded size) table. The table is one batch-sized product per chunk of
+    rows, written in place, so each column rounds as a step's own product
+    ``np.dot(w0, x_rows.T, out)`` would round it (one product over all the
+    samples rounds otherwise)."""
+    size = x_train.shape[1]
+    chunks = -(-size // batch)
+    rows = np.zeros((chunks * batch, x_train.shape[0]), x_train.dtype)
+    rows[:size] = x_train.T
+    table = np.empty((w0.shape[0], chunks * batch))
+    np.matmul(w0, rows.reshape(chunks, batch, -1).transpose(0, 2, 1),
+              out=table.reshape(-1, chunks, batch).transpose(1, 0, 2))
+    return rows, table
+
+
 def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                batch: int, rng: np.random.Generator, seed: int = 0) -> TrainReport:
     """Minibatch training of a layer's pools on a synthetic task.
@@ -458,21 +482,23 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     # A block of steps draws, per step, its batch indices and then (if it
     # resamples) its pairing, all in one rng call with per-element bounds; a
     # block holds at most 64 steps and no more indices than the training set
-    # has samples. A step takes its samples, as rows, into fixed buffers:
-    # ``x_rows`` and ``t_rows``, whose transposes are laid out like
-    # ``x_train[:, idx]`` and ``y_train[..., idx]``.
+    # has samples. A step takes its samples into fixed buffers: x as rows
+    # into ``x_rows``, whose transpose is laid out like ``x_train[:, idx]``,
+    # and W0 x and the targets as columns, from per-run tables, into
+    # ``w0x_cols`` and ``t_cols`` (C-ordered like the outputs they meet).
     size = task.x_train.shape[1]
     block = max(1, min(64, size // batch))
     highs = [size] * batch + ([] if draw is None else [draw[0]] * draw[1])
     block_highs = np.tile(highs, block)
     x_rows = np.empty((batch, cfg.in_dim), task.x_train.dtype)
-    t_rows = np.empty((batch,) + task.y_train.shape[:-1], task.y_train.dtype)
-    xb, tb = x_rows.T, t_rows.T
+    w0x_cols = np.empty((cfg.out_dim, batch))
+    t_cols = np.empty(task.y_train.shape[:-1] + (batch,), task.y_train.dtype)
+    xb = x_rows.T
 
-    # A step's two lists of calls, over the workspace, x_rows and t_rows.
-    recorded = [(_apply(ws, xb, terms, scale), _backward(ws, xb, ws.g, terms, scale))
+    # A step's two lists of calls, over the workspace and those buffers.
+    recorded = [(_apply(ws, xb, terms, scale, w0x_cols), _backward(ws, xb, ws.g, terms, scale))
                 for _, terms, scale in compositions]
-    loss_calls, readout, divide = _loss(task.kind, ws.out, tb, ws.g, ws.sq)
+    loss_calls, readout, divide = _loss(task.kind, ws.out, t_cols, ws.g, ws.sq)
     optimizer_calls, advance = _update(optimizer, grad, grad, lr)
     optimizer_calls.append((np.subtract, (sums.params, grad, sums.params)))
     close = recorded[0][0][-1] + loss_calls
@@ -490,9 +516,10 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     # DivergenceError below reports it, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         initial_loss = _dataset_loss(layer, task)
-        # the samples as rows, copied row-major while the steps run (a
+        # the tables the steps take from, which live while the steps run (a
         # dataset loss, which peaks higher, never runs beside them)
-        x_samples, t_samples = (np.ascontiguousarray(a.T) for a in (task.x_train, task.y_train))
+        x_samples, w0x_samples = _sample_tables(layer.w0, task.x_train, batch)
+        t_samples = np.ascontiguousarray(task.y_train)
         losses: list[float] = []
         for start in range(0, steps, block):
             count = min(block, steps - start)
@@ -502,7 +529,8 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                 # every index is in range, so "wrap" changes none; unlike the
                 # default "raise", it lets take write straight into the buffer
                 x_samples.take(idx, 0, x_rows, "wrap")
-                t_samples.take(idx, 0, t_rows, "wrap")
+                w0x_samples.take(idx, 1, w0x_cols, "wrap")
+                t_samples.take(idx, -1, t_cols, "wrap")
                 if draw is not None:  # the pieces of the terms this pairing composes
                     if pairing not in kept:
                         kept[pairing] = replays([by_position[k][v] for k, v in enumerate(pairing)])
@@ -515,7 +543,7 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                 advance()
                 _replay(second)
                 losses.append(loss)
-        del x_samples, t_samples
+        del x_samples, w0x_samples, t_samples
 
         # a member alone in its run becomes its trained sum; a member of a
         # run of k moves by (sum_end - sum_start) / k, written as a

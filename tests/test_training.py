@@ -31,6 +31,7 @@ from cola_forge.training import (
     DivergenceError,
     OptimizerState,
     _backward,
+    _sample_tables,
     _StepWorkspace,
     backward,
     cross_entropy_grad,
@@ -415,18 +416,20 @@ class TestTrainLoop:
         assert peak <= 1759197 + task.x_train.nbytes + task.y_train.nbytes
 
     def test_eval_forward_allocates_only_what_its_composition_uses(self):
-        # 872880 bytes is the traced peak of this forward while pool sums had
-        # a stacked-matmul branch, and 32768 bytes are the run sums (one A and
-        # one B of 128 x 16) that a forward now composes from instead of
-        # adding a product per member; a workspace that allocated every buffer
-        # of a training step up front would peak at ~1.43 MB. The first
-        # forward of a process also allocates one-time objects, so an untraced
-        # one of the same shape runs first and the second is traced.
+        # an eval forward of FULL (2, 3) allocates the run sums (one A and
+        # one B of 128 x 16), out and base (128 x 400) and the hidden state
+        # of its one term (16 x 400), and Python objects besides; a
+        # workspace that allocated every buffer of a training step up front
+        # would peak at ~1.43 MB. The first forward of a process also
+        # allocates one-time objects, so an untraced one of the same shape
+        # runs first and the second is traced.
         rng = make_rng(3)
-        cfg = CoLAConfig(in_dim=128, out_dim=128, rank=16, a_count=2, b_count=3)
+        n, m, r, cols = 128, 128, 16, 400
+        cfg = CoLAConfig(in_dim=m, out_dim=n, rank=r, a_count=2, b_count=3)
         layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1),
-                            base_w0=rng.normal(size=(128, 128)))
-        x = rng.normal(size=(128, 400))
+                            base_w0=rng.normal(size=(n, m)))
+        x = rng.normal(size=(m, cols))
+        buffers = 8 * (r * m + n * r + 2 * n * cols + r * cols)
         forward(layer, x, mode="eval")
         tracemalloc.start()
         try:
@@ -434,7 +437,33 @@ class TestTrainLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 872880 + 32768
+        # at most 4 KiB of Python objects: recorded calls, views, array headers
+        assert peak <= buffers + 4096
+
+    def test_backward_of_one_member_runs_allocates_one_gradient(self):
+        # where every run is one member, backward returns its workspace's
+        # gradient: beside the run sums, it allocates only the workspace of
+        # RANDOM_AB (3, 3) at batch 4 (out, base, g, sq and gs of n x 4, the
+        # three hidden states and rev of r x 4, da and db) and that gradient,
+        # so a second params-sized buffer (98304 bytes) would exceed the bound
+        rng = make_rng(3)
+        n, m, r, cols = 128, 128, 16, 4
+        cfg = CoLAConfig(in_dim=m, out_dim=n, rank=r, a_count=3, b_count=3,
+                         strategy=Strategy.RANDOM_AB)
+        layer = random_layer(cfg)
+        x, g = rng.normal(size=(m, cols)), rng.normal(size=(n, cols))
+        buffers = 2 * layer.params.nbytes + 8 * (5 * n * cols + 4 * r * cols + n * r + r * m)
+        backward(layer, x, g, layer.pairing)
+        tracemalloc.start()
+        try:
+            grads = backward(layer, x, g, layer.pairing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at most 8 KiB of Python objects: the calls of three terms, views,
+        # array headers
+        assert peak <= buffers + 8192
+        assert grads.flat.shape == layer.params.shape
 
     def test_frozen_pairing_is_honored(self):
         task = small_task()
@@ -684,6 +713,28 @@ class TestFusedStep:
         v = rng.normal(size=inner if cols is None else (inner, cols))
         for part, member in zip(stack @ v, stack):
             assert part.tobytes() == (member @ v).tobytes()
+
+    @pytest.mark.parametrize("n, m, batch, size", [
+        (32, 32, 8, 50), (32, 32, 8, 100), (32, 32, 8, 400), (128, 128, 32, 400),
+        (24, 20, 1, 60), (24, 20, 64, 40), (24, 20, 8, 61), (1, 20, 8, 200),
+    ], ids=["32-50", "32-100", "32-400", "wide", "batch-1", "batch-above-size",
+            "ragged-last-chunk", "out-dim-1"])
+    def test_chunked_base_table_equals_the_step_product(self, n, m, batch, size):
+        # train_loop multiplies W0 into its training set once, one batch-sized
+        # product per chunk of samples, and a step takes its W0 x columns from
+        # that table: each must equal, bit for bit, the column that the step's
+        # own product np.dot(w0, x_rows.T, out) gives it among other samples
+        rng = make_rng(n + m + batch + size)
+        w0, x_train = rng.normal(size=(n, m)), rng.normal(size=(m, size))
+        rows, table = _sample_tables(w0, x_train, batch)
+        assert rows[:size].tobytes() == np.ascontiguousarray(x_train.T).tobytes()
+        assert not rows[size:].any()
+        x_rows, out = np.empty((batch, m)), np.empty((n, batch))
+        for _ in range(50):
+            idx = rng.integers(0, size, size=batch)
+            rows.take(idx, 0, x_rows)
+            np.dot(w0, x_rows.T, out)
+            assert out.tobytes() == table[:, idx].tobytes()
 
     @pytest.mark.parametrize("count, rows, cols", [
         (1, 24, 8), (2, 24, 8), (3, 32, 8), (8, 1, 1), (9, 1, 1), (16, 1, 1),
