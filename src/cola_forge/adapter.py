@@ -18,34 +18,29 @@ Setting (M, N, strategy) recovers the familiar adapter families: (1, 1) is a
 vanilla single-pair adapter, (1, N, FULL) the shared-down multi-head layout,
 and (N, N, HEURISTIC) the per-expert paired layout.
 
-Each rule is stated once, by ``_composition``, as the *runs* of each pool
-(member ranges that every term uses whole: a pool, the HEURISTIC tail or
-one member), a list of terms ``(b_run, a_run)`` and a scale: DeltaW =
-scale * sum over the terms of (B run sum)(A run sum). FULL is one term over
-both whole pools, HEURISTIC is M - 1 singleton pairs plus the tail, the
-random strategies are one term per pairing edge over one run per member,
-and the eval-time mean pairing is FULL scaled by 1/N (RANDOM_AB) or 1/M
-(RANDOM_BA). A pairing is its map alone: the strategy says which pool draws
-its partners. Every path first builds the run sums (``_run_sums``), a layer
-with one member per run, each summed left to right, so the factored
-forward, the materialized :func:`delta_weight` and ``training.backward``
-are each one loop over the terms, one product per side, none of them knows
-the strategies, and the MAC model counts the applications off the run
-lengths. The forward path always stays factored (down-projections first)
-and keeps each term's hidden state for the backward pass; DeltaW is only
-materialized for merging and as a test oracle. A layer's pools are views
-into one flat buffer, so one update steps them all.
-``_apply`` computes nothing itself: it records the numpy calls of a forward
-pass, one list per term, over a workspace of buffers, and is the one
-statement of their order. Public :func:`forward` replays them once; a
-training run records them once and replays them at every step.
+``_composition`` states each rule once, over the *runs* of each pool
+(member ranges that every term uses whole) and a pairing matrix P, whose
+P[b, a] counts the terms that pair B run b with A run a: DeltaW = scale *
+B_cat (P kron I_r) A_cat, with A_cat the A run sums stacked and B_cat the B
+run sums side by side. FULL is one run a side and HEURISTIC M runs a side
+(the tail summed), both with P = I; a random strategy has one run per
+member and P is its pairing map; the eval-time mean pairing is FULL scaled
+by 1/N (RANDOM_AB) or 1/M (RANDOM_BA). A pairing is its map alone: the
+strategy says which pool draws its partners. Every path builds the run sums
+(``_run_sums``) and multiplies over the terms, one product per side; a
+random composition first copies the partners it draws into term order. So
+the factored forward, the materialized :func:`delta_weight`,
+``training.backward`` and the MAC model share one statement and none of
+them knows the strategies. DeltaW is only materialized for merging and as a
+test oracle. ``_apply`` records the numpy calls of a forward pass over a
+workspace of buffers: :func:`forward` replays them once, a training run at
+every step. A layer's pools are views into one flat buffer.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
@@ -250,19 +245,21 @@ _Runs = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
 
 def _composition(cfg: CoLAConfig, pairing_map: tuple[int, ...] | None
-                 ) -> tuple[_Runs, list[tuple[int, int]], float]:
-    """A layer's DeltaW as ``(runs, terms, scale)``, the one statement of the rules.
+                 ) -> tuple[_Runs, tuple[int, ...] | None, float]:
+    """A layer's DeltaW as ``(runs, pairing_map, scale)``, the one statement of the rules.
 
     ``runs`` holds the runs of the A pool, then of the B pool, as ``(lo, hi)``
     member ranges; every member is in exactly one run, and a run's sum is
-    A_lo + ... + A_{hi-1} (B alike). Each term is a ``(b_run, a_run)`` pair
-    of run indices, and DeltaW = scale * sum_terms (B run sum)(A run sum).
-    ``pairing_map`` is the checked map of a random strategy's pairing; None
-    asks for the expectation over uniform pairings, which replaces every
-    sampled partner by its pool mean.
+    A_lo + ... + A_{hi-1} (B alike). DeltaW = scale * B_cat (P kron I_r)
+    A_cat, with A_cat the A run sums stacked (K_a r x m), B_cat the B run
+    sums side by side (n x K_b r) and P[b, a] the number of terms that pair
+    B run b with A run a. FULL, HEURISTIC and the eval mean have P = I and
+    no map; a random strategy has one run per member, and its checked
+    ``pairing_map`` (each drawing member's partner) is P. None asks for the
+    expectation over uniform pairings: every partner becomes its pool mean.
     """
     m_count, n_count = cfg.a_count, cfg.b_count
-    whole = ([(0, m_count)], [(0, n_count)]), [(0, 0)]
+    whole = ([(0, m_count)], [(0, n_count)]), None
     if pairing_map is None and (draw := _pairing_range(cfg)) is not None:
         return *whole, 1.0 / draw[0]  # the partner pool's mean
     if cfg.strategy is Strategy.FULL:
@@ -271,13 +268,10 @@ def _composition(cfg: CoLAConfig, pairing_map: tuple[int, ...] | None
     if cfg.strategy is Strategy.HEURISTIC:
         # one-to-one pairs, then B_M..B_N all fed by A_M
         b_runs[m_count - 1:] = [(m_count - 1, n_count)]
-        return (a_runs, b_runs), [(i, i) for i in range(m_count)], 1.0
-    edges = list(enumerate(pairing_map))  # (drawing member, its partner)
-    terms = [(j, i) for i, j in edges] if cfg.strategy is Strategy.RANDOM_AB else edges
-    return (a_runs, b_runs), terms, 1.0
+    return (a_runs, b_runs), pairing_map, 1.0
 
 
-def _eval_composition(layer: CoLALayer) -> tuple[_Runs, list[tuple[int, int]], float]:
+def _eval_composition(layer: CoLALayer) -> tuple[_Runs, tuple[int, ...] | None, float]:
     """The deterministic composition of eval mode: a frozen pairing's own
     (the map the layer trains), else the mean over uniform pairings."""
     cfg, pairing = layer.config, layer.pairing
@@ -285,16 +279,37 @@ def _eval_composition(layer: CoLALayer) -> tuple[_Runs, list[tuple[int, int]], f
     return _composition(cfg, _check_pairing(cfg, pairing) if frozen else None)
 
 
-def _run_sums(layer: CoLALayer, runs: _Runs) -> CoLALayer:
-    """The layer, in a buffer of its own, whose members are the run sums of
-    ``layer``'s members, each summed left to right, one member at a time
-    (numpy's reductions sum 8 or more one-element slices pairwise)."""
-    cfg = layer.config
-    if (len(runs[0]), len(runs[1])) == (cfg.a_count, cfg.b_count):  # one member each
-        return CoLALayer(layer.w0, cfg, layer.params.copy())
-    cfg = replace(cfg, a_count=len(runs[0]), b_count=len(runs[1]))
-    sums = CoLALayer(layer.w0, cfg, np.empty(trainable_params(cfg)))
-    for pool, totals, side in zip(layer._stacks, sums._stacks, runs):
+def _run_views(flat: np.ndarray, cfg: CoLAConfig) -> tuple[np.ndarray, ...]:
+    """A_cat (K_a r x m) and B_cat (n x K_b r) of a flat run-sum buffer, for
+    a ``cfg`` that counts the runs as members, then the runs' (K_a, r, m)
+    and (K_b, n, r) stacks: all views of ``flat``. With one run a side, the
+    layout is a layer's."""
+    n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
+    split = cfg.a_count * r * m
+    a_cat, b_cat = flat[:split].reshape(-1, m), flat[split:].reshape(n, -1)
+    return a_cat, b_cat, a_cat.reshape(-1, r, m), b_cat.reshape(n, -1, r).transpose(1, 0, 2)
+
+
+class _RunSums:
+    """A layer's run sums in a buffer of their own, ``params`` (see
+    :func:`_run_views`), with ``config`` counting the runs as members."""
+
+    def __init__(self, layer: CoLALayer, runs: _Runs):
+        self.w0, self.layer_scale = layer.w0, layer.config.scale
+        self.config = replace(layer.config, a_count=len(runs[0]), b_count=len(runs[1]))
+        self.params = np.empty(trainable_params(self.config))
+        self.a_cat, self.b_cat, self.a_list, self.b_list = _run_views(self.params, self.config)
+
+
+def _run_sums(layer: CoLALayer, runs: _Runs) -> _RunSums:
+    """The run sums of ``layer``'s members, each summed left to right, one
+    member at a time (numpy's reductions sum 8 or more one-element slices
+    pairwise)."""
+    sums = _RunSums(layer, runs)
+    for pool, totals, side in zip(layer._stacks, (sums.a_list, sums.b_list), runs):
+        if len(side) == len(pool):  # one member a run
+            totals[...] = pool
+            continue
         for total, (lo, hi) in zip(totals, side):
             total[...] = pool[lo]
             for member in pool[lo + 1:hi]:
@@ -309,52 +324,56 @@ def _replay(calls: list[tuple]) -> None:
 
 
 class _Workspace:
-    """The only buffers of a forward pass beside its run sums, for inputs of
-    trailing shape ``cols``: DeltaW x (``out``), W0 x (``base``, until then
-    the scratch of each B product added into DeltaW x; only that scratch
-    where :func:`_apply` is given W0 x) and the hidden states
-    of at most ``terms`` terms, which :func:`_apply`'s calls compute into."""
+    """The buffers of a forward pass over run sums, for inputs of trailing
+    shape ``cols``: DeltaW x (``out``) and the hidden state A_terms x, where
+    DeltaW = B_terms A_terms multiplies over the terms (B_cat and A_cat where
+    P = I). A random composition's ``gather`` copies the partner of each
+    drawing member, named by ``pairing`` (reset by a resampling run), into
+    term order, so no product stacks a partner its pairing does not draw;
+    ``partner_sum``, the 0/1 matrix of partners by terms, sums each
+    partner's terms in the backward pass, on side ``partner`` (0 A, 1 B)."""
 
-    def __init__(self, sums: CoLALayer, cols: tuple[int, ...], terms: int):
-        cfg = sums.config
-        self.w0, self.layer_scale = sums.w0, cfg.scale
-        self.pools = (sums.a_list, sums.b_list)
-        self.out, self.base = np.empty((cfg.out_dim,) + cols), np.empty((cfg.out_dim,) + cols)
-        self.hidden = [np.empty((cfg.rank,) + cols) for _ in range(terms)]
+    def __init__(self, sums: _RunSums, pairing_map: tuple[int, ...] | None,
+                 cols: tuple[int, ...]):
+        cfg, r = sums.config, sums.config.rank
+        self.w0, self.layer_scale = sums.w0, sums.layer_scale
+        self.a_terms, self.b_terms = sums.a_cat, sums.b_cat
+        self.pairing = self.gather = self.partner = None
+        if pairing_map is not None:
+            self.pairing, count = np.array(pairing_map), len(pairing_map)
+            self.partner = int(cfg.strategy is Strategy.RANDOM_AB)
+            if self.partner:  # B_cat's column blocks, in term order
+                source, axis = sums.b_cat.reshape(cfg.out_dim, cfg.b_count, r), 1
+                self.b_terms = np.empty((cfg.out_dim, count * r))
+                target = self.b_terms.reshape(cfg.out_dim, count, r)
+            else:  # A_cat's row blocks, in term order
+                source, axis = sums.a_cat.reshape(cfg.a_count, -1), 0
+                self.a_terms = np.empty((count * r, cfg.in_dim))
+                target = self.a_terms.reshape(count, -1)
+            self.gather = (source.take, (self.pairing, axis, target, "wrap"))
+            self.partner_sum = np.eye(source.shape[axis]).take(self.pairing, 1)
+        self.out = np.empty((cfg.out_dim,) + cols)
+        self.hidden = np.empty((self.a_terms.shape[0],) + cols)
 
 
-def _apply(ws: _Workspace, x: np.ndarray, terms: list[tuple[int, int]],
-           scale: float, base: np.ndarray | None = None) -> list[list[tuple]]:
-    """The calls that compute W0 x + (alpha/r) DeltaW x for a composition
-    over the run sums of ``ws`` into ``ws.out``, factored (DeltaW is never
-    materialized), and the hidden state A x of each term's A run sum into
-    ``ws.hidden``: one list per term, the term at position k computing
-    ``hidden[k]`` and adding its B product into DeltaW x (writing it, at
-    k = 0), then the list that scales DeltaW x and adds W0 x. Nothing runs
-    until the lists are replayed.
-
-    Every product is one 2-D ``np.dot`` into a buffer, the B products are
-    added into DeltaW x in term order, and the scales come last; a scale of
-    exactly 1.0 is skipped. ``base``, shaped like ``ws.out`` and holding W0 x
-    when the lists run, replaces the closing product W0 x (a training run
-    takes it from a table it multiplies once).
+def _apply(ws: _Workspace, x: np.ndarray, scale: float,
+           base: np.ndarray | None = None) -> list[tuple]:
+    """The calls that compute W0 x + (alpha/r) DeltaW x over the run sums of
+    ``ws`` into ``ws.out``, factored: a random composition's gather, A_terms
+    x, B_terms times it, the scales (one of exactly 1.0 is skipped) and W0 x,
+    each product one 2-D ``np.dot`` into a buffer. Nothing runs until the
+    calls are replayed. ``base``, holding W0 x when they run, replaces the
+    product W0 x (a training run takes it from a table it multiplies once).
     """
-    (a_pool, b_pool), out = ws.pools, ws.out
-    pieces = []
-    for k, (b, a) in enumerate(terms):
-        t = ws.hidden[k]
-        calls = [(np.dot, (a_pool[a], x, t))]
-        if k:
-            calls += [(np.dot, (b_pool[b], t, ws.base)), (np.add, (out, ws.base, out))]
-        else:
-            calls.append((np.dot, (b_pool[b], t, out)))
-        pieces.append(calls)
+    out = ws.out
+    calls = [] if ws.gather is None else [ws.gather]
+    calls += [(np.dot, (ws.a_terms, x, ws.hidden)), (np.dot, (ws.b_terms, ws.hidden, out))]
     # w0 @ x + alpha/r * (scale * out), rounded alike, into out's own storage
-    close = [(np.multiply, (out, s, out)) for s in (scale, ws.layer_scale) if s != 1.0]
+    calls += [(np.multiply, (out, s, out)) for s in (scale, ws.layer_scale) if s != 1.0]
     if base is None:
-        base = ws.base
-        close.append((np.dot, (ws.w0, x, base)))
-    return pieces + [close + [(np.add, (base, out, out))]]
+        base = np.empty_like(out)
+        calls.append((np.dot, (ws.w0, x, base)))
+    return calls + [(np.add, (base, out, out))]
 
 
 def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
@@ -375,20 +394,20 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     if mode == "eval" and pairing is not None:
         raise ConfigError("eval-mode forward composes the layer's own pairing; pass none")
     if mode == "eval":
-        runs, terms, scale = _eval_composition(layer)
+        runs, pairing_map, scale = _eval_composition(layer)
     else:
-        runs, terms, scale = _composition(layer.config, _check_pairing(
+        runs, pairing_map, scale = _composition(layer.config, _check_pairing(
             layer.config, layer.pairing if pairing is None else pairing))
-    ws = _Workspace(_run_sums(layer, runs), x.shape[1:], len(terms))
-    for calls in _apply(ws, x, terms, scale):
-        _replay(calls)
+    ws = _Workspace(_run_sums(layer, runs), pairing_map, x.shape[1:])
+    _replay(_apply(ws, x, scale))
     return ws.out
 
 
-def _materialize(layer: CoLALayer, runs: _Runs, terms: list[tuple[int, int]],
+def _materialize(layer: CoLALayer, runs: _Runs, pairing_map: tuple[int, ...] | None,
                  scale: float) -> np.ndarray:
-    sums = _run_sums(layer, runs)
-    return scale * reduce(np.add, (sums.b_list[b] @ sums.a_list[a] for b, a in terms))
+    ws = _Workspace(_run_sums(layer, runs), pairing_map, ())
+    _replay([] if ws.gather is None else [ws.gather])
+    return scale * (ws.b_terms @ ws.a_terms)
 
 
 def delta_weight(layer: CoLALayer, pairing: Pairing | None = None) -> np.ndarray:
@@ -451,24 +470,21 @@ def trainable_params(config: CoLAConfig) -> int:
 def flop_breakdown(config: CoLAConfig, pass_kind: str = "forward") -> dict[str, int]:
     """Per-component MAC counts for one sample through one layer.
 
-    forward: the frozen base map (n*m) plus one application of every A_i
-    (r*m MACs) and B_j (n*r) in the runs of each train-mode term of
-    ``_composition``.
-    The counts do not depend on the pairing, so an all-zeros one stands in
-    for any. train_step: forward plus reverse-mode products (one B^T g per
-    up-application) and parameter-gradient outer products (one n x r outer
-    per up-application, one r x m outer per down-application). The frozen
-    base contributes no backward cost: it has no gradient and the input
-    needs none.
+    forward: the frozen base map (n*m) plus, for each train-mode term of
+    ``_composition``, one application of every A_i (r*m MACs) and B_j (n*r)
+    in its runs; an all-zeros pairing stands in for any. train_step adds the
+    reverse-mode products (one B^T g per up-application) and the gradient
+    outer products (n x r per up-, r x m per down-application); the frozen
+    base has no backward cost.
     """
     if pass_kind not in ("forward", "train_step"):
         raise ValueError(f"pass kind must be 'forward' or 'train_step', got {pass_kind!r}")
     n, m, r = config.out_dim, config.in_dim, config.rank
     draw = _pairing_range(config)
-    runs, terms, _ = _composition(config, draw and (0,) * draw[1])
-    a_lengths, b_lengths = ([hi - lo for lo, hi in side] for side in runs)
-    down_apps = sum(a_lengths[a] for _, a in terms)
-    up_apps = sum(b_lengths[b] for b, _ in terms)
+    runs, pairing_map, _ = _composition(config, draw and (0,) * draw[1])
+    # a term applies its runs' members; a random one, one member a side
+    down_apps, up_apps = ((len(pairing_map),) * 2 if pairing_map else
+                          (sum(hi - lo for lo, hi in side) for side in runs))
     parts = {"base": n * m, "down": down_apps * r * m, "up": up_apps * n * r}
     if pass_kind == "train_step":
         parts["reverse"] = up_apps * n * r

@@ -1,12 +1,11 @@
 """Gradients, optimizers and the training loop.
 
-Gradients are hand-derived from the factored forward pass. ``backward`` reads
-the runs and terms of ``adapter.forward`` (see the ``adapter`` module), so it
-is one generic loop over the run sums: a term (B, A) of run sums gives B the
-gradient g (A x)^T and A the gradient (B^T g) x^T, a run sum adds them over
-its terms, and each member takes its run's gradient. :func:`finite_diff_check`
-keeps its own, deliberately independent, extended-precision statement of the
-rules: it is the oracle the term list is tested against. The conventions:
+Gradients are hand-derived from the factored forward pass over the terms of
+``adapter._composition``: B_terms gets g (A_terms x)^T and A_terms gets
+(B_terms^T g) x^T, each one product per side; a random composition sums
+each partner's terms, and each member takes its run's gradient.
+:func:`finite_diff_check` keeps its own, deliberately independent,
+extended-precision statement of the rules as the oracle. The conventions:
 
 * The base w0 is frozen: it never receives a gradient and training never
   writes to it.
@@ -17,33 +16,18 @@ rules: it is the oracle the term list is tested against. The conventions:
   HEURISTIC) accumulate over those branches, as the chain rule requires.
 * ``g_out`` is dL/dy; the alpha/r scale is part of the layer and therefore
   part of the gradient.
-
-Everything accepts a single sample (x of length m, g_out of length n) or a
-batch as columns (m x B and n x B), in which case gradients sum over the
-batch, matching a loss that is itself summed (or averaged, if g_out already
-carries the 1/B factor).
+* x and g_out are a single sample or a batch as columns, whose gradients sum.
 
 :func:`train_loop` records a step once per run, over buffers it allocates
-once: the forward pass (``adapter._apply``, one piece per term), the loss
-(``_loss``, the one statement of the squared-error and cross-entropy
-arithmetic: calls that write dL/dy, and a readout of the loss), the backward
-pass (:func:`_backward`, which reuses each term's hidden state A x)
-and the optimizer (``_update``, the one statement of the SGD and Adam
-arithmetic: calls whose scalars are 0-d arrays, and an advance that counts
-the step and sets Adam's bias corrections). W0 and the training set are
-fixed, so a run multiplies W0 into the training set once, in batch-sized
-chunks that round each column as a step's own product would; a step takes
-its x as rows, and its W0 x and targets as columns of the run's tables, into
-fixed buffers, and is two replays around the loss readout. A run draws a
-block of steps in one rng call (per step the batch indices, then any
-pairing), which leaves the generator where one draw after the other would;
-a run that resamples reuses each drawn pairing's lists within its block. A
-step zero-fills the gradient unless :func:`_backward` writes it all straight.
-The members of one run get the same gradient at every step, so a training
-run trains the run sums, at lr times the run length, and writes the members
-once, after its last step. :func:`backward` and :func:`optimizer_step`
-replay the same recorded calls once; ``forward`` and :func:`backward`
-compute W0 x themselves.
+once: the forward pass (``adapter._apply``), the loss (``_loss``, the one
+statement of its arithmetic), the backward pass (:func:`_backward`) and the
+optimizer (``_update``, the one statement of SGD and Adam, whose scalars are
+0-d arrays). A step takes its x, and its W0 x and targets from tables the run
+multiplies once, into fixed buffers and is two replays around the loss
+readout; a step that resamples first copies its drawn map into the
+workspace's pairing and sets P with one take from an identity. A run draws a
+block of steps in one rng call. It trains the run sums at lr times the run
+length and writes the members once, after its last step.
 """
 
 from __future__ import annotations
@@ -58,14 +42,16 @@ from .adapter import (
     CoLALayer,
     Pairing,
     Strategy,
-    _Workspace,
     _apply,
-    _replay,
-    _run_sums,
     _check_pairing,
     _composition,
     _pairing_range,
     _pool_views,
+    _replay,
+    _run_sums,
+    _run_views,
+    _RunSums,
+    _Workspace,
     flop_count,
     forward,
 )
@@ -91,11 +77,12 @@ class DivergenceError(ArithmeticError):
 
 
 class Grads:
-    """dL/dA_i and dL/dB_j in one buffer, ``flat``, allocated zeroed, laid out
-    like the layer's ``params``; ``da_list`` and ``db_list`` are its stacks."""
+    """dL/dA_i and dL/dB_j in one buffer, ``flat`` (allocated zeroed unless
+    given), laid out like the layer's ``params``; ``da_list`` and
+    ``db_list`` are its stacks."""
 
-    def __init__(self, layer: CoLALayer):
-        self.flat = np.zeros_like(layer.params)
+    def __init__(self, layer: CoLALayer, flat: np.ndarray | None = None):
+        self.flat = np.zeros_like(layer.params) if flat is None else flat
         self.da_list, self.db_list = _pool_views(self.flat, layer.config)
 
 
@@ -116,67 +103,62 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     g2 = _as_columns(g_out, cfg.out_dim, "g_out")
     if x2.shape[1] != g2.shape[1]:
         raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
-    runs, terms, scale = _composition(cfg, _check_pairing(cfg, pairing))
-    ws = _StepWorkspace(_run_sums(layer, runs), x2.shape[1:])
-    for calls in _apply(ws, x2, terms, scale) + _backward(ws, x2, g2, terms, scale):
-        _replay(calls)
-    if ws.grads.flat.size == layer.params.size:  # every run is one member
-        return ws.grads
-    grads = Grads(layer)  # each member takes its run's gradient
-    for pool, run_grads, side in zip((grads.da_list, grads.db_list),
-                                     (ws.grads.da_list, ws.grads.db_list), runs):
-        pool[...] = np.repeat(run_grads, [hi - lo for lo, hi in side], axis=0)
+    runs, pairing_map, scale = _composition(cfg, _check_pairing(cfg, pairing))
+    sums = _run_sums(layer, runs)
+    ws = _StepWorkspace(sums, pairing_map, x2.shape[1:])
+    _replay(_apply(ws, x2, scale) + _backward(ws, x2, g2, scale))
+    # each member takes its run's gradient; where every run is one member,
+    # the workspace's gradient becomes the result, reordered in place (numpy
+    # copies an overlapping source first)
+    grads = Grads(layer, ws.grad if ws.grad.size == layer.params.size else None)
+    for pool, run_grad, side in zip((grads.da_list, grads.db_list),
+                                    _run_views(ws.grad, sums.config)[2:], runs):
+        pool[...] = (run_grad if len(side) == len(pool)
+                     else np.repeat(run_grad, [hi - lo for lo, hi in side], axis=0))
     return grads
 
 
 class _StepWorkspace(_Workspace):
-    """An :func:`_apply` workspace over a layer of run sums for compositions
-    of at most max(M, N) terms, plus the buffers of the loss and of
-    :func:`_backward`, and the gradient ``grads``, allocated zeroed and laid
-    out like the run sums' ``params``, with ``ga`` and ``gb`` the lists of
-    its A and B members."""
+    """An :func:`_apply` workspace plus the buffers of the loss and of
+    :func:`_backward`: g, sq and gs (n x cols), B_terms^T g (``rev``), a
+    random composition's per-partner sums (``summed``), and the run sums'
+    gradient ``grad``, laid out like their ``params``, with ``grad_a`` and
+    ``grad_b`` its A_cat and B_cat."""
 
-    def __init__(self, sums: CoLALayer, cols: tuple[int, ...]):
+    def __init__(self, sums: _RunSums, pairing_map: tuple[int, ...] | None,
+                 cols: tuple[int, ...]):
+        super().__init__(sums, pairing_map, cols)
         cfg = sums.config
-        n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
-        super().__init__(sums, cols, max(cfg.a_count, cfg.b_count))
-        self.hidden_t = [t.T for t in self.hidden]
-        self.g, self.sq, self.gs = (np.empty((n,) + cols) for _ in range(3))
-        self.rev = np.empty((r,) + cols)
-        self.db, self.da = np.empty((n, r)), np.empty((r, m))
-        self.grads = Grads(sums)
-        # one view per member: an add that reads and writes one view object
-        # runs faster than one given two views of the same member
-        self.ga, self.gb = list(self.grads.da_list), list(self.grads.db_list)
+        self.g, self.sq, self.gs = (np.empty((cfg.out_dim,) + cols) for _ in range(3))
+        self.rev = np.empty(self.hidden.shape)
+        if pairing_map is not None:
+            self.summed = np.empty((len(self.partner_sum) * cfg.rank,) + cols)
+        self.grad = np.empty_like(sums.params)
+        self.grad_a, self.grad_b = _run_views(self.grad, cfg)[:2]
 
 
-def _backward(ws: _StepWorkspace, x2: np.ndarray, g2: np.ndarray, terms,
-              scale: float) -> list[list[tuple]]:
-    """The calls that write the run sums' gradients into ``ws.ga`` and
-    ``ws.gb``, given each term's hidden state from the forward pass in
-    ``ws``: the list that folds both scales into g_out, then one list per
-    term. A product goes straight into its run's gradient if that run is in
-    no other term, else to ``ws.db``/``ws.da`` and is added; the first list
-    zero-fills the gradient unless every run's is written straight."""
-    head = []
+def _backward(ws: _StepWorkspace, x2: np.ndarray, g2: np.ndarray,
+              scale: float) -> list[tuple]:
+    """The calls that write the run sums' gradient into ``ws.grad``, given
+    the hidden state of the forward pass in ``ws``: both scales folded into
+    g_out, then dB_cat = g (A_terms x)^T and dA_cat = B_terms^T g x^T, each
+    one product that writes its side whole. On a random composition's
+    partner side, the product reads its operand (A_terms x for B, B_terms^T
+    g for A) with each partner's terms summed by ``ws.partner_sum``, so a
+    partner no term draws gets an exact zero."""
+    calls = []
     if (total := ws.layer_scale * scale) != 1.0:
-        head.append((np.multiply, (g2, np.array(total), ws.gs)))
+        calls.append((np.multiply, (g2, np.array(total), ws.gs)))
         g2 = ws.gs
-    x_t, b_pool = x2.T, ws.pools[1]
-    b_used, a_used = zip(*terms)
-    pieces, straight = [head], 0
-    for (b, a), t_t in zip(terms, ws.hidden_t):
-        db = ws.gb[b] if b_used.count(b) == 1 else ws.db
-        da = ws.ga[a] if a_used.count(a) == 1 else ws.da
-        straight += (db is not ws.db) + (da is not ws.da)
-        calls = [(np.dot, (g2, t_t, db)), (np.dot, (b_pool[b].T, g2, ws.rev)),
-                 (np.dot, (ws.rev, x_t, da))]
-        calls += [(np.add, (ws.gb[b], db, ws.gb[b]))] if db is ws.db else []
-        calls += [(np.add, (ws.ga[a], da, ws.ga[a]))] if da is ws.da else []
-        pieces.append(calls)
-    if straight < len(ws.ga) + len(ws.gb):
-        head.insert(0, (ws.grads.flat.fill, (0.0,)))
-    return pieces
+    hidden, rev, summing = ws.hidden, ws.rev, []
+    if ws.pairing is not None:
+        s = ws.partner_sum
+        summing = [(np.dot, (s, (hidden if ws.partner else rev).reshape(s.shape[1], -1),
+                             ws.summed.reshape(len(s), -1)))]
+        hidden, rev = (ws.summed, rev) if ws.partner else (hidden, ws.summed)
+    b_side = [(np.dot, (g2, hidden.T, ws.grad_b)), (np.dot, (ws.b_terms.T, g2, ws.rev))]
+    a_side = [(np.dot, (rev, x2.T, ws.grad_a))]
+    return calls + (summing + b_side + a_side if ws.partner else b_side + summing + a_side)
 
 
 def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
@@ -464,20 +446,17 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     cfg = layer.config
     frozen = layer.pairing is not None and layer.pairing.frozen
     draw = None if frozen else _pairing_range(cfg)
-    # Every pairing of a random strategy composes one run per member with one
-    # scale, and the term at position k depends on the pairing's k-th entry
-    # alone, so a resampling run records each (position, term) once, off the
-    # composition of each constant pairing, and a step picks its pieces.
-    pairings = ([_check_pairing(cfg, layer.pairing)] if draw is None
-                else [(v,) * draw[1] for v in range(draw[0])])
-    compositions = [_composition(cfg, pairing) for pairing in pairings]
-    runs = compositions[0][0]
+    # every pairing of a random strategy composes one run per member, so a
+    # run that resamples composes any one and resets it at each step
+    runs, pairing_map, scale = _composition(cfg, _check_pairing(cfg, layer.pairing)
+                                            if draw is None else (0,) * draw[1])
     sums = _run_sums(layer, runs)
     sums_start = sums.params.copy()
-    widths = [cfg.rank * cfg.in_dim] * len(runs[0]) + [cfg.out_dim * cfg.rank] * len(runs[1])
-    lr = optimizer.lr * np.repeat([hi - lo for side in runs for lo, hi in side], widths)
-    ws = _StepWorkspace(sums, (batch,))
-    grad = ws.grads.flat
+    (a_len, b_len), r = ([hi - lo for lo, hi in side] for side in runs), cfg.rank
+    lr = optimizer.lr * np.concatenate([np.repeat(a_len, r * cfg.in_dim),
+                                        np.tile(np.repeat(b_len, r), cfg.out_dim)])
+    ws = _StepWorkspace(sums, pairing_map, (batch,))
+    grad = ws.grad
 
     # A block of steps draws, per step, its batch indices and then (if it
     # resamples) its pairing, all in one rng call with per-element bounds; a
@@ -485,7 +464,9 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     # has samples. A step takes its samples into fixed buffers: x as rows
     # into ``x_rows``, whose transpose is laid out like ``x_train[:, idx]``,
     # and W0 x and the targets as columns, from per-run tables, into
-    # ``w0x_cols`` and ``t_cols`` (C-ordered like the outputs they meet).
+    # ``w0x_cols`` and ``t_cols`` (C-ordered like the outputs they meet). A
+    # step that resamples copies its pairing into ``ws.pairing`` and sets P
+    # with one take of the partners' unit vectors from an identity.
     size = task.x_train.shape[1]
     block = max(1, min(64, size // batch))
     highs = [size] * batch + ([] if draw is None else [draw[0]] * draw[1])
@@ -493,64 +474,62 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     x_rows = np.empty((batch, cfg.in_dim), task.x_train.dtype)
     w0x_cols = np.empty((cfg.out_dim, batch))
     t_cols = np.empty(task.y_train.shape[:-1] + (batch,), task.y_train.dtype)
+    identity = None if draw is None else np.eye(draw[0])
     xb = x_rows.T
 
-    # A step's two lists of calls, over the workspace and those buffers.
-    recorded = [(_apply(ws, xb, terms, scale, w0x_cols), _backward(ws, xb, ws.g, terms, scale))
-                for _, terms, scale in compositions]
+    # A step is two replays around the loss readout, over the workspace and
+    # those buffers. Outside this run, Adam's moments are laid out like the
+    # run sums' members (as optimizer_step lays out a layer's); inside, like
+    # the run sums' params, whose B side sets the runs side by side.
     loss_calls, readout, divide = _loss(task.kind, ws.out, t_cols, ws.g, ws.sq)
+    first = _apply(ws, xb, scale, w0x_cols) + loss_calls
+    _relayout_moments(optimizer, sums, into_run_sums=True)
     optimizer_calls, advance = _update(optimizer, grad, grad, lr)
-    optimizer_calls.append((np.subtract, (sums.params, grad, sums.params)))
-    close = recorded[0][0][-1] + loss_calls
-    head = divide + recorded[0][1][0]
-    by_pairing = [list(zip(forward[:-1], backward[1:])) for forward, backward in recorded]
-    by_position = list(zip(*by_pairing))
-
-    def replays(step) -> tuple[list[tuple], list[tuple]]:
-        return ([call for forward, _ in step for call in forward] + close,
-                head + [call for _, backward in step for call in backward]
-                + optimizer_calls)
-    first, second = replays(by_pairing[0])
+    second = (divide + _backward(ws, xb, ws.g, scale) + optimizer_calls
+              + [(np.subtract, (sums.params, grad, sums.params))])
 
     # A diverging run overflows before its loss turns non-finite; the
     # DivergenceError below reports it, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         initial_loss = _dataset_loss(layer, task)
-        # the tables the steps take from, which live while the steps run (a
-        # dataset loss, which peaks higher, never runs beside them)
-        x_samples, w0x_samples = _sample_tables(layer.w0, task.x_train, batch)
-        t_samples = np.ascontiguousarray(task.y_train)
         losses: list[float] = []
-        for start in range(0, steps, block):
-            count = min(block, steps - start)
-            drawn = rng.integers(0, block_highs[:count * len(highs)]).reshape(count, -1)
-            kept: dict = {}  # the replays of each pairing the block has drawn
-            for idx, pairing in zip(drawn[:, :batch], map(tuple, drawn[:, batch:].tolist())):
-                # every index is in range, so "wrap" changes none; unlike the
-                # default "raise", it lets take write straight into the buffer
-                x_samples.take(idx, 0, x_rows, "wrap")
-                w0x_samples.take(idx, 1, w0x_cols, "wrap")
-                t_samples.take(idx, -1, t_cols, "wrap")
-                if draw is not None:  # the pieces of the terms this pairing composes
-                    if pairing not in kept:
-                        kept[pairing] = replays([by_position[k][v] for k, v in enumerate(pairing)])
-                    first, second = kept[pairing]
-                _replay(first)
-                loss = readout()
-                if not math.isfinite(loss):
-                    raise DivergenceError(f"training diverged: minibatch loss {loss} at step "
-                                          f"{len(losses) + 1} of {steps} (seed {seed})")
-                advance()
-                _replay(second)
-                losses.append(loss)
-        del x_samples, w0x_samples, t_samples
+        try:
+            if steps:
+                # the tables the steps take from, which live while the steps
+                # run (a dataset loss, which peaks higher, never runs beside them)
+                x_samples, w0x_samples = _sample_tables(layer.w0, task.x_train, batch)
+                t_samples = np.ascontiguousarray(task.y_train)
+            for start in range(0, steps, block):
+                count = min(block, steps - start)
+                drawn = rng.integers(0, block_highs[:count * len(highs)]).reshape(count, -1)
+                for idx, pairing_map in zip(drawn[:, :batch], drawn[:, batch:]):
+                    # every index is in range, so "wrap" changes none; unlike the
+                    # default "raise", it lets take write straight into the buffer
+                    x_samples.take(idx, 0, x_rows, "wrap")
+                    w0x_samples.take(idx, 1, w0x_cols, "wrap")
+                    t_samples.take(idx, -1, t_cols, "wrap")
+                    if draw is not None:
+                        ws.pairing[...] = pairing_map
+                        identity.take(pairing_map, 1, ws.partner_sum, "wrap")
+                    _replay(first)
+                    loss = readout()
+                    if not math.isfinite(loss):
+                        raise DivergenceError(f"training diverged: minibatch loss {loss} at "
+                                              f"step {len(losses) + 1} of {steps} (seed {seed})")
+                    advance()
+                    _replay(second)
+                    losses.append(loss)
+        finally:
+            _relayout_moments(optimizer, sums, into_run_sums=False)
+        if steps:
+            del x_samples, w0x_samples, t_samples
 
         # a member alone in its run becomes its trained sum; a member of a
         # run of k moves by (sum_end - sum_start) / k, written as a
         # subtraction, which leaves it untouched, signed zeros included, when
         # its run sum never moved
         for pool, trained, began, side in zip((layer.a_list, layer.b_list), (
-                sums.a_list, sums.b_list), _pool_views(sums_start, sums.config), runs):
+                sums.a_list, sums.b_list), _run_views(sums_start, sums.config)[2:], runs):
             for end, start, (lo, hi) in zip(trained, began, side):
                 pool[lo:hi] = end if hi - lo == 1 else pool[lo:hi] - (start - end) / (hi - lo)
         final_loss = _dataset_loss(layer, task)
@@ -561,3 +540,16 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     return TrainReport(seed=seed, steps=steps, initial_loss=initial_loss, losses=losses,
                        final_loss=final_loss, mac_per_step=mac_per_step,
                        mac_total=mac_per_step * steps)
+
+
+def _relayout_moments(state: OptimizerState, sums: _RunSums, into_run_sums: bool) -> None:
+    """Move Adam's moments for ``sums`` in place between the layout of the
+    run sums' members, (K_a, r, m) then (K_b, n, r), and that of their
+    ``params``, where B_cat sets the runs side by side; moments of another
+    shape are left for :func:`_update` to refuse."""
+    if state.m is None or state.m.shape != sums.params.shape or sums.config.b_count == 1:
+        return
+    for moment in (state.m, state.v):
+        views = _pool_views(moment, sums.config)[1], _run_views(moment, sums.config)[3]
+        target, source = views[::-1] if into_run_sums else views
+        target[...] = source  # numpy copies an overlapping source first

@@ -11,11 +11,13 @@ byte-identical):
 * ``scarcity``: ``scarcity_experiment()`` (80 rows);
 * ``observation3``: ``observation3_experiment()`` (10 rows).
 
-``--dump PATH`` also writes the rows as JSON; ``--against PATH`` compares
-them with such a dump, made from another tree, and reports per group how
-many rows are byte-identical and the worst relative difference of a float
-field. The script is not a test (pytest collects only ``test_*.py``). Run it
-from the repository root, naming the tree to digest by its ``src``::
+``--dump PATH`` also writes the rows as JSON, with the numpy and BLAS build
+they were made on (:func:`build`); ``--against PATH`` compares them with
+such a dump, made from another tree, and reports per group how many rows
+are byte-identical and the worst relative difference of a float field, then
+names each row that moved (:func:`moved_rows`, which ``test_rows.py``
+shares). The script is not a test (pytest collects only ``test_*.py``). Run
+it from the repository root, naming the tree to digest by its ``src``::
 
     PYTHONPATH=src python tests/row_digests.py --dump rows.json
     PYTHONPATH=other/src python tests/row_digests.py --against rows.json
@@ -25,8 +27,11 @@ import argparse
 import hashlib
 import json
 
+import numpy as np
+
 from cola_forge.adapter import Strategy
 from cola_forge.harness import (
+    CSV_HEADER,
     ClassifyTaskSpec,
     RecoveryTaskSpec,
     make_classification_task,
@@ -67,6 +72,20 @@ def digest(rows) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def build() -> dict:
+    """The numpy version, the BLAS name and version, and the CPU features
+    numpy found (which pick the BLAS kernels at run time): the build a dump
+    of rows holds for."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    features = getattr(np._core._multiarray_umath, "__cpu_features__", {})
+    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"],
+            "cpu_features": sorted(name for name, found in features.items() if found)}
+
+
+def _rel_diff(value, old) -> float:
+    return abs(value - old) / max(abs(value), abs(old))
+
+
 def compare(rows, other) -> tuple[int, float]:
     """(byte-identical rows, worst relative difference of a float field)."""
     same, worst = 0, 0.0
@@ -74,8 +93,28 @@ def compare(rows, other) -> tuple[int, float]:
         same += ",".join(map(str, row)) == ",".join(map(str, before))
         for value, old in zip(row, before, strict=True):
             if isinstance(value, float) and value != old:
-                worst = max(worst, abs(value - old) / max(abs(value), abs(old)))
+                worst = max(worst, _rel_diff(value, old))
     return same, worst
+
+
+def moved_rows(name, rows, other) -> list[str]:
+    """One line per row of group ``name`` that is not byte-identical to its
+    counterpart in ``other``: its index and key fields, the fields that
+    moved and the worst relative difference among them."""
+    if len(rows) != len(other):
+        return [f"{name}: {len(rows)} rows, {len(other)} pinned"]
+    lines = []
+    for k, (row, before) in enumerate(zip(rows, other)):
+        fields = [(field, value, old) for field, value, old in zip(CSV_HEADER, row, before)
+                  if str(value) != str(old)]
+        if fields:
+            key = ", ".join(f"{field}={value}" for field, value in
+                            zip(CSV_HEADER[:CSV_HEADER.index("step0_loss")], row))
+            worst = max((_rel_diff(value, old) for _, value, old in fields
+                         if isinstance(value, float) and isinstance(old, float)), default=None)
+            lines.append(f"{name} row {k} ({key}): moved {', '.join(f for f, _, _ in fields)}"
+                         + ("" if worst is None else f"; worst rel diff {worst:.2e}"))
+    return lines
 
 
 def main(argv=None) -> None:
@@ -87,16 +126,20 @@ def main(argv=None) -> None:
     other = None
     if args.against:
         with open(args.against, encoding="utf-8") as fh:
-            other = json.load(fh)
+            other = json.load(fh)["rows"]
     for name, group in rows.items():
         line = f"{name:13s} {len(group):4d} rows  {digest(group)}"
         if other is not None:
             same, worst = compare(group, other[name])
             line += f"  identical {same}/{len(group)}  worst rel diff {worst:.2e}"
         print(line)
+    if other is not None:
+        for name, group in rows.items():
+            for line in moved_rows(name, group, other[name]):
+                print(line)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh)
+            json.dump({"build": build(), "rows": rows}, fh)
 
 
 if __name__ == "__main__":

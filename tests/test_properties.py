@@ -26,10 +26,13 @@ from cola_forge.adapter import (
     make_layer,
     merge,
 )
+from cola_forge.adapter import _composition, _replay, _run_sums
 from cola_forge.harness import RecoveryTaskSpec, make_recovery_task
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
 from cola_forge.linalg import make_rng
 from cola_forge.training import (
+    _StepWorkspace,
+    backward,
     finite_diff_check,
     make_optimizer,
     train_loop,
@@ -170,3 +173,87 @@ def test_a_frozen_pairing_evaluates_the_composition_it_trains(case):
         layer, pairing))
     assert (forward(frozen, x, mode="eval").tobytes()
             == forward(layer, x, mode="train", pairing=pairing).tobytes())
+
+
+# The pairing product. A random composition multiplies over its terms, one
+# per drawing member: it copies each member's partner into term order (the
+# B run sums times P kron I_r under RANDOM_AB, P kron I_r times the A run
+# sums under RANDOM_BA), and its backward pass sums the terms of each
+# partner through the 0/1 matrix of partners by terms.
+
+@st.composite
+def random_pairings(draw):
+    """(layer, batch, rng): a random-strategy layer, M and N in 1..4, whose
+    pairing map (repeated partners allowed) is its own."""
+    strategy = draw(st.sampled_from([Strategy.RANDOM_AB, Strategy.RANDOM_BA]))
+    a_count, b_count, rank = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(
+        st.integers(1, 3))
+    in_dim, out_dim = draw(st.integers(rank, 5)), draw(st.integers(rank, 5))
+    high, length = ((b_count, a_count) if strategy is Strategy.RANDOM_AB
+                    else (a_count, b_count))
+    pairing = Pairing(draw(st.lists(st.integers(0, high - 1), min_size=length,
+                                    max_size=length)))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = CoLAConfig(in_dim=in_dim, out_dim=out_dim, rank=rank, a_count=a_count,
+                     b_count=b_count, strategy=strategy, alpha=draw(st.sampled_from([1.0, 3.0])))
+    layer = dataclasses.replace(make_layer(
+        rng.normal(size=(out_dim, in_dim)),
+        [rng.normal(size=(rank, in_dim)) for _ in range(a_count)],
+        [rng.normal(size=(out_dim, rank)) for _ in range(b_count)], cfg, rng=rng),
+        pairing=pairing)
+    return layer, draw(st.sampled_from([1, 2, 3, 8])), rng
+
+
+@PROPERTY_SETTINGS
+@given(random_pairings())
+def test_the_pairing_copies_partners_and_sums_their_terms(case):
+    layer, batch, rng = case
+    cfg, pairing_map = layer.config, layer.pairing.map
+    n, m, r, terms = cfg.out_dim, cfg.in_dim, cfg.rank, len(layer.pairing.map)
+    runs, _, _ = _composition(cfg, pairing_map)
+    ws = _StepWorkspace(_run_sums(layer, runs), pairing_map, (batch,))
+    _replay([ws.gather])
+    if cfg.strategy is Strategy.RANDOM_AB:
+        partners, gathered = layer.b_list, ws.b_terms.reshape(n, terms, r).transpose(1, 0, 2)
+    else:
+        partners, gathered = layer.a_list, ws.a_terms.reshape(terms, r, m)
+    for block, partner in zip(gathered, pairing_map):
+        assert block.tobytes() == partners[partner].tobytes()
+    # each partner's terms summed, as the backward pass sums r x batch blocks;
+    # a partner no term draws gets exact zeros, one or two terms sum exactly
+    # as any order does, and BLAS may order three or more otherwise than left
+    # to right (it does at widths below 4), which moves the sum by rounding
+    blocks = rng.normal(size=(terms, r * batch))
+    summed = np.dot(ws.partner_sum, blocks)
+    assert ws.partner_sum.shape == (len(partners), terms)
+    for partner, got in enumerate(summed):
+        drawn = [blocks[t] for t, p in enumerate(pairing_map) if p == partner]
+        want = np.zeros(r * batch)
+        for block in drawn:
+            want = want + block  # left to right
+        if len(drawn) <= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            bound = 4 * np.finfo(float).eps * np.sum(np.abs(drawn), axis=0)
+            assert np.all(np.abs(got - want) <= bound)
+
+
+@PROPERTY_SETTINGS
+@given(random_pairings())
+def test_a_random_layer_matches_a_loop_over_its_terms(case):
+    layer, batch, rng = case
+    cfg, pairing = layer.config, layer.pairing
+    x, g = rng.normal(size=(cfg.in_dim, batch)), rng.normal(size=(cfg.out_dim, batch))
+    ab = cfg.strategy is Strategy.RANDOM_AB
+    terms = [(p, k) if ab else (k, p) for k, p in enumerate(pairing.map)]  # (b, a)
+    scale = cfg.scale
+    delta = sum(layer.b_list[b] @ layer.a_list[a] for b, a in terms)
+    da, db = np.zeros_like(layer.a_list), np.zeros_like(layer.b_list)
+    for b, a in terms:
+        da[a] += scale * layer.b_list[b].T @ g @ x.T
+        db[b] += scale * g @ (layer.a_list[a] @ x).T
+    grads = backward(layer, x, g, pairing)
+    assert rel_err(delta_weight(layer, pairing), delta) <= 1e-12
+    assert rel_err(forward(layer, x, mode="train"), layer.w0 @ x + scale * delta @ x) <= 1e-12
+    assert rel_err(grads.da_list, da) <= 1e-12
+    assert rel_err(grads.db_list, db) <= 1e-12

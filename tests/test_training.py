@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import tracemalloc
 
@@ -17,7 +18,14 @@ from cola_forge.adapter import (
     make_layer,
     sample_pairing,
 )
-from cola_forge.adapter import _apply, _check_pairing, _composition, _replay, _run_sums
+from cola_forge.adapter import (
+    _apply,
+    _check_pairing,
+    _composition,
+    _replay,
+    _run_sums,
+    _run_views,
+)
 from cola_forge.harness import (
     ClassifyTaskSpec,
     RecoveryTaskSpec,
@@ -443,8 +451,10 @@ class TestTrainLoop:
     def test_backward_of_one_member_runs_allocates_one_gradient(self):
         # where every run is one member, backward returns its workspace's
         # gradient: beside the run sums, it allocates only the workspace of
-        # RANDOM_AB (3, 3) at batch 4 (out, base, g, sq and gs of n x 4, the
-        # three hidden states and rev of r x 4, da and db) and that gradient,
+        # RANDOM_AB (3, 3) at batch 4 (out, base, g, sq and gs of n x 4; the
+        # hidden state, rev and the per-partner sums of 3r x 4; the B run
+        # sums gathered into term order, n x 3r), that gradient, and the copy
+        # of one side that np.repeat makes to reorder it into member order,
         # so a second params-sized buffer (98304 bytes) would exceed the bound
         rng = make_rng(3)
         n, m, r, cols = 128, 128, 16, 4
@@ -452,7 +462,9 @@ class TestTrainLoop:
                          strategy=Strategy.RANDOM_AB)
         layer = random_layer(cfg)
         x, g = rng.normal(size=(m, cols)), rng.normal(size=(n, cols))
-        buffers = 2 * layer.params.nbytes + 8 * (5 * n * cols + 4 * r * cols + n * r + r * m)
+        side = 8 * 3 * max(r * m, n * r)
+        buffers = (2 * layer.params.nbytes + side
+                   + 8 * (5 * n * cols + 3 * 3 * r * cols + n * 3 * r))
         backward(layer, x, g, layer.pairing)
         tracemalloc.start()
         try:
@@ -460,10 +472,66 @@ class TestTrainLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # at most 8 KiB of Python objects: the calls of three terms, views,
-        # array headers
-        assert peak <= buffers + 8192
+        # at most 4 KiB of Python objects: recorded calls, views, array
+        # headers, the pairing and its 3 x 3 partner sum
+        assert peak <= buffers + 4096
         assert grads.flat.shape == layer.params.shape
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_calls_per_step(self, strategy):
+        # the calls a train step replays, counted as tests/step_calls.py
+        # counts them (a 3-step run minus a 0-step run): FULL's 25 for FULL
+        # and HEURISTIC, and at most two more for a random composition, its
+        # gather and its per-partner sum, at every (M, N) up to (4, 4)
+        task = small_task()
+        replay, counted = training._replay, [0]
+
+        def counting(calls):
+            counted[0] += len(calls)
+            replay(calls)
+        for a_count, b_count in itertools.product(range(1, 5), repeat=2):
+            if strategy is Strategy.HEURISTIC and a_count > b_count:
+                continue
+            cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=a_count,
+                             b_count=b_count, strategy=strategy)
+            totals = []
+            for steps in (3, 0):
+                layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1),
+                                    base_w0=task.w_base)
+                counted[0] = 0
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(training, "_replay", counting)
+                    train_loop(task, layer, make_optimizer("adam", 1e-2), steps=steps,
+                               batch=8, rng=make_rng(2))
+                totals.append(counted[0])
+            per_step = (totals[0] - totals[1]) / 3
+            if strategy in (Strategy.FULL, Strategy.HEURISTIC):
+                assert per_step == 25, (a_count, b_count)
+            else:
+                assert per_step <= 27, (a_count, b_count)
+
+    def test_a_zero_step_run_builds_no_sample_tables(self, monkeypatch):
+        # at the wide cell shape the W0 x table is n x 416 (400 samples in
+        # batches of 32); a 1-step run builds it beside the sample rows, a
+        # 0-step run builds neither. The two dataset losses peak above the
+        # tables, so they are stubbed out and the peaks are the run's own.
+        task = make_recovery_task(RecoveryTaskSpec(
+            n=128, m=128, base_seed=3, components=3, noise_std=0.05,
+            train_samples=400, eval_samples=400), make_rng(3))
+        cfg = CoLAConfig(in_dim=128, out_dim=128, rank=16, a_count=2, b_count=3)
+        monkeypatch.setattr(training, "_dataset_loss", lambda layer, task: 0.0)
+        peaks = []
+        for steps in (0, 0, 1):  # the first run allocates one-time objects
+            layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1),
+                                base_w0=task.w_base)
+            tracemalloc.start()
+            try:
+                train_loop(task, layer, make_optimizer("adam", 1e-2), steps=steps, batch=32,
+                           rng=make_rng(2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] + 8 * 128 * 416 < peaks[2]
 
     def test_frozen_pairing_is_honored(self):
         task = small_task()
@@ -523,9 +591,10 @@ class TestFusedStep:
     ]
 
     @staticmethod
-    def hand_loop(task, layer, kind, steps, batch, rng, lr=1e-2):
-        """One rng draw of batch indices per step, then the pairing draw."""
-        state = make_optimizer(kind, lr)
+    def hand_loop(task, layer, kind, steps, batch, rng, lr=1e-2, state=None):
+        """One rng draw of batch indices per step, then the pairing draw;
+        ``state`` (None makes one) is the optimizer of ``params``."""
+        state = make_optimizer(kind, lr) if state is None else state
         random = layer.config.strategy in (Strategy.RANDOM_AB, Strategy.RANDOM_BA)
         losses = []
         for _ in range(steps):
@@ -861,6 +930,28 @@ class TestFusedStep:
             train_loop(task, layer, state, steps=5, batch=8, rng=make_rng(9))
         assert layer.params.tobytes() == before
 
+    def test_an_adam_state_of_the_members_trains_as_the_hand_loop(self):
+        # RANDOM_AB (2, 3) has one run per member, so a state that
+        # optimizer_step allocated over the layer's params fits its run sums,
+        # whose B side sets the runs side by side; train_loop moves the
+        # moments into that layout and back, so the run continues the state
+        # as the hand loop does, and leaves it laid out like the members
+        task = small_task(noise=0.05)
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
+                         strategy=Strategy.RANDOM_AB)
+        fused, hand = (build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(5),
+                                   base_w0=task.w_base) for _ in range(2))
+        warm = make_rng(4).normal(size=fused.params.shape)  # moments unlike per member
+        states = [make_optimizer("adam", 1e-2) for _ in range(2)]
+        for state in states:
+            optimizer_step(state, np.zeros_like(warm), warm)
+        report = train_loop(task, fused, states[0], steps=20, batch=8, rng=make_rng(9))
+        losses = self.hand_loop(task, hand, "adam", 20, 8, make_rng(9), state=states[1])
+        assert report.losses == losses
+        assert fused.params.tobytes() == hand.params.tobytes()
+        assert states[0].m.tobytes() == states[1].m.tobytes()
+        assert states[0].v.tobytes() == states[1].v.tobytes()
+
     def test_the_write_back_is_exact(self):
         # a frozen RANDOM_AB (2, 3) pairing (1, 1) under PiSSA: every run is
         # one member and becomes its trained sum, as the class-sum reference
@@ -908,45 +999,50 @@ class TestFusedStep:
         (Strategy.RANDOM_AB, 1, 1), (Strategy.RANDOM_BA, 1, 1)])
     def test_every_slot_is_written_straight_where_no_fill_runs(self, strategy, a_count,
                                                                b_count, monkeypatch):
-        # each run of the class-sum composition is one member, in one term,
-        # so its product is written straight
-        # into its gradient slot: a slot left over from the last step (here
-        # NaN) is overwritten, and train_loop records no zero-fill
+        # each side's gradient is one product over the run sums of the
+        # class-sum composition, written straight into its slots: a slot left
+        # over from the last step (here NaN) is overwritten, and train_loop
+        # records no zero-fill
         cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=a_count, b_count=b_count,
                          strategy=strategy)
         layer = random_layer(cfg, seed=5)
         sums, _, _ = class_sum_adapter(layer)
-        runs, terms, scale = _composition(sums.config, _check_pairing(sums.config,
-                                                                      sums.pairing))
+        runs, pairing_map, scale = _composition(sums.config, _check_pairing(
+            sums.config, sums.pairing))
         rng = make_rng(6)
         x, g = rng.normal(size=(20, 8)), rng.normal(size=(24, 8))
-        ws = _StepWorkspace(_run_sums(sums, runs), (8,))
-        ws.grads.flat.fill(np.nan)
-        for calls in _apply(ws, x, terms, scale) + _backward(ws, x, g, terms, scale):
-            _replay(calls)
-        assert not np.isnan(ws.grads.flat).any()
-        assert ws.grads.flat.tobytes() == backward(sums, x, g, sums.pairing).flat.tobytes()
+        ws = _StepWorkspace(_run_sums(sums, runs), pairing_map, (8,))
+        ws.grad.fill(np.nan)
+        _replay(_apply(ws, x, scale) + _backward(ws, x, g, scale))
+        assert not np.isnan(ws.grad).any()
+        _, _, da, db = _run_views(ws.grad, sums.config)  # in member order
+        assert (np.concatenate([da.ravel(), db.ravel()]).tobytes()
+                == backward(sums, x, g, sums.pairing).flat.tobytes())
         fills = self.spy_on_fills(monkeypatch)
         train_loop(small_task(), layer, make_optimizer("adam", 1e-2), steps=5, batch=8,
                    rng=make_rng(9))
         assert not fills and np.isfinite(layer.params).all()
 
-    def test_a_run_that_adds_a_product_keeps_the_zero_fill(self, monkeypatch):
-        # a frozen RANDOM_AB (2, 3) pairing (1, 1): B_1's run takes the
-        # products of two terms, added, and no term uses B_0 or B_2, so each
-        # step zeroes the gradient first; under SGD B_0's slot then holds
-        # lr * 0 after every step
+    def test_a_partner_in_no_term_gets_a_zero_gradient_without_a_fill(self, monkeypatch):
+        # a frozen RANDOM_AB (2, 3) pairing (1, 1): B_1's gradient sums the
+        # products of two terms, and no term uses B_0 or B_2, whose per-partner
+        # sums are exact zeros; so the B product writes every slot, no step
+        # zero-fills the gradient, and under SGD B_0's slot holds lr * 0
         cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
                          strategy=Strategy.RANDOM_AB)
         layer = dataclasses.replace(random_layer(cfg, seed=5),
                                     pairing=Pairing((1, 1), frozen=True))
         before = layer.b_list.copy()
         fills = self.spy_on_fills(monkeypatch)
+        workspaces = []
+        workspace = training._StepWorkspace
+        monkeypatch.setattr(training, "_StepWorkspace", lambda *args: workspaces.append(
+            workspace(*args)) or workspaces[-1])
         train_loop(small_task(), layer, make_optimizer("sgd", 1e-2), steps=5, batch=8,
                    rng=make_rng(9))
-        assert len(fills) == 5 and all(grad is fills[0] for grad in fills)
-        # the run sums hold A_0, A_1, B_0, B_1 and B_2, one member each
-        unused = fills[0][2 * 4 * 20:][:24 * 4]
+        assert not fills
+        # the run sums are the members, B_0 the first of the B side's blocks
+        unused = _run_views(workspaces[0].grad, cfg)[3][0]
         assert unused.tobytes() == np.zeros_like(unused).tobytes()
         assert np.isfinite(layer.params).all()
         assert layer.b_list[0].tobytes() == before[0].tobytes()
