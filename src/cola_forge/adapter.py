@@ -34,7 +34,9 @@ the factored forward, the materialized :func:`delta_weight`,
 them knows the strategies. DeltaW is only materialized for merging and as a
 test oracle. ``_apply`` records the numpy calls of a forward pass over a
 workspace of buffers: :func:`forward` replays them once, a training run at
-every step. A layer's pools are views into one flat buffer.
+every step. A layer stores its pools as its run sums are stored, A_cat then
+B_cat in one flat buffer, so its members are views of that buffer and the
+run sums of a composition with one member a run are a copy of it.
 """
 
 from __future__ import annotations
@@ -162,41 +164,37 @@ def _pairing_range(cfg: CoLAConfig) -> tuple[int, int] | None:
 class CoLALayer:
     """One adapted linear map: frozen base plus trainable pools.
 
-    ``params`` alone stores the pools, and training updates it in place;
-    ``a_list`` and ``b_list`` are its (M, r, m) and (N, n, r) stacks, so writing
-    a member writes ``params``. ``w0`` is never written. ``pairing`` holds a
-    random strategy's current pairing (None for deterministic ones).
+    ``params`` alone stores the pools, and training updates it in place: the
+    A members stacked (A_cat, M r x m), then the B members side by side
+    (B_cat, n x N r), both row-major. ``a_list`` and ``b_list`` are its (M,
+    r, m) and (N, n, r) views (a B member a strided column block), so
+    writing a member writes ``params``. ``w0`` is never written.
+    ``pairing`` holds a random strategy's current pairing (None for
+    deterministic ones).
     """
 
     w0: np.ndarray
     config: CoLAConfig
     params: np.ndarray
     pairing: Pairing | None = None
-    _stacks: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _views: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_stacks", _pool_views(self.params, self.config))
+        object.__setattr__(self, "_views", _run_views(self.params, self.config))
 
     @property
     def a_list(self) -> np.ndarray:
-        return self._stacks[0]
+        return self._views[2]
 
     @property
     def b_list(self) -> np.ndarray:
-        return self._stacks[1]
-
-
-def _pool_views(flat: np.ndarray, cfg: CoLAConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(M, r, m) and (N, n, r) stacks of A_i and B_j: views into a flat buffer."""
-    n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
-    split = cfg.a_count * r * m
-    return (flat[:split].reshape(cfg.a_count, r, m),
-            flat[split:].reshape(cfg.b_count, n, r))
+        return self._views[3]
 
 
 def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray],
                config: CoLAConfig, rng: np.random.Generator | None = None) -> CoLALayer:
-    """Pack the pools into one flat buffer; random strategies get an initial pairing."""
+    """Pack the pools into one flat buffer, A_cat then B_cat (see
+    :class:`CoLALayer`); random strategies get an initial pairing."""
     n, m, r = config.out_dim, config.in_dim, config.rank
     w0 = as_matrix(w0, "w0")
     if w0.shape != (n, m):
@@ -211,7 +209,8 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
         name, shape = ("A", (r, m)) if k < config.a_count else ("B", (n, r))
         if pool.shape != shape:
             raise ShapeError(f"every {name} must be {shape[0]}x{shape[1]}, got {pool.shape}")
-    params = as_matrix(np.concatenate([p.ravel() for p in pools])[None], "a_list and b_list")[0]
+    packed = (*pools[:config.a_count], np.hstack(pools[config.a_count:]))  # A_cat, B_cat
+    params = as_matrix(np.concatenate([p.ravel() for p in packed])[None], "a_list and b_list")[0]
     random = _pairing_range(config) is not None
     if random and rng is None:
         raise ConfigError("random strategies need an rng to sample the initial pairing")
@@ -280,36 +279,25 @@ def _eval_composition(layer: CoLALayer) -> tuple[_Runs, tuple[int, ...] | None, 
 
 
 def _run_views(flat: np.ndarray, cfg: CoLAConfig) -> tuple[np.ndarray, ...]:
-    """A_cat (K_a r x m) and B_cat (n x K_b r) of a flat run-sum buffer, for
-    a ``cfg`` that counts the runs as members, then the runs' (K_a, r, m)
-    and (K_b, n, r) stacks: all views of ``flat``. With one run a side, the
-    layout is a layer's."""
+    """A_cat (M r x m) and B_cat (n x N r) of a flat pool buffer laid out as
+    a layer's ``params``, then its (M, r, m) and (N, n, r) member stacks: all
+    views of ``flat``."""
     n, m, r = cfg.out_dim, cfg.in_dim, cfg.rank
     split = cfg.a_count * r * m
     a_cat, b_cat = flat[:split].reshape(-1, m), flat[split:].reshape(n, -1)
     return a_cat, b_cat, a_cat.reshape(-1, r, m), b_cat.reshape(n, -1, r).transpose(1, 0, 2)
 
 
-class _RunSums:
-    """A layer's run sums in a buffer of their own, ``params`` (see
-    :func:`_run_views`), with ``config`` counting the runs as members."""
-
-    def __init__(self, layer: CoLALayer, runs: _Runs):
-        self.w0, self.layer_scale = layer.w0, layer.config.scale
-        self.config = replace(layer.config, a_count=len(runs[0]), b_count=len(runs[1]))
-        self.params = np.empty(trainable_params(self.config))
-        self.a_cat, self.b_cat, self.a_list, self.b_list = _run_views(self.params, self.config)
-
-
-def _run_sums(layer: CoLALayer, runs: _Runs) -> _RunSums:
-    """The run sums of ``layer``'s members, each summed left to right, one
-    member at a time (numpy's reductions sum 8 or more one-element slices
-    pairwise)."""
-    sums = _RunSums(layer, runs)
-    for pool, totals, side in zip(layer._stacks, (sums.a_list, sums.b_list), runs):
-        if len(side) == len(pool):  # one member a run
-            totals[...] = pool
-            continue
+def _run_sums(layer: CoLALayer, runs: _Runs) -> CoLALayer:
+    """The run sums of ``layer``'s members as a layer of their own, whose
+    config counts the runs as members: a copy of ``params`` where every run
+    is one member, else each run summed left to right, one member at a time
+    (numpy's reductions sum 8 or more one-element slices pairwise)."""
+    cfg = replace(layer.config, a_count=len(runs[0]), b_count=len(runs[1]))
+    if trainable_params(cfg) == layer.params.size:  # one member a run
+        return CoLALayer(layer.w0, cfg, layer.params.copy())
+    sums = CoLALayer(layer.w0, cfg, np.empty(trainable_params(cfg)))
+    for pool, totals, side in zip(layer._views[2:], sums._views[2:], runs):
         for total, (lo, hi) in zip(totals, side):
             total[...] = pool[lo]
             for member in pool[lo + 1:hi]:
@@ -333,21 +321,21 @@ class _Workspace:
     ``partner_sum``, the 0/1 matrix of partners by terms, sums each
     partner's terms in the backward pass, on side ``partner`` (0 A, 1 B)."""
 
-    def __init__(self, sums: _RunSums, pairing_map: tuple[int, ...] | None,
+    def __init__(self, sums: CoLALayer, pairing_map: tuple[int, ...] | None,
                  cols: tuple[int, ...]):
         cfg, r = sums.config, sums.config.rank
-        self.w0, self.layer_scale = sums.w0, sums.layer_scale
-        self.a_terms, self.b_terms = sums.a_cat, sums.b_cat
+        self.w0, self.layer_scale = sums.w0, cfg.scale
+        self.a_terms, self.b_terms = sums._views[:2]
         self.pairing = self.gather = self.partner = None
         if pairing_map is not None:
             self.pairing, count = np.array(pairing_map), len(pairing_map)
             self.partner = int(cfg.strategy is Strategy.RANDOM_AB)
             if self.partner:  # B_cat's column blocks, in term order
-                source, axis = sums.b_cat.reshape(cfg.out_dim, cfg.b_count, r), 1
+                source, axis = self.b_terms.reshape(cfg.out_dim, cfg.b_count, r), 1
                 self.b_terms = np.empty((cfg.out_dim, count * r))
                 target = self.b_terms.reshape(cfg.out_dim, count, r)
             else:  # A_cat's row blocks, in term order
-                source, axis = sums.a_cat.reshape(cfg.a_count, -1), 0
+                source, axis = self.a_terms.reshape(cfg.a_count, -1), 0
                 self.a_terms = np.empty((count * r, cfg.in_dim))
                 target = self.a_terms.reshape(count, -1)
             self.gather = (source.take, (self.pairing, axis, target, "wrap"))

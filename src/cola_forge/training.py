@@ -46,11 +46,9 @@ from .adapter import (
     _check_pairing,
     _composition,
     _pairing_range,
-    _pool_views,
     _replay,
     _run_sums,
     _run_views,
-    _RunSums,
     _Workspace,
     flop_count,
     forward,
@@ -78,12 +76,12 @@ class DivergenceError(ArithmeticError):
 
 class Grads:
     """dL/dA_i and dL/dB_j in one buffer, ``flat`` (allocated zeroed unless
-    given), laid out like the layer's ``params``; ``da_list`` and
-    ``db_list`` are its stacks."""
+    given), laid out like the layer's ``params`` (dA_cat, then dB_cat);
+    ``da_list`` and ``db_list`` are its member views."""
 
     def __init__(self, layer: CoLALayer, flat: np.ndarray | None = None):
         self.flat = np.zeros_like(layer.params) if flat is None else flat
-        self.da_list, self.db_list = _pool_views(self.flat, layer.config)
+        self.da_list, self.db_list = _run_views(self.flat, layer.config)[2:]
 
 
 def _as_columns(v: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -107,10 +105,9 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
     sums = _run_sums(layer, runs)
     ws = _StepWorkspace(sums, pairing_map, x2.shape[1:])
     _replay(_apply(ws, x2, scale) + _backward(ws, x2, g2, scale))
-    # each member takes its run's gradient; where every run is one member,
-    # the workspace's gradient becomes the result, reordered in place (numpy
-    # copies an overlapping source first)
-    grads = Grads(layer, ws.grad if ws.grad.size == layer.params.size else None)
+    if ws.grad.size == layer.params.size:  # one member a run: the members' gradient
+        return Grads(layer, ws.grad)
+    grads = Grads(layer)  # each member takes its run's gradient
     for pool, run_grad, side in zip((grads.da_list, grads.db_list),
                                     _run_views(ws.grad, sums.config)[2:], runs):
         pool[...] = (run_grad if len(side) == len(pool)
@@ -125,7 +122,7 @@ class _StepWorkspace(_Workspace):
     gradient ``grad``, laid out like their ``params``, with ``grad_a`` and
     ``grad_b`` its A_cat and B_cat."""
 
-    def __init__(self, sums: _RunSums, pairing_map: tuple[int, ...] | None,
+    def __init__(self, sums: CoLALayer, pairing_map: tuple[int, ...] | None,
                  cols: tuple[int, ...]):
         super().__init__(sums, pairing_map, cols)
         cfg = sums.config
@@ -241,8 +238,9 @@ class OptimizerState:
     """SGD or Adam (decoupled weight decay fixed at 0). The first recorded Adam
     update allocates the moments ``m`` and ``v`` and a ``scratch`` buffer like
     the update it writes (the parameters under :func:`optimizer_step`, the
-    run sums inside :func:`train_loop`), so later steps allocate none; an
-    update of another shape raises :class:`ShapeError`."""
+    run sums inside :func:`train_loop`, laid out alike where every run is one
+    member), so later steps allocate none; an update of another shape raises
+    :class:`ShapeError`."""
 
     kind: str
     lr: float
@@ -431,13 +429,14 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     then (for random strategies with an unfrozen pairing) the fresh pairing;
     a block of steps makes these draws in one call. The run trains the run
     sums of its composition (``adapter._composition``) at ``optimizer.lr``
-    times the run length (an Adam state laid out otherwise raises
-    :class:`ShapeError`), and writes the members after the last step: a
-    member alone in its run becomes its trained sum, and a member of a run
-    of k moves by (trained sum - starting sum) / k. The frozen base is
-    never written. Raises :class:`DivergenceError` at the first non-finite
-    minibatch loss, which leaves the members as they were, or, once they are
-    written, if the final loss is not finite.
+    times the run length (an Adam state laid out otherwise, unlike a layer's
+    ``params`` where every run is one member, raises :class:`ShapeError`),
+    and writes the members after the last step: a member alone in its run
+    becomes its trained sum, and a member of a run of k moves by (trained
+    sum - starting sum) / k. The frozen base is never written, and a 0-step
+    run allocates no buffer of a step. Raises :class:`DivergenceError` at
+    the first non-finite minibatch loss, which leaves the members as they
+    were, or, once they are written, if the final loss is not finite.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -448,15 +447,38 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     draw = None if frozen else _pairing_range(cfg)
     # every pairing of a random strategy composes one run per member, so a
     # run that resamples composes any one and resets it at each step
-    runs, pairing_map, scale = _composition(cfg, _check_pairing(cfg, layer.pairing)
-                                            if draw is None else (0,) * draw[1])
+    composition = _composition(cfg, _check_pairing(cfg, layer.pairing)
+                               if draw is None else (0,) * draw[1])
+    # A diverging run overflows before its loss turns non-finite; the
+    # DivergenceError below reports it, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        initial_loss = _dataset_loss(layer, task)
+        losses = _train_steps(task, layer, optimizer, steps, batch, rng, seed, draw,
+                              *composition) if steps else []
+        final_loss = _dataset_loss(layer, task)
+    if not math.isfinite(final_loss):
+        raise DivergenceError(f"training diverged: final loss {final_loss} after "
+                              f"{steps} steps (seed {seed})")
+    mac_per_step = flop_count(cfg, "train_step") * batch
+    return TrainReport(seed=seed, steps=steps, initial_loss=initial_loss, losses=losses,
+                       final_loss=final_loss, mac_per_step=mac_per_step,
+                       mac_total=mac_per_step * steps)
+
+
+def _train_steps(task, layer: CoLALayer, optimizer: OptimizerState, steps: int, batch: int,
+                 rng: np.random.Generator, seed: int, draw: tuple[int, int] | None,
+                 runs, pairing_map: tuple[int, ...] | None, scale: float) -> list[float]:
+    """The steps of :func:`train_loop` over the run sums of its composition
+    and the write of the members after them; returns the minibatch losses.
+    Every buffer of the steps is a local of this call, so none of them is
+    alive while a dataset loss runs."""
+    cfg, r = layer.config, layer.config.rank
     sums = _run_sums(layer, runs)
     sums_start = sums.params.copy()
-    (a_len, b_len), r = ([hi - lo for lo, hi in side] for side in runs), cfg.rank
+    a_len, b_len = ([hi - lo for lo, hi in side] for side in runs)
     lr = optimizer.lr * np.concatenate([np.repeat(a_len, r * cfg.in_dim),
                                         np.tile(np.repeat(b_len, r), cfg.out_dim)])
     ws = _StepWorkspace(sums, pairing_map, (batch,))
-    grad = ws.grad
 
     # A block of steps draws, per step, its batch indices and then (if it
     # resamples) its pairing, all in one rng call with per-element bounds; a
@@ -476,80 +498,44 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     t_cols = np.empty(task.y_train.shape[:-1] + (batch,), task.y_train.dtype)
     identity = None if draw is None else np.eye(draw[0])
     xb = x_rows.T
+    x_samples, w0x_samples = _sample_tables(layer.w0, task.x_train, batch)
+    t_samples = np.ascontiguousarray(task.y_train)
 
     # A step is two replays around the loss readout, over the workspace and
-    # those buffers. Outside this run, Adam's moments are laid out like the
-    # run sums' members (as optimizer_step lays out a layer's); inside, like
-    # the run sums' params, whose B side sets the runs side by side.
+    # those buffers; Adam's moments are laid out like the run sums' params.
     loss_calls, readout, divide = _loss(task.kind, ws.out, t_cols, ws.g, ws.sq)
     first = _apply(ws, xb, scale, w0x_cols) + loss_calls
-    _relayout_moments(optimizer, sums, into_run_sums=True)
-    optimizer_calls, advance = _update(optimizer, grad, grad, lr)
+    optimizer_calls, advance = _update(optimizer, ws.grad, ws.grad, lr)
     second = (divide + _backward(ws, xb, ws.g, scale) + optimizer_calls
-              + [(np.subtract, (sums.params, grad, sums.params))])
+              + [(np.subtract, (sums.params, ws.grad, sums.params))])
+    losses: list[float] = []
+    for start in range(0, steps, block):
+        count = min(block, steps - start)
+        drawn = rng.integers(0, block_highs[:count * len(highs)]).reshape(count, -1)
+        for idx, partners in zip(drawn[:, :batch], drawn[:, batch:]):
+            # every index is in range, so "wrap" changes none; unlike the
+            # default "raise", it lets take write straight into the buffer
+            x_samples.take(idx, 0, x_rows, "wrap")
+            w0x_samples.take(idx, 1, w0x_cols, "wrap")
+            t_samples.take(idx, -1, t_cols, "wrap")
+            if draw is not None:
+                ws.pairing[...] = partners
+                identity.take(partners, 1, ws.partner_sum, "wrap")
+            _replay(first)
+            loss = readout()
+            if not math.isfinite(loss):
+                raise DivergenceError(f"training diverged: minibatch loss {loss} at "
+                                      f"step {len(losses) + 1} of {steps} (seed {seed})")
+            advance()
+            _replay(second)
+            losses.append(loss)
 
-    # A diverging run overflows before its loss turns non-finite; the
-    # DivergenceError below reports it, so numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        initial_loss = _dataset_loss(layer, task)
-        losses: list[float] = []
-        try:
-            if steps:
-                # the tables the steps take from, which live while the steps
-                # run (a dataset loss, which peaks higher, never runs beside them)
-                x_samples, w0x_samples = _sample_tables(layer.w0, task.x_train, batch)
-                t_samples = np.ascontiguousarray(task.y_train)
-            for start in range(0, steps, block):
-                count = min(block, steps - start)
-                drawn = rng.integers(0, block_highs[:count * len(highs)]).reshape(count, -1)
-                for idx, pairing_map in zip(drawn[:, :batch], drawn[:, batch:]):
-                    # every index is in range, so "wrap" changes none; unlike the
-                    # default "raise", it lets take write straight into the buffer
-                    x_samples.take(idx, 0, x_rows, "wrap")
-                    w0x_samples.take(idx, 1, w0x_cols, "wrap")
-                    t_samples.take(idx, -1, t_cols, "wrap")
-                    if draw is not None:
-                        ws.pairing[...] = pairing_map
-                        identity.take(pairing_map, 1, ws.partner_sum, "wrap")
-                    _replay(first)
-                    loss = readout()
-                    if not math.isfinite(loss):
-                        raise DivergenceError(f"training diverged: minibatch loss {loss} at "
-                                              f"step {len(losses) + 1} of {steps} (seed {seed})")
-                    advance()
-                    _replay(second)
-                    losses.append(loss)
-        finally:
-            _relayout_moments(optimizer, sums, into_run_sums=False)
-        if steps:
-            del x_samples, w0x_samples, t_samples
-
-        # a member alone in its run becomes its trained sum; a member of a
-        # run of k moves by (sum_end - sum_start) / k, written as a
-        # subtraction, which leaves it untouched, signed zeros included, when
-        # its run sum never moved
-        for pool, trained, began, side in zip((layer.a_list, layer.b_list), (
-                sums.a_list, sums.b_list), _run_views(sums_start, sums.config)[2:], runs):
-            for end, start, (lo, hi) in zip(trained, began, side):
-                pool[lo:hi] = end if hi - lo == 1 else pool[lo:hi] - (start - end) / (hi - lo)
-        final_loss = _dataset_loss(layer, task)
-    if not math.isfinite(final_loss):
-        raise DivergenceError(f"training diverged: final loss {final_loss} after "
-                              f"{steps} steps (seed {seed})")
-    mac_per_step = flop_count(cfg, "train_step") * batch
-    return TrainReport(seed=seed, steps=steps, initial_loss=initial_loss, losses=losses,
-                       final_loss=final_loss, mac_per_step=mac_per_step,
-                       mac_total=mac_per_step * steps)
-
-
-def _relayout_moments(state: OptimizerState, sums: _RunSums, into_run_sums: bool) -> None:
-    """Move Adam's moments for ``sums`` in place between the layout of the
-    run sums' members, (K_a, r, m) then (K_b, n, r), and that of their
-    ``params``, where B_cat sets the runs side by side; moments of another
-    shape are left for :func:`_update` to refuse."""
-    if state.m is None or state.m.shape != sums.params.shape or sums.config.b_count == 1:
-        return
-    for moment in (state.m, state.v):
-        views = _pool_views(moment, sums.config)[1], _run_views(moment, sums.config)[3]
-        target, source = views[::-1] if into_run_sums else views
-        target[...] = source  # numpy copies an overlapping source first
+    # a member alone in its run becomes its trained sum; a member of a run
+    # of k moves by (sum_end - sum_start) / k, written as a subtraction,
+    # which leaves it untouched, signed zeros included, when its run sum
+    # never moved
+    for pool, trained, began, side in zip((layer.a_list, layer.b_list), (
+            sums.a_list, sums.b_list), _run_views(sums_start, sums.config)[2:], runs):
+        for end, start, (lo, hi) in zip(trained, began, side):
+            pool[lo:hi] = end if hi - lo == 1 else pool[lo:hi] - (start - end) / (hi - lo)
+    return losses

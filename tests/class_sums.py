@@ -17,7 +17,6 @@ independently of the engine's class tables.
 
 import dataclasses
 import functools
-import itertools
 
 import numpy as np
 
@@ -65,12 +64,10 @@ def class_sum_adapter(layer):
 
 def class_sum_loop(task, layer, states, steps, batch, rng):
     """Train ``layer`` by the public forward, backward and optimizer_step:
-    one optimizer per member slice of ``params`` from ``states``; one draw
-    of batch indices per step, as train_loop draws. Returns the losses."""
-    cfg = layer.config
-    widths = [cfg.rank * cfg.in_dim] * cfg.a_count + [cfg.out_dim * cfg.rank] * cfg.b_count
-    bounds = list(itertools.accumulate(widths, initial=0))
-    slices = [slice(lo, hi) for lo, hi in itertools.pairwise(bounds)]
+    one optimizer per member from ``states``, each stepping that member's
+    view by its gradient; one draw of batch indices per step, as train_loop
+    draws. Returns the losses."""
+    members = [*layer.a_list, *layer.b_list]
     losses = []
     for _ in range(steps):
         idx = rng.integers(0, task.train_size, size=batch)
@@ -80,9 +77,9 @@ def class_sum_loop(task, layer, states, steps, batch, rng):
             loss, g = squared_error_grad(y, task.y_train[:, idx])
         else:
             loss, g = cross_entropy_grad(y, task.y_train[idx])
-        grads = backward(layer, xb, g, layer.pairing).flat
-        for part, state in zip(slices, states):
-            optimizer_step(state, layer.params[part], grads[part])
+        grads = backward(layer, xb, g, layer.pairing)
+        for member, grad, state in zip(members, [*grads.da_list, *grads.db_list], states):
+            optimizer_step(state, member, grad)
         losses.append(loss)
     return losses
 

@@ -31,10 +31,12 @@ from cola_forge.harness import RecoveryTaskSpec, make_recovery_task
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
 from cola_forge.linalg import make_rng
 from cola_forge.training import (
+    Grads,
     _StepWorkspace,
     backward,
     finite_diff_check,
     make_optimizer,
+    optimizer_step,
     train_loop,
 )
 
@@ -113,6 +115,35 @@ def test_eval_delta_is_mean_over_every_pairing(case):
 def test_backward_matches_finite_differences(case):
     layer, _, x, target = case
     assert finite_diff_check(layer, x, target) <= 1e-6
+
+
+def pool_layout(a_members, b_members):
+    """The A members' rows, then the B members side by side, row-major."""
+    return np.concatenate([np.vstack(a_members).ravel(), np.hstack(b_members).ravel()])
+
+
+@PROPERTY_SETTINGS
+@given(layer_cases())
+def test_params_grads_and_adam_share_one_pool_layout(case):
+    # params, backward's gradient and an Adam state that optimizer_step
+    # allocates over params all hold A_cat then B_cat, the layout of the run
+    # sums; a member is a view, so writing one writes params
+    layer, pairing, x, target = case
+    assert layer.params.tobytes() == pool_layout(layer.a_list, layer.b_list).tobytes()
+    grads = backward(layer, x, target, pairing)
+    assert grads.flat.tobytes() == pool_layout(grads.da_list, grads.db_list).tobytes()
+    whole = make_optimizer("adam", 1e-2)
+    optimizer_step(whole, layer.params.copy(), grads.flat)
+    m_views, v_views = ([*views.da_list, *views.db_list]
+                        for views in (Grads(layer, whole.m), Grads(layer, whole.v)))
+    for grad, m, v in zip([*grads.da_list, *grads.db_list], m_views, v_views):
+        own = make_optimizer("adam", 1e-2)  # one member's state
+        optimizer_step(own, np.zeros(grad.shape), grad)
+        assert own.m.tobytes() == m.tobytes() and own.v.tobytes() == v.tobytes()
+    a_members, b_members = list(layer.a_list.copy()), list(layer.b_list.copy())
+    b_members[-1] = np.arange(b_members[-1].size, dtype=float).reshape(b_members[-1].shape)
+    layer.b_list[-1] = b_members[-1]
+    assert layer.params.tobytes() == pool_layout(a_members, b_members).tobytes()
 
 
 # A fixed composition is a smaller adapter in disguise (see class_sums.py),
