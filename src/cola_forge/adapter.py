@@ -97,6 +97,9 @@ class CoLAConfig:
     alpha: float | None = None
 
     def __post_init__(self):
+        for name in ("in_dim", "out_dim", "rank", "a_count", "b_count"):
+            if not _is_integer(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.in_dim < 1 or self.out_dim < 1:
             raise ConfigError(f"dims must be positive, got {self.out_dim}x{self.in_dim}")
         if not 1 <= self.rank <= min(self.in_dim, self.out_dim):
@@ -113,8 +116,8 @@ class CoLAConfig:
             raise ConfigError(
                 f"heuristic strategy requires M <= N, got M={self.a_count} > N={self.b_count}"
             )
-        if self.alpha is not None and not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if self.alpha is not None and not 0 < self.alpha < float("inf"):
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def scale(self) -> float:
@@ -135,7 +138,13 @@ class Pairing:
     frozen: bool = False
 
     def __post_init__(self):
+        if not all(_is_integer(entry) for entry in self.map):
+            raise ConfigError(f"pairing map entries must be integers, got {self.map!r}")
         object.__setattr__(self, "map", tuple(map(int, self.map)))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def sample_pairing(config: CoLAConfig, rng: np.random.Generator,
@@ -312,19 +321,19 @@ def _replay(calls: list[tuple]) -> None:
 
 
 class _Workspace:
-    """The buffers of a forward pass over run sums, for inputs of trailing
-    shape ``cols``: DeltaW x (``out``) and the hidden state A_terms x, where
-    DeltaW = B_terms A_terms multiplies over the terms (B_cat and A_cat where
-    P = I). A random composition's ``gather`` copies the partner of each
-    drawing member, named by ``pairing`` (reset by a resampling run), into
-    term order, so no product stacks a partner its pairing does not draw;
-    ``partner_sum``, the 0/1 matrix of partners by terms, sums each
-    partner's terms in the backward pass, on side ``partner`` (0 A, 1 B)."""
+    """The buffers of a forward pass over run sums (of ``config``), for
+    inputs of trailing shape ``cols``: DeltaW x (``out``) and the hidden state
+    A_terms x, where DeltaW = B_terms A_terms multiplies over the terms (B_cat
+    and A_cat where P = I); a backward pass allocates its own. A random
+    composition's ``gather`` copies each drawing member's partner, named by
+    ``pairing`` (reset by a resampling run), into term order, so no product
+    stacks an undrawn partner; ``partner_sum``, the 0/1 partners-by-terms
+    matrix, sums each partner's terms backward, on side ``partner`` (0 A, 1 B)."""
 
     def __init__(self, sums: CoLALayer, pairing_map: tuple[int, ...] | None,
                  cols: tuple[int, ...]):
         cfg, r = sums.config, sums.config.rank
-        self.w0, self.layer_scale = sums.w0, cfg.scale
+        self.w0, self.config = sums.w0, cfg
         self.a_terms, self.b_terms = sums._views[:2]
         self.pairing = self.gather = self.partner = None
         if pairing_map is not None:
@@ -357,7 +366,7 @@ def _apply(ws: _Workspace, x: np.ndarray, scale: float,
     calls = [] if ws.gather is None else [ws.gather]
     calls += [(np.dot, (ws.a_terms, x, ws.hidden)), (np.dot, (ws.b_terms, ws.hidden, out))]
     # w0 @ x + alpha/r * (scale * out), rounded alike, into out's own storage
-    calls += [(np.multiply, (out, s, out)) for s in (scale, ws.layer_scale) if s != 1.0]
+    calls += [(np.multiply, (out, s, out)) for s in (scale, ws.config.scale) if s != 1.0]
     if base is None:
         base = np.empty_like(out)
         calls.append((np.dot, (ws.w0, x, base)))

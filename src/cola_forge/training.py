@@ -18,16 +18,17 @@ extended-precision statement of the rules as the oracle. The conventions:
   part of the gradient.
 * x and g_out are a single sample or a batch as columns, whose gradients sum.
 
-:func:`train_loop` records a step once per run, over buffers it allocates
-once: the forward pass (``adapter._apply``), the loss (``_loss``, the one
-statement of its arithmetic), the backward pass (:func:`_backward`) and the
-optimizer (``_update``, the one statement of SGD and Adam, whose scalars are
-0-d arrays). A step takes its x, and its W0 x and targets from tables the run
-multiplies once, into fixed buffers and is two replays around the loss
-readout; a step that resamples first copies its drawn map into the
-workspace's pairing and sets P with one take from an identity. A run draws a
-block of steps in one rng call. It trains the run sums at lr times the run
-length and writes the members once, after its last step.
+:func:`train_loop` records a step once per run, each recorder the one
+statement of its calls: the forward pass (``adapter._apply``, over a
+``_Workspace``), the loss (``_loss``), the backward pass (:func:`_backward`,
+which allocates its own scratch) and the optimizer (``_update``, SGD or Adam
+with 0-d array scalars); the run allocates the loss buffers and the gradient
+these share. A step takes its x, W0 x and targets from tables the run builds
+once into fixed buffers, and is two replays around the loss readout; a step
+that resamples first copies its drawn map into the workspace's pairing and
+sets P with one take from an identity. A run draws a block of steps in one
+rng call, trains the run sums at lr times the run length and writes the
+members once, after its last step.
 """
 
 from __future__ import annotations
@@ -103,59 +104,43 @@ def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
         raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
     runs, pairing_map, scale = _composition(cfg, _check_pairing(cfg, pairing))
     sums = _run_sums(layer, runs)
-    ws = _StepWorkspace(sums, pairing_map, x2.shape[1:])
-    _replay(_apply(ws, x2, scale) + _backward(ws, x2, g2, scale))
-    if ws.grad.size == layer.params.size:  # one member a run: the members' gradient
-        return Grads(layer, ws.grad)
+    ws, grad = _Workspace(sums, pairing_map, x2.shape[1:]), np.empty_like(sums.params)
+    _replay(_apply(ws, x2, scale) + _backward(ws, x2, g2, scale, grad))
+    if grad.size == layer.params.size:  # one member a run: the members' gradient
+        return Grads(layer, grad)
     grads = Grads(layer)  # each member takes its run's gradient
     for pool, run_grad, side in zip((grads.da_list, grads.db_list),
-                                    _run_views(ws.grad, sums.config)[2:], runs):
+                                    _run_views(grad, sums.config)[2:], runs):
         pool[...] = (run_grad if len(side) == len(pool)
                      else np.repeat(run_grad, [hi - lo for lo, hi in side], axis=0))
     return grads
 
 
-class _StepWorkspace(_Workspace):
-    """An :func:`_apply` workspace plus the buffers of the loss and of
-    :func:`_backward`: g, sq and gs (n x cols), B_terms^T g (``rev``), a
-    random composition's per-partner sums (``summed``), and the run sums'
-    gradient ``grad``, laid out like their ``params``, with ``grad_a`` and
-    ``grad_b`` its A_cat and B_cat."""
-
-    def __init__(self, sums: CoLALayer, pairing_map: tuple[int, ...] | None,
-                 cols: tuple[int, ...]):
-        super().__init__(sums, pairing_map, cols)
-        cfg = sums.config
-        self.g, self.sq, self.gs = (np.empty((cfg.out_dim,) + cols) for _ in range(3))
-        self.rev = np.empty(self.hidden.shape)
-        if pairing_map is not None:
-            self.summed = np.empty((len(self.partner_sum) * cfg.rank,) + cols)
-        self.grad = np.empty_like(sums.params)
-        self.grad_a, self.grad_b = _run_views(self.grad, cfg)[:2]
-
-
-def _backward(ws: _StepWorkspace, x2: np.ndarray, g2: np.ndarray,
-              scale: float) -> list[tuple]:
-    """The calls that write the run sums' gradient into ``ws.grad``, given
-    the hidden state of the forward pass in ``ws``: both scales folded into
-    g_out, then dB_cat = g (A_terms x)^T and dA_cat = B_terms^T g x^T, each
-    one product that writes its side whole. On a random composition's
-    partner side, the product reads its operand (A_terms x for B, B_terms^T
-    g for A) with each partner's terms summed by ``ws.partner_sum``, so a
-    partner no term draws gets an exact zero."""
-    calls = []
-    if (total := ws.layer_scale * scale) != 1.0:
-        calls.append((np.multiply, (g2, np.array(total), ws.gs)))
-        g2 = ws.gs
-    hidden, rev, summing = ws.hidden, ws.rev, []
+def _backward(ws: _Workspace, x2: np.ndarray, g2: np.ndarray, scale: float,
+              grad: np.ndarray) -> list[tuple]:
+    """The calls that write the run sums' gradient into ``grad``, laid out
+    like their ``params``, given the forward pass's hidden state in ``ws``:
+    both scales folded into g_out, B_terms^T g, a random composition's
+    per-partner sum, then dB_cat = g (A_terms x)^T and dA_cat = B_terms^T g
+    x^T, each one product that writes its side whole; it allocates their
+    scratch. The partner side's product reads its operand (A_terms x for B,
+    B_terms^T g for A) with each partner's terms summed by ``ws.partner_sum``,
+    so a partner no term draws gets an exact zero."""
+    calls, cfg = [], ws.config
+    if (total := cfg.scale * scale) != 1.0:
+        gs = np.empty(g2.shape)
+        calls.append((np.multiply, (g2, np.array(total), gs)))
+        g2 = gs
+    hidden, rev = ws.hidden, np.empty(ws.hidden.shape)
+    calls.append((np.dot, (ws.b_terms.T, g2, rev)))
     if ws.pairing is not None:
         s = ws.partner_sum
-        summing = [(np.dot, (s, (hidden if ws.partner else rev).reshape(s.shape[1], -1),
-                             ws.summed.reshape(len(s), -1)))]
-        hidden, rev = (ws.summed, rev) if ws.partner else (hidden, ws.summed)
-    b_side = [(np.dot, (g2, hidden.T, ws.grad_b)), (np.dot, (ws.b_terms.T, g2, ws.rev))]
-    a_side = [(np.dot, (rev, x2.T, ws.grad_a))]
-    return calls + (summing + b_side + a_side if ws.partner else b_side + summing + a_side)
+        summed = np.empty((len(s) * cfg.rank,) + hidden.shape[1:])
+        calls.append((np.dot, (s, (hidden if ws.partner else rev).reshape(s.shape[1], -1),
+                               summed.reshape(len(s), -1))))
+        hidden, rev = (summed, rev) if ws.partner else (hidden, summed)
+    grad_a, grad_b = _run_views(grad, cfg)[:2]
+    return calls + [(np.dot, (g2, hidden.T, grad_b)), (np.dot, (rev, x2.T, grad_a))]
 
 
 def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
@@ -478,7 +463,8 @@ def _train_steps(task, layer: CoLALayer, optimizer: OptimizerState, steps: int, 
     a_len, b_len = ([hi - lo for lo, hi in side] for side in runs)
     lr = optimizer.lr * np.concatenate([np.repeat(a_len, r * cfg.in_dim),
                                         np.tile(np.repeat(b_len, r), cfg.out_dim)])
-    ws = _StepWorkspace(sums, pairing_map, (batch,))
+    ws = _Workspace(sums, pairing_map, (batch,))
+    g, sq, grad = np.empty(ws.out.shape), np.empty(ws.out.shape), np.empty_like(sums.params)
 
     # A block of steps draws, per step, its batch indices and then (if it
     # resamples) its pairing, all in one rng call with per-element bounds; a
@@ -503,11 +489,11 @@ def _train_steps(task, layer: CoLALayer, optimizer: OptimizerState, steps: int, 
 
     # A step is two replays around the loss readout, over the workspace and
     # those buffers; Adam's moments are laid out like the run sums' params.
-    loss_calls, readout, divide = _loss(task.kind, ws.out, t_cols, ws.g, ws.sq)
+    loss_calls, readout, divide = _loss(task.kind, ws.out, t_cols, g, sq)
     first = _apply(ws, xb, scale, w0x_cols) + loss_calls
-    optimizer_calls, advance = _update(optimizer, ws.grad, ws.grad, lr)
-    second = (divide + _backward(ws, xb, ws.g, scale) + optimizer_calls
-              + [(np.subtract, (sums.params, ws.grad, sums.params))])
+    optimizer_calls, advance = _update(optimizer, grad, grad, lr)
+    second = (divide + _backward(ws, xb, g, scale, grad) + optimizer_calls
+              + [(np.subtract, (sums.params, grad, sums.params))])
     losses: list[float] = []
     for start in range(0, steps, block):
         count = min(block, steps - start)

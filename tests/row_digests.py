@@ -16,8 +16,9 @@ they were made on (:func:`build`); ``--against PATH`` compares them with
 such a dump, made from another tree, and reports per group how many rows
 are byte-identical and the worst relative difference of a float field, then
 names each row that moved (:func:`moved_rows`, which ``test_rows.py``
-shares). The script is not a test (pytest collects only ``test_*.py``). Run
-it from the repository root, naming the tree to digest by its ``src``::
+shares) and exits 1 if any row moved, else 0. The script is not a test
+(pytest collects only ``test_*.py``). Run it from the repository root,
+naming the tree to digest by its ``src``::
 
     PYTHONPATH=src python tests/row_digests.py --dump rows.json
     PYTHONPATH=other/src python tests/row_digests.py --against rows.json
@@ -117,7 +118,7 @@ def moved_rows(name, rows, other) -> list[str]:
     return lines
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", help="write the rows as JSON to this path")
     parser.add_argument("--against", help="compare with the rows of a --dump file")
@@ -133,14 +134,15 @@ def main(argv=None) -> None:
             same, worst = compare(group, other[name])
             line += f"  identical {same}/{len(group)}  worst rel diff {worst:.2e}"
         print(line)
-    if other is not None:
-        for name, group in rows.items():
-            for line in moved_rows(name, group, other[name]):
-                print(line)
+    moved = [] if other is None else [line for name, group in rows.items()
+                                      for line in moved_rows(name, group, other[name])]
+    for line in moved:
+        print(line)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
             json.dump({"build": build(), "rows": rows}, fh)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -53,6 +53,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha"):
             CoLAConfig(in_dim=4, out_dim=4, rank=2, alpha=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("in_dim", 4.0), ("out_dim", True), ("rank", 2.5), ("a_count", np.float64(2.0)),
+        ("b_count", np.True_), ("alpha", float("inf"))])
+    def test_a_non_integral_or_infinite_field_is_refused_by_name(self, field, value):
+        # rank=2.5 once gave fractional parameter and MAC counts and then a
+        # bare TypeError from build_layer; alpha=inf an infinite scale
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            CoLAConfig(**{"in_dim": 4, "out_dim": 4, "rank": 2, field: value})
+
+    def test_numpy_integer_fields_are_accepted(self):
+        cfg = CoLAConfig(*(np.int64(k) for k in (4, 6, 2, 2, 3)))
+        assert trainable_params(cfg) == 2 * 2 * 4 + 3 * 6 * 2
+
     def test_scale_needs_resolved_alpha(self):
         cfg = CoLAConfig(in_dim=4, out_dim=4, rank=2)
         with pytest.raises(ConfigError, match="alpha"):
@@ -257,6 +270,15 @@ class TestSamplePairing:
         with pytest.raises(ConfigError, match=f"strategy {strategy.value} is deterministic"):
             sample_pairing(random_config(2, 3, strategy), rng)
         assert rng.bit_generator.state == state  # nothing was drawn
+
+    @pytest.mark.parametrize("entries", [(0.7, 2.9), (True, False), np.array([1.0, 0.0])])
+    def test_a_non_integral_pairing_entry_is_refused(self, entries):
+        # int() would truncate these into another, valid-looking pairing
+        with pytest.raises(ConfigError, match="pairing map entries must be integers"):
+            Pairing(entries)
+
+    def test_numpy_integer_pairing_entries_are_accepted(self):
+        assert Pairing(np.array([1, 0])).map == (1, 0)
 
 
 class TestPresets:

@@ -26,13 +26,12 @@ from cola_forge.adapter import (
     make_layer,
     merge,
 )
-from cola_forge.adapter import _composition, _replay, _run_sums
+from cola_forge.adapter import _composition, _replay, _run_sums, _Workspace
 from cola_forge.harness import RecoveryTaskSpec, make_recovery_task
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
 from cola_forge.linalg import make_rng
 from cola_forge.training import (
     Grads,
-    _StepWorkspace,
     backward,
     finite_diff_check,
     make_optimizer,
@@ -242,7 +241,7 @@ def test_the_pairing_copies_partners_and_sums_their_terms(case):
     cfg, pairing_map = layer.config, layer.pairing.map
     n, m, r, terms = cfg.out_dim, cfg.in_dim, cfg.rank, len(layer.pairing.map)
     runs, _, _ = _composition(cfg, pairing_map)
-    ws = _StepWorkspace(_run_sums(layer, runs), pairing_map, (batch,))
+    ws = _Workspace(_run_sums(layer, runs), pairing_map, (batch,))
     _replay([ws.gather])
     if cfg.strategy is Strategy.RANDOM_AB:
         partners, gathered = layer.b_list, ws.b_terms.reshape(n, terms, r).transpose(1, 0, 2)

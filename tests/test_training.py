@@ -25,6 +25,7 @@ from cola_forge.adapter import (
     _replay,
     _run_sums,
     _run_views,
+    _Workspace,
 )
 from cola_forge.harness import (
     ClassifyTaskSpec,
@@ -40,7 +41,6 @@ from cola_forge.training import (
     OptimizerState,
     _backward,
     _sample_tables,
-    _StepWorkspace,
     backward,
     cross_entropy_grad,
     finite_diff_check,
@@ -1042,12 +1042,12 @@ class TestFusedStep:
             sums.config, sums.pairing))
         rng = make_rng(6)
         x, g = rng.normal(size=(20, 8)), rng.normal(size=(24, 8))
-        ws = _StepWorkspace(_run_sums(sums, runs), pairing_map, (8,))
-        ws.grad.fill(np.nan)
-        _replay(_apply(ws, x, scale) + _backward(ws, x, g, scale))
-        assert not np.isnan(ws.grad).any()
+        run_sums = _run_sums(sums, runs)
+        ws, grad = _Workspace(run_sums, pairing_map, (8,)), np.full_like(run_sums.params, np.nan)
+        _replay(_apply(ws, x, scale) + _backward(ws, x, g, scale, grad))
+        assert not np.isnan(grad).any()
         # one member a run: the run sums' gradient is laid out like params
-        assert ws.grad.tobytes() == backward(sums, x, g, sums.pairing).flat.tobytes()
+        assert grad.tobytes() == backward(sums, x, g, sums.pairing).flat.tobytes()
         fills = self.spy_on_fills(monkeypatch)
         train_loop(small_task(), layer, make_optimizer("adam", 1e-2), steps=5, batch=8,
                    rng=make_rng(9))
@@ -1064,15 +1064,15 @@ class TestFusedStep:
                                     pairing=Pairing((1, 1), frozen=True))
         before = layer.b_list.copy()
         fills = self.spy_on_fills(monkeypatch)
-        workspaces = []
-        workspace = training._StepWorkspace
-        monkeypatch.setattr(training, "_StepWorkspace", lambda *args: workspaces.append(
-            workspace(*args)) or workspaces[-1])
+        grads = []
+        recorder = training._backward
+        monkeypatch.setattr(training, "_backward", lambda *args: grads.append(args[-1])
+                            or recorder(*args))
         train_loop(small_task(), layer, make_optimizer("sgd", 1e-2), steps=5, batch=8,
                    rng=make_rng(9))
         assert not fills
         # the run sums are the members, B_0 the first of the B side's blocks
-        unused = _run_views(workspaces[0].grad, cfg)[3][0]
+        unused = _run_views(grads[0], cfg)[3][0]
         assert unused.tobytes() == np.zeros_like(unused).tobytes()
         assert np.isfinite(layer.params).all()
         assert layer.b_list[0].tobytes() == before[0].tobytes()
