@@ -42,6 +42,7 @@ run sums of a composition with one member a run are a copy of it.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,11 +112,17 @@ class CoLAConfig:
             raise ConfigError(
                 f"pool counts must be >= 1, got M={self.a_count}, N={self.b_count}"
             )
-        object.__setattr__(self, "strategy", Strategy(self.strategy))
+        try:
+            object.__setattr__(self, "strategy", Strategy(self.strategy))
+        except ValueError:
+            raise ConfigError(f"strategy must be one of {[s.value for s in Strategy]}, "
+                              f"got {self.strategy!r}") from None
         if self.strategy is Strategy.HEURISTIC and self.a_count > self.b_count:
             raise ConfigError(
                 f"heuristic strategy requires M <= N, got M={self.a_count} > N={self.b_count}"
             )
+        if self.alpha is not None and not _is_real(self.alpha):
+            raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
         if self.alpha is not None and not 0 < self.alpha < float("inf"):
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
 
@@ -145,6 +152,10 @@ class Pairing:
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def sample_pairing(config: CoLAConfig, rng: np.random.Generator,

@@ -22,7 +22,8 @@ extended-precision statement of the rules as the oracle. The conventions:
 statement of its calls: the forward pass (``adapter._apply``, over a
 ``_Workspace``), the loss (``_loss``), the backward pass (:func:`_backward`,
 which allocates its own scratch) and the optimizer (``_update``, SGD or Adam
-with 0-d array scalars); the run allocates the loss buffers and the gradient
+with 0-d array scalars, Adam's moments kept over their EMA weights, so that
+its step is 10 calls); the run allocates the loss buffers and the gradient
 these share. A step takes its x, W0 x and targets from tables the run builds
 once into fixed buffers, and is two replays around the loss readout; a step
 that resamples first copies its drawn map into the workspace's pairing and
@@ -46,6 +47,8 @@ from .adapter import (
     _apply,
     _check_pairing,
     _composition,
+    _is_integer,
+    _is_real,
     _pairing_range,
     _replay,
     _run_sums,
@@ -225,7 +228,8 @@ class OptimizerState:
     the update it writes (the parameters under :func:`optimizer_step`, the
     run sums inside :func:`train_loop`, laid out alike where every run is one
     member), so later steps allocate none; an update of another shape raises
-    :class:`ShapeError`."""
+    :class:`ShapeError`. ``m`` and ``v`` hold the moments over their EMA
+    weights, m / (1 - beta1) and v / (1 - beta2) (see ``_update``)."""
 
     kind: str
     lr: float
@@ -239,8 +243,18 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
-        if not self.lr > 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        for name, value in (("learning rate", self.lr), ("eps", self.eps)):
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2
+                and all(_is_real(b) and 0 <= b < 1 for b in self.betas)):
+            raise ValueError(f"betas must be two reals in [0, 1), got {self.betas!r}")
+        if not (_is_integer(self.step) and self.step >= 0):
+            raise ValueError(f"step must be a non-negative integer, got {self.step!r}")
 
 
 def make_optimizer(kind: str, lr: float) -> OptimizerState:
@@ -266,9 +280,15 @@ def _update(state: OptimizerState, grads: np.ndarray, out: np.ndarray,
             lr: np.ndarray | None = None) -> tuple[list[tuple], Callable[[], None]]:
     """The calls that write a step's update u for ``grads`` (applied as
     params -= u) into ``out``, which may be ``grads``, and the advance that
-    counts the step and sets Adam's bias corrections before each replay; each
+    counts the step and sets Adam's step scalars before each replay; each
     scalar is a 0-d array of ``out``'s dtype (read faster, rounded alike).
-    ``lr``, laid out like ``grads``, replaces ``state.lr`` per element."""
+    ``lr``, laid out like ``grads``, replaces ``state.lr`` per element.
+
+    Adam keeps its moments over their EMA weights, m~ = m / (1 - b1) and
+    v~ = v / (1 - b2), and folds its bias corrections into two step scalars
+    (Kingma and Ba, arXiv 1412.6980, section 2, before 2.1): u = lr m~ /
+    (sqrt(v~) + eps root) * s_t, with root = sqrt((1 - b2^t) / (1 - b2)) and
+    s_t = (1 - b1) / (1 - b1^t) * root, the textbook update reordered."""
     lr = np.array(state.lr if lr is None else lr, out.dtype)
     if state.kind == "sgd":
         def advance():
@@ -278,21 +298,20 @@ def _update(state: OptimizerState, grads: np.ndarray, out: np.ndarray,
         state.m, state.v, state.scratch = (np.zeros_like(out) for _ in range(3))
     elif state.m.shape != grads.shape:
         raise ShapeError("Adam state was allocated for other parameters")
-    b1, b2 = state.betas
-    c1, k1, c2, k2, eps, bc1, bc2 = (np.array(value, out.dtype) for value in (
-        b1, 1.0 - b1, b2, 1.0 - b2, state.eps, 1.0, 1.0))
+    (b1, b2), e = state.betas, state.eps
+    k1, k2 = 1.0 - b1, 1.0 - b2
+    c1, c2, eps, s = (np.array(value, out.dtype) for value in (b1, b2, e, 1.0))
 
     def advance():
         state.step += 1
-        bc1[()] = 1.0 - b1 ** state.step
-        bc2[()] = 1.0 - b2 ** state.step
-    # u = lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+        root = math.sqrt((1.0 - b2 ** state.step) / k2)
+        eps[()] = e * root
+        s[()] = k1 / (1.0 - b1 ** state.step) * root
     m, v, t = state.m, state.v, state.scratch
-    return [(np.multiply, (m, c1, m)), (np.multiply, (grads, k1, t)), (np.add, (m, t, m)),
-            (np.multiply, (v, c2, v)), (np.multiply, (grads, k2, t)),
-            (np.multiply, (t, grads, t)), (np.add, (v, t, v)), (np.divide, (v, bc2, t)),
-            (np.sqrt, (t, t)), (np.add, (t, eps, t)), (np.divide, (m, bc1, out)),
-            (np.multiply, (out, lr, out)), (np.divide, (out, t, out))], advance
+    return [(np.multiply, (m, c1, m)), (np.add, (m, grads, m)), (np.multiply, (v, c2, v)),
+            (np.multiply, (grads, grads, t)), (np.add, (v, t, v)), (np.sqrt, (v, t)),
+            (np.add, (t, eps, t)), (np.multiply, (m, lr, out)), (np.divide, (out, t, out)),
+            (np.multiply, (out, s, out))], advance
 
 
 # ---------------------------------------------------------------------------

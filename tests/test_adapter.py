@@ -62,6 +62,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{field} must be"):
             CoLAConfig(**{"in_dim": 4, "out_dim": 4, "rank": 2, field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", "2", "alpha must be a real number, got '2'"),
+        ("alpha", 1j, "alpha must be a real number, got 1j"),
+        ("alpha", True, "alpha must be a real number, got True"),
+        ("alpha", np.True_, "alpha must be a real number, got np.True_"),
+        ("strategy", "nope", "strategy must be one of ['full', 'random_ab', 'random_ba', "
+                             "'heuristic'], got 'nope'"),
+    ], ids=["alpha-str", "alpha-complex", "alpha-bool", "alpha-numpy-bool", "strategy"])
+    def test_a_non_real_alpha_or_unknown_strategy_is_refused_by_name(self, field, value,
+                                                                     message):
+        # alpha="2" and 1j once raised a bare TypeError, alpha=True gave a
+        # scale of 0.5 at rank 2, and an unknown strategy the enum's error
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            CoLAConfig(**{"in_dim": 4, "out_dim": 4, "rank": 2, field: value})
+
+    def test_numpy_real_alpha_is_accepted(self):
+        for alpha in (np.float32(3.0), np.int64(3)):
+            assert CoLAConfig(in_dim=4, out_dim=4, rank=2, alpha=alpha).scale == 1.5
+
     def test_numpy_integer_fields_are_accepted(self):
         cfg = CoLAConfig(*(np.int64(k) for k in (4, 6, 2, 2, 3)))
         assert trainable_params(cfg) == 2 * 2 * 4 + 3 * 6 * 2

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -10,8 +11,10 @@ from class_sums import class_sum_adapter, class_sum_loop, class_sum_run
 from cola_forge import training
 from cola_forge.adapter import (
     CoLAConfig,
+    ConfigError,
     Pairing,
     Strategy,
+    delta_weight,
     flop_count,
     forward,
     lora_preset,
@@ -149,6 +152,25 @@ class TestFiniteDiffCheck:
         coarse = finite_diff_check(layer, x, t, eps=1e-3)
         assert coarse <= 1e-3
 
+    def test_an_error_in_a_small_gradient_entry_is_reported(self, monkeypatch):
+        # x[4] = 1e-6 makes dA[0, 4] about 1e-6; a 50 % error planted there
+        # reads 1/3 relative, where a denominator floor far above the entry
+        # (1e-3 in place of 1e-12) would read it below 1e-3
+        layer = random_layer(lora_preset(10, 8, 3), seed=9)
+        rng = make_rng(10)
+        x, t = rng.normal(size=10), rng.normal(size=8)
+        x[4] = 1e-6
+        exact = training.backward
+
+        def planted(*args):
+            grads = exact(*args)
+            assert 1e-12 < abs(grads.da_list[0][0, 4]) < 1e-4
+            grads.da_list[0][0, 4] *= 1.5
+            return grads
+        assert finite_diff_check(layer, x, t) <= 1e-6
+        monkeypatch.setattr(training, "backward", planted)
+        assert finite_diff_check(layer, x, t) >= 0.1
+
     def test_degenerate_zero_case(self):
         cfg = lora_preset(4, 4, 2, alpha=2.0)
         layer = make_layer(np.zeros((4, 4)), [np.zeros((2, 4))], [np.zeros((4, 2))], cfg)
@@ -183,8 +205,10 @@ class TestOptimizers:
         assert p[0, 0] < 0.0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_adam_matches_the_textbook_expressions_bitwise(self, dtype):
-        # the scratch-buffer update must round exactly like the plain formula
+    def test_adam_matches_the_scaled_moment_recurrence_bitwise(self, dtype):
+        # the moments are kept over their EMA weights, m / (1 - b1) and
+        # v / (1 - b2), and the bias corrections fold into two step scalars;
+        # the recorded update must round exactly like this plain statement
         rng = make_rng(5)
         params = rng.normal(size=(3, 4)).astype(dtype)
         ref = params.copy()
@@ -195,12 +219,37 @@ class TestOptimizers:
             g = rng.normal(size=params.shape).astype(dtype)
             optimizer_step(state, params, g)
             m *= b1
-            m += (1.0 - b1) * g
+            m += g
             v *= b2
-            v += (1.0 - b2) * g * g
-            ref -= state.lr * (m / (1.0 - b1 ** step)) / (
-                np.sqrt(v / (1.0 - b2 ** step)) + state.eps)
+            v += g * g
+            root = math.sqrt((1.0 - b2 ** step) / (1.0 - b2))
+            ref -= state.lr * m / (np.sqrt(v) + state.eps * root) * (
+                (1.0 - b1) / (1.0 - b1 ** step) * root)
             assert params.dtype == dtype and np.array_equal(params, ref)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-13), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("scale", [1e3, 1.0, 1e-6, 1e-9, 1e-12])
+    def test_adam_matches_the_textbook_formula(self, dtype, tol, scale):
+        # u = lr m^ / (sqrt(v^) + eps) with m^ = m / (1 - b1^t) and
+        # v^ = v / (1 - b2^t) (Kingma and Ba, Algorithm 1), over 300 steps
+        # and gradients from far above eps to far below it; u is read off
+        # zero parameters, so params -= u writes -u exactly
+        rng = make_rng(6)
+        m, v = np.zeros((3, 4), dtype), np.zeros((3, 4), dtype)
+        state = make_optimizer("adam", 1e-2)
+        b1, b2 = state.betas
+        for step in range(1, 301):
+            g = (scale * rng.normal(size=m.shape)).astype(dtype)
+            u = -optimizer_step(state, np.zeros_like(m), g)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            textbook = state.lr * (m / (1.0 - b1 ** step)) / (
+                np.sqrt(v / (1.0 - b2 ** step)) + state.eps)
+            assert u.dtype == dtype
+            assert np.abs(u - textbook).max() <= tol * np.abs(u).max(), step
+            assert np.abs(state.m * (1.0 - b1) - m).max() <= tol * np.abs(m).max(), step
+            assert np.abs(state.v * (1.0 - b2) - v).max() <= tol * np.abs(v).max(), step
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_rejects_grads_of_another_shape(self, kind):
@@ -229,6 +278,40 @@ class TestOptimizers:
     def test_a_state_built_directly_is_checked(self, fields, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             OptimizerState(**fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(lr=float("inf")), "learning rate must be finite, got inf"),
+        (dict(lr=True), "learning rate must be a real number, got True"),
+        (dict(lr="0.1"), "learning rate must be a real number, got '0.1'"),
+        (dict(lr=1j), "learning rate must be a real number, got 1j"),
+        (dict(eps=-1.0), "eps must be positive, got -1.0"),
+        (dict(eps=float("inf")), "eps must be finite, got inf"),
+        (dict(eps=np.True_), "eps must be a real number, got np.True_"),
+        (dict(betas=(0.9, 1.0)), "betas must be two reals in [0, 1), got (0.9, 1.0)"),
+        (dict(betas=(1.0, 0.999)), "betas must be two reals in [0, 1), got (1.0, 0.999)"),
+        (dict(betas=(-0.1, 0.999)), "betas must be two reals in [0, 1), got (-0.1, 0.999)"),
+        (dict(betas=(0.9, float("nan"))), "betas must be two reals in [0, 1), got (0.9, nan)"),
+        (dict(betas=(0.9,)), "betas must be two reals in [0, 1), got (0.9,)"),
+        (dict(betas=0.9), "betas must be two reals in [0, 1), got 0.9"),
+        (dict(step=-1), "step must be a non-negative integer, got -1"),
+        (dict(step=2.5), "step must be a non-negative integer, got 2.5"),
+        (dict(step=True), "step must be a non-negative integer, got True"),
+    ], ids=["lr-inf", "lr-bool", "lr-str", "lr-complex", "eps-negative", "eps-inf",
+            "eps-bool", "beta2-one", "beta1-one", "beta1-negative", "beta2-nan", "one-beta",
+            "betas-scalar", "step-negative", "step-fractional", "step-bool"])
+    def test_a_bad_hyperparameter_is_refused_by_name(self, fields, message):
+        # each once gave inf or NaN parameters, a bare TypeError or, with
+        # the moments kept over 1 - beta, a ZeroDivisionError in the step
+        # (step=-1 makes the first bias correction 1 - beta^0 = 0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OptimizerState(kind="adam", **{"lr": 0.1, **fields})
+
+    def test_numpy_and_integer_hyperparameters_are_accepted(self):
+        state = OptimizerState(kind="adam", lr=np.float32(0.5), betas=(np.float64(0.5), 0),
+                               eps=1)
+        params = np.zeros(2)
+        optimizer_step(state, params, np.array([1.0, -3.0]))
+        assert np.array_equal(params, [-0.25, 0.375])
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_integer_params_are_named(self, kind):
@@ -477,11 +560,13 @@ class TestTrainLoop:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_calls_per_step(self, strategy):
         # the calls a train step replays, counted as tests/step_calls.py
-        # counts them (a 3-step run minus a 0-step run): FULL's 25 for FULL
+        # counts them (a 3-step run minus a 0-step run): FULL's 22 under
+        # Adam (10 of them the optimizer's) and 13 under SGD (1) for FULL
         # and HEURISTIC, and two more for a random composition, its gather
         # and its per-partner sum, at every (M, N) up to (4, 4)
         task = small_task()
         replay, counted = training._replay, [0]
+        extra = 0 if strategy in (Strategy.FULL, Strategy.HEURISTIC) else 2
 
         def counting(calls):
             counted[0] += len(calls)
@@ -491,21 +576,18 @@ class TestTrainLoop:
                 continue
             cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=a_count,
                              b_count=b_count, strategy=strategy)
-            totals = []
-            for steps in (3, 0):
-                layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1),
-                                    base_w0=task.w_base)
-                counted[0] = 0
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(training, "_replay", counting)
-                    train_loop(task, layer, make_optimizer("adam", 1e-2), steps=steps,
-                               batch=8, rng=make_rng(2))
-                totals.append(counted[0])
-            per_step = (totals[0] - totals[1]) / 3
-            if strategy in (Strategy.FULL, Strategy.HEURISTIC):
-                assert per_step == 25, (a_count, b_count)
-            else:
-                assert per_step == 27, (a_count, b_count)
+            for kind, calls in (("adam", 22), ("sgd", 13)):
+                totals = []
+                for steps in (3, 0):
+                    layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(1),
+                                        base_w0=task.w_base)
+                    counted[0] = 0
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(training, "_replay", counting)
+                        train_loop(task, layer, make_optimizer(kind, 1e-2), steps=steps,
+                                   batch=8, rng=make_rng(2))
+                    totals.append(counted[0])
+                assert (totals[0] - totals[1]) / 3 == calls + extra, (kind, a_count, b_count)
 
     def test_a_zero_step_run_builds_no_sample_tables(self, monkeypatch):
         # at the wide cell shape the W0 x table is n x 416 (400 samples in
@@ -559,6 +641,37 @@ class TestTrainLoop:
         # loss's recorded calls
         assert peaks[3] <= peaks[1] + 4096
         assert state.m is None
+
+    @pytest.mark.parametrize("strategy, bad, message", [
+        (Strategy.RANDOM_AB, (3, 0), "pairing entry out of range [0, 3)"),
+        (Strategy.RANDOM_AB, (0, -1), "pairing entry out of range [0, 3)"),
+        (Strategy.RANDOM_AB, (0, 1, 2), "pairing length 3 != 2"),
+        (Strategy.RANDOM_BA, (0, 2, 1), "pairing entry out of range [0, 2)"),
+        (Strategy.RANDOM_BA, (-1, 0, 1), "pairing entry out of range [0, 2)"),
+        (Strategy.RANDOM_BA, (0, 1), "pairing length 2 != 3"),
+    ], ids=["ab-pool-size", "ab-negative", "ab-length", "ba-pool-size", "ba-negative",
+            "ba-length"])
+    def test_a_pairing_out_of_range_or_length_is_refused_everywhere(self, strategy, bad,
+                                                                     message):
+        # an entry equal to the pool size would otherwise gather member 0
+        # (the gather wraps) and a negative one the last member; train_loop
+        # checks the pairing it keeps, a frozen one
+        task = small_task()
+        cfg = CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
+                         strategy=strategy)
+        layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO, std=0.3), make_rng(1),
+                            base_w0=task.w_base)
+        before, x = layer.params.copy(), task.x_train[:, :4]
+        calls = [lambda: forward(layer, x, mode="train", pairing=Pairing(bad)),
+                 lambda: backward(layer, x, np.ones((24, 4)), Pairing(bad)),
+                 lambda: delta_weight(layer, Pairing(bad)),
+                 lambda: train_loop(task, dataclasses.replace(
+                     layer, pairing=Pairing(bad, frozen=True)), make_optimizer("adam", 1e-2),
+                     steps=2, batch=4, rng=make_rng(2))]
+        for call in calls:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                call()
+        assert np.array_equal(layer.params, before)
 
     def test_frozen_pairing_is_honored(self):
         task = small_task()
