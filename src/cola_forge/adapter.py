@@ -42,6 +42,7 @@ run sums of a composition with one member a run are a copy of it.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -99,8 +100,7 @@ class CoLAConfig:
 
     def __post_init__(self):
         for name in ("in_dim", "out_dim", "rank", "a_count", "b_count"):
-            if not _is_integer(value := getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            _check_count(name, getattr(self, name), None, ConfigError)
         if self.in_dim < 1 or self.out_dim < 1:
             raise ConfigError(f"dims must be positive, got {self.out_dim}x{self.in_dim}")
         if not 1 <= self.rank <= min(self.in_dim, self.out_dim):
@@ -121,10 +121,8 @@ class CoLAConfig:
             raise ConfigError(
                 f"heuristic strategy requires M <= N, got M={self.a_count} > N={self.b_count}"
             )
-        if self.alpha is not None and not _is_real(self.alpha):
-            raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
-        if self.alpha is not None and not 0 < self.alpha < float("inf"):
-            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
+        if self.alpha is not None:
+            _check_positive("alpha", self.alpha, ConfigError)
 
     @property
     def scale(self) -> float:
@@ -156,6 +154,26 @@ def _is_integer(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, low: int | None = 1,
+                 error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer, not a
+    bool, of at least ``low`` (a ``low`` of None leaves the range to the caller)."""
+    if not _is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
+def _check_positive(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a positive, finite real."""
+    if not _is_real(value):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if not value > 0:
+        raise error(f"{name} must be positive, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
 
 
 def sample_pairing(config: CoLAConfig, rng: np.random.Generator,

@@ -12,14 +12,14 @@ Subcommands:
 ``train``, ``grid`` and ``sweep`` share one body and read a single strictly
 validated JSON run config with ``harness``'s reader, which also reads the
 geometry files of ``params``. Each key is read as its field's annotation
-states, so a field's JSON type is stated once, in its dataclass, and the
-blocks check their own values. The subcommand names the command; the
-file's ``command`` key is optional and must agree with it. A file holds
-only what its command reads: ``adapter`` for ``train``, ``grid`` for
-``grid`` and ``sweep`` for ``sweep``, and a sweep takes its init kinds
-from ``sweep.init_kinds``, not ``init.kind``. Row outputs are written
-atomically as CSV plus a JSON mirror with identical fields. Diagnostics go
-to stderr and the exit code is nonzero exactly when an error was emitted.
+states, so a field's JSON type is stated once, in its dataclass, and each
+value rule once, in the engine check its block calls. The subcommand names the
+command; the file's ``command`` key is optional and must agree with it. A file
+holds only what its command reads: ``adapter`` for ``train``, ``grid`` for
+``grid`` and ``sweep`` for ``sweep``, and a sweep takes its init kinds from
+``sweep.init_kinds``, not ``init.kind``. Row outputs are written atomically as
+CSV plus a JSON mirror with identical fields. Diagnostics go to stderr and the
+exit code is nonzero exactly when an error was emitted.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from .harness import (
     write_rows_csv,
     write_rows_json,
 )
-from .initializers import GAUSSIAN_ZERO, INIT_KINDS
+from .initializers import GAUSSIAN_ZERO, InitSpec
 from .linalg import make_rng
-from .training import DivergenceError
+from .training import DivergenceError, _check_run, make_optimizer
 
 __all__ = ["RunConfig", "load_config", "cmd_dispatch", "main"]
 
@@ -67,11 +67,7 @@ class OptimizerBlock:
     lr: float = 5e-5
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ConfigFileError(f"key 'optimizer.kind' must be 'sgd' or 'adam', "
-                                  f"got {self.kind!r}")
-        if self.lr <= 0:
-            raise ConfigFileError(f"key 'optimizer.lr' must be positive, got {self.lr}")
+        make_optimizer(self.kind, self.lr)
 
 
 @dataclass(frozen=True)
@@ -80,11 +76,7 @@ class InitBlock:
     std: float | None = None
 
     def __post_init__(self):
-        if self.kind not in INIT_KINDS:
-            raise ConfigFileError(f"key 'init.kind' must be one of {INIT_KINDS}, "
-                                  f"got {self.kind!r}")
-        if self.std is not None and self.std <= 0:
-            raise ConfigFileError(f"key 'init.std' must be positive, got {self.std}")
+        InitSpec(self.kind, self.std)
 
 
 @dataclass(frozen=True)
@@ -94,10 +86,7 @@ class RunBlock:
     seeds: tuple[int, ...] = (42,)
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigFileError(f"key 'run.steps' must be >= 0, got {self.steps}")
-        if self.batch < 1:
-            raise ConfigFileError(f"key 'run.batch' must be >= 1, got {self.batch}")
+        _check_run(self.steps, self.batch)
         if not self.seeds:
             raise ConfigFileError("key 'run.seeds' must be a nonempty list")
 
@@ -121,16 +110,11 @@ class SweepBlock:
     configs: tuple[CoLAConfig, ...] = ()
 
     def __post_init__(self):
-        if not self.configs:
-            raise ConfigFileError("key 'sweep.configs' must be a nonempty list")
+        for name in ("sizes", "init_kinds", "configs"):
+            if not getattr(self, name):
+                raise ConfigFileError(f"key 'sweep.{name}' must be nonempty")
         for kind in self.init_kinds:
-            if kind not in INIT_KINDS:
-                raise ConfigFileError(f"key 'sweep.init_kinds' contains unknown "
-                                      f"kind {kind!r}")
-        if not self.sizes:
-            raise ConfigFileError("key 'sweep.sizes' must be nonempty")
-        if not self.init_kinds:
-            raise ConfigFileError("key 'sweep.init_kinds' must be nonempty")
+            InitSpec(kind)
 
 
 @dataclass(frozen=True)
@@ -281,8 +265,7 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    if args.steps < 0:
-        raise ValueError(f"steps must be >= 0, got {args.steps}")
+    _check_run(args.steps)
     for strategy in Strategy:
         if strategy is Strategy.HEURISTIC and args.M > args.N:
             continue

@@ -32,6 +32,7 @@ import numpy as np
 from .adapter import (
     CoLAConfig,
     Strategy,
+    _check_count,
     forward,
     trainable_params,
 )
@@ -95,12 +96,10 @@ class RecoveryTaskSpec:
     source_noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.components < 1:
-            raise ValueError(f"components must be >= 1, got {self.components}")
+        for name in ("n", "m", "components", "train_samples", "eval_samples"):
+            _check_count(name, getattr(self, name))
         if not (self.noise_std >= 0 and self.source_noise_std >= 0):
             raise ValueError("noise levels must be >= 0")
-        if self.train_samples < 1 or self.eval_samples < 1:
-            raise ValueError("sample counts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -122,14 +121,12 @@ class ClassifyTaskSpec:
     separation: float = 6.0
 
     def __post_init__(self):
-        if self.clusters < 2:
-            raise ValueError(f"need >= 2 clusters, got {self.clusters}")
+        for name in ("clusters", "input_dim", "samples_per_cluster"):
+            _check_count(name, getattr(self, name), 2 if name == "clusters" else 1)
         if self.input_dim < self.clusters:
             raise ValueError("input_dim must be >= clusters for separated centers")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ValueError(f"label_noise must be in [0, 1], got {self.label_noise}")
-        if self.samples_per_cluster < 1:
-            raise ValueError("samples_per_cluster must be >= 1")
         if not self.separation > 0:
             raise ValueError(f"separation must be positive, got {self.separation}")
 
@@ -254,8 +251,9 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """A JSON number; a boolean or a string fails."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite JSON number; a boolean, a string or an overflow (1e400) fails."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= np.finfo(float).max):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -411,13 +409,13 @@ def param_count(geometry: ModelGeometry, a_count: int, b_count: int,
                 rank: int) -> tuple[int, float]:
     """(trainable parameter count, percentage of base + trainable).
 
-    Every adapted module contributes M*r*m + N*n*r trainable entries per
-    layer. The percentage denominator includes the adapter itself, which is
-    the convention reproducing the published tables.
+    Every adapted module contributes one (M, N, r) adapter's trainable_params
+    per layer, so a count or rank CoLAConfig refuses raises ConfigError. The
+    percentage denominator includes the adapter itself, which is the
+    convention reproducing the published tables.
     """
-    if a_count < 1 or b_count < 1 or rank < 1:
-        raise ValueError("a_count, b_count and rank must all be >= 1")
-    per_layer = sum(a_count * rank * mod.m + b_count * mod.n * rank
+    per_layer = sum(trainable_params(CoLAConfig(in_dim=mod.m, out_dim=mod.n, rank=rank,
+                                                a_count=a_count, b_count=b_count))
                     for mod in geometry.modules)
     trainable = geometry.layers * per_layer
     percent = 100.0 * trainable / (geometry.base_params + trainable)
@@ -512,8 +510,7 @@ _STRATEGY_CODE = {s: i for i, s in enumerate(Strategy)}
 
 def sweep_cell_seed(seed: int, size: int, init_kind: str, config: CoLAConfig) -> int:
     """Derived stream for one scarcity-sweep cell."""
-    if init_kind not in INIT_KINDS:
-        raise ValueError(f"init kind must be one of {INIT_KINDS}, got {init_kind!r}")
+    InitSpec(init_kind)  # checks the kind
     return derive_seed(seed, size, INIT_KINDS.index(init_kind),
                        config.a_count, config.b_count,
                        _STRATEGY_CODE[config.strategy], config.rank)
@@ -525,14 +522,13 @@ def _run_cells(task: Task, cells: list, steps: int, batch: int, optimizer: str,
 
     A cell is (config, init kind, run seed, echoed seed, sample size); a
     sample size of None is the whole training set. Every cell is checked
-    before the first one trains: its init kind must be known, its sample
-    size must fit the training set, and no two cells may share the row key
-    fields (strategy, init, M, N, r, sample_size, seed).
+    before the first one trains: its init kind and ``std`` must pass InitSpec,
+    its sample size must fit the training set, and no two cells may share
+    the row key fields (strategy, init, M, N, r, sample_size, seed).
     """
     keys = set()
     for config, init_kind, _, echo_seed, size in cells:
-        if init_kind not in INIT_KINDS:
-            raise ValueError(f"init kind must be one of {INIT_KINDS}, got {init_kind!r}")
+        InitSpec(init_kind, std)
         key = (config.strategy.value, init_kind, config.a_count, config.b_count,
                config.rank, task.subsample(size).train_size, echo_seed)
         if key in keys:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import adapter
-from .adapter import CoLAConfig, CoLALayer
+from .adapter import CoLAConfig, CoLALayer, _check_positive
 from .linalg import as_matrix, frobenius_norm, gaussian_matrix, svd
 
 __all__ = [
@@ -53,7 +53,7 @@ class InitSpec:
 
     ``std`` applies to the Gaussian scheme only (None picks 1/sqrt(in_dim),
     which keeps A x at unit scale for unit-scale inputs). ``source_w`` is the
-    matrix the spectral scheme splits.
+    matrix the spectral scheme splits, which :func:`build_layer` requires.
     """
 
     kind: str
@@ -63,10 +63,8 @@ class InitSpec:
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ValueError(f"init kind must be one of {INIT_KINDS}, got {self.kind!r}")
-        if self.kind == GAUSSIAN_ZERO and self.std is not None and not self.std > 0:
-            raise ValueError(f"gaussian init std must be positive, got {self.std}")
-        if self.kind == PISSA and self.source_w is None:
-            raise ValueError("spectral init requires source_w")
+        if self.std is not None:
+            _check_positive("gaussian init std", self.std)
 
 
 def default_alpha(init_kind: str, rank: int) -> float:
@@ -149,6 +147,8 @@ def build_layer(
             raise ValueError("gaussian_zero init requires base_w0")
         w0, a_list, b_list = init_gaussian_zero(base_w0, config, rng, std=init.std)
     else:
+        if init.source_w is None:
+            raise ValueError("spectral init requires source_w")
         w0, a_list, b_list = pissa_extended(init.source_w, config)
     if config.alpha is None:
         config = replace(config, alpha=default_alpha(init.kind, config.rank))

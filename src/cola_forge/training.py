@@ -45,7 +45,9 @@ from .adapter import (
     Pairing,
     Strategy,
     _apply,
+    _check_count,
     _check_pairing,
+    _check_positive,
     _composition,
     _is_integer,
     _is_real,
@@ -161,8 +163,7 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
     gradient entries and report false disagreement. The oracle stays a pure
     perturb-and-evaluate procedure, independent of backward().
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     cfg = layer.config
     pairing = None if _pairing_range(cfg) is None else layer.pairing
 
@@ -240,16 +241,11 @@ class OptimizerState:
     v: np.ndarray | None = None
     scratch: np.ndarray | None = None
 
-    def __post_init__(self):
+    def __post_init__(self):  # ``_update`` runs it again: a field can be reassigned
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
-        for name, value in (("learning rate", self.lr), ("eps", self.eps)):
-            if not _is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _check_positive("learning rate", self.lr)
+        _check_positive("eps", self.eps)
         if not (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2
                 and all(_is_real(b) and 0 <= b < 1 for b in self.betas)):
             raise ValueError(f"betas must be two reals in [0, 1), got {self.betas!r}")
@@ -288,7 +284,9 @@ def _update(state: OptimizerState, grads: np.ndarray, out: np.ndarray,
     v~ = v / (1 - b2), and folds its bias corrections into two step scalars
     (Kingma and Ba, arXiv 1412.6980, section 2, before 2.1): u = lr m~ /
     (sqrt(v~) + eps root) * s_t, with root = sqrt((1 - b2^t) / (1 - b2)) and
-    s_t = (1 - b1) / (1 - b1^t) * root, the textbook update reordered."""
+    s_t = (1 - b1) / (1 - b1^t) * root, the textbook update reordered. The
+    state's fields are checked first, so a bad assignment records nothing."""
+    state.__post_init__()
     lr = np.array(state.lr if lr is None else lr, out.dtype)
     if state.kind == "sgd":
         def advance():
@@ -425,6 +423,12 @@ def _sample_tables(w0: np.ndarray, x_train: np.ndarray,
     return rows, table
 
 
+def _check_run(steps, batch=1) -> None:
+    """The one check of a run: ``steps`` an integer >= 0, ``batch`` one >= 1."""
+    _check_count("steps", steps, 0)
+    _check_count("batch", batch, 1)
+
+
 def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
                batch: int, rng: np.random.Generator, seed: int = 0) -> TrainReport:
     """Minibatch training of a layer's pools on a synthetic task.
@@ -442,10 +446,7 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     the first non-finite minibatch loss, which leaves the members as they
     were, or, once they are written, if the final loss is not finite.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+    _check_run(steps, batch)
     cfg = layer.config
     frozen = layer.pairing is not None and layer.pairing.frozen
     draw = None if frozen else _pairing_range(cfg)

@@ -162,15 +162,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigFileError, match=f"key '{block}.{key}': expected a number"):
             load_config(write_config(tmp_path, payload))
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
     @pytest.mark.parametrize("block, key", [("optimizer", "lr"), ("task", "noise_std")])
     def test_non_finite_constants_are_rejected_and_write_nothing(self, tmp_path, capsys,
                                                                 block, key, constant):
-        # JSON has no such numbers; Python's reader would load them as floats
+        # JSON has no such numbers; Python's reader would load them as floats,
+        # a number that overflows (1e400) as an infinity, which its key names
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**TRAIN_CONFIG, block: {**TRAIN_CONFIG[block], key: 0.5}})
                         .replace("0.5", constant))
-        named = f"config file {path} holds {constant}, which is not a JSON number"
+        named = (f"key '{block}.{key}': expected a number, got {float(constant)}"
+                 if constant.endswith("e400")
+                 else f"config file {path} holds {constant}, which is not a JSON number")
         with pytest.raises(ConfigFileError, match=re.escape(named)):
             load_config(str(path))
         out = tmp_path / "rows.csv"
@@ -313,6 +316,39 @@ def test_every_field_rejects_a_value_of_another_json_type(tmp_path, block, key, 
     payload, named = with_key(payload, block, key, value)
     with pytest.raises(ConfigFileError, match=re.escape(f"key '{named}'")):
         load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize("key, value, payload, message", [
+    ("optimizer.kind", "adamw", TRAIN_CONFIG,
+     "optimizer kind must be 'sgd' or 'adam', got 'adamw'"),
+    ("optimizer.lr", 0, TRAIN_CONFIG, "learning rate must be positive, got 0.0"),
+    ("init.kind", "xavier", TRAIN_CONFIG, f"init kind must be one of {INIT_KINDS}, got 'xavier'"),
+    ("init.std", 0, TRAIN_CONFIG, "gaussian init std must be positive, got 0.0"),
+    ("run.steps", -1, TRAIN_CONFIG, "steps must be >= 0, got -1"),
+    ("run.batch", 0, TRAIN_CONFIG, "batch must be >= 1, got 0"),
+    ("sweep.init_kinds", ["xavier"], SWEEP_CONFIG,
+     f"init kind must be one of {INIT_KINDS}, got 'xavier'"),
+], ids=["optimizer.kind", "optimizer.lr", "init.kind", "init.std", "run.steps", "run.batch",
+        "sweep.init_kinds"])
+def test_an_engine_rule_rejects_a_value_at_load_naming_its_block(tmp_path, capsys,
+                                                                  monkeypatch, key, value,
+                                                                  payload, message):
+    # each block calls the engine's own check, and the reader names the block
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected value reached the task or a cell")
+
+    monkeypatch.setattr(cli, "make_recovery_task", unreachable)
+    monkeypatch.setattr(harness, "train_loop", unreachable)
+    block, _, name = key.partition(".")
+    payload, _ = with_key(payload, block, name, value)
+    config, out = write_config(tmp_path, payload), tmp_path / "rows.csv"
+    named = f"block '{block}': {message}"
+    with pytest.raises(ConfigFileError, match=f"^{re.escape(named)}$"):
+        load_config(config, payload["command"])
+    assert cmd_dispatch([payload["command"], "--config", config, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {named}\n"
+    assert not out.exists() and not (tmp_path / "rows.json").exists()
 
 
 CONFIG_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cola_forge import harness
-from cola_forge.adapter import CoLAConfig, Strategy
+from cola_forge.adapter import CoLAConfig, ConfigError, Strategy
 from cola_forge.harness import (
     CSV_HEADER,
     ClassifyTaskSpec,
@@ -158,6 +158,26 @@ class TestClassificationTask:
         assert row.eval_metric >= 0.95  # accuracy for classify tasks
 
 
+@pytest.mark.parametrize("spec, field, value, message", [
+    (RecoveryTaskSpec, "n", 0, "n must be >= 1, got 0"),
+    (RecoveryTaskSpec, "m", -3, "m must be >= 1, got -3"),
+    (RecoveryTaskSpec, "components", True, "components must be an integer, got True"),
+    (RecoveryTaskSpec, "train_samples", 2.5, "train_samples must be an integer, got 2.5"),
+    (RecoveryTaskSpec, "eval_samples", 0, "eval_samples must be >= 1, got 0"),
+    (ClassifyTaskSpec, "clusters", 2.5, "clusters must be an integer, got 2.5"),
+    (ClassifyTaskSpec, "input_dim", True, "input_dim must be an integer, got True"),
+    (ClassifyTaskSpec, "samples_per_cluster", 0, "samples_per_cluster must be >= 1, got 0"),
+], ids=["n-zero", "m-negative", "components-bool", "train_samples-fractional",
+        "eval_samples-zero", "clusters-fractional", "input_dim-bool", "samples_per_cluster-zero"])
+def test_a_task_spec_names_a_bad_count(spec, field, value, message):
+    # n=0 once raised "ShapeError: invalid matrix shape (0, 4)", and
+    # train_samples=2.5 or clusters=2.5 a bare TypeError
+    fields = (dict(n=4, m=4, base_seed=1) if spec is RecoveryTaskSpec else
+              dict(clusters=3, input_dim=8, samples_per_cluster=10, backbone_seed=1))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        spec(**{**fields, field: value})
+
+
 class TestGeometry:
     def test_bundled_files_load(self):
         for name, layers in [("llama31_8b", 32), ("llama32_3b", 28)]:
@@ -200,6 +220,16 @@ class TestGeometry:
                 assert trainable == expected
                 assert percent == pytest.approx(
                     100.0 * expected / (geo.base_params + expected), abs=0.0)
+
+    @pytest.mark.parametrize("a_count, b_count, rank", [
+        (True, 1, 8), (1, 2.5, 8), (1, 0, 8), (1, 1, 9),
+    ], ids=["bool", "fractional", "zero", "rank-above-dims"])
+    def test_param_count_refuses_what_colaconfig_refuses(self, a_count, b_count, rank):
+        # a bool count was accepted, and rank=2.5 gave a fractional count
+        geo = ModelGeometry(name="tiny", base_params=1000, layers=2,
+                            modules=(ModuleDim("q_proj", 8, 16),))
+        with pytest.raises(ConfigError):
+            param_count(geo, a_count, b_count, rank)
 
     def test_known_trainable_count(self):
         geo = bundled_geometry("llama31_8b")

@@ -89,3 +89,18 @@ def test_json_is_parsed_only_by_the_reader():
         assert not any(isinstance(node, ast.ImportFrom) and node.module == "json"
                        for node in ast.walk(tree)), path.name
     assert calls == [("harness.py", "_read_object")]
+
+
+def test_no_two_raises_state_one_message():
+    """Each message template is raised from one place, so a rule stated
+    twice cannot drift: the first argument of every ``raise X(...)`` in the
+    package is compared as ``ast.unparse`` writes it."""
+    seen = {}
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                template = ast.unparse(node.exc.args[0])
+                assert template not in seen, (f"{path.name}:{node.lineno} repeats the "
+                                              f"message of {seen[template]}: {template}")
+                seen[template] = f"{path.name}:{node.lineno}"

@@ -181,6 +181,18 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError, match="eps"):
             finite_diff_check(layer, np.zeros(4), np.zeros(4), eps=0.0)
 
+    @pytest.mark.parametrize("eps, message", [
+        (float("inf"), "eps must be finite, got inf"),
+        (float("nan"), "eps must be positive, got nan"),
+    ], ids=["inf", "nan"])
+    def test_a_non_finite_eps_is_refused_before_any_arithmetic(self, eps, message):
+        # eps=inf once reported 0.0, perfect agreement for any gradient: every
+        # central difference was NaN, and max(0.0, nan) keeps 0.0. Warnings
+        # are errors here, so arithmetic ahead of the check would fail first.
+        layer = random_layer(lora_preset(4, 4, 2), seed=13)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            finite_diff_check(layer, np.ones(4), np.ones(4), eps=eps)
+
 
 class TestOptimizers:
     def test_sgd_arithmetic(self):
@@ -305,6 +317,33 @@ class TestOptimizers:
         # (step=-1 makes the first bias correction 1 - beta^0 = 0)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             OptimizerState(kind="adam", **{"lr": 0.1, **fields})
+
+    @pytest.mark.parametrize("run", ["optimizer_step", "train_loop"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("betas", (0.9, 1.0), "betas must be two reals in [0, 1), got (0.9, 1.0)"),
+        ("lr", float("inf"), "learning rate must be finite, got inf"),
+        ("kind", "adamw", "optimizer kind must be 'sgd' or 'adam', got 'adamw'"),
+    ], ids=["beta2-one", "lr-inf", "kind-adamw"])
+    def test_a_field_assigned_after_construction_is_refused_before_a_step(
+            self, run, field, value, message):
+        # betas=(0.9, 1.0) once raised a bare ZeroDivisionError after the
+        # step was counted, and lr=inf gave infinite parameters
+        state = make_optimizer("adam", 1e-2)
+        setattr(state, field, value)
+        if run == "optimizer_step":
+            params = np.ones(3)
+            call = lambda: optimizer_step(state, params, np.ones(3))
+        else:
+            task = small_task()
+            layer = build_layer(CoLAConfig(in_dim=20, out_dim=24, rank=2, b_count=2),
+                                InitSpec(GAUSSIAN_ZERO), make_rng(1), base_w0=task.w_base)
+            params = layer.params
+            call = lambda: train_loop(task, layer, state, 3, 4, make_rng(2))
+        before = params.copy()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+        assert state.step == 0 and state.m is None
+        assert np.array_equal(params, before)
 
     def test_numpy_and_integer_hyperparameters_are_accepted(self):
         state = OptimizerState(kind="adam", lr=np.float32(0.5), betas=(np.float64(0.5), 0),
