@@ -42,13 +42,11 @@ run sums of a composition with one member a run are a copy of it.
 from __future__ import annotations
 
 import enum
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import ShapeError, _as_real, as_matrix
+from .linalg import ShapeError, _as_real, _check_count, _check_positive, _is_integer, as_matrix
 
 __all__ = [
     "Strategy",
@@ -100,18 +98,10 @@ class CoLAConfig:
 
     def __post_init__(self):
         for name in ("in_dim", "out_dim", "rank", "a_count", "b_count"):
-            _check_count(name, getattr(self, name), None, ConfigError)
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ConfigError(f"dims must be positive, got {self.out_dim}x{self.in_dim}")
-        if not 1 <= self.rank <= min(self.in_dim, self.out_dim):
-            raise ConfigError(
-                f"rank must satisfy 1 <= r <= min(n, m) = "
-                f"{min(self.in_dim, self.out_dim)}, got {self.rank}"
-            )
-        if self.a_count < 1 or self.b_count < 1:
-            raise ConfigError(
-                f"pool counts must be >= 1, got M={self.a_count}, N={self.b_count}"
-            )
+            _check_count(name, getattr(self, name), 1, ConfigError)
+        if self.rank > min(self.in_dim, self.out_dim):
+            raise ConfigError(f"rank must satisfy 1 <= r <= min(n, m) = "
+                              f"{min(self.in_dim, self.out_dim)}, got {self.rank}")
         try:
             object.__setattr__(self, "strategy", Strategy(self.strategy))
         except ValueError:
@@ -146,34 +136,6 @@ class Pairing:
         if not all(_is_integer(entry) for entry in self.map):
             raise ConfigError(f"pairing map entries must be integers, got {self.map!r}")
         object.__setattr__(self, "map", tuple(map(int, self.map)))
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value, low: int | None = 1,
-                 error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is an integer, not a
-    bool, of at least ``low`` (a ``low`` of None leaves the range to the caller)."""
-    if not _is_integer(value):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
-
-
-def _check_positive(name: str, value, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is a positive, finite real."""
-    if not _is_real(value):
-        raise error(f"{name} must be a real number, got {value!r}")
-    if not value > 0:
-        raise error(f"{name} must be positive, got {value!r}")
-    if not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value!r}")
 
 
 def sample_pairing(config: CoLAConfig, rng: np.random.Generator,

@@ -29,15 +29,10 @@ from importlib import resources
 
 import numpy as np
 
-from .adapter import (
-    CoLAConfig,
-    Strategy,
-    _check_count,
-    forward,
-    trainable_params,
-)
+from .adapter import CoLAConfig, Strategy, forward, trainable_params
 from .initializers import GAUSSIAN_ZERO, INIT_KINDS, PISSA, InitSpec, build_layer
-from .linalg import derive_seed, gaussian_matrix, make_rng
+from .linalg import (_check_count, _check_positive, _check_range, derive_seed,
+                     gaussian_matrix, make_rng)
 from .training import TrainReport, make_optimizer, train_loop
 
 __all__ = [
@@ -98,8 +93,8 @@ class RecoveryTaskSpec:
     def __post_init__(self):
         for name in ("n", "m", "components", "train_samples", "eval_samples"):
             _check_count(name, getattr(self, name))
-        if not (self.noise_std >= 0 and self.source_noise_std >= 0):
-            raise ValueError("noise levels must be >= 0")
+        for name in ("noise_std", "source_noise_std"):
+            _check_range(name, getattr(self, name), 0)
 
 
 @dataclass(frozen=True)
@@ -125,10 +120,8 @@ class ClassifyTaskSpec:
             _check_count(name, getattr(self, name), 2 if name == "clusters" else 1)
         if self.input_dim < self.clusters:
             raise ValueError("input_dim must be >= clusters for separated centers")
-        if not 0.0 <= self.label_noise <= 1.0:
-            raise ValueError(f"label_noise must be in [0, 1], got {self.label_noise}")
-        if not self.separation > 0:
-            raise ValueError(f"separation must be positive, got {self.separation}")
+        _check_range("label_noise", self.label_noise, 0, 1)
+        _check_positive("separation", self.separation)
 
 
 @dataclass
@@ -165,13 +158,14 @@ class Task:
 
     def subsample(self, size: int | None) -> "Task":
         """First ``size`` training columns (deterministic); eval untouched."""
-        if size is None or size == self.train_size:
+        if size is None:
             return self
+        _check_count("subsample size", size, None)
         if not 1 <= size <= self.train_size:
             raise ValueError(f"subsample size must be in [1, {self.train_size}] (the "
                              f"training set), got {size}")
-        return dataclasses.replace(self, x_train=self.x_train[..., :size],
-                                   y_train=self.y_train[..., :size])
+        return self if size == self.train_size else dataclasses.replace(
+            self, x_train=self.x_train[..., :size], y_train=self.y_train[..., :size])
 
 
 def make_recovery_task(spec: RecoveryTaskSpec, rng: np.random.Generator) -> Task:
@@ -375,8 +369,8 @@ class ModuleDim:
         if self.name not in ALLOWED_MODULES:
             raise ValueError(f"unknown module name {self.name!r}; "
                              f"expected one of {sorted(ALLOWED_MODULES)}")
-        if self.n <= 0 or self.m <= 0:
-            raise ValueError(f"module {self.name} has non-positive dims")
+        _check_count("n", self.n)
+        _check_count("m", self.m)
 
 
 @dataclass(frozen=True)
@@ -387,8 +381,8 @@ class ModelGeometry:
     modules: tuple[ModuleDim, ...]
 
     def __post_init__(self):
-        if self.base_params <= 0 or self.layers <= 0:
-            raise ValueError("base_params and layers must be positive")
+        _check_count("base_params", self.base_params)
+        _check_count("layers", self.layers)
         if not self.modules:
             raise ValueError("modules must be a nonempty list")
 
@@ -522,13 +516,14 @@ def _run_cells(task: Task, cells: list, steps: int, batch: int, optimizer: str,
 
     A cell is (config, init kind, run seed, echoed seed, sample size); a
     sample size of None is the whole training set. Every cell is checked
-    before the first one trains: its init kind and ``std`` must pass InitSpec,
-    its sample size must fit the training set, and no two cells may share
-    the row key fields (strategy, init, M, N, r, sample_size, seed).
+    before the first one trains, by InitSpec (init kind, ``std``), make_rng
+    (run seed) and Task.subsample (size), and no two cells may share the row
+    key fields (strategy, init, M, N, r, sample_size, seed).
     """
     keys = set()
-    for config, init_kind, _, echo_seed, size in cells:
+    for config, init_kind, run_seed, echo_seed, size in cells:
         InitSpec(init_kind, std)
+        make_rng(run_seed)
         key = (config.strategy.value, init_kind, config.a_count, config.b_count,
                config.rank, task.subsample(size).train_size, echo_seed)
         if key in keys:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import adapter
-from .adapter import CoLAConfig, CoLALayer, _check_positive
-from .linalg import as_matrix, frobenius_norm, gaussian_matrix, svd
+from .adapter import CoLAConfig, CoLALayer
+from .linalg import _check_count, _check_positive, as_matrix, frobenius_norm, gaussian_matrix, svd
 
 __all__ = [
     "RankDeficientSourceError",
@@ -162,7 +162,8 @@ def eckart_young_error(w: np.ndarray, r: int) -> float:
     equals sqrt(sum of squared tail singular values).
     """
     w = as_matrix(w, "w")
-    if not 0 <= r <= min(w.shape):
+    _check_count("r", r, 0)
+    if r > min(w.shape):
         raise ValueError(f"rank {r} out of range for shape {w.shape}")
     fac = svd(w)
     approx = (fac.u[:, :r] * fac.s[:r]) @ fac.v[:, :r].T

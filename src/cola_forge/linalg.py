@@ -5,10 +5,15 @@ no wrapper class. :func:`svd` is the LAPACK SVD put into a canonical form
 (descending values, roundoff-level values set to 0, fixed signs); a one-sided
 Jacobi SVD is kept in the tests as the independent oracle it is checked
 against.
+
+It also owns the value rules every other module calls (``_check_count``,
+``_check_positive``, ``_check_range``), each raising a ValueError naming the value.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,46 @@ class ShapeError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to converge."""
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, low: int | None = 1,
+                 error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer, not a
+    bool, of at least ``low`` (a ``low`` of None leaves the range to the caller)."""
+    if not _is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
+def _check_real(name: str, value, error: type[ValueError]) -> None:
+    if not _is_real(value):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
+def _check_positive(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a positive, finite real."""
+    _check_real(name, value, error)
+    if not value > 0:
+        raise error(f"{name} must be positive, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+
+
+def _check_range(name: str, value, low: float, high: float = math.inf) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real in
+    [``low``, ``high``]."""
+    _check_real(name, value, ValueError)
+    if not (low <= value <= high and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real in [{low}, {high}], got {value!r}")
 
 
 def as_matrix(w, name: str = "matrix") -> np.ndarray:
@@ -119,17 +164,15 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
 def gaussian_matrix(rows: int, cols: int, std: float,
                     rng: np.random.Generator) -> np.ndarray:
     """rows x cols matrix of i.i.d. N(0, std^2) draws from ``rng``."""
-    if not std > 0.0:
-        raise ValueError(f"std must be positive, got {std}")
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"invalid matrix shape ({rows}, {cols})")
+    _check_count("rows", rows, 1, ShapeError)
+    _check_count("cols", cols, 1, ShapeError)
+    _check_positive("std", std)
     return rng.normal(0.0, std, size=(rows, cols))
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; identical seeds yield identical streams."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_count("seed", seed, 0)
     return np.random.default_rng(seed)
 
 
@@ -146,10 +189,13 @@ def derive_seed(seed: int, *parts: int) -> int:
 
     Grid cells, sweep cells and per-seed repetitions each get a disjoint
     stream by xor-folding scrambled coordinates into the base seed, so cells
-    can run in any order (or in parallel) with identical results.
+    can run in any order (or in parallel) with identical results. A negative
+    seed or part is legal: each is masked to 64 bits.
     """
-    out = _splitmix64(seed & 0xFFFFFFFFFFFFFFFF)
+    _check_count("seed", seed, None)
+    out = _splitmix64(int(seed) & 0xFFFFFFFFFFFFFFFF)
     for i, part in enumerate(parts):
+        _check_count(f"seed part {i}", part, None)
         out ^= _splitmix64((int(part) + 0x1000 * (i + 1)) & 0xFFFFFFFFFFFFFFFF)
         out = _splitmix64(out)
     return out

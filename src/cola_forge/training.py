@@ -45,12 +45,8 @@ from .adapter import (
     Pairing,
     Strategy,
     _apply,
-    _check_count,
     _check_pairing,
-    _check_positive,
     _composition,
-    _is_integer,
-    _is_real,
     _pairing_range,
     _replay,
     _run_sums,
@@ -59,7 +55,7 @@ from .adapter import (
     flop_count,
     forward,
 )
-from .linalg import ShapeError, _as_real
+from .linalg import ShapeError, _as_real, _check_count, _check_positive, _is_real
 
 __all__ = [
     "DivergenceError",
@@ -249,8 +245,7 @@ class OptimizerState:
         if not (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2
                 and all(_is_real(b) and 0 <= b < 1 for b in self.betas)):
             raise ValueError(f"betas must be two reals in [0, 1), got {self.betas!r}")
-        if not (_is_integer(self.step) and self.step >= 0):
-            raise ValueError(f"step must be a non-negative integer, got {self.step!r}")
+        _check_count("step", self.step, 0)
 
 
 def make_optimizer(kind: str, lr: float) -> OptimizerState:

@@ -41,7 +41,7 @@ class TestConfigValidation:
             CoLAConfig(in_dim=4, out_dim=6, rank=0)
 
     def test_counts(self):
-        with pytest.raises(ConfigError, match="counts"):
+        with pytest.raises(ConfigError, match="a_count must be >= 1, got 0"):
             CoLAConfig(in_dim=4, out_dim=4, rank=2, a_count=0)
 
     def test_heuristic_requires_m_le_n(self):

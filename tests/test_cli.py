@@ -565,7 +565,7 @@ class TestParamsCommand:
         ({**GEOMETRY, "modules": [MODULE, ["k_proj", 8, 8]]},
          "key 'modules[1]' must be an object"),
         ({**GEOMETRY, "layers": 2.9}, "key 'layers': expected an integer, got 2.9"),
-        ({**GEOMETRY, "layers": 0}, "base_params and layers must be positive"),
+        ({**GEOMETRY, "layers": 0}, "layers must be >= 1, got 0"),
         ({**GEOMETRY, "name": 5}, "key 'name': expected a string, got 5"),
         ({**GEOMETRY, "modules": [MODULE, {**MODULE, "name": "k_proj", "n": True}]},
          "key 'modules[1].n': expected an integer, got True"),

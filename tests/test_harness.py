@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cola_forge import harness
+from cola_forge import cli, harness
 from cola_forge.adapter import CoLAConfig, ConfigError, Strategy
 from cola_forge.harness import (
     CSV_HEADER,
@@ -28,8 +29,8 @@ from cola_forge.harness import (
     write_rows_csv,
     write_rows_json,
 )
-from cola_forge.initializers import GAUSSIAN_ZERO, INIT_KINDS, PISSA
-from cola_forge.linalg import make_rng, svd
+from cola_forge.initializers import GAUSSIAN_ZERO, INIT_KINDS, PISSA, eckart_young_error
+from cola_forge.linalg import ShapeError, derive_seed, gaussian_matrix, make_rng, svd
 
 
 class TestRecoveryTask:
@@ -167,15 +168,102 @@ class TestClassificationTask:
     (ClassifyTaskSpec, "clusters", 2.5, "clusters must be an integer, got 2.5"),
     (ClassifyTaskSpec, "input_dim", True, "input_dim must be an integer, got True"),
     (ClassifyTaskSpec, "samples_per_cluster", 0, "samples_per_cluster must be >= 1, got 0"),
+    (RecoveryTaskSpec, "n", math.inf, "n must be an integer, got inf"),
+    (RecoveryTaskSpec, "m", "1", "m must be an integer, got '1'"),
+    (RecoveryTaskSpec, "noise_std", True, "noise_std must be a real number, got True"),
+    (RecoveryTaskSpec, "noise_std", math.inf,
+     "noise_std must be a finite real in [0, inf], got inf"),
+    (RecoveryTaskSpec, "noise_std", "1", "noise_std must be a real number, got '1'"),
+    (RecoveryTaskSpec, "source_noise_std", True,
+     "source_noise_std must be a real number, got True"),
+    (RecoveryTaskSpec, "source_noise_std", math.inf,
+     "source_noise_std must be a finite real in [0, inf], got inf"),
+    (RecoveryTaskSpec, "source_noise_std", -0.5,
+     "source_noise_std must be a finite real in [0, inf], got -0.5"),
+    (ClassifyTaskSpec, "label_noise", 2.5, "label_noise must be a finite real in [0, 1], got 2.5"),
+    (ClassifyTaskSpec, "label_noise", True, "label_noise must be a real number, got True"),
+    (ClassifyTaskSpec, "label_noise", math.inf,
+     "label_noise must be a finite real in [0, 1], got inf"),
+    (ClassifyTaskSpec, "label_noise", math.nan,
+     "label_noise must be a finite real in [0, 1], got nan"),
+    (ClassifyTaskSpec, "label_noise", "1", "label_noise must be a real number, got '1'"),
+    (ClassifyTaskSpec, "separation", True, "separation must be a real number, got True"),
+    (ClassifyTaskSpec, "separation", math.inf, "separation must be finite, got inf"),
+    (ClassifyTaskSpec, "separation", "1", "separation must be a real number, got '1'"),
 ], ids=["n-zero", "m-negative", "components-bool", "train_samples-fractional",
-        "eval_samples-zero", "clusters-fractional", "input_dim-bool", "samples_per_cluster-zero"])
+        "eval_samples-zero", "clusters-fractional", "input_dim-bool", "samples_per_cluster-zero",
+        "n-inf", "m-str", "noise_std-bool", "noise_std-inf", "noise_std-str",
+        "source_noise_std-bool", "source_noise_std-inf", "source_noise_std-negative",
+        "label_noise-above-one", "label_noise-bool", "label_noise-inf", "label_noise-nan",
+        "label_noise-str", "separation-bool", "separation-inf", "separation-str"])
 def test_a_task_spec_names_a_bad_count(spec, field, value, message):
     # n=0 once raised "ShapeError: invalid matrix shape (0, 4)", and
-    # train_samples=2.5 or clusters=2.5 a bare TypeError
+    # train_samples=2.5 or clusters=2.5 a bare TypeError; an infinite
+    # noise_std or separation was accepted and training reported it as
+    # a DivergenceError
     fields = (dict(n=4, m=4, base_seed=1) if spec is RecoveryTaskSpec else
               dict(clusters=3, input_dim=8, samples_per_cluster=10, backbone_seed=1))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
         spec(**{**fields, field: value})
+    assert caught.type is ValueError
+
+
+ILLEGAL_COUNTS = (2.5, True, math.inf, math.nan, "1")
+
+
+def integer_cases(entry, call, name, error=ValueError):
+    """One case per illegal count: ``call(value)`` must raise exactly ``error``
+    saying that ``name`` must be an integer."""
+    return [pytest.param(call, value, error, f"{name} must be an integer, got {value!r}",
+                         id=f"{entry}-{value!r}") for value in ILLEGAL_COUNTS]
+
+
+def one_module_geometry(**fields):
+    return ModelGeometry(**{"name": "tiny", "base_params": 1000, "layers": 2,
+                            "modules": (ModuleDim("q_proj", 8, 16),), **fields})
+
+
+@pytest.mark.parametrize("call, value, error, message", [
+    *integer_cases("make_rng", make_rng, "seed"),
+    *integer_cases("gaussian_matrix-rows", lambda v: gaussian_matrix(v, 2, 1.0, make_rng(0)),
+                   "rows", ShapeError),
+    *integer_cases("gaussian_matrix-cols", lambda v: gaussian_matrix(2, v, 1.0, make_rng(0)),
+                   "cols", ShapeError),
+    *integer_cases("derive_seed-seed", lambda v: derive_seed(v, 1), "seed"),
+    *integer_cases("derive_seed-part", lambda v: derive_seed(1, 2, v), "seed part 1"),
+    *integer_cases("ModuleDim-n", lambda v: ModuleDim("q_proj", v, 4), "n"),
+    *integer_cases("ModuleDim-m", lambda v: ModuleDim("q_proj", 4, v), "m"),
+    *integer_cases("ModelGeometry-base_params", lambda v: one_module_geometry(base_params=v),
+                   "base_params"),
+    *integer_cases("ModelGeometry-layers", lambda v: one_module_geometry(layers=v), "layers"),
+    *integer_cases("eckart_young_error", lambda v: eckart_young_error(np.eye(3), v), "r"),
+    *integer_cases("Task.subsample", lambda v: grid_task().subsample(v), "subsample size"),
+    *integer_cases("run_grid-seeds", lambda v: run_grid(grid_task(), 4, Strategy.FULL, [1], [1],
+                                                        seeds=[v], steps=5), "seed"),
+    pytest.param(lambda v: gaussian_matrix(2, 2, v, make_rng(0)), True, ValueError,
+                 "std must be a real number, got True", id="gaussian_matrix-std-True"),
+    pytest.param(lambda v: gaussian_matrix(2, 2, v, make_rng(0)), math.inf, ValueError,
+                 "std must be finite, got inf", id="gaussian_matrix-std-inf"),
+    pytest.param(lambda v: gaussian_matrix(2, 2, v, make_rng(0)), "1", ValueError,
+                 "std must be a real number, got '1'", id="gaussian_matrix-std-'1'"),
+    pytest.param(lambda v: gaussian_matrix(v, 2, 1.0, make_rng(0)), 0, ShapeError,
+                 "rows must be >= 1, got 0", id="gaussian_matrix-rows-0"),
+    pytest.param(lambda v: ModuleDim("q_proj", v, 4), 0, ValueError,
+                 "n must be >= 1, got 0", id="ModuleDim-n-0"),
+    pytest.param(lambda v: one_module_geometry(base_params=v), -1, ValueError,
+                 "base_params must be >= 1, got -1", id="ModelGeometry-base_params--1"),
+    pytest.param(lambda v: eckart_young_error(np.eye(3), v), 4, ValueError,
+                 "rank 4 out of range for shape (3, 3)", id="eckart_young_error-4"),
+])
+def test_an_illegal_value_is_named(monkeypatch, call, value, error, message):
+    # make_rng(True) was seed 1, ModelGeometry(layers=2.5) made param_count
+    # return 40.0, derive_seed(1, 2.5) equalled derive_seed(1, 2), and
+    # eckart_young_error(w, 2.5), Task.subsample(2.5) and
+    # run_grid(seeds=[2.5]) raised a bare TypeError
+    forbid_training(monkeypatch)
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        call(value)
+    assert caught.type is error
 
 
 class TestGeometry:
@@ -284,9 +372,21 @@ def test_unknown_init_kind_is_rejected_before_any_cell_trains(monkeypatch, run):
         UNKNOWN_INIT_RUNS[run](grid_task(), CoLAConfig(in_dim=16, out_dim=16, rank=4))
 
 
+def test_a_bad_run_seed_is_refused_before_any_cell_trains(monkeypatch, tmp_path, capsys):
+    # `cola-forge train` trained seed 42 and only then refused -1
+    forbid_training(monkeypatch)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "task": {"kind": "recovery", "n": 16, "m": 16, "base_seed": 4,
+                 "train_samples": 20, "eval_samples": 20},
+        "adapter": {"rank": 4}, "run": {"steps": 5, "seeds": [42, -1]}}))
+    assert cli.cmd_dispatch(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_a_negative_run_seed_is_named(monkeypatch):
     forbid_training(monkeypatch)
-    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         run_single(grid_task(), CoLAConfig(in_dim=16, out_dim=16, rank=4), GAUSSIAN_ZERO,
                    -1, 5)
 

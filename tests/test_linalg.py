@@ -232,7 +232,7 @@ class TestGaussianMatrix:
 
 
 def test_a_negative_seed_is_named():
-    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         make_rng(-1)
 
 
@@ -246,6 +246,13 @@ class TestDeriveSeed:
 
     def test_distinct_per_base_seed(self):
         assert derive_seed(42, 1, 1) != derive_seed(43, 1, 1)
+
+    def test_negative_seeds_and_parts_are_masked_to_64_bits(self):
+        assert derive_seed(-1, -2) == derive_seed(2**64 - 1, 2**64 - 2)
+
+    def test_numpy_integers_equal_python_integers(self):
+        # a numpy seed once overflowed in the 64-bit mask
+        assert derive_seed(np.int64(-5), np.uint8(3)) == derive_seed(-5, 3)
 
 
 class TestFixSigns:

@@ -5,7 +5,8 @@ its imports are the package's re-exports), and every name in a module's
 ``__all__`` is bound at the top level of that module. The benchmark
 tracer wraps the functions a module lists in ``__all__``, so a stale entry
 would break it. JSON is parsed in one place, the reader every input file
-goes through, so no file escapes its key checks.
+goes through, so no file escapes its key checks, and a bool is told from an
+integer only by the value-rule owners, so no entry point states its own rule.
 """
 
 import ast
@@ -51,6 +52,15 @@ def top_level_bindings(tree):
     return bound
 
 
+def calls_by_statement(matches):
+    """(file, top-level statement name) of each call in the package for which
+    ``matches(call)`` holds."""
+    return [(path.name, getattr(statement, "name", "<module>"))
+            for path in MODULES for statement in parse(path).body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Call) and matches(node)]
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"adapter.py", "cli.py", "harness.py"}
 
@@ -76,19 +86,28 @@ def test_all_names_resolve(path):
 def test_json_is_parsed_only_by_the_reader():
     """``json.load``/``json.loads`` is called once in the package, in
     ``harness._read_object``, and no module imports names from ``json``."""
-    calls = []
     for path in MODULES:
-        tree = parse(path)
-        for statement in tree.body:  # each call is named by its top-level statement
-            calls += [(path.name, getattr(statement, "name", "<module>"))
-                      for node in ast.walk(statement)
-                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                      and isinstance(node.func.value, ast.Name)
-                      and node.func.value.id == "json"
-                      and node.func.attr in ("load", "loads")]
         assert not any(isinstance(node, ast.ImportFrom) and node.module == "json"
-                       for node in ast.walk(tree)), path.name
-    assert calls == [("harness.py", "_read_object")]
+                       for node in ast.walk(parse(path))), path.name
+    assert calls_by_statement(
+        lambda call: isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name) and call.func.value.id == "json"
+        and call.func.attr in ("load", "loads")) == [("harness.py", "_read_object")]
+
+
+def test_only_the_value_rule_owners_tell_a_bool_from_a_number():
+    """``isinstance(..., bool)`` is called only in ``linalg._is_integer`` and
+    ``_is_real`` and in ``harness``'s JSON casts ``_int`` and ``_float``, so an
+    integer or real rule stated inline fails here: it calls its owner,
+    ``_check_count``, ``_check_positive`` or ``_check_range``, instead."""
+    def tests_for_bool(call):
+        return (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+                and len(call.args) == 2 and any(isinstance(node, ast.Name) and node.id == "bool"
+                                                for node in ast.walk(call.args[1])))
+
+    assert sorted(calls_by_statement(tests_for_bool)) == [
+        ("harness.py", "_float"), ("harness.py", "_int"),
+        ("linalg.py", "_is_integer"), ("linalg.py", "_is_real")]
 
 
 def test_no_two_raises_state_one_message():
