@@ -46,7 +46,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import ShapeError, _as_real, _check_count, _check_positive, _is_integer, as_matrix
+from .linalg import (ShapeError, _as_real, _check_choice, _check_count, _check_positive,
+                     _check_shape, _is_integer, as_matrix)
 
 __all__ = [
     "Strategy",
@@ -75,8 +76,17 @@ class Strategy(str, enum.Enum):
     HEURISTIC = "heuristic"
 
 
+_STRATEGY_VALUES = tuple(s.value for s in Strategy)
+
+
 class ConfigError(ValueError):
     """An adapter configuration violates a structural rule."""
+
+
+def _undefined(strategy: Strategy, a_count: int, b_count: int) -> bool:
+    """Whether (M, N, strategy) composes no layer: HEURISTIC pairs each A
+    with a B, so it needs M <= N."""
+    return strategy is Strategy.HEURISTIC and a_count > b_count
 
 
 @dataclass(frozen=True)
@@ -98,16 +108,11 @@ class CoLAConfig:
 
     def __post_init__(self):
         for name in ("in_dim", "out_dim", "rank", "a_count", "b_count"):
-            _check_count(name, getattr(self, name), 1, ConfigError)
-        if self.rank > min(self.in_dim, self.out_dim):
-            raise ConfigError(f"rank must satisfy 1 <= r <= min(n, m) = "
-                              f"{min(self.in_dim, self.out_dim)}, got {self.rank}")
-        try:
-            object.__setattr__(self, "strategy", Strategy(self.strategy))
-        except ValueError:
-            raise ConfigError(f"strategy must be one of {[s.value for s in Strategy]}, "
-                              f"got {self.strategy!r}") from None
-        if self.strategy is Strategy.HEURISTIC and self.a_count > self.b_count:
+            high = min(self.in_dim, self.out_dim) if name == "rank" else None
+            _check_count(name, getattr(self, name), 1, ConfigError, high)
+        _check_choice("strategy", self.strategy, _STRATEGY_VALUES, ConfigError)
+        object.__setattr__(self, "strategy", Strategy(self.strategy))
+        if _undefined(self.strategy, self.a_count, self.b_count):
             raise ConfigError(
                 f"heuristic strategy requires M <= N, got M={self.a_count} > N={self.b_count}"
             )
@@ -197,19 +202,15 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
     :class:`CoLALayer`); random strategies get an initial pairing."""
     n, m, r = config.out_dim, config.in_dim, config.rank
     w0 = as_matrix(w0, "w0")
-    if w0.shape != (n, m):
-        raise ShapeError(f"w0 must be {n}x{m}, got {w0.shape}")
-    if len(a_list) != config.a_count or len(b_list) != config.b_count:
-        raise ShapeError(
-            f"pool sizes {len(a_list)}/{len(b_list)} do not match "
-            f"config M={config.a_count}, N={config.b_count}"
-        )
-    pools = [np.asarray(p) for p in (*a_list, *b_list)]
-    for k, pool in enumerate(pools):
-        name, shape = ("A", (r, m)) if k < config.a_count else ("B", (n, r))
-        if pool.shape != shape:
-            raise ShapeError(f"every {name} must be {shape[0]}x{shape[1]}, got {pool.shape}")
-    packed = (*pools[:config.a_count], np.hstack(pools[config.a_count:]))  # A_cat, B_cat
+    _check_shape("w0", w0, (n, m))
+    stacks = []
+    for name, pool, shape in (("a_list", a_list, (config.a_count, r, m)),
+                              ("b_list", b_list, (config.b_count, n, r))):
+        for k, member in enumerate(pool):
+            _check_shape(f"{name}[{k}]", np.asarray(member), shape[1:])
+        stacks.append(np.asarray(pool))
+        _check_shape(name, stacks[-1], shape)
+    packed = (stacks[0], stacks[1].transpose(1, 0, 2))  # A_cat, B_cat as (n, N, r)
     params = as_matrix(np.concatenate([p.ravel() for p in packed])[None], "a_list and b_list")[0]
     random = _pairing_range(config) is not None
     if random and rng is None:
@@ -373,8 +374,7 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     or else the mean over uniform pairings, and rejects an explicit pairing.
     Deterministic strategies behave identically in both modes.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    _check_choice("mode", mode, ("train", "eval"))
     x = _as_real(x, "x")
     m = layer.config.in_dim
     if x.ndim not in (1, 2) or x.shape[0] != m:
@@ -465,8 +465,7 @@ def flop_breakdown(config: CoLAConfig, pass_kind: str = "forward") -> dict[str, 
     outer products (n x r per up-, r x m per down-application); the frozen
     base has no backward cost.
     """
-    if pass_kind not in ("forward", "train_step"):
-        raise ValueError(f"pass kind must be 'forward' or 'train_step', got {pass_kind!r}")
+    _check_choice("pass kind", pass_kind, ("forward", "train_step"))
     n, m, r = config.out_dim, config.in_dim, config.rank
     draw = _pairing_range(config)
     runs, pairing_map, _ = _composition(config, draw and (0,) * draw[1])

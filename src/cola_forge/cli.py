@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .adapter import CoLAConfig, ConfigError, Strategy, flop_count
+from .adapter import CoLAConfig, ConfigError, Strategy, _undefined, flop_count
 from .checks import run_selfcheck
 from .harness import (
     ClassifyTaskSpec,
@@ -51,7 +51,7 @@ from .harness import (
     write_rows_json,
 )
 from .initializers import GAUSSIAN_ZERO, InitSpec
-from .linalg import make_rng
+from .linalg import _check_choice, make_rng
 from .training import DivergenceError, _check_run, make_optimizer
 
 __all__ = ["RunConfig", "load_config", "cmd_dispatch", "main"]
@@ -159,9 +159,7 @@ def load_config(path: str, command: str | None = None) -> RunConfig:
             raise ConfigFileError(f"unknown key '{key}'")
 
     stated = str(raw.get("command", command or "train"))
-    if stated not in _COMMAND_BLOCKS:
-        raise ConfigFileError(
-            f"key 'command' must be 'train', 'grid' or 'sweep', got {stated!r}")
+    _check_choice("key 'command'", stated, tuple(_COMMAND_BLOCKS), ConfigFileError)
     if command is not None and stated != command:
         raise ConfigFileError(
             f"key 'command' is {stated!r} but the subcommand is {command!r}")
@@ -180,8 +178,7 @@ def load_config(path: str, command: str | None = None) -> RunConfig:
     if not isinstance(body, dict):
         raise ConfigFileError("key 'task' must be an object")
     kind = _require(body, "kind", "task.")
-    if kind not in ("recovery", "classify"):
-        raise ConfigFileError(f"key 'task.kind' must be 'recovery' or 'classify', got {kind!r}")
+    _check_choice("key 'task.kind'", kind, ("recovery", "classify"), ConfigFileError)
     spec = RecoveryTaskSpec if kind == "recovery" else ClassifyTaskSpec
     task = _build(spec, {k: v for k, v in body.items() if k != "kind"}, "task.", {})
     dims = ({"in_dim": task.m, "out_dim": task.n} if spec is RecoveryTaskSpec
@@ -267,7 +264,7 @@ def _cmd_params(args) -> int:
 def _cmd_flops(args) -> int:
     _check_run(args.steps)
     for strategy in Strategy:
-        if strategy is Strategy.HEURISTIC and args.M > args.N:
+        if _undefined(strategy, args.M, args.N):
             continue
         config = CoLAConfig(in_dim=args.in_dim, out_dim=args.out_dim, rank=args.r,
                             a_count=args.M, b_count=args.N, strategy=strategy,

@@ -29,10 +29,10 @@ from importlib import resources
 
 import numpy as np
 
-from .adapter import CoLAConfig, Strategy, forward, trainable_params
+from .adapter import CoLAConfig, Strategy, _undefined, forward, trainable_params
 from .initializers import GAUSSIAN_ZERO, INIT_KINDS, PISSA, InitSpec, build_layer
-from .linalg import (_check_count, _check_positive, _check_range, derive_seed,
-                     gaussian_matrix, make_rng)
+from .linalg import (_check_choice, _check_count, _check_positive, _check_range, _is_real,
+                     derive_seed, gaussian_matrix, make_rng)
 from .training import TrainReport, make_optimizer, train_loop
 
 __all__ = [
@@ -93,6 +93,7 @@ class RecoveryTaskSpec:
     def __post_init__(self):
         for name in ("n", "m", "components", "train_samples", "eval_samples"):
             _check_count(name, getattr(self, name))
+        _check_count("base_seed", self.base_seed, 0)
         for name in ("noise_std", "source_noise_std"):
             _check_range(name, getattr(self, name), 0)
 
@@ -116,10 +117,10 @@ class ClassifyTaskSpec:
     separation: float = 6.0
 
     def __post_init__(self):
-        for name in ("clusters", "input_dim", "samples_per_cluster"):
-            _check_count(name, getattr(self, name), 2 if name == "clusters" else 1)
-        if self.input_dim < self.clusters:
-            raise ValueError("input_dim must be >= clusters for separated centers")
+        # clusters is checked before it bounds input_dim (separated centers)
+        for name, low in (("clusters", 2), ("input_dim", self.clusters),
+                          ("samples_per_cluster", 1), ("backbone_seed", 0)):
+            _check_count(name, getattr(self, name), low)
         _check_range("label_noise", self.label_noise, 0, 1)
         _check_positive("separation", self.separation)
 
@@ -160,10 +161,7 @@ class Task:
         """First ``size`` training columns (deterministic); eval untouched."""
         if size is None:
             return self
-        _check_count("subsample size", size, None)
-        if not 1 <= size <= self.train_size:
-            raise ValueError(f"subsample size must be in [1, {self.train_size}] (the "
-                             f"training set), got {size}")
+        _check_count("subsample size", size, 1, high=self.train_size)
         return self if size == self.train_size else dataclasses.replace(
             self, x_train=self.x_train[..., :size], y_train=self.y_train[..., :size])
 
@@ -239,15 +237,14 @@ class ConfigFileError(ValueError):
 
 def _int(value) -> int:
     """A JSON integer; a boolean, a string or a non-integral number fails."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+    if not _is_real(value) or value % 1:
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def _float(value) -> float:
     """A finite JSON number; a boolean, a string or an overflow (1e400) fails."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= np.finfo(float).max):
+    if not _is_real(value) or not abs(value) <= np.finfo(float).max:
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -354,9 +351,7 @@ def _read_object(path: str) -> dict:
 # Model geometry and parameter accounting
 # ---------------------------------------------------------------------------
 
-ALLOWED_MODULES = frozenset(
-    ["down_proj", "k_proj", "v_proj", "q_proj", "up_proj", "gate_proj", "o_proj"]
-)
+ALLOWED_MODULES = ("down_proj", "gate_proj", "k_proj", "o_proj", "q_proj", "up_proj", "v_proj")
 
 
 @dataclass(frozen=True)
@@ -366,9 +361,7 @@ class ModuleDim:
     m: int  # input dim
 
     def __post_init__(self):
-        if self.name not in ALLOWED_MODULES:
-            raise ValueError(f"unknown module name {self.name!r}; "
-                             f"expected one of {sorted(ALLOWED_MODULES)}")
+        _check_choice("module name", self.name, ALLOWED_MODULES)
         _check_count("n", self.n)
         _check_count("m", self.m)
 
@@ -563,7 +556,7 @@ def run_grid(
     """
     strategy = Strategy(strategy)
     skipped = [(a_count, b_count) for a_count in m_range for b_count in n_range
-               if strategy is Strategy.HEURISTIC and a_count > b_count]
+               if _undefined(strategy, a_count, b_count)]
     cells = [(CoLAConfig(in_dim=task.in_dim, out_dim=task.out_dim, rank=rank,
                          a_count=a_count, b_count=b_count, strategy=strategy),
               init_kind, grid_cell_seed(seed, a_count, b_count), seed, None)

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import adapter
 from .adapter import CoLAConfig, CoLALayer
-from .linalg import _check_count, _check_positive, as_matrix, frobenius_norm, gaussian_matrix, svd
+from .linalg import (_check_choice, _check_count, _check_positive, _check_shape, as_matrix,
+                     frobenius_norm, gaussian_matrix, svd)
 
 __all__ = [
     "RankDeficientSourceError",
@@ -61,8 +62,7 @@ class InitSpec:
     source_w: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in INIT_KINDS:
-            raise ValueError(f"init kind must be one of {INIT_KINDS}, got {self.kind!r}")
+        _check_choice("init kind", self.kind, INIT_KINDS)
         if self.std is not None:
             _check_positive("gaussian init std", self.std)
 
@@ -81,9 +81,7 @@ def init_gaussian_zero(
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Gaussian A pools, zero B pools, base passed through untouched."""
     w0 = as_matrix(w0, "w0")
-    if w0.shape != (config.out_dim, config.in_dim):
-        raise ValueError(f"base shape {w0.shape} does not match config "
-                         f"{config.out_dim}x{config.in_dim}")
+    _check_shape("w0", w0, (config.out_dim, config.in_dim))
     if std is None:
         std = 1.0 / np.sqrt(config.in_dim)
     a_list = [gaussian_matrix(config.rank, config.in_dim, std, rng)
@@ -112,9 +110,7 @@ def pissa_extended(
     directions, so their gradients would be zero and they would never train.
     """
     w = as_matrix(w, "w")
-    n, m = w.shape
-    if (n, m) != (config.out_dim, config.in_dim):
-        raise ValueError(f"source shape {w.shape} does not match config {config.out_dim}x{config.in_dim}")
+    _check_shape("w", w, (config.out_dim, config.in_dim))
     r = config.rank
     fac = svd(w)
     if fac.s[r - 1] == 0.0:
@@ -162,9 +158,7 @@ def eckart_young_error(w: np.ndarray, r: int) -> float:
     equals sqrt(sum of squared tail singular values).
     """
     w = as_matrix(w, "w")
-    _check_count("r", r, 0)
-    if r > min(w.shape):
-        raise ValueError(f"rank {r} out of range for shape {w.shape}")
+    _check_count("r", r, 0, high=min(w.shape))
     fac = svd(w)
     approx = (fac.u[:, :r] * fac.s[:r]) @ fac.v[:, :r].T
     return frobenius_norm(w - approx)

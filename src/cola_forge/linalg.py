@@ -6,8 +6,10 @@ no wrapper class. :func:`svd` is the LAPACK SVD put into a canonical form
 Jacobi SVD is kept in the tests as the independent oracle it is checked
 against.
 
-It also owns the value rules every other module calls (``_check_count``,
-``_check_positive``, ``_check_range``), each raising a ValueError naming the value.
+It also owns the argument rules every other module calls, each raising an
+error that names the argument: ``_check_count``, ``_check_positive``,
+``_check_range``, ``_check_choice`` and ``_check_shape`` (a ShapeError). No
+other module tells a bool from a number.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ def _is_real(value) -> bool:
 
 
 def _check_count(name: str, value, low: int | None = 1,
-                 error: type[ValueError] = ValueError) -> None:
+                 error: type[ValueError] = ValueError, high: int | None = None) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is an integer, not a
-    bool, of at least ``low`` (a ``low`` of None leaves the range to the caller)."""
+    bool, of at least ``low`` and at most ``high`` (None sets no bound)."""
     if not _is_integer(value):
         raise error(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}, got {value}")
 
 
 def _check_real(name: str, value, error: type[ValueError]) -> None:
@@ -77,6 +81,19 @@ def _check_range(name: str, value, low: float, high: float = math.inf) -> None:
     _check_real(name, value, ValueError)
     if not (low <= value <= high and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite real in [{low}, {high}], got {value!r}")
+
+
+def _check_choice(name: str, value, choices: tuple,
+                  error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` equals one of ``choices``."""
+    if value not in choices:
+        raise error(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _check_shape(name: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Raise ShapeError naming ``name`` unless ``array`` has shape ``shape``."""
+    if array.shape != shape:
+        raise ShapeError(f"{name} must have shape {shape}, got {array.shape}")
 
 
 def as_matrix(w, name: str = "matrix") -> np.ndarray:

@@ -55,7 +55,8 @@ from .adapter import (
     flop_count,
     forward,
 )
-from .linalg import ShapeError, _as_real, _check_count, _check_positive, _is_real
+from .linalg import (ShapeError, _as_real, _check_choice, _check_count, _check_positive,
+                     _check_shape, _is_real)
 
 __all__ = [
     "DivergenceError",
@@ -238,8 +239,7 @@ class OptimizerState:
     scratch: np.ndarray | None = None
 
     def __post_init__(self):  # ``_update`` runs it again: a field can be reassigned
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
+        _check_choice("optimizer kind", self.kind, ("sgd", "adam"))
         _check_positive("learning rate", self.lr)
         _check_positive("eps", self.eps)
         if not (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2
@@ -255,8 +255,7 @@ def make_optimizer(kind: str, lr: float) -> OptimizerState:
 def optimizer_step(state: OptimizerState, params: np.ndarray,
                    grads: np.ndarray) -> np.ndarray:
     """One in-place update; returns the (mutated) parameter array."""
-    if params.shape != grads.shape:
-        raise ShapeError(f"params of shape {params.shape} vs grads of shape {grads.shape}")
+    _check_shape("grads", grads, params.shape)
     update = np.empty(grads.shape, np.result_type(grads, 1.0))
     if not np.can_cast(update.dtype, params.dtype, "same_kind"):
         raise ValueError(f"params of dtype {params.dtype} cannot take a {update.dtype} update")
@@ -352,8 +351,7 @@ def squared_error_grad(y: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     """L = mean over batch of 0.5 ||y_b - t_b||^2; returns (L, dL/dy), the
     gradient a new array. ``targets`` must have the shape of ``y``."""
     y, targets = np.asarray(y), np.asarray(targets)
-    if targets.shape != y.shape:
-        raise ShapeError(f"targets of shape {targets.shape} vs outputs of shape {y.shape}")
+    _check_shape("targets", targets, y.shape)
     return _loss_grad("recovery", y, targets)
 
 

@@ -70,6 +70,13 @@ MUTANTS = [
     Mutant("_is_integer takes a bool", "linalg.py",
            "return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
            "return isinstance(value, (int, np.integer))"),
+    Mutant("_check_shape compares only the leading dimension", "linalg.py",
+           "if array.shape != shape:", "if array.shape[:1] != shape[:1]:"),
+    Mutant("_check_count's upper bound exclusive", "linalg.py",
+           "if high is not None and value > high:", "if high is not None and value >= high:"),
+    Mutant("heuristic M <= N rule refuses M == N", "adapter.py",
+           "return strategy is Strategy.HEURISTIC and a_count > b_count",
+           "return strategy is Strategy.HEURISTIC and a_count >= b_count"),
     Mutant("_check_positive takes inf", "linalg.py",
            '    if not math.isfinite(value):\n        raise error(f"{name} must be finite, '
            'got {value!r}")\n', ""),

@@ -40,6 +40,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="rank"):
             CoLAConfig(in_dim=4, out_dim=6, rank=0)
 
+    def test_rank_is_at_most_the_smaller_dim(self):
+        CoLAConfig(in_dim=4, out_dim=6, rank=4)
+        with pytest.raises(ConfigError, match="^rank must be <= 4, got 5$"):
+            CoLAConfig(in_dim=4, out_dim=6, rank=5)
+
     def test_counts(self):
         with pytest.raises(ConfigError, match="a_count must be >= 1, got 0"):
             CoLAConfig(in_dim=4, out_dim=4, rank=2, a_count=0)
@@ -67,8 +72,8 @@ class TestConfigValidation:
         ("alpha", 1j, "alpha must be a real number, got 1j"),
         ("alpha", True, "alpha must be a real number, got True"),
         ("alpha", np.True_, "alpha must be a real number, got np.True_"),
-        ("strategy", "nope", "strategy must be one of ['full', 'random_ab', 'random_ba', "
-                             "'heuristic'], got 'nope'"),
+        ("strategy", "nope", "strategy must be one of ('full', 'random_ab', 'random_ba', "
+                             "'heuristic'), got 'nope'"),
     ], ids=["alpha-str", "alpha-complex", "alpha-bool", "alpha-numpy-bool", "strategy"])
     def test_a_non_real_alpha_or_unknown_strategy_is_refused_by_name(self, field, value,
                                                                      message):
@@ -142,14 +147,15 @@ class TestForward:
             forward(layer, np.zeros(shape))
 
     @pytest.mark.parametrize("w0, a_shapes, b_shapes, match", [
-        ((4, 6), [(2, 6)], [(5, 2)], "w0 must be 5x6"),
-        ((5, 6), [(2, 6)] * 2, [(5, 2)], "pool sizes 2/1"),
-        ((5, 6), [(2, 5)], [(5, 2)], "every A must be 2x6"),
-        ((5, 6), [(2, 6)], [(5, 3)], "every B must be 5x2"),
+        ((4, 6), [(2, 6)], [(5, 2)], "w0 must have shape (5, 6), got (4, 6)"),
+        ((5, 6), [(2, 6)] * 2, [(5, 2)], "a_list must have shape (1, 2, 6), got (2, 2, 6)"),
+        ((5, 6), [(2, 6)], [], "b_list must have shape (1, 5, 2), got (0,)"),
+        ((5, 6), [(2, 5)], [(5, 2)], "a_list[0] must have shape (2, 6), got (2, 5)"),
+        ((5, 6), [(2, 6)], [(5, 3)], "b_list[0] must have shape (5, 2), got (5, 3)"),
     ])
     def test_make_layer_checks_every_shape(self, w0, a_shapes, b_shapes, match):
         cfg = CoLAConfig(in_dim=6, out_dim=5, rank=2, alpha=2.0)
-        with pytest.raises(ShapeError, match=match):
+        with pytest.raises(ShapeError, match=f"^{re.escape(match)}$"):
             make_layer(np.zeros(w0), [np.zeros(s) for s in a_shapes],
                        [np.zeros(s) for s in b_shapes], cfg)
 

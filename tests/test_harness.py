@@ -89,8 +89,8 @@ class TestRecoveryTask:
     def test_subsample_size_is_at_most_the_training_set(self):
         task = make_recovery_task(self.spec(), make_rng(7))
         assert task.subsample(50) is task
-        for size in (0, 51):
-            with pytest.raises(ValueError, match=f"in \\[1, 50\\].*got {size}"):
+        for size, bound in ((0, ">= 1"), (51, "<= 50")):
+            with pytest.raises(ValueError, match=f"^subsample size must be {bound}, got {size}$"):
                 task.subsample(size)
 
 
@@ -190,22 +190,39 @@ class TestClassificationTask:
     (ClassifyTaskSpec, "separation", True, "separation must be a real number, got True"),
     (ClassifyTaskSpec, "separation", math.inf, "separation must be finite, got inf"),
     (ClassifyTaskSpec, "separation", "1", "separation must be a real number, got '1'"),
+    (RecoveryTaskSpec, "base_seed", 2.5, "base_seed must be an integer, got 2.5"),
+    (RecoveryTaskSpec, "base_seed", True, "base_seed must be an integer, got True"),
+    (RecoveryTaskSpec, "base_seed", -1, "base_seed must be >= 0, got -1"),
+    (ClassifyTaskSpec, "backbone_seed", 2.5, "backbone_seed must be an integer, got 2.5"),
+    (ClassifyTaskSpec, "backbone_seed", True, "backbone_seed must be an integer, got True"),
+    (ClassifyTaskSpec, "backbone_seed", -1, "backbone_seed must be >= 0, got -1"),
+    (ClassifyTaskSpec, "input_dim", 2, "input_dim must be >= 3, got 2"),
 ], ids=["n-zero", "m-negative", "components-bool", "train_samples-fractional",
         "eval_samples-zero", "clusters-fractional", "input_dim-bool", "samples_per_cluster-zero",
         "n-inf", "m-str", "noise_std-bool", "noise_std-inf", "noise_std-str",
         "source_noise_std-bool", "source_noise_std-inf", "source_noise_std-negative",
         "label_noise-above-one", "label_noise-bool", "label_noise-inf", "label_noise-nan",
-        "label_noise-str", "separation-bool", "separation-inf", "separation-str"])
+        "label_noise-str", "separation-bool", "separation-inf", "separation-str",
+        "base_seed-fractional", "base_seed-bool", "base_seed-negative",
+        "backbone_seed-fractional", "backbone_seed-bool", "backbone_seed-negative",
+        "input_dim-below-clusters"])
 def test_a_task_spec_names_a_bad_count(spec, field, value, message):
     # n=0 once raised "ShapeError: invalid matrix shape (0, 4)", and
     # train_samples=2.5 or clusters=2.5 a bare TypeError; an infinite
     # noise_std or separation was accepted and training reported it as
-    # a DivergenceError
+    # a DivergenceError; a fractional, boolean or negative seed was accepted
+    # until the task was built
     fields = (dict(n=4, m=4, base_seed=1) if spec is RecoveryTaskSpec else
               dict(clusters=3, input_dim=8, samples_per_cluster=10, backbone_seed=1))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
         spec(**{**fields, field: value})
     assert caught.type is ValueError
+
+
+def test_a_task_spec_takes_each_bound_itself():
+    assert ClassifyTaskSpec(clusters=3, input_dim=3, samples_per_cluster=1,
+                            backbone_seed=0).input_dim == 3
+    assert RecoveryTaskSpec(n=1, m=1, base_seed=0).base_seed == 0
 
 
 ILLEGAL_COUNTS = (2.5, True, math.inf, math.nan, "1")
@@ -253,7 +270,7 @@ def one_module_geometry(**fields):
     pytest.param(lambda v: one_module_geometry(base_params=v), -1, ValueError,
                  "base_params must be >= 1, got -1", id="ModelGeometry-base_params--1"),
     pytest.param(lambda v: eckart_young_error(np.eye(3), v), 4, ValueError,
-                 "rank 4 out of range for shape (3, 3)", id="eckart_young_error-4"),
+                 "r must be <= 3, got 4", id="eckart_young_error-4"),
 ])
 def test_an_illegal_value_is_named(monkeypatch, call, value, error, message):
     # make_rng(True) was seed 1, ModelGeometry(layers=2.5) made param_count
@@ -274,7 +291,7 @@ class TestGeometry:
             assert len(geo.modules) == 7
 
     def test_module_names_validated(self):
-        with pytest.raises(ValueError, match="unknown module"):
+        with pytest.raises(ValueError, match="^module name must be one of .*, got 'lm_head'$"):
             ModelGeometry(name="x", base_params=10, layers=1,
                           modules=(ModuleDim("lm_head", 4, 4),))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cola_forge.adapter import (
     delta_weight,
     delta_weight_eval,
     forward,
+    make_layer,
     merge,
 )
 from cola_forge.initializers import (
@@ -20,7 +23,7 @@ from cola_forge.initializers import (
     init_gaussian_zero,
     pissa_extended,
 )
-from cola_forge.linalg import frobenius_norm, make_rng, svd
+from cola_forge.linalg import ShapeError, frobenius_norm, make_rng, svd
 
 
 class TestGaussianZero:
@@ -145,8 +148,25 @@ class TestPissaExtended:
 
     def test_rank_too_large(self):
         cfg = CoLAConfig(in_dim=4, out_dim=6, rank=4, alpha=4.0)
-        with pytest.raises(ValueError, match="source shape"):
+        with pytest.raises(ShapeError, match=re.escape("w must have shape (6, 4), got (3, 3)")):
             pissa_extended(np.zeros((3, 3)), cfg)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda cfg, w: init_gaussian_zero(w, cfg, make_rng(0)), "w0"),
+    (lambda cfg, w: pissa_extended(w, cfg), "w"),
+    (lambda cfg, w: make_layer(w, [np.zeros((2, 6))], [np.zeros((5, 2))], cfg), "w0"),
+    (lambda cfg, w: build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(0), base_w0=w), "w0"),
+    (lambda cfg, w: build_layer(cfg, InitSpec(PISSA, source_w=w), make_rng(0)), "w"),
+], ids=["init_gaussian_zero", "pissa_extended", "make_layer", "build_layer-gaussian_zero",
+        "build_layer-pissa"])
+def test_a_matrix_of_another_shape_is_one_shape_error_everywhere(build, name):
+    # init_gaussian_zero and pissa_extended once raised a plain ValueError
+    # where make_layer raised ShapeError for the same rule
+    cfg = CoLAConfig(in_dim=6, out_dim=5, rank=2, alpha=2.0)
+    message = f"{name} must have shape (5, 6), got (6, 5)"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        build(cfg, np.ones((6, 5)))
 
 
 class TestEckartYoung:

@@ -5,8 +5,8 @@ its imports are the package's re-exports), and every name in a module's
 ``__all__`` is bound at the top level of that module. The benchmark
 tracer wraps the functions a module lists in ``__all__``, so a stale entry
 would break it. JSON is parsed in one place, the reader every input file
-goes through, so no file escapes its key checks, and a bool is told from an
-integer only by the value-rule owners, so no entry point states its own rule.
+goes through, so no file escapes its key checks, and a bool is told from a
+number only by ``linalg``'s value-rule owners, so no entry point states its own rule.
 """
 
 import ast
@@ -97,16 +97,15 @@ def test_json_is_parsed_only_by_the_reader():
 
 def test_only_the_value_rule_owners_tell_a_bool_from_a_number():
     """``isinstance(..., bool)`` is called only in ``linalg._is_integer`` and
-    ``_is_real`` and in ``harness``'s JSON casts ``_int`` and ``_float``, so an
-    integer or real rule stated inline fails here: it calls its owner,
-    ``_check_count``, ``_check_positive`` or ``_check_range``, instead."""
+    ``_is_real``, so an integer or real rule stated inline fails here: it
+    calls its owner, ``_check_count``, ``_check_positive`` or ``_check_range``
+    (or, as ``harness``'s JSON casts do, ``_is_real``), instead."""
     def tests_for_bool(call):
         return (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
                 and len(call.args) == 2 and any(isinstance(node, ast.Name) and node.id == "bool"
                                                 for node in ast.walk(call.args[1])))
 
     assert sorted(calls_by_statement(tests_for_bool)) == [
-        ("harness.py", "_float"), ("harness.py", "_int"),
         ("linalg.py", "_is_integer"), ("linalg.py", "_is_real")]
 
 
