@@ -46,8 +46,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import (ShapeError, _as_real, _check_choice, _check_count, _check_positive,
-                     _check_shape, _is_integer, as_matrix)
+from .linalg import (_as_batch, _as_real, _check_choice, _check_count, _check_positive,
+                     _check_rng, _check_shape, _is_integer, as_matrix)
 
 __all__ = [
     "Strategy",
@@ -147,6 +147,7 @@ def sample_pairing(config: CoLAConfig, rng: np.random.Generator,
                    frozen: bool = False) -> Pairing:
     """Uniform i.i.d. pairing of a random strategy: RANDOM_AB draws M
     partners in [0, N), RANDOM_BA N partners in [0, M)."""
+    _check_rng(rng)
     draw = _pairing_range(config)
     if draw is None:
         raise ConfigError(f"strategy {config.strategy.value} is deterministic; "
@@ -201,21 +202,16 @@ def make_layer(w0: np.ndarray, a_list: list[np.ndarray], b_list: list[np.ndarray
     """Pack the pools into one flat buffer, A_cat then B_cat (see
     :class:`CoLALayer`); random strategies get an initial pairing."""
     n, m, r = config.out_dim, config.in_dim, config.rank
-    w0 = as_matrix(w0, "w0")
-    _check_shape("w0", w0, (n, m))
+    w0 = as_matrix(w0, "w0", (n, m))
     stacks = []
     for name, pool, shape in (("a_list", a_list, (config.a_count, r, m)),
                               ("b_list", b_list, (config.b_count, n, r))):
         for k, member in enumerate(pool):
             _check_shape(f"{name}[{k}]", np.asarray(member), shape[1:])
-        stacks.append(np.asarray(pool))
-        _check_shape(name, stacks[-1], shape)
+        stacks.append(_as_real(pool, name, shape))
     packed = (stacks[0], stacks[1].transpose(1, 0, 2))  # A_cat, B_cat as (n, N, r)
     params = as_matrix(np.concatenate([p.ravel() for p in packed])[None], "a_list and b_list")[0]
-    random = _pairing_range(config) is not None
-    if random and rng is None:
-        raise ConfigError("random strategies need an rng to sample the initial pairing")
-    pairing = sample_pairing(config, rng) if random else None
+    pairing = None if _pairing_range(config) is None else sample_pairing(config, rng)
     return CoLALayer(w0, config, params, pairing)
 
 
@@ -231,8 +227,8 @@ def _check_pairing(cfg: CoLAConfig, pairing: Pairing | None) -> tuple[int, ...] 
             raise ConfigError(f"strategy {cfg.strategy.value} is deterministic; "
                               f"no pairing applies")
         return None
-    if pairing is None:
-        raise ConfigError(f"strategy {cfg.strategy.value} requires a pairing")
+    if not isinstance(pairing, Pairing):
+        raise ConfigError(f"strategy {cfg.strategy.value} requires a Pairing, got {pairing!r}")
     limit, expect = draw
     if len(pairing.map) != expect:
         raise ConfigError(f"pairing length {len(pairing.map)} != {expect}")
@@ -375,10 +371,7 @@ def forward(layer: CoLALayer, x: np.ndarray, mode: str = "eval",
     Deterministic strategies behave identically in both modes.
     """
     _check_choice("mode", mode, ("train", "eval"))
-    x = _as_real(x, "x")
-    m = layer.config.in_dim
-    if x.ndim not in (1, 2) or x.shape[0] != m:
-        raise ShapeError(f"x has shape {x.shape}; layer expects {m} or ({m}, batch)")
+    x = _as_batch(x, "x", layer.config.in_dim)
     if mode == "eval" and pairing is not None:
         raise ConfigError("eval-mode forward composes the layer's own pairing; pass none")
     if mode == "eval":

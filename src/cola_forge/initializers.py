@@ -26,8 +26,8 @@ import numpy as np
 
 from . import adapter
 from .adapter import CoLAConfig, CoLALayer
-from .linalg import (_check_choice, _check_count, _check_positive, _check_shape, as_matrix,
-                     frobenius_norm, gaussian_matrix, svd)
+from .linalg import (_check_choice, _check_count, _check_positive, as_matrix, frobenius_norm,
+                     gaussian_matrix, svd)
 
 __all__ = [
     "RankDeficientSourceError",
@@ -80,8 +80,7 @@ def init_gaussian_zero(
     std: float | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Gaussian A pools, zero B pools, base passed through untouched."""
-    w0 = as_matrix(w0, "w0")
-    _check_shape("w0", w0, (config.out_dim, config.in_dim))
+    w0 = as_matrix(w0, "w0", (config.out_dim, config.in_dim))
     if std is None:
         std = 1.0 / np.sqrt(config.in_dim)
     a_list = [gaussian_matrix(config.rank, config.in_dim, std, rng)
@@ -109,8 +108,7 @@ def pissa_extended(
     SVD's roundoff cutoff: both factors would be zero in the missing
     directions, so their gradients would be zero and they would never train.
     """
-    w = as_matrix(w, "w")
-    _check_shape("w", w, (config.out_dim, config.in_dim))
+    w = as_matrix(w, "w", (config.out_dim, config.in_dim))
     r = config.rank
     fac = svd(w)
     if fac.s[r - 1] == 0.0:

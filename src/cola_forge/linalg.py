@@ -7,9 +7,9 @@ Jacobi SVD is kept in the tests as the independent oracle it is checked
 against.
 
 It also owns the argument rules every other module calls, each raising an
-error that names the argument: ``_check_count``, ``_check_positive``,
-``_check_range``, ``_check_choice`` and ``_check_shape`` (a ShapeError). No
-other module tells a bool from a number.
+error that names the argument: the ``_check_*`` functions and, for arrays,
+``_as_real``, ``_as_batch`` and :func:`as_matrix`. No other module tells a
+bool from a number or raises ShapeError.
 """
 
 from __future__ import annotations
@@ -75,12 +75,12 @@ def _check_positive(name: str, value, error: type[ValueError] = ValueError) -> N
         raise error(f"{name} must be finite, got {value!r}")
 
 
-def _check_range(name: str, value, low: float, high: float = math.inf) -> None:
+def _check_range(name: str, value, low: float, high: float = math.inf, end: str = "]") -> None:
     """Raise ValueError naming ``name`` unless ``value`` is a finite real in
-    [``low``, ``high``]."""
+    [``low``, ``high``], or in [``low``, ``high``) if ``end`` is ")"."""
     _check_real(name, value, ValueError)
-    if not (low <= value <= high and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real in [{low}, {high}], got {value!r}")
+    if not (low <= value <= high and math.isfinite(value)) or (end == ")" and value == high):
+        raise ValueError(f"{name} must be a finite real in [{low}, {high}{end}, got {value!r}")
 
 
 def _check_choice(name: str, value, choices: tuple,
@@ -90,34 +90,54 @@ def _check_choice(name: str, value, choices: tuple,
         raise error(f"{name} must be one of {choices}, got {value!r}")
 
 
-def _check_shape(name: str, array: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Raise ShapeError naming ``name`` unless ``array`` has shape ``shape``."""
-    if array.shape != shape:
+def _check_rng(rng) -> None:
+    """Raise ValueError unless ``rng`` is a numpy Generator."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator, got {rng!r}")
+
+
+def _check_shape(name: str, array: np.ndarray, shape: tuple) -> None:
+    """Raise ShapeError naming ``name`` unless ``array``'s axes match ``shape``'s (None: any)."""
+    if array.ndim != len(shape) or any(w not in (None, g) for g, w in zip(array.shape, shape)):
         raise ShapeError(f"{name} must have shape {shape}, got {array.shape}")
 
 
-def as_matrix(w, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a 2-D float64 C-order array; complex input and NaN
-    or Inf entries are refused by its ``name``."""
-    a = np.ascontiguousarray(_as_real(w, name))
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"expected a 2-D matrix, got array of shape {a.shape}")
+def _as_real(v, name: str, shape: tuple | None = None, dtype=np.float64) -> np.ndarray:
+    """``v`` as an array of ``dtype`` (None keeps its own), of ``shape`` unless it
+    is None (see :func:`_check_shape`). Entries other than integers and floats raise
+    ValueError naming ``name``: a cast would drop or misread them, or fail."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "iuf":
+        kind = {"b": "bool", "c": "complex", "O": "object", "S": "string", "U": "string"}
+        raise ValueError(f"{name} must be real, got {kind.get(a.dtype.kind, a.dtype)} entries")
+    if shape is not None:
+        _check_shape(name, a, shape)
+    return a if dtype is None else a.astype(dtype, copy=False)
+
+
+def _as_batch(v, name: str, dim: int | None) -> np.ndarray:
+    """``v`` as :func:`_as_real` entries, one sample of length ``dim`` or a batch of
+    them as columns, in its own memory order: a training step computes on the order
+    of ``x[:, idx]``, and BLAS may round a Fortran-ordered operand otherwise."""
+    a = _as_real(v, name)
+    _check_shape(name, a, (dim,) if a.ndim == 1 else (dim, None))
+    return a
+
+
+def as_matrix(w: np.ndarray, name: str = "matrix", shape: tuple = (None, None)) -> np.ndarray:
+    """Coerce input to a 2-D float64 C-order array of ``shape``; entries that are not
+    real (:func:`_as_real`), an empty axis and NaN or Inf are refused by its ``name``."""
+    a = np.ascontiguousarray(_as_real(w, name, shape))
+    if a.size == 0:
+        raise ShapeError(f"{name} must have at least one row and column, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return a
 
 
-def _as_real(v, name: str) -> np.ndarray:
-    """``v`` as a float64 array; complex input raises ValueError naming
-    ``name``, where a cast would drop its imaginary part."""
-    if np.iscomplexobj(v):
-        raise ValueError(f"{name} must be real, got complex entries")
-    return np.asarray(v, dtype=np.float64)
-
-
 def frobenius_norm(w: np.ndarray) -> float:
-    """sqrt of the sum of squared entries."""
-    return float(np.sqrt(np.sum(np.square(np.asarray(w, dtype=np.float64)))))
+    """sqrt of the sum of squared entries, which must be real."""
+    return float(np.sqrt(np.sum(np.square(_as_real(w, "w")))))
 
 
 @dataclass(frozen=True)
@@ -184,6 +204,7 @@ def gaussian_matrix(rows: int, cols: int, std: float,
     _check_count("rows", rows, 1, ShapeError)
     _check_count("cols", cols, 1, ShapeError)
     _check_positive("std", std)
+    _check_rng(rng)
     return rng.normal(0.0, std, size=(rows, cols))
 
 

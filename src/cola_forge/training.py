@@ -55,8 +55,8 @@ from .adapter import (
     flop_count,
     forward,
 )
-from .linalg import (ShapeError, _as_real, _check_choice, _check_count, _check_positive,
-                     _check_shape, _is_real)
+from .linalg import (_as_batch, _as_real, _check_choice, _check_count, _check_positive,
+                     _check_range, _check_rng, _check_shape)
 
 __all__ = [
     "DivergenceError",
@@ -87,23 +87,13 @@ class Grads:
         self.da_list, self.db_list = _run_views(self.flat, layer.config)[2:]
 
 
-def _as_columns(v: np.ndarray, dim: int, name: str) -> np.ndarray:
-    v = _as_real(v, name)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.ndim != 2 or v.shape[0] != dim:
-        raise ShapeError(f"{name} must have leading dim {dim}, got shape {v.shape}")
-    return v
-
-
 def backward(layer: CoLALayer, x: np.ndarray, g_out: np.ndarray,
              pairing: Pairing | None = None) -> Grads:
     """Exact pool gradients for dL/dy = g_out at input x."""
     cfg = layer.config
-    x2 = _as_columns(x, cfg.in_dim, "x")
-    g2 = _as_columns(g_out, cfg.out_dim, "g_out")
-    if x2.shape[1] != g2.shape[1]:
-        raise ShapeError(f"x batch {x2.shape[1]} != g_out batch {g2.shape[1]}")
+    x2 = _as_batch(x, "x", cfg.in_dim).reshape(cfg.in_dim, -1)
+    g2 = _as_batch(g_out, "g_out", cfg.out_dim).reshape(cfg.out_dim, -1)
+    _check_shape("g_out", g2, (cfg.out_dim, x2.shape[1]))
     runs, pairing_map, scale = _composition(cfg, _check_pairing(cfg, pairing))
     sums = _run_sums(layer, runs)
     ws, grad = _Workspace(sums, pairing_map, x2.shape[1:]), np.empty_like(sums.params)
@@ -165,12 +155,12 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
     pairing = None if _pairing_range(cfg) is None else layer.pairing
 
     y0 = forward(layer, x, mode="train", pairing=pairing)
-    analytic = backward(layer, x, y0 - np.asarray(target, dtype=np.float64), pairing)
+    target = _as_real(target, "target", y0.shape)
+    analytic = backward(layer, x, y0 - target, pairing)
 
     ld = np.longdouble
-    w0x = layer.w0.astype(ld) @ np.asarray(x, dtype=ld)
-    x_ld = np.asarray(x, dtype=ld)
-    t_ld = np.asarray(target, dtype=ld)
+    x_ld, t_ld = np.asarray(x, dtype=ld), target.astype(ld)
+    w0x = layer.w0.astype(ld) @ x_ld
     a_pools = [a.astype(ld) for a in layer.a_list]
     b_pools = [b.astype(ld) for b in layer.b_list]
     scale = ld(cfg.alpha) / ld(cfg.rank)
@@ -242,9 +232,9 @@ class OptimizerState:
         _check_choice("optimizer kind", self.kind, ("sgd", "adam"))
         _check_positive("learning rate", self.lr)
         _check_positive("eps", self.eps)
-        if not (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2
-                and all(_is_real(b) and 0 <= b < 1 for b in self.betas)):
-            raise ValueError(f"betas must be two reals in [0, 1), got {self.betas!r}")
+        _check_shape("betas", np.asarray(self.betas, dtype=object), (2,))
+        for k, beta in enumerate(self.betas):
+            _check_range(f"betas[{k}]", beta, 0, 1, ")")
         _check_count("step", self.step, 0)
 
 
@@ -255,7 +245,7 @@ def make_optimizer(kind: str, lr: float) -> OptimizerState:
 def optimizer_step(state: OptimizerState, params: np.ndarray,
                    grads: np.ndarray) -> np.ndarray:
     """One in-place update; returns the (mutated) parameter array."""
-    _check_shape("grads", grads, params.shape)
+    grads = _as_real(grads, "grads", params.shape, dtype=None)
     update = np.empty(grads.shape, np.result_type(grads, 1.0))
     if not np.can_cast(update.dtype, params.dtype, "same_kind"):
         raise ValueError(f"params of dtype {params.dtype} cannot take a {update.dtype} update")
@@ -288,8 +278,7 @@ def _update(state: OptimizerState, grads: np.ndarray, out: np.ndarray,
         return [(np.multiply, (grads, lr, out))], advance
     if state.m is None:
         state.m, state.v, state.scratch = (np.zeros_like(out) for _ in range(3))
-    elif state.m.shape != grads.shape:
-        raise ShapeError("Adam state was allocated for other parameters")
+    _check_shape("grads for this Adam state", grads, state.m.shape)
     (b1, b2), e = state.betas, state.eps
     k1, k2 = 1.0 - b1, 1.0 - b2
     c1, c2, eps, s = (np.array(value, out.dtype) for value in (b1, b2, e, 1.0))
@@ -348,21 +337,20 @@ def _loss_grad(kind: str, y: np.ndarray, targets: np.ndarray) -> tuple[float, np
 
 
 def squared_error_grad(y: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """L = mean over batch of 0.5 ||y_b - t_b||^2; returns (L, dL/dy), the
-    gradient a new array. ``targets`` must have the shape of ``y``."""
-    y, targets = np.asarray(y), np.asarray(targets)
-    _check_shape("targets", targets, y.shape)
-    return _loss_grad("recovery", y, targets)
+    """L = mean over batch of 0.5 ||y_b - t_b||^2, y one sample or a batch of columns
+    and targets of its shape; returns (L, dL/dy), the gradient a new array."""
+    y = _as_batch(y, "y", None)
+    _check_count("y batch size", y.shape[1] if y.ndim == 2 else 1, 1)
+    return _loss_grad("recovery", y, _as_real(targets, "targets", y.shape))
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy over class-by-batch logits; returns (L,
     dL/dlogits), the gradient a new array. ``labels`` holds one integer class
     in [0, classes) per column."""
-    logits, labels = np.asarray(logits), np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != logits.shape[1:]:
-        raise ShapeError(f"need class-by-batch logits and one label per column, got "
-                         f"logits of shape {logits.shape} and labels of shape {labels.shape}")
+    logits, labels = _as_real(logits, "logits", (None, None)), np.asarray(labels)
+    _check_shape("labels", labels, logits.shape[1:])
+    _check_count("logits batch size", logits.shape[1], 1)
     if labels.dtype.kind not in "iu" or not np.all((labels >= 0) & (labels < logits.shape[0])):
         raise ValueError(f"labels must be integers in [0, {logits.shape[0]}), got {labels}")
     return _loss_grad("classify", logits, labels)
@@ -440,6 +428,7 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     were, or, once they are written, if the final loss is not finite.
     """
     _check_run(steps, batch)
+    _check_rng(rng)
     cfg = layer.config
     frozen = layer.pairing is not None and layer.pairing.frozen
     draw = None if frozen else _pairing_range(cfg)
@@ -481,16 +470,14 @@ def _train_steps(task, layer: CoLALayer, optimizer: OptimizerState, steps: int, 
 
     # A block of steps draws, per step, its batch indices and then (if it
     # resamples) its pairing, all in one rng call with per-element bounds; a
-    # block holds at most 64 steps and no more indices than the training set
-    # has samples. A step takes its samples into fixed buffers: x as rows
-    # into ``x_rows``, whose transpose is laid out like ``x_train[:, idx]``,
-    # and W0 x and the targets as columns, from per-run tables, into
+    # block holds at most 64 steps. A step takes its samples into fixed buffers:
+    # x as rows into ``x_rows``, whose transpose is laid out like ``x_train[:,
+    # idx]``, and W0 x and the targets as columns, from per-run tables, into
     # ``w0x_cols`` and ``t_cols`` (C-ordered like the outputs they meet). A
     # step that resamples copies its pairing into ``ws.pairing`` and sets P
     # with one take of the partners' unit vectors from an identity.
-    size = task.x_train.shape[1]
-    block = max(1, min(64, size // batch))
-    highs = [size] * batch + ([] if draw is None else [draw[0]] * draw[1])
+    block = 64
+    highs = [task.x_train.shape[1]] * batch + ([] if draw is None else [draw[0]] * draw[1])
     block_highs = np.tile(highs, block)
     x_rows = np.empty((batch, cfg.in_dim), task.x_train.dtype)
     w0x_cols = np.empty((cfg.out_dim, batch))

@@ -62,7 +62,7 @@ MUTANTS = [
     Mutant("finite-difference denominator floor 1e-3", "training.py",
            "abs(numeric), 1e-12)", "abs(numeric), 1e-3)"),
     Mutant("step block one step shorter", "training.py",
-           "min(64, size // batch)", "min(64, size // batch - 1)",
+           "block = 64", "block = 63",
            equivalent="a block's draws equal one-by-one draws: Generator.integers "
                       "takes the same bits in order however the draws are split"),
     Mutant("_check_count refuses its bound", "linalg.py",
@@ -71,7 +71,13 @@ MUTANTS = [
            "return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
            "return isinstance(value, (int, np.integer))"),
     Mutant("_check_shape compares only the leading dimension", "linalg.py",
-           "if array.shape != shape:", "if array.shape[:1] != shape[:1]:"),
+           "zip(array.shape, shape)", "zip(array.shape[:1], shape[:1])"),
+    Mutant("_check_shape lets a None entry match a missing axis", "linalg.py",
+           "if array.ndim != len(shape) or any(",
+           "if array.ndim > len(shape) or array.ndim < len(shape) - "
+           "shape[array.ndim:].count(None) or any("),
+    Mutant("_as_real takes bool entries", "linalg.py",
+           'if a.dtype.kind not in "iuf":', 'if a.dtype.kind not in "biuf":'),
     Mutant("_check_count's upper bound exclusive", "linalg.py",
            "if high is not None and value > high:", "if high is not None and value >= high:"),
     Mutant("heuristic M <= N rule refuses M == N", "adapter.py",

@@ -137,13 +137,14 @@ class TestForward:
 
     def test_shape_error(self):
         layer = random_layer(CoLAConfig(in_dim=6, out_dim=5, rank=2, alpha=2.0))
-        with pytest.raises(ShapeError, match="expects 6"):
+        with pytest.raises(ShapeError, match=re.escape("x must have shape (6,), got (7,)")):
             forward(layer, np.zeros(7))
 
     @pytest.mark.parametrize("shape", [(), (6, 2, 3)])
     def test_x_of_zero_or_three_dims_is_a_shape_error(self, shape):
         layer = random_layer(CoLAConfig(in_dim=6, out_dim=5, rank=2, alpha=2.0))
-        with pytest.raises(ShapeError, match=re.escape(f"x has shape {shape}")):
+        with pytest.raises(ShapeError,
+                           match=re.escape(f"x must have shape (6, None), got {shape}")):
             forward(layer, np.zeros(shape))
 
     @pytest.mark.parametrize("w0, a_shapes, b_shapes, match", [
@@ -163,7 +164,7 @@ class TestForward:
         cfg = CoLAConfig(in_dim=4, out_dim=4, rank=2, a_count=2, b_count=2,
                          strategy=Strategy.RANDOM_AB, alpha=2.0)
         layer = dataclasses.replace(random_layer(cfg, seed=5), pairing=None)
-        with pytest.raises(ConfigError, match="pairing"):
+        with pytest.raises(ConfigError, match="requires a Pairing, got None"):
             forward(layer, np.zeros(4), mode="train")
 
     @pytest.mark.parametrize("pairing", [Pairing((9, 9, 9)), Pairing((0, 1))])
@@ -218,7 +219,8 @@ class TestDeltaWeight:
         rnd = random_layer(CoLAConfig(in_dim=4, out_dim=4, rank=2, a_count=2,
                                       b_count=2, strategy=Strategy.RANDOM_AB,
                                       alpha=2.0), seed=11)
-        with pytest.raises(ConfigError, match="requires a pairing"):
+        with pytest.raises(ConfigError,
+                           match="^strategy random_ab requires a Pairing, got None$"):
             delta_weight(rnd, None)
 
     @pytest.mark.parametrize("strategy", list(Strategy))

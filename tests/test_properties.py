@@ -5,19 +5,26 @@ Each example draws pool counts M, N in 1..4, a strategy, an explicit pairing
 vector input) or 3 (a column matrix), on small random shapes. The properties
 tie the factored paths to the materialized ones and the gradients to the
 finite-difference oracle, so any composition rule stated differently in two
-places shows up as a counterexample.
+places shows up as a counterexample. The last property feeds every public
+array argument hostile arrays, and each must give a correct result or an
+error that names it.
 """
 
 import dataclasses
+import inspect
 import itertools
+import re
 
 import numpy as np
+import pytest
 from class_sums import class_sum_run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cola_forge import adapter, harness, initializers, linalg, training
 from cola_forge.adapter import (
     CoLAConfig,
+    CoLALayer,
     Pairing,
     Strategy,
     delta_weight,
@@ -28,14 +35,24 @@ from cola_forge.adapter import (
 )
 from cola_forge.adapter import _composition, _replay, _run_sums, _Workspace
 from cola_forge.harness import RecoveryTaskSpec, make_recovery_task
-from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
-from cola_forge.linalg import make_rng
+from cola_forge.initializers import (
+    GAUSSIAN_ZERO,
+    PISSA,
+    InitSpec,
+    build_layer,
+    eckart_young_error,
+    init_gaussian_zero,
+    pissa_extended,
+)
+from cola_forge.linalg import SvdResult, as_matrix, frobenius_norm, make_rng, svd
 from cola_forge.training import (
     Grads,
     backward,
+    cross_entropy_grad,
     finite_diff_check,
     make_optimizer,
     optimizer_step,
+    squared_error_grad,
     train_loop,
 )
 
@@ -287,3 +304,141 @@ def test_a_random_layer_matches_a_loop_over_its_terms(case):
     assert rel_err(forward(layer, x, mode="train"), layer.w0 @ x + scale * delta @ x) <= 1e-12
     assert rel_err(grads.da_list, da) <= 1e-12
     assert rel_err(grads.db_list, db) <= 1e-12
+
+
+# Hostile arguments. Each public array argument, given its valid array in
+# another form, must give a correct result or raise a ValueError (the
+# package's ShapeError and ConfigError are ones) whose message starts with
+# the argument's name. Integer entries give the float64 result bit for bit;
+# bool, complex, object and string entries are refused by name; a 0-size
+# array, or one with an axis more, gives a result or a named error; a
+# non-contiguous array gives the result of its C-ordered copy bit for bit,
+# and so does a Fortran-ordered one, except where a batch of samples goes
+# uncopied into BLAS products. There a Fortran-ordered batch is the layout
+# a training step computes on (``x[:, idx]``, which train_loop matches bit
+# for bit), and BLAS may round it otherwise than a C-ordered one, so its
+# result is the C-ordered one to rounding.
+
+HOSTILE_CFG = CoLAConfig(in_dim=3, out_dim=4, rank=2, a_count=2, b_count=3,
+                         strategy=Strategy.RANDOM_AB, alpha=3.0)
+_rng = make_rng(5)
+HOSTILE_W0 = _rng.normal(size=(4, 3))
+HOSTILE_A, HOSTILE_B = _rng.normal(size=(2, 2, 3)), _rng.normal(size=(3, 4, 2))
+HOSTILE_LAYER = make_layer(HOSTILE_W0, HOSTILE_A, HOSTILE_B, HOSTILE_CFG, make_rng(0))
+HOSTILE_X, HOSTILE_Y = _rng.normal(size=(3, 2)), _rng.normal(size=(4, 2))
+
+
+def trailing(a, dim):
+    """An array of ``dim`` rows and the columns of ``a``, to pair with it."""
+    return np.ones((dim,) + np.shape(a)[1:])
+
+
+# (function, argument, the name its errors use, a valid shape, the call,
+# whether a Fortran-ordered array reaches BLAS uncopied)
+HOSTILE_ENTRIES = [
+    ("as_matrix", "w", "w", (4, 3), lambda a: as_matrix(a, "w"), False),
+    ("svd", "w", "w", (4, 3), svd, False),
+    ("frobenius_norm", "w", "w", (4, 3), frobenius_norm, False),
+    ("eckart_young_error", "w", "w", (4, 3), lambda a: eckart_young_error(a, 1), False),
+    ("make_layer", "w0", "w0", (4, 3),
+     lambda a: make_layer(a, HOSTILE_A, HOSTILE_B, HOSTILE_CFG, make_rng(0)), False),
+    ("make_layer", "a_list", "a_list", (2, 2, 3),
+     lambda a: make_layer(HOSTILE_W0, a, HOSTILE_B, HOSTILE_CFG, make_rng(0)), False),
+    ("make_layer", "b_list", "b_list", (3, 4, 2),
+     lambda a: make_layer(HOSTILE_W0, HOSTILE_A, a, HOSTILE_CFG, make_rng(0)), False),
+    ("init_gaussian_zero", "w0", "w0", (4, 3),
+     lambda a: init_gaussian_zero(a, HOSTILE_CFG, make_rng(0)), False),
+    ("build_layer", "base_w0", "w0", (4, 3),
+     lambda a: build_layer(HOSTILE_CFG, InitSpec(GAUSSIAN_ZERO), make_rng(0), a), False),
+    ("pissa_extended", "w", "w", (4, 3), lambda a: pissa_extended(a, HOSTILE_CFG), False),
+    ("forward", "x", "x", (3, 2), lambda a: forward(HOSTILE_LAYER, a), True),
+    ("backward", "x", "x", (3, 2),
+     lambda a: backward(HOSTILE_LAYER, a, trailing(a, 4), HOSTILE_LAYER.pairing), True),
+    ("backward", "g_out", "g_out", (4, 2),
+     lambda a: backward(HOSTILE_LAYER, HOSTILE_X, a, HOSTILE_LAYER.pairing), True),
+    ("finite_diff_check", "x", "x", (3, 2),
+     lambda a: finite_diff_check(HOSTILE_LAYER, a, trailing(a, 4)), True),
+    ("finite_diff_check", "target", "target", (4, 2),
+     lambda a: finite_diff_check(HOSTILE_LAYER, HOSTILE_X, a), False),
+    ("optimizer_step", "grads", "grads", (5,),
+     lambda a: optimizer_step(make_optimizer("adam", 0.1), np.zeros(5), a), False),
+    ("squared_error_grad", "y", "y", (4, 2),
+     lambda a: squared_error_grad(a, np.zeros(np.shape(a))), False),
+    ("squared_error_grad", "targets", "targets", (4, 2),
+     lambda a: squared_error_grad(HOSTILE_Y, a), False),
+    ("cross_entropy_grad", "logits", "logits", (4, 2),
+     lambda a: cross_entropy_grad(a, np.zeros(np.shape(a)[-1], int)), False),
+]
+# array arguments with a rule of their own, and where it is tested
+HOSTILE_EXEMPT = {
+    ("optimizer_step", "params"): "the buffer it updates: test_integer_params_are_named",
+    ("cross_entropy_grad", "labels"): "class indices: test_cross_entropy_grad_rejects_labels_*",
+}
+NOT_REAL = {"bool": "bool", "complex": "complex", "object": "object", "str": "string"}
+
+
+def hostile_forms(base):
+    """``base`` in each hostile form, by the form's name."""
+    strided = np.zeros(base.shape[:-1] + (2 * base.shape[-1],))
+    strided[..., ::2] = base
+    return {"int": base.astype(np.int64), **{k: base.astype(k) for k in NOT_REAL},
+            "0-size": base[..., :0], "an axis more": base[..., None],
+            "fortran": np.asfortranarray(base), "strided": strided[..., ::2]}
+
+
+def outcome(call, a):
+    """The arrays ``call(a)`` returns, flattened, or its ValueError's (type, message)."""
+    try:
+        result = call(a)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+    def arrays(value):
+        if isinstance(value, (tuple, list)):
+            return [part for item in value for part in arrays(item)]
+        if isinstance(value, SvdResult):
+            return [value.u, value.s, value.v]
+        if isinstance(value, CoLALayer):
+            return [value.w0, value.params, np.array(value.pairing.map)]
+        if isinstance(value, Grads):
+            return [value.flat]
+        return [np.asarray(value)]
+    return arrays(result)
+
+
+def same_bits(got, want):
+    return (isinstance(got, list) and len(got) == len(want)
+            and all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+                    for g, w in zip(got, want)))
+
+
+def test_every_public_array_argument_faces_the_hostile_property():
+    public = {(name, arg) for module in (linalg, adapter, initializers, training, harness)
+              for name in module.__all__ if inspect.isfunction(function := getattr(module, name))
+              for arg, p in inspect.signature(function).parameters.items()
+              if "ndarray" in str(p.annotation)}
+    tested = {entry[:2] for entry in HOSTILE_ENTRIES}
+    assert public == tested | set(HOSTILE_EXEMPT)
+    assert not tested & set(HOSTILE_EXEMPT)
+
+
+@pytest.mark.parametrize("entry", HOSTILE_ENTRIES, ids=lambda e: f"{e[0]}-{e[1]}")
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_hostile_array_gives_a_correct_result_or_a_named_error(entry, seed):
+    _, _, name, shape, call, keeps_order = entry
+    base = make_rng(seed).integers(-3, 4, size=shape).astype(np.float64)
+    want = outcome(call, base)
+    assert isinstance(want, list), want
+    for form, a in hostile_forms(base).items():
+        got = outcome(call, a)
+        if form in NOT_REAL:
+            assert got == (ValueError, f"{name} must be real, got {NOT_REAL[form]} entries")
+        elif form in ("0-size", "an axis more"):
+            assert isinstance(got, list) or (
+                issubclass(got[0], ValueError) and re.match(rf"{name}\b", got[1])), (form, got)
+        elif form == "fortran" and keeps_order:
+            assert isinstance(got, list) and len(got) == len(want) and all(
+                np.allclose(g, w, rtol=1e-12, atol=1e-12) for g, w in zip(got, want)), form
+        else:
+            assert same_bits(got, want), (form, got)

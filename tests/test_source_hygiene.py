@@ -5,8 +5,10 @@ its imports are the package's re-exports), and every name in a module's
 ``__all__`` is bound at the top level of that module. The benchmark
 tracer wraps the functions a module lists in ``__all__``, so a stale entry
 would break it. JSON is parsed in one place, the reader every input file
-goes through, so no file escapes its key checks, and a bool is told from a
-number only by ``linalg``'s value-rule owners, so no entry point states its own rule.
+goes through, so no file escapes its key checks, a bool is told from a
+number only by ``linalg``'s value-rule owners, so no entry point states its
+own rule, and only ``linalg`` raises ShapeError, so no entry point states its
+own shape rule.
 """
 
 import ast
@@ -107,6 +109,17 @@ def test_only_the_value_rule_owners_tell_a_bool_from_a_number():
 
     assert sorted(calls_by_statement(tests_for_bool)) == [
         ("linalg.py", "_is_integer"), ("linalg.py", "_is_real")]
+
+
+def test_only_linalg_raises_a_shape_error():
+    """``raise ShapeError(...)`` appears only in ``linalg``: every other
+    module states a shape rule by calling its owner, ``_check_shape``,
+    ``_as_real``, ``_as_batch`` or ``as_matrix``."""
+    raisers = {path.name for path in MODULES for node in ast.walk(parse(path))
+               if isinstance(node, ast.Raise) and node.exc is not None
+               and any(isinstance(name, ast.Name) and name.id == "ShapeError"
+                       for name in ast.walk(node.exc))}
+    assert raisers == {"linalg.py"}
 
 
 def test_no_two_raises_state_one_message():

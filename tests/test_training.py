@@ -38,7 +38,7 @@ from cola_forge.harness import (
     run_single,
 )
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
-from cola_forge.linalg import ShapeError, gaussian_matrix, make_rng, svd
+from cola_forge.linalg import ShapeError, frobenius_norm, gaussian_matrix, make_rng, svd
 from cola_forge.training import (
     DivergenceError,
     OptimizerState,
@@ -275,7 +275,8 @@ class TestOptimizers:
         with pytest.raises(ShapeError, match="grads"):
             optimizer_step(state, np.zeros(3), np.ones(1))
         if kind == "adam":
-            with pytest.raises(ShapeError, match="other parameters"):
+            with pytest.raises(ShapeError, match=re.escape(
+                    "grads for this Adam state must have shape (3,), got (4,)")):
                 optimizer_step(state, np.zeros(4), np.ones(4))
         assert state.step == 1
 
@@ -299,18 +300,19 @@ class TestOptimizers:
         (dict(eps=-1.0), "eps must be positive, got -1.0"),
         (dict(eps=float("inf")), "eps must be finite, got inf"),
         (dict(eps=np.True_), "eps must be a real number, got np.True_"),
-        (dict(betas=(0.9, 1.0)), "betas must be two reals in [0, 1), got (0.9, 1.0)"),
-        (dict(betas=(1.0, 0.999)), "betas must be two reals in [0, 1), got (1.0, 0.999)"),
-        (dict(betas=(-0.1, 0.999)), "betas must be two reals in [0, 1), got (-0.1, 0.999)"),
-        (dict(betas=(0.9, float("nan"))), "betas must be two reals in [0, 1), got (0.9, nan)"),
-        (dict(betas=(0.9,)), "betas must be two reals in [0, 1), got (0.9,)"),
-        (dict(betas=0.9), "betas must be two reals in [0, 1), got 0.9"),
+        (dict(betas=(0.9, 1.0)), "betas[1] must be a finite real in [0, 1), got 1.0"),
+        (dict(betas=(1.0, 0.999)), "betas[0] must be a finite real in [0, 1), got 1.0"),
+        (dict(betas=(-0.1, 0.999)), "betas[0] must be a finite real in [0, 1), got -0.1"),
+        (dict(betas=(0.9, float("nan"))), "betas[1] must be a finite real in [0, 1), got nan"),
+        (dict(betas=(0.9,)), "betas must have shape (2,), got (1,)"),
+        (dict(betas=0.9), "betas must have shape (2,), got ()"),
+        (dict(betas=(True, 0.999)), "betas[0] must be a real number, got True"),
         (dict(step=-1), "step must be >= 0, got -1"),
         (dict(step=2.5), "step must be an integer, got 2.5"),
         (dict(step=True), "step must be an integer, got True"),
     ], ids=["lr-inf", "lr-bool", "lr-str", "lr-complex", "eps-negative", "eps-inf",
             "eps-bool", "beta2-one", "beta1-one", "beta1-negative", "beta2-nan", "one-beta",
-            "betas-scalar", "step-negative", "step-fractional", "step-bool"])
+            "betas-scalar", "beta1-bool", "step-negative", "step-fractional", "step-bool"])
     def test_a_bad_hyperparameter_is_refused_by_name(self, fields, message):
         # each once gave inf or NaN parameters, a bare TypeError or, with
         # the moments kept over 1 - beta, a ZeroDivisionError in the step
@@ -320,7 +322,7 @@ class TestOptimizers:
 
     @pytest.mark.parametrize("run", ["optimizer_step", "train_loop"])
     @pytest.mark.parametrize("field, value, message", [
-        ("betas", (0.9, 1.0), "betas must be two reals in [0, 1), got (0.9, 1.0)"),
+        ("betas", (0.9, 1.0), "betas[1] must be a finite real in [0, 1), got 1.0"),
         ("lr", float("inf"), "learning rate must be finite, got inf"),
         ("kind", "adamw", "optimizer kind must be one of ('sgd', 'adam'), got 'adamw'"),
     ], ids=["beta2-one", "lr-inf", "kind-adamw"])
@@ -397,14 +399,18 @@ class TestLosses:
         with pytest.raises(ShapeError, match=re.escape("targets must have shape (3, 4), got (3, 1)")):
             squared_error_grad(np.ones((3, 4)), np.zeros((3, 1)))
 
-    @pytest.mark.parametrize("logits_shape, labels", [
-        ((4,), [1]),  # one sample as a vector
-        ((4, 3), [0, 1]),  # fewer labels than columns
-        ((4, 3), [0, 1, 2, 3]),  # more labels than columns
-        ((4, 3), [[0], [1], [2]]),  # labels as a column
-    ])
-    def test_cross_entropy_grad_rejects_bad_shapes(self, logits_shape, labels):
-        with pytest.raises(ShapeError, match="one label per column"):
+    @pytest.mark.parametrize("logits_shape, labels, message", [
+        # one sample as a vector
+        ((4,), [1], "logits must have shape (None, None), got (4,)"),
+        ((4, 3), [0, 1], "labels must have shape (3,), got (2,)"),
+        ((4, 3), [0, 1, 2, 3], "labels must have shape (3,), got (4,)"),
+        ((4, 3), [[0], [1], [2]], "labels must have shape (3,), got (3, 1)"),
+        ((4, 3, 1), [0, 1, 2], "logits must have shape (None, None), got (4, 3, 1)"),
+        # an empty batch once gave a NaN loss with numpy warnings
+        ((4, 0), np.zeros(0, int), "logits batch size must be >= 1, got 0"),
+    ], ids=["vector", "fewer-labels", "more-labels", "label-column", "3-d", "empty-batch"])
+    def test_cross_entropy_grad_rejects_bad_shapes(self, logits_shape, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cross_entropy_grad(np.zeros(logits_shape), np.array(labels))
 
     @pytest.mark.parametrize("label", [-1, 4, 9, 1.0])
@@ -1097,7 +1103,8 @@ class TestFusedStep:
     def test_adam_state_is_tied_to_its_parameters(self):
         state = make_optimizer("adam", 1e-2)
         optimizer_step(state, np.zeros(3), np.ones(3))
-        with pytest.raises(ShapeError, match="other parameters"):
+        with pytest.raises(ShapeError, match=re.escape(
+                "grads for this Adam state must have shape (3,), got (4,)")):
             optimizer_step(state, np.zeros(4), np.ones(4))
 
     def test_adam_state_of_the_members_does_not_fit_their_class_sums(self):
@@ -1108,7 +1115,8 @@ class TestFusedStep:
         state = make_optimizer("adam", 1e-2)
         optimizer_step(state, layer.params.copy(), np.ones_like(layer.params))
         before = layer.params.tobytes()
-        with pytest.raises(ShapeError, match="other parameters"):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"grads for this Adam state must have shape ({layer.params.size},)")):
             train_loop(task, layer, state, steps=5, batch=8, rng=make_rng(9))
         assert layer.params.tobytes() == before
 
@@ -1285,7 +1293,7 @@ def test_value_checks_reject_nan(make, message):
     (lambda layer: make_layer(layer.w0 + 1j, list(layer.a_list), list(layer.b_list),
                               layer.config), "w0"),
     (lambda layer: make_layer(layer.w0, [layer.a_list[0], layer.a_list[1] + 0j],
-                              list(layer.b_list), layer.config), "a_list and b_list"),
+                              list(layer.b_list), layer.config), "a_list"),
     (lambda layer: forward(layer, np.ones(20, complex)), "x"),
     (lambda layer: backward(layer, np.ones((20, 2), complex), np.ones((24, 2))), "x"),
     (lambda layer: backward(layer, np.ones(20), np.ones(24, complex)), "g_out"),
@@ -1294,13 +1302,59 @@ def test_value_checks_reject_nan(make, message):
                                base_w0=layer.w0 + 1j), "w0"),
     (lambda layer: build_layer(layer.config, InitSpec(PISSA, source_w=layer.w0 + 1j),
                                make_rng(0)), "w"),
+    (lambda layer: frobenius_norm(np.ones(3) + 1j), "w"),
+    (lambda layer: squared_error_grad(np.ones((24, 2), complex), np.ones((24, 2))), "y"),
+    (lambda layer: squared_error_grad(np.ones((24, 2)), np.ones((24, 2), complex)), "targets"),
+    (lambda layer: cross_entropy_grad(np.ones((4, 2), complex), np.zeros(2, int)), "logits"),
+    (lambda layer: optimizer_step(make_optimizer("adam", 0.1), np.zeros(3),
+                                  np.ones(3, complex)), "grads"),
+    (lambda layer: finite_diff_check(layer, np.ones(20), np.ones(24, complex)), "target"),
 ], ids=["make_layer-w0", "make_layer-pools", "forward-x", "backward-x", "backward-g_out",
-        "svd", "gaussian_zero-w0", "pissa-w"])
+        "svd", "gaussian_zero-w0", "pissa-w", "frobenius_norm-w", "squared_error_grad-y",
+        "squared_error_grad-targets", "cross_entropy_grad-logits", "optimizer_step-grads",
+        "finite_diff_check-target"])
 def test_complex_input_is_refused_by_name(make, name):
     # a cast to float64 would drop the imaginary part with only a warning,
-    # even where it is exactly zero
+    # even where it is exactly zero (frobenius_norm of 1 + 1j entries read
+    # sqrt(3) for sqrt(6)), and some casts failed with a bare numpy error
     layer = random_layer(CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3))
     with pytest.raises(ValueError, match=f"^{name} must be real, got complex entries$"):
+        make(layer)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    # forward read a string array as numbers, and an object array raised a
+    # bare TypeError
+    (lambda layer: forward(layer, np.ones(20).astype(str)), ValueError,
+     "x must be real, got string entries"),
+    (lambda layer: forward(layer, np.ones(20, object)), ValueError,
+     "x must be real, got object entries"),
+    (lambda layer: backward(layer, np.ones(20, bool), np.ones(24)), ValueError,
+     "x must be real, got bool entries"),
+    # a 3-D y was one sample, and an empty batch divided by zero
+    (lambda layer: squared_error_grad(np.ones((24, 2, 3)), np.ones((24, 2, 3))), ShapeError,
+     "y must have shape (None, None), got (24, 2, 3)"),
+    (lambda layer: squared_error_grad(np.ones((24, 0)), np.ones((24, 0))), ValueError,
+     "y batch size must be >= 1, got 0"),
+    # a target of another length raised numpy's broadcast error
+    (lambda layer: finite_diff_check(layer, np.ones((20, 2)), np.ones((23, 2))), ShapeError,
+     "target must have shape (24, 2), got (23, 2)"),
+    (lambda layer: backward(layer, np.ones((20, 2)), np.ones((24, 3))), ShapeError,
+     "g_out must have shape (24, 2), got (24, 3)"),
+    # each raised an AttributeError
+    (lambda layer: sample_pairing(layer.config, None),
+     ValueError, "rng must be a numpy Generator, got None"),
+    (lambda layer: delta_weight(layer, (0, 1)), ConfigError,
+     "strategy random_ab requires a Pairing, got (0, 1)"),
+    (lambda layer: forward(layer, np.ones(20), "train", [0, 0]), ConfigError,
+     "strategy random_ab requires a Pairing, got [0, 0]"),
+], ids=["forward-string", "forward-object", "backward-bool", "squared_error_grad-3d",
+        "squared_error_grad-empty", "finite_diff_check-target-length", "backward-batches",
+        "sample_pairing-rng", "delta_weight-tuple", "forward-list"])
+def test_a_malformed_argument_is_one_named_error(make, error, message):
+    layer = random_layer(CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
+                                    strategy=Strategy.RANDOM_AB))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make(layer)
 
 
