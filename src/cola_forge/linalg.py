@@ -103,10 +103,12 @@ def _check_shape(name: str, array: np.ndarray, shape: tuple) -> None:
 
 
 def _as_real(v, name: str, shape: tuple | None = None, dtype=np.float64) -> np.ndarray:
-    """``v`` as an array of ``dtype`` (None keeps its own), of ``shape`` unless it
-    is None (see :func:`_check_shape`). Entries other than integers and floats raise
-    ValueError naming ``name``: a cast would drop or misread them, or fail."""
-    a = np.asarray(v)
+    """``v`` as a ``dtype`` array (None: its own) of ``shape`` if given (:func:`_check_shape`);
+    ragged nesting and entries other than integers and floats raise ValueError by ``name``."""
+    try:
+        a = np.asarray(v)
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular array, got ragged entries") from None
     if a.dtype.kind not in "iuf":
         kind = {"b": "bool", "c": "complex", "O": "object", "S": "string", "U": "string"}
         raise ValueError(f"{name} must be real, got {kind.get(a.dtype.kind, a.dtype)} entries")

@@ -309,6 +309,7 @@ def _loss(kind: str, y: np.ndarray, targets: np.ndarray, g: np.ndarray,
     in ``sq`` (which may be ``g`` if the gradient is not read), else the
     softmax cross-entropy of class-by-batch logits against integer labels."""
     batch = y.shape[1] if y.ndim == 2 else 1
+    _check_count(("y" if kind == "recovery" else "logits") + " batch size", batch, 1)
     if kind == "recovery":
         calls = [(np.subtract, (y, targets, g)), (np.multiply, (g, g, sq))]
         def readout() -> float:
@@ -340,17 +341,14 @@ def squared_error_grad(y: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     """L = mean over batch of 0.5 ||y_b - t_b||^2, y one sample or a batch of columns
     and targets of its shape; returns (L, dL/dy), the gradient a new array."""
     y = _as_batch(y, "y", None)
-    _check_count("y batch size", y.shape[1] if y.ndim == 2 else 1, 1)
     return _loss_grad("recovery", y, _as_real(targets, "targets", y.shape))
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy over class-by-batch logits; returns (L,
-    dL/dlogits), the gradient a new array. ``labels`` holds one integer class
-    in [0, classes) per column."""
-    logits, labels = _as_real(logits, "logits", (None, None)), np.asarray(labels)
-    _check_shape("labels", labels, logits.shape[1:])
-    _check_count("logits batch size", logits.shape[1], 1)
+    """Softmax cross-entropy over class-by-batch logits and one integer label in [0,
+    classes) per column; returns (L, dL/dlogits), the gradient a new array."""
+    logits = _as_real(logits, "logits", (None, None))
+    labels = _as_real(labels, "labels", logits.shape[1:], dtype=None)
     if labels.dtype.kind not in "iu" or not np.all((labels >= 0) & (labels < logits.shape[0])):
         raise ValueError(f"labels must be integers in [0, {logits.shape[0]}), got {labels}")
     return _loss_grad("classify", logits, labels)
@@ -468,15 +466,15 @@ def _train_steps(task, layer: CoLALayer, optimizer: OptimizerState, steps: int, 
     ws = _Workspace(sums, pairing_map, (batch,))
     g, sq, grad = np.empty(ws.out.shape), np.empty(ws.out.shape), np.empty_like(sums.params)
 
-    # A block of steps draws, per step, its batch indices and then (if it
-    # resamples) its pairing, all in one rng call with per-element bounds; a
-    # block holds at most 64 steps. A step takes its samples into fixed buffers:
-    # x as rows into ``x_rows``, whose transpose is laid out like ``x_train[:,
-    # idx]``, and W0 x and the targets as columns, from per-run tables, into
-    # ``w0x_cols`` and ``t_cols`` (C-ordered like the outputs they meet). A
-    # step that resamples copies its pairing into ``ws.pairing`` and sets P
-    # with one take of the partners' unit vectors from an identity.
-    block = 64
+    # A block of steps draws, per step, its batch indices and then (if it resamples)
+    # its pairing, all in one rng call with per-element bounds; a block holds at most
+    # 64 steps and no more indices than the training set has samples. A step takes its
+    # samples into fixed buffers: x as rows into ``x_rows``, whose transpose is laid out
+    # like ``x_train[:, idx]``, and W0 x and the targets as columns, from per-run tables,
+    # into ``w0x_cols`` and ``t_cols`` (C-ordered like the outputs they meet). A step
+    # that resamples copies its pairing into ``ws.pairing`` and sets P with one take of
+    # the partners' unit vectors from an identity.
+    block = max(1, min(64, task.x_train.shape[1] // batch))
     highs = [task.x_train.shape[1]] * batch + ([] if draw is None else [draw[0]] * draw[1])
     block_highs = np.tile(highs, block)
     x_rows = np.empty((batch, cfg.in_dim), task.x_train.dtype)

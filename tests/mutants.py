@@ -62,7 +62,8 @@ MUTANTS = [
     Mutant("finite-difference denominator floor 1e-3", "training.py",
            "abs(numeric), 1e-12)", "abs(numeric), 1e-3)"),
     Mutant("step block one step shorter", "training.py",
-           "block = 64", "block = 63",
+           "min(64, task.x_train.shape[1] // batch)",
+           "min(64, task.x_train.shape[1] // batch - 1)",
            equivalent="a block's draws equal one-by-one draws: Generator.integers "
                       "takes the same bits in order however the draws are split"),
     Mutant("_check_count refuses its bound", "linalg.py",

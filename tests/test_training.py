@@ -399,18 +399,18 @@ class TestLosses:
         with pytest.raises(ShapeError, match=re.escape("targets must have shape (3, 4), got (3, 1)")):
             squared_error_grad(np.ones((3, 4)), np.zeros((3, 1)))
 
-    @pytest.mark.parametrize("logits_shape, labels, message", [
+    @pytest.mark.parametrize("logits_shape, labels, error, message", [
         # one sample as a vector
-        ((4,), [1], "logits must have shape (None, None), got (4,)"),
-        ((4, 3), [0, 1], "labels must have shape (3,), got (2,)"),
-        ((4, 3), [0, 1, 2, 3], "labels must have shape (3,), got (4,)"),
-        ((4, 3), [[0], [1], [2]], "labels must have shape (3,), got (3, 1)"),
-        ((4, 3, 1), [0, 1, 2], "logits must have shape (None, None), got (4, 3, 1)"),
+        ((4,), [1], ShapeError, "logits must have shape (None, None), got (4,)"),
+        ((4, 3), [0, 1], ShapeError, "labels must have shape (3,), got (2,)"),
+        ((4, 3), [0, 1, 2, 3], ShapeError, "labels must have shape (3,), got (4,)"),
+        ((4, 3), [[0], [1], [2]], ShapeError, "labels must have shape (3,), got (3, 1)"),
+        ((4, 3, 1), [0, 1, 2], ShapeError, "logits must have shape (None, None), got (4, 3, 1)"),
         # an empty batch once gave a NaN loss with numpy warnings
-        ((4, 0), np.zeros(0, int), "logits batch size must be >= 1, got 0"),
+        ((4, 0), np.zeros(0, int), ValueError, "logits batch size must be >= 1, got 0"),
     ], ids=["vector", "fewer-labels", "more-labels", "label-column", "3-d", "empty-batch"])
-    def test_cross_entropy_grad_rejects_bad_shapes(self, logits_shape, labels, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    def test_cross_entropy_grad_rejects_bad_shapes(self, logits_shape, labels, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             cross_entropy_grad(np.zeros(logits_shape), np.array(labels))
 
     @pytest.mark.parametrize("label", [-1, 4, 9, 1.0])
@@ -1341,6 +1341,11 @@ def test_complex_input_is_refused_by_name(make, name):
      "target must have shape (24, 2), got (23, 2)"),
     (lambda layer: backward(layer, np.ones((20, 2)), np.ones((24, 3))), ShapeError,
      "g_out must have shape (24, 2), got (24, 3)"),
+    # a ragged list raised numpy's bare "setting an array element with a sequence"
+    (lambda layer: forward(layer, [[1.0] * 20, [1.0] * 19]), ValueError,
+     "x must be a rectangular array, got ragged entries"),
+    (lambda layer: cross_entropy_grad(np.ones((4, 2)), [[0, 1], [0]]), ValueError,
+     "labels must be a rectangular array, got ragged entries"),
     # each raised an AttributeError
     (lambda layer: sample_pairing(layer.config, None),
      ValueError, "rng must be a numpy Generator, got None"),
@@ -1350,7 +1355,7 @@ def test_complex_input_is_refused_by_name(make, name):
      "strategy random_ab requires a Pairing, got [0, 0]"),
 ], ids=["forward-string", "forward-object", "backward-bool", "squared_error_grad-3d",
         "squared_error_grad-empty", "finite_diff_check-target-length", "backward-batches",
-        "sample_pairing-rng", "delta_weight-tuple", "forward-list"])
+        "forward-ragged", "cross_entropy_grad-ragged", "sample_pairing-rng", "delta_weight-tuple", "forward-list"])
 def test_a_malformed_argument_is_one_named_error(make, error, message):
     layer = random_layer(CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
                                     strategy=Strategy.RANDOM_AB))
