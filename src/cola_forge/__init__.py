@@ -72,6 +72,7 @@ from .linalg import (
 from .training import (
     DivergenceError,
     Grads,
+    Optimizer,
     OptimizerState,
     TrainReport,
     backward,

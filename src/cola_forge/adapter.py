@@ -109,7 +109,8 @@ class CoLAConfig:
     def __post_init__(self):
         for name in ("in_dim", "out_dim", "rank", "a_count", "b_count"):
             high = min(self.in_dim, self.out_dim) if name == "rank" else None
-            _check_count(name, getattr(self, name), 1, ConfigError, high)
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), 1,
+                                                        ConfigError, high))
         _check_choice("strategy", self.strategy, _STRATEGY_VALUES, ConfigError)
         object.__setattr__(self, "strategy", Strategy(self.strategy))
         if _undefined(self.strategy, self.a_count, self.b_count):

@@ -52,7 +52,7 @@ from .harness import (
 )
 from .initializers import GAUSSIAN_ZERO, InitSpec
 from .linalg import _check_choice, make_rng
-from .training import DivergenceError, _check_run, make_optimizer
+from .training import DivergenceError, Optimizer, _check_run
 
 __all__ = ["RunConfig", "load_config", "cmd_dispatch", "main"]
 
@@ -60,15 +60,6 @@ __all__ = ["RunConfig", "load_config", "cmd_dispatch", "main"]
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OptimizerBlock:
-    kind: str = "adam"
-    lr: float = 5e-5
-
-    def __post_init__(self):
-        make_optimizer(self.kind, self.lr)
-
 
 @dataclass(frozen=True)
 class InitBlock:
@@ -87,8 +78,6 @@ class RunBlock:
 
     def __post_init__(self):
         _check_run(self.steps, self.batch)
-        if not self.seeds:
-            raise ConfigFileError("key 'run.seeds' must be a nonempty list")
 
 
 @dataclass(frozen=True)
@@ -98,21 +87,14 @@ class GridBlock:
     a_counts: tuple[int, ...]
     b_counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.a_counts or not self.b_counts:
-            raise ConfigFileError("keys 'grid.a_counts'/'grid.b_counts' must be nonempty")
-
 
 @dataclass(frozen=True)
 class SweepBlock:
-    sizes: tuple[int, ...] = ()
-    init_kinds: tuple[str, ...] = ()
-    configs: tuple[CoLAConfig, ...] = ()
+    sizes: tuple[int, ...]
+    init_kinds: tuple[str, ...]
+    configs: tuple[CoLAConfig, ...]
 
     def __post_init__(self):
-        for name in ("sizes", "init_kinds", "configs"):
-            if not getattr(self, name):
-                raise ConfigFileError(f"key 'sweep.{name}' must be nonempty")
         for kind in self.init_kinds:
             InitSpec(kind)
 
@@ -123,7 +105,7 @@ class RunConfig:
     task: RecoveryTaskSpec | ClassifyTaskSpec
     adapter: CoLAConfig | None = None
     init: InitBlock = field(default_factory=InitBlock)
-    optimizer: OptimizerBlock = field(default_factory=OptimizerBlock)
+    optimizer: Optimizer = field(default_factory=Optimizer)
     run: RunBlock = field(default_factory=RunBlock)
     grid: GridBlock | None = None
     sweep: SweepBlock | None = None
@@ -243,12 +225,10 @@ def _cmd_run(args) -> int:
 def _resolve_geometry(path_or_name: str):
     if os.path.exists(path_or_name):
         return load_geometry(path_or_name)
-    stem = os.path.splitext(os.path.basename(path_or_name))[0]
     try:
-        return bundled_geometry(stem)
-    except FileNotFoundError:
-        raise ConfigFileError(f"geometry file {path_or_name!r} not found (and no "
-                              f"bundled geometry named {stem!r})") from None
+        return bundled_geometry(os.path.splitext(os.path.basename(path_or_name))[0])
+    except ConfigFileError as exc:
+        raise ConfigFileError(f"no geometry file {path_or_name!r}, and {exc}") from None
 
 
 def _cmd_params(args) -> int:

@@ -91,9 +91,9 @@ class RecoveryTaskSpec:
     source_noise_std: float = 0.0
 
     def __post_init__(self):
-        for name in ("n", "m", "components", "train_samples", "eval_samples"):
-            _check_count(name, getattr(self, name))
-        _check_count("base_seed", self.base_seed, 0)
+        for name, low in (("n", 1), ("m", 1), ("components", 1), ("train_samples", 1),
+                          ("eval_samples", 1), ("base_seed", 0)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), low))
         for name in ("noise_std", "source_noise_std"):
             _check_range(name, getattr(self, name), 0)
 
@@ -120,7 +120,7 @@ class ClassifyTaskSpec:
         # clusters is checked before it bounds input_dim (separated centers)
         for name, low in (("clusters", 2), ("input_dim", self.clusters),
                           ("samples_per_cluster", 1), ("backbone_seed", 0)):
-            _check_count(name, getattr(self, name), low)
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), low))
         _check_range("label_noise", self.label_noise, 0, 1)
         _check_positive("separation", self.separation)
 
@@ -161,7 +161,7 @@ class Task:
         """First ``size`` training columns (deterministic); eval untouched."""
         if size is None:
             return self
-        _check_count("subsample size", size, 1, high=self.train_size)
+        size = _check_count("subsample size", size, 1, high=self.train_size)
         return self if size == self.train_size else dataclasses.replace(
             self, x_train=self.x_train[..., :size], y_train=self.y_train[..., :size])
 
@@ -266,8 +266,8 @@ _hints = functools.cache(typing.get_type_hints)  # a dataclass's field types
 
 def _cast(hint, value, key: str, dims: dict):
     """``value`` read from JSON as the annotation ``hint`` states: a dataclass
-    is an object, ``X | None`` is X, and ``tuple[X, ...]`` a list of X that
-    names each entry once (a repeat would run, and count, twice). A value of
+    is an object, ``X | None`` is X, and ``tuple[X, ...]`` a nonempty list of X
+    that names each entry once (a repeat would run, and count, twice). A value of
     another type raises ConfigFileError naming ``key``; a list entry's key
     carries its index."""
     if hint in _CASTS:
@@ -280,6 +280,8 @@ def _cast(hint, value, key: str, dims: dict):
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ConfigFileError(f"key '{key}': expected a list, got {value!r}")
+        if not value:
+            raise ConfigFileError(f"key '{key}' must be a nonempty list")
         entries = tuple(_cast(typing.get_args(hint)[0], entry, f"{key}[{index}]", dims)
                         for index, entry in enumerate(value))
         if len(set(entries)) != len(entries):
@@ -362,8 +364,8 @@ class ModuleDim:
 
     def __post_init__(self):
         _check_choice("module name", self.name, ALLOWED_MODULES)
-        _check_count("n", self.n)
-        _check_count("m", self.m)
+        for name in ("n", "m"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -374,8 +376,8 @@ class ModelGeometry:
     modules: tuple[ModuleDim, ...]
 
     def __post_init__(self):
-        _check_count("base_params", self.base_params)
-        _check_count("layers", self.layers)
+        for name in ("base_params", "layers"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if not self.modules:
             raise ValueError("modules must be a nonempty list")
 
@@ -386,9 +388,11 @@ def load_geometry(path: str) -> ModelGeometry:
 
 
 def bundled_geometry(name: str) -> ModelGeometry:
-    """Load one of the geometry files shipped with the package."""
-    ref = resources.files("cola_forge").joinpath(f"geometries/{name}.json")
-    with resources.as_file(ref) as path:
+    """Load one of the geometry files shipped with the package, by its stem."""
+    folder = resources.files("cola_forge").joinpath("geometries")
+    names = tuple(sorted(entry.name.removesuffix(".json") for entry in folder.iterdir()))
+    _check_choice("bundled geometry", name, names, ConfigFileError)
+    with resources.as_file(folder.joinpath(f"{name}.json")) as path:
         return load_geometry(str(path))
 
 

@@ -8,14 +8,15 @@ against.
 
 It also owns the argument rules every other module calls, each raising an
 error that names the argument: the ``_check_*`` functions and, for arrays,
-``_as_real``, ``_as_batch`` and :func:`as_matrix`. No other module tells a
-bool from a number or raises ShapeError.
+``_as_real``, ``_as_writable``, ``_as_batch`` and :func:`as_matrix`. No other
+module tells a bool from a number or raises ShapeError.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +51,17 @@ def _is_real(value) -> bool:
 
 
 def _check_count(name: str, value, low: int | None = 1,
-                 error: type[ValueError] = ValueError, high: int | None = None) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is an integer, not a
-    bool, of at least ``low`` and at most ``high`` (None sets no bound)."""
+                 error: type[ValueError] = ValueError, high: int | None = None) -> int:
+    """``value`` as a Python int (a numpy integer's fixed width wraps in products);
+    raise ``error`` naming ``name`` unless it is an integer, not a bool, of at least
+    ``low`` and at most ``high`` (None sets no bound)."""
     if not _is_integer(value):
         raise error(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise error(f"{name} must be <= {high}, got {value}")
+    return operator.index(value)
 
 
 def _check_real(name: str, value, error: type[ValueError]) -> None:
@@ -75,12 +78,11 @@ def _check_positive(name: str, value, error: type[ValueError] = ValueError) -> N
         raise error(f"{name} must be finite, got {value!r}")
 
 
-def _check_range(name: str, value, low: float, high: float = math.inf, end: str = "]") -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a finite real in
-    [``low``, ``high``], or in [``low``, ``high``) if ``end`` is ")"."""
+def _check_range(name: str, value, low: float, high: float = math.inf) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real in [low, high]."""
     _check_real(name, value, ValueError)
-    if not (low <= value <= high and math.isfinite(value)) or (end == ")" and value == high):
-        raise ValueError(f"{name} must be a finite real in [{low}, {high}{end}, got {value!r}")
+    if not (low <= value <= high and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real in [{low}, {high}], got {value!r}")
 
 
 def _check_choice(name: str, value, choices: tuple,
@@ -115,6 +117,15 @@ def _as_real(v, name: str, shape: tuple | None = None, dtype=np.float64) -> np.n
     if shape is not None:
         _check_shape(name, a, shape)
     return a if dtype is None else a.astype(dtype, copy=False)
+
+
+def _as_writable(v, name: str) -> np.ndarray:
+    """``v`` itself, written in place: a writable numpy array of :func:`_as_real` entries."""
+    if not isinstance(v, np.ndarray):
+        raise ValueError(f"{name} must be a numpy array, got {type(v).__name__}")
+    if not v.flags.writeable:
+        raise ValueError(f"{name} must be writable, got a read-only array")
+    return _as_real(v, name, dtype=None)
 
 
 def _as_batch(v, name: str, dim: int | None) -> np.ndarray:
@@ -212,8 +223,7 @@ def gaussian_matrix(rows: int, cols: int, std: float,
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; identical seeds yield identical streams."""
-    _check_count("seed", seed, 0)
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_check_count("seed", seed, 0))
 
 
 def _splitmix64(x: int) -> int:
@@ -232,10 +242,9 @@ def derive_seed(seed: int, *parts: int) -> int:
     can run in any order (or in parallel) with identical results. A negative
     seed or part is legal: each is masked to 64 bits.
     """
-    _check_count("seed", seed, None)
-    out = _splitmix64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    out = _splitmix64(_check_count("seed", seed, None) & 0xFFFFFFFFFFFFFFFF)
     for i, part in enumerate(parts):
-        _check_count(f"seed part {i}", part, None)
-        out ^= _splitmix64((int(part) + 0x1000 * (i + 1)) & 0xFFFFFFFFFFFFFFFF)
+        part = _check_count(f"seed part {i}", part, None)
+        out ^= _splitmix64((part + 0x1000 * (i + 1)) & 0xFFFFFFFFFFFFFFFF)
         out = _splitmix64(out)
     return out

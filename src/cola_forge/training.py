@@ -35,7 +35,7 @@ members once, after its last step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -55,14 +55,15 @@ from .adapter import (
     flop_count,
     forward,
 )
-from .linalg import (_as_batch, _as_real, _check_choice, _check_count, _check_positive,
-                     _check_range, _check_rng, _check_shape)
+from .linalg import (_as_batch, _as_real, _as_writable, _check_choice, _check_count,
+                     _check_positive, _check_rng, _check_shape)
 
 __all__ = [
     "DivergenceError",
     "Grads",
     "backward",
     "finite_diff_check",
+    "Optimizer",
     "OptimizerState",
     "make_optimizer",
     "optimizer_step",
@@ -209,42 +210,47 @@ def finite_diff_check(layer: CoLALayer, x: np.ndarray, target: np.ndarray,
 # Optimizers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OptimizerState:
-    """SGD or Adam (decoupled weight decay fixed at 0). The first recorded Adam
-    update allocates the moments ``m`` and ``v`` and a ``scratch`` buffer like
-    the update it writes (the parameters under :func:`optimizer_step`, the
-    run sums inside :func:`train_loop`, laid out alike where every run is one
-    member), so later steps allocate none; an update of another shape raises
-    :class:`ShapeError`. ``m`` and ``v`` hold the moments over their EMA
-    weights, m / (1 - beta1) and v / (1 - beta2) (see ``_update``)."""
+# Adam's betas and eps, fixed at the defaults of Kingma and Ba (arXiv 1412.6980)
+_BETAS, _EPS = (0.9, 0.999), 1e-8
 
-    kind: str
-    lr: float
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    scratch: np.ndarray | None = None
 
-    def __post_init__(self):  # ``_update`` runs it again: a field can be reassigned
+@dataclass(frozen=True)
+class Optimizer:
+    """SGD or Adam (decoupled weight decay fixed at 0, Adam's betas and eps at
+    ``_BETAS`` and ``_EPS``) at learning rate ``lr``; checked once, when built."""
+
+    kind: str = "adam"
+    lr: float = 5e-5
+
+    def __post_init__(self):
         _check_choice("optimizer kind", self.kind, ("sgd", "adam"))
         _check_positive("learning rate", self.lr)
-        _check_positive("eps", self.eps)
-        _check_shape("betas", np.asarray(self.betas, dtype=object), (2,))
-        for k, beta in enumerate(self.betas):
-            _check_range(f"betas[{k}]", beta, 0, 1, ")")
-        _check_count("step", self.step, 0)
+
+
+@dataclass
+class OptimizerState:
+    """What the updates of an optimizer ``spec`` write: the step count and, from
+    the first recorded Adam update on, the moments ``m`` and ``v`` and a
+    ``scratch`` buffer like the update (the parameters under :func:`optimizer_step`,
+    the run sums inside :func:`train_loop`, laid out alike where every run is one
+    member); an update of another shape raises :class:`ShapeError`. ``m`` and ``v``
+    hold the moments over their EMA weights, m / (1 - beta1) and v / (1 - beta2)."""
+
+    spec: Optimizer
+    step: int = field(init=False, default=0)
+    m: np.ndarray | None = field(init=False, default=None)
+    v: np.ndarray | None = field(init=False, default=None)
+    scratch: np.ndarray | None = field(init=False, default=None)
 
 
 def make_optimizer(kind: str, lr: float) -> OptimizerState:
-    return OptimizerState(kind=kind, lr=lr)
+    return OptimizerState(Optimizer(kind, lr))
 
 
 def optimizer_step(state: OptimizerState, params: np.ndarray,
                    grads: np.ndarray) -> np.ndarray:
-    """One in-place update; returns the (mutated) parameter array."""
+    """One in-place update of the numpy array ``params``; returns it."""
+    params = _as_writable(params, "params")
     grads = _as_real(grads, "grads", params.shape, dtype=None)
     update = np.empty(grads.shape, np.result_type(grads, 1.0))
     if not np.can_cast(update.dtype, params.dtype, "same_kind"):
@@ -262,24 +268,22 @@ def _update(state: OptimizerState, grads: np.ndarray, out: np.ndarray,
     params -= u) into ``out``, which may be ``grads``, and the advance that
     counts the step and sets Adam's step scalars before each replay; each
     scalar is a 0-d array of ``out``'s dtype (read faster, rounded alike).
-    ``lr``, laid out like ``grads``, replaces ``state.lr`` per element.
+    ``lr``, laid out like ``grads``, replaces ``state.spec.lr`` per element.
 
     Adam keeps its moments over their EMA weights, m~ = m / (1 - b1) and
     v~ = v / (1 - b2), and folds its bias corrections into two step scalars
     (Kingma and Ba, arXiv 1412.6980, section 2, before 2.1): u = lr m~ /
     (sqrt(v~) + eps root) * s_t, with root = sqrt((1 - b2^t) / (1 - b2)) and
-    s_t = (1 - b1) / (1 - b1^t) * root, the textbook update reordered. The
-    state's fields are checked first, so a bad assignment records nothing."""
-    state.__post_init__()
-    lr = np.array(state.lr if lr is None else lr, out.dtype)
-    if state.kind == "sgd":
+    s_t = (1 - b1) / (1 - b1^t) * root, the textbook update reordered."""
+    lr = np.array(state.spec.lr if lr is None else lr, out.dtype)
+    if state.spec.kind == "sgd":
         def advance():
             state.step += 1
         return [(np.multiply, (grads, lr, out))], advance
     if state.m is None:
         state.m, state.v, state.scratch = (np.zeros_like(out) for _ in range(3))
     _check_shape("grads for this Adam state", grads, state.m.shape)
-    (b1, b2), e = state.betas, state.eps
+    (b1, b2), e = _BETAS, _EPS
     k1, k2 = 1.0 - b1, 1.0 - b2
     c1, c2, eps, s = (np.array(value, out.dtype) for value in (b1, b2, e, 1.0))
 
@@ -402,10 +406,9 @@ def _sample_tables(w0: np.ndarray, x_train: np.ndarray,
     return rows, table
 
 
-def _check_run(steps, batch=1) -> None:
-    """The one check of a run: ``steps`` an integer >= 0, ``batch`` one >= 1."""
-    _check_count("steps", steps, 0)
-    _check_count("batch", batch, 1)
+def _check_run(steps, batch=1) -> tuple[int, int]:
+    """The one check of a run: (``steps`` >= 0, ``batch`` >= 1) as Python ints."""
+    return _check_count("steps", steps, 0), _check_count("batch", batch, 1)
 
 
 def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
@@ -415,7 +418,7 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     Deterministic per rng stream: each step first draws the batch indices,
     then (for random strategies with an unfrozen pairing) the fresh pairing;
     a block of steps makes these draws in one call. The run trains the run
-    sums of its composition (``adapter._composition``) at ``optimizer.lr``
+    sums of its composition (``adapter._composition``) at ``optimizer.spec.lr``
     times the run length (an Adam state laid out otherwise, unlike a layer's
     ``params`` where every run is one member, raises :class:`ShapeError`),
     and writes the members after the last step: a member alone in its run
@@ -425,7 +428,7 @@ def train_loop(task, layer: CoLALayer, optimizer: OptimizerState, steps: int,
     the first non-finite minibatch loss, which leaves the members as they
     were, or, once they are written, if the final loss is not finite.
     """
-    _check_run(steps, batch)
+    steps, batch = _check_run(steps, batch)
     _check_rng(rng)
     cfg = layer.config
     frozen = layer.pairing is not None and layer.pairing.frozen
@@ -461,7 +464,7 @@ def _train_steps(task, layer: CoLALayer, optimizer: OptimizerState, steps: int, 
     sums = _run_sums(layer, runs)
     sums_start = sums.params.copy()
     a_len, b_len = ([hi - lo for lo, hi in side] for side in runs)
-    lr = optimizer.lr * np.concatenate([np.repeat(a_len, r * cfg.in_dim),
+    lr = optimizer.spec.lr * np.concatenate([np.repeat(a_len, r * cfg.in_dim),
                                         np.tile(np.repeat(b_len, r), cfg.out_dim)])
     ws = _Workspace(sums, pairing_map, (batch,))
     g, sq, grad = np.empty(ws.out.shape), np.empty(ws.out.shape), np.empty_like(sums.params)

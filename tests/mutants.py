@@ -87,6 +87,47 @@ MUTANTS = [
     Mutant("_check_positive takes inf", "linalg.py",
            '    if not math.isfinite(value):\n        raise error(f"{name} must be finite, '
            'got {value!r}")\n', ""),
+    Mutant("Optimizer takes any learning rate", "training.py",
+           '        _check_positive("learning rate", self.lr)\n', ""),
+    Mutant("svd's sign pivot is the largest signed entry", "linalg.py",
+           "u[np.argmax(np.abs(u), axis=0)", "u[np.argmax(u, axis=0)"),
+    Mutant("svd keeps roundoff-level singular values", "linalg.py",
+           "s[s <= max(a.shape) * np.finfo(np.float64).eps * s[0]] = 0.0",
+           "s[s <= 0.0] = 0.0"),
+    Mutant("pissa_extended divides B by M", "initializers.py",
+           "up / config.b_count for", "up / config.a_count for"),
+    Mutant("pissa_extended's residual drops its first tail direction", "initializers.py",
+           "w0 = (fac.u[:, r:] * fac.s[r:]) @ fac.v[:, r:].T",
+           "w0 = (fac.u[:, r + 1:] * fac.s[r + 1:]) @ fac.v[:, r + 1:].T"),
+    Mutant("Adam without its second-moment bias correction", "training.py",
+           "root = math.sqrt((1.0 - b2 ** state.step) / k2)", "root = math.sqrt(1.0 / k2)"),
+    Mutant("Adam without its first-moment bias correction", "training.py",
+           "s[()] = k1 / (1.0 - b1 ** state.step) * root", "s[()] = k1 * root"),
+    Mutant("A side trains at lr, not lr times its run length", "training.py",
+           "np.repeat(a_len, r * cfg.in_dim)", "np.repeat(1, len(a_len) * r * cfg.in_dim)"),
+    Mutant("softmax without its max shift", "training.py",
+           "(np.maximum.reduce, (y, 0, None, peak, True))",
+           "(np.multiply, (y[:1], 0.0, peak))"),
+    Mutant("cross-entropy without its log floor", "training.py",
+           "np.log(np.maximum(g[targets, cols], 1e-300))", "np.log(g[targets, cols])"),
+    Mutant("sample_pairing never draws the last partner", "adapter.py",
+           "rng.integers(0, draw[0], size=draw[1])",
+           "rng.integers(0, draw[0] - 1, size=draw[1])"),
+    Mutant("a resampling step draws partners from the drawing pool", "training.py",
+           "[draw[0]] * draw[1]", "[draw[1]] * draw[1]"),
+    Mutant("eval ignores a frozen pairing", "adapter.py",
+           "frozen = pairing is not None and pairing.frozen", "frozen = False"),
+    Mutant("as_matrix takes NaN", "linalg.py",
+           "if not np.all(np.isfinite(a)):", "if np.any(np.isinf(a)):"),
+    Mutant("_check_range ignores its upper bound", "linalg.py",
+           "low <= value <= high and", "low <= value and"),
+    Mutant("_as_batch takes any number of axes", "linalg.py",
+           "(dim,) if a.ndim == 1 else (dim, None)",
+           "(dim,) if a.ndim == 1 else (dim,) + (None,) * (a.ndim - 1)"),
+    Mutant("_check_rng refuses only None", "linalg.py",
+           "if not isinstance(rng, np.random.Generator):", "if rng is None:"),
+    Mutant("final loss divergence unchecked", "training.py",
+           "if not math.isfinite(final_loss):", "if False:"),
 ]
 
 

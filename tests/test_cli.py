@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cola_forge import checks, cli, harness
+from cola_forge import checks, cli, harness, training
 from cola_forge.adapter import CoLAConfig, Strategy
 from cola_forge.cli import ConfigFileError, cmd_dispatch, load_config
 from cola_forge.harness import (CSV_HEADER, ClassifyTaskSpec, RecoveryTaskSpec,
@@ -243,6 +243,7 @@ class TestLoadConfig:
         ("grid", "rank", GRID_CONFIG),
         ("grid", "a_counts", GRID_CONFIG),
         ("sweep.configs[0]", "rank", SWEEP_CONFIG),
+        ("task", "kind", TRAIN_CONFIG),
     ])
     def test_a_missing_required_key_is_named(self, tmp_path, block, key, payload):
         if block == "sweep.configs[0]":
@@ -251,22 +252,35 @@ class TestLoadConfig:
             payload = {**payload, "sweep": {**sweep, "configs": [entry]}}
         else:
             payload = {**payload, block: {k: v for k, v in payload[block].items() if k != key}}
-        with pytest.raises(ConfigFileError, match=re.escape(f"missing key '{block}.{key}'")):
+        named = f"missing key '{block}.{key}'"
+        with pytest.raises(ConfigFileError, match=f"^{re.escape(named)}$"):
             load_config(write_config(tmp_path, payload))
 
-    @pytest.mark.parametrize("block, key, entries, named", [
-        ("sweep", "configs", [{"rank": 2}, {"rank": "x"}],
-         "key 'sweep.configs[1].rank': expected an integer"),
-        ("sweep", "configs", [{"rank": 2}, 5], "key 'sweep.configs[1]' must be an object"),
-        ("sweep", "configs", [{"rank": 2}, {"rank": 2, "a_count": 3, "strategy": "heuristic"}],
-         "block 'sweep.configs[1]': heuristic strategy requires M <= N"),
-        ("sweep", "sizes", [20, 40.5], "key 'sweep.sizes[1]': expected an integer"),
-        ("run", "seeds", [42, 43, "44"], "key 'run.seeds[2]': expected an integer"),
-    ])
-    def test_a_bad_list_entry_is_named_by_its_index(self, tmp_path, block, key, entries,
-                                                   named):
-        payload = {**SWEEP_CONFIG, block: {**SWEEP_CONFIG[block], key: entries}}
-        with pytest.raises(ConfigFileError, match=re.escape(named)):
+    @pytest.mark.parametrize("key, value, payload, named", [
+        ("sweep.configs", [{"rank": 2}, {"rank": "x"}], SWEEP_CONFIG,
+         "key 'sweep.configs[1].rank': expected an integer, got 'x'"),
+        ("sweep.configs", [{"rank": 2}, 5], SWEEP_CONFIG,
+         "key 'sweep.configs[1]' must be an object"),
+        ("sweep.configs", [{"rank": 2}, {"rank": 2, "a_count": 3, "strategy": "heuristic"}],
+         SWEEP_CONFIG, "block 'sweep.configs[1]': heuristic strategy requires M <= N, "
+                       "got M=3 > N=1"),
+        ("sweep.sizes", [20, 40.5], SWEEP_CONFIG,
+         "key 'sweep.sizes[1]': expected an integer, got 40.5"),
+        ("run.seeds", [42, 43, "44"], SWEEP_CONFIG,
+         "key 'run.seeds[2]': expected an integer, got '44'"),
+        ("run.seeds", [], SWEEP_CONFIG, "key 'run.seeds' must be a nonempty list"),
+        ("grid.b_counts", [], GRID_CONFIG, "key 'grid.b_counts' must be a nonempty list"),
+        ("sweep.init_kinds", [], SWEEP_CONFIG, "key 'sweep.init_kinds' must be a nonempty list"),
+        ("init.std", 0.1, {**TRAIN_CONFIG, "init": {"kind": "pissa"}},
+         "key 'init.std' is not read without a gaussian_zero cell"),
+    ], ids=["configs-entry-key", "configs-entry-type", "configs-entry-rule", "sizes-entry",
+            "seeds-entry", "seeds-empty", "grid-counts-empty", "init_kinds-empty",
+            "init.std-unread"])
+    def test_a_bad_list_or_entry_is_named(self, tmp_path, key, value, payload, named):
+        # the reader refuses an empty list, and the run config an init.std
+        # that no cell reads, before the task is built or any cell trains
+        payload, _ = with_key(payload, *key.split("."), value)
+        with pytest.raises(ConfigFileError, match=f"^{re.escape(named)}$"):
             load_config(write_config(tmp_path, payload))
 
 
@@ -277,7 +291,7 @@ CONFIG_BLOCKS = [
     ("adapter", CoLAConfig, TRAIN_CONFIG),
     ("sweep.configs", CoLAConfig, SWEEP_CONFIG),
     ("init", cli.InitBlock, TRAIN_CONFIG),
-    ("optimizer", cli.OptimizerBlock, TRAIN_CONFIG),
+    ("optimizer", training.Optimizer, TRAIN_CONFIG),
     ("run", cli.RunBlock, TRAIN_CONFIG),
     ("grid", cli.GridBlock, GRID_CONFIG),
     ("sweep", cli.SweepBlock, SWEEP_CONFIG),
@@ -558,8 +572,9 @@ class TestParamsCommand:
         code = cmd_dispatch(["params", "--geometry", "missing.json",
                              "--M", "1", "--N", "1", "--r", "8"])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "missing.json" in err
+        assert capsys.readouterr().err == (
+            "error: no geometry file 'missing.json', and bundled geometry must be one of "
+            "('llama31_8b', 'llama32_3b'), got 'missing'\n")
 
     @pytest.mark.parametrize("geometry, named", [
         ([GEOMETRY], "config root must be a JSON object"),
@@ -585,7 +600,7 @@ class TestParamsCommand:
          "block 'modules[0]': module name must be one of ('down_proj', 'gate_proj', "
          "'k_proj', 'o_proj', 'q_proj', 'up_proj', 'v_proj'), got 'lm_head'"),
         ({**GEOMETRY, "modules": [MODULE, MODULE]}, "key 'modules' repeats an entry"),
-        ({**GEOMETRY, "modules": []}, "modules must be a nonempty list"),
+        ({**GEOMETRY, "modules": []}, "key 'modules' must be a nonempty list"),
     ])
     def test_a_malformed_geometry_file_is_one_named_error(self, tmp_path, capsys, geometry,
                                                          named):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cola_forge import cli, harness
-from cola_forge.adapter import CoLAConfig, ConfigError, Strategy
+from cola_forge.adapter import CoLAConfig, ConfigError, Strategy, flop_count, trainable_params
 from cola_forge.harness import (
     CSV_HEADER,
     ClassifyTaskSpec,
@@ -29,7 +30,8 @@ from cola_forge.harness import (
     write_rows_csv,
     write_rows_json,
 )
-from cola_forge.initializers import GAUSSIAN_ZERO, INIT_KINDS, PISSA, eckart_young_error
+from cola_forge.initializers import (GAUSSIAN_ZERO, INIT_KINDS, PISSA, InitSpec, build_layer,
+                                     eckart_young_error)
 from cola_forge.linalg import ShapeError, derive_seed, gaussian_matrix, make_rng, svd
 
 
@@ -269,6 +271,8 @@ def one_module_geometry(**fields):
                  "n must be >= 1, got 0", id="ModuleDim-n-0"),
     pytest.param(lambda v: one_module_geometry(base_params=v), -1, ValueError,
                  "base_params must be >= 1, got -1", id="ModelGeometry-base_params--1"),
+    pytest.param(lambda v: one_module_geometry(modules=v), (), ValueError,
+                 "modules must be a nonempty list", id="ModelGeometry-modules-empty"),
     pytest.param(lambda v: eckart_young_error(np.eye(3), v), 4, ValueError,
                  "r must be <= 3, got 4", id="eckart_young_error-4"),
 ])
@@ -306,7 +310,8 @@ class TestGeometry:
 
     def test_load_geometry_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"name": "tiny", "layers": 2, "modules": []}))
+        path.write_text(json.dumps({"name": "tiny", "layers": 2,
+                                    "modules": [{"name": "q_proj", "n": 8, "m": 8}]}))
         with pytest.raises(ValueError, match="base_params"):
             load_geometry(str(path))
 
@@ -578,6 +583,36 @@ class TestStandaloneRows:
             alone, _ = run_single(task, cfg, row.init, run_seed, sample_size=row.sample_size,
                                   echo_seed=row.seed, **train)
             assert [str(v) for v in alone.as_list()] == [str(v) for v in row.as_list()]
+
+
+def test_numpy_integer_counts_are_stored_as_python_ints():
+    # a numpy integer was kept as given, so its arithmetic wrapped around:
+    # the int16 layer had 2 A members, not 8, and -24576 trainable params,
+    # the int8 one 0 params and 16 MACs, and a run's mac_count read 0
+    for dims, params, macs in ((np.int16([256, 256, 16, 8, 2]), 40960, 155648),
+                               (np.int8([100, 100, 64, 4, 4]), 51200, 138000)):
+        cfg = CoLAConfig(*dims)
+        assert all(type(getattr(cfg, name)) is int
+                   for name in ("in_dim", "out_dim", "rank", "a_count", "b_count"))
+        assert (trainable_params(cfg), flop_count(cfg, "train_step")) == (params, macs)
+        layer = build_layer(cfg, InitSpec(GAUSSIAN_ZERO), make_rng(0),
+                            base_w0=np.zeros((int(dims[1]), int(dims[0]))))
+        assert layer.a_list.shape == tuple(int(d) for d in (dims[3], dims[2], dims[0]))
+    specs = [RecoveryTaskSpec(*np.int8([16, 16, 1, 2]), train_samples=np.int16(40),
+                              eval_samples=np.uint8(40)),
+             ClassifyTaskSpec(*np.int8([3, 4, 5, 6])), ModuleDim("q_proj", *np.int16([8, 8])),
+             ModelGeometry("g", np.int32(1000), np.int8(2), (ModuleDim("q_proj", 8, 8),))]
+    for spec in specs:
+        assert all(type(getattr(spec, f.name)) is int for f in dataclasses.fields(spec)
+                   if f.type == "int"), spec
+    task = make_recovery_task(specs[0], make_rng(0))
+    assert type(task.subsample(np.int8(20)).train_size) is int
+    cfg = CoLAConfig(in_dim=16, out_dim=16, rank=2)
+    want, _ = run_single(task, cfg, GAUSSIAN_ZERO, 7, steps=300, batch=8)
+    for steps, batch in ((np.int16(300), np.int8(8)), (300, np.int8(8))):
+        row, report = run_single(task, cfg, GAUSSIAN_ZERO, 7, steps=steps, batch=batch)
+        assert row == want and type(row.mac_count) is int and row.mac_count == 998400
+        assert type(report.steps) is int
 
 
 class TestRowWriters:

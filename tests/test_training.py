@@ -40,8 +40,10 @@ from cola_forge.harness import (
 from cola_forge.initializers import GAUSSIAN_ZERO, PISSA, InitSpec, build_layer
 from cola_forge.linalg import ShapeError, frobenius_norm, gaussian_matrix, make_rng, svd
 from cola_forge.training import (
+    _BETAS,
+    _EPS,
     DivergenceError,
-    OptimizerState,
+    Optimizer,
     _backward,
     _sample_tables,
     backward,
@@ -226,7 +228,7 @@ class TestOptimizers:
         ref = params.copy()
         m, v = np.zeros_like(params), np.zeros_like(params)
         state = make_optimizer("adam", 1e-2)
-        b1, b2 = state.betas
+        b1, b2 = _BETAS
         for step in range(1, 6):
             g = rng.normal(size=params.shape).astype(dtype)
             optimizer_step(state, params, g)
@@ -235,7 +237,7 @@ class TestOptimizers:
             v *= b2
             v += g * g
             root = math.sqrt((1.0 - b2 ** step) / (1.0 - b2))
-            ref -= state.lr * m / (np.sqrt(v) + state.eps * root) * (
+            ref -= state.spec.lr * m / (np.sqrt(v) + _EPS * root) * (
                 (1.0 - b1) / (1.0 - b1 ** step) * root)
             assert params.dtype == dtype and np.array_equal(params, ref)
             assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
@@ -250,14 +252,14 @@ class TestOptimizers:
         rng = make_rng(6)
         m, v = np.zeros((3, 4), dtype), np.zeros((3, 4), dtype)
         state = make_optimizer("adam", 1e-2)
-        b1, b2 = state.betas
+        b1, b2 = _BETAS
         for step in range(1, 301):
             g = (scale * rng.normal(size=m.shape)).astype(dtype)
             u = -optimizer_step(state, np.zeros_like(m), g)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
-            textbook = state.lr * (m / (1.0 - b1 ** step)) / (
-                np.sqrt(v / (1.0 - b2 ** step)) + state.eps)
+            textbook = state.spec.lr * (m / (1.0 - b1 ** step)) / (
+                np.sqrt(v / (1.0 - b2 ** step)) + _EPS)
             assert u.dtype == dtype
             assert np.abs(u - textbook).max() <= tol * np.abs(u).max(), step
             assert np.abs(state.m * (1.0 - b1) - m).max() <= tol * np.abs(m).max(), step
@@ -285,80 +287,59 @@ class TestOptimizers:
             make_optimizer("rmsprop", 0.1)
 
     @pytest.mark.parametrize("fields, message", [
-        (dict(kind="adamw", lr=0.1), "optimizer kind must be one of ('sgd', 'adam'), got 'adamw'"),
-        (dict(kind="adam", lr=0.0), "learning rate must be positive, got 0.0"),
-    ])
-    def test_a_state_built_directly_is_checked(self, fields, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            OptimizerState(**fields)
-
-    @pytest.mark.parametrize("fields, message", [
+        (dict(kind="adamw"), "optimizer kind must be one of ('sgd', 'adam'), got 'adamw'"),
+        (dict(lr=0.0), "learning rate must be positive, got 0.0"),
         (dict(lr=float("inf")), "learning rate must be finite, got inf"),
         (dict(lr=True), "learning rate must be a real number, got True"),
         (dict(lr="0.1"), "learning rate must be a real number, got '0.1'"),
         (dict(lr=1j), "learning rate must be a real number, got 1j"),
-        (dict(eps=-1.0), "eps must be positive, got -1.0"),
-        (dict(eps=float("inf")), "eps must be finite, got inf"),
-        (dict(eps=np.True_), "eps must be a real number, got np.True_"),
-        (dict(betas=(0.9, 1.0)), "betas[1] must be a finite real in [0, 1), got 1.0"),
-        (dict(betas=(1.0, 0.999)), "betas[0] must be a finite real in [0, 1), got 1.0"),
-        (dict(betas=(-0.1, 0.999)), "betas[0] must be a finite real in [0, 1), got -0.1"),
-        (dict(betas=(0.9, float("nan"))), "betas[1] must be a finite real in [0, 1), got nan"),
-        (dict(betas=(0.9,)), "betas must have shape (2,), got (1,)"),
-        (dict(betas=0.9), "betas must have shape (2,), got ()"),
-        (dict(betas=(True, 0.999)), "betas[0] must be a real number, got True"),
-        (dict(step=-1), "step must be >= 0, got -1"),
-        (dict(step=2.5), "step must be an integer, got 2.5"),
-        (dict(step=True), "step must be an integer, got True"),
-    ], ids=["lr-inf", "lr-bool", "lr-str", "lr-complex", "eps-negative", "eps-inf",
-            "eps-bool", "beta2-one", "beta1-one", "beta1-negative", "beta2-nan", "one-beta",
-            "betas-scalar", "beta1-bool", "step-negative", "step-fractional", "step-bool"])
+    ], ids=["kind-adamw", "lr-zero", "lr-inf", "lr-bool", "lr-str", "lr-complex"])
     def test_a_bad_hyperparameter_is_refused_by_name(self, fields, message):
-        # each once gave inf or NaN parameters, a bare TypeError or, with
-        # the moments kept over 1 - beta, a ZeroDivisionError in the step
-        # (step=-1 makes the first bias correction 1 - beta^0 = 0)
+        # each once gave inf or NaN parameters or a bare TypeError in the step
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            OptimizerState(kind="adam", **{"lr": 0.1, **fields})
+            Optimizer(**{"kind": "adam", "lr": 0.1, **fields})
 
-    @pytest.mark.parametrize("run", ["optimizer_step", "train_loop"])
-    @pytest.mark.parametrize("field, value, message", [
-        ("betas", (0.9, 1.0), "betas[1] must be a finite real in [0, 1), got 1.0"),
-        ("lr", float("inf"), "learning rate must be finite, got inf"),
-        ("kind", "adamw", "optimizer kind must be one of ('sgd', 'adam'), got 'adamw'"),
-    ], ids=["beta2-one", "lr-inf", "kind-adamw"])
-    def test_a_field_assigned_after_construction_is_refused_before_a_step(
-            self, run, field, value, message):
-        # betas=(0.9, 1.0) once raised a bare ZeroDivisionError after the
-        # step was counted, and lr=inf gave infinite parameters
-        state = make_optimizer("adam", 1e-2)
-        setattr(state, field, value)
-        if run == "optimizer_step":
-            params = np.ones(3)
-            call = lambda: optimizer_step(state, params, np.ones(3))
-        else:
-            task = small_task()
-            layer = build_layer(CoLAConfig(in_dim=20, out_dim=24, rank=2, b_count=2),
-                                InitSpec(GAUSSIAN_ZERO), make_rng(1), base_w0=task.w_base)
-            params = layer.params
-            call = lambda: train_loop(task, layer, state, 3, 4, make_rng(2))
-        before = params.copy()
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call()
+    @pytest.mark.parametrize("field, value", [("lr", float("inf")), ("kind", "adamw")])
+    def test_a_field_assigned_after_construction_is_refused_before_a_step(self, field, value):
+        # lr=inf, assigned to a checked state, once gave infinite parameters;
+        # the spec is frozen, so the assignment itself fails
+        state, params = make_optimizer("adam", 1e-2), np.ones(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state.spec, field, value)
+        assert state.spec == Optimizer("adam", 1e-2)
         assert state.step == 0 and state.m is None
-        assert np.array_equal(params, before)
+        assert np.array_equal(params, np.ones(3))
 
-    def test_numpy_and_integer_hyperparameters_are_accepted(self):
-        state = OptimizerState(kind="adam", lr=np.float32(0.5), betas=(np.float64(0.5), 0),
-                               eps=1)
-        params = np.zeros(2)
-        optimizer_step(state, params, np.array([1.0, -3.0]))
-        assert np.array_equal(params, [-0.25, 0.375])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("lr", [np.float32(0.1), np.int8(1), 2])
+    def test_numpy_and_integer_hyperparameters_are_accepted(self, kind, lr):
+        # each gives the update of the Python float it equals, bit for bit
+        given, plain = np.zeros(2), np.zeros(2)
+        optimizer_step(make_optimizer(kind, lr), given, np.array([1.0, -3.0]))
+        optimizer_step(make_optimizer(kind, float(lr)), plain, np.array([1.0, -3.0]))
+        assert given.tobytes() == plain.tobytes() and given.any()
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_integer_params_are_named(self, kind):
         state = make_optimizer(kind, 0.1)
         with pytest.raises(ValueError, match="params of dtype int64 cannot take a float64 update"):
             optimizer_step(state, np.zeros(3, dtype=np.int64), np.ones(3))
+        assert state.step == 0 and state.m is None
+
+    @pytest.mark.parametrize("params, message", [
+        (np.zeros(3, complex), "params must be real, got complex entries"),
+        (np.zeros(3, bool), "params must be real, got bool entries"),
+        (np.zeros(3, object), "params must be real, got object entries"),
+        ([0.0, 0.0, 0.0], "params must be a numpy array, got list"),
+        (np.broadcast_to(0.0, 3), "params must be writable, got a read-only array"),
+    ], ids=["complex", "bool", "object", "list", "read-only"])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_params_that_are_not_a_writable_real_array_are_named(self, kind, params, message):
+        # complex params took the update, a list was updated as a copy that
+        # the caller never saw, and a read-only array counted the step first
+        state = make_optimizer(kind, 0.1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            optimizer_step(state, params, np.ones(3))
         assert state.step == 0 and state.m is None
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
@@ -1349,18 +1330,42 @@ def test_complex_input_is_refused_by_name(make, name):
     # each raised an AttributeError
     (lambda layer: sample_pairing(layer.config, None),
      ValueError, "rng must be a numpy Generator, got None"),
+    # each was documented, and reached by no test
+    (lambda layer: build_layer(layer.config, InitSpec(GAUSSIAN_ZERO), make_rng(0)), ValueError,
+     "gaussian_zero init requires base_w0"),
+    (lambda layer: build_layer(layer.config, InitSpec(PISSA), make_rng(0)), ValueError,
+     "spectral init requires source_w"),
     (lambda layer: delta_weight(layer, (0, 1)), ConfigError,
      "strategy random_ab requires a Pairing, got (0, 1)"),
     (lambda layer: forward(layer, np.ones(20), "train", [0, 0]), ConfigError,
      "strategy random_ab requires a Pairing, got [0, 0]"),
 ], ids=["forward-string", "forward-object", "backward-bool", "squared_error_grad-3d",
         "squared_error_grad-empty", "finite_diff_check-target-length", "backward-batches",
-        "forward-ragged", "cross_entropy_grad-ragged", "sample_pairing-rng", "delta_weight-tuple", "forward-list"])
+        "forward-ragged", "cross_entropy_grad-ragged", "sample_pairing-rng",
+        "build_layer-no-base_w0", "build_layer-no-source_w",
+        "delta_weight-tuple", "forward-list"])
 def test_a_malformed_argument_is_one_named_error(make, error, message):
     layer = random_layer(CoLAConfig(in_dim=20, out_dim=24, rank=4, a_count=2, b_count=3,
                                     strategy=Strategy.RANDOM_AB))
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make(layer)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: gaussian_matrix(2, 2, 1.0, rng),
+    lambda rng: sample_pairing(CoLAConfig(in_dim=4, out_dim=4, rank=2, a_count=2,
+                                          strategy=Strategy.RANDOM_AB), rng),
+    lambda rng: train_loop(small_task(), random_layer(CoLAConfig(in_dim=20, out_dim=24,
+                                                                 rank=2)),
+                           make_optimizer("sgd", 0.1), 1, 4, rng),
+], ids=["gaussian_matrix", "sample_pairing", "train_loop"])
+@pytest.mark.parametrize("rng", [7, np.random.RandomState(0)], ids=["int", "RandomState"])
+def test_an_rng_that_is_not_a_generator_is_named(call, rng):
+    # a seed or a legacy RandomState would reach a Generator method and
+    # raise a bare AttributeError
+    message = f"rng must be a numpy Generator, got {rng!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(rng)
 
 
 def with_entry(matrix, value):
